@@ -1,13 +1,13 @@
 """Determinantal quasi-hole numerics: stable kernels, exact partition
 functions, emergent gauge/scalar potentials, and independent oracles."""
 
-from .clinalg import LUFactorization, SingularMatrixError, lu_factor
 from .kernel import (DerivOrder, KernelSpec, kernel_derivative, kernel_eval,
                      kernel_infty, kernel_tail_bound, reproducing_residual)
 from .lognum import LogComplex, log_sum
 from .partition import (HoleConfig, PartitionValue, SingularConfigurationError,
-                        log_partition, theta, theta_polarized, upsilon,
-                        upsilon_derivative, upsilon_prediction)
+                        SingularMatrixError, log_partition, theta,
+                        theta_polarized, upsilon, upsilon_derivative,
+                        upsilon_prediction)
 from .potentials import (CorrectionFields, DegenerateConfigurationError,
                          EmergentField, asymptotic_prediction, correction_a,
                          correction_v, emergent_field_derivative,
@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "LogComplex", "log_sum",
-    "LUFactorization", "SingularMatrixError", "lu_factor",
+    "SingularMatrixError",
     "QuadratureGrid", "cartesian_grid", "polar_grid", "integrate2d",
     "finite_diff_gradient", "IntegrationError",
     "KernelSpec", "DerivOrder", "kernel_eval", "kernel_infty",

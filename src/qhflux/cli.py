@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -20,14 +19,15 @@ import numpy as np
 from .harness.classify import RegimeClassifier
 from .harness.report import CSV_HEADER, fmt
 from .harness.suites import (run_global_suite, run_kernel_suite, run_oracle_suite,
-                             run_potential_suite, run_upsilon_suite, thread_count)
+                             run_potential_suite, run_upsilon_suite)
 from .kernel import (KernelSpec, kernel_diff_log, kernel_eval, kernel_infty,
                      kernel_tail_bound)
 from .oracle.charpoly import charpoly_moment_mc
 from .oracle.plasma import PlasmaConfig, dump_samples, plasma_mcmc, radial_density_l1
 from .partition import (HoleConfig, SingularConfigurationError, log_partition,
                         upsilon, upsilon_prediction)
-from .potentials import asymptotic_prediction, emergent_field_derivative
+from .potentials import (DegenerateConfigurationError, asymptotic_prediction,
+                         emergent_field_derivative)
 
 SUITES = {
     "kernel": run_kernel_suite,
@@ -173,7 +173,7 @@ def cmd_field_map(args) -> int:
             regime = classifier.classify(cfg)
             try:
                 field = emergent_field_derivative(cfg, j)
-            except Exception:
+            except (DegenerateConfigurationError, SingularConfigurationError):
                 lines.append(f"{fmt(x)},{fmt(y)},{nanrow},degenerate,{nanrow}")
                 continue
             if regime.kind in ("no-merging", "single-merging"):
@@ -239,7 +239,7 @@ def cmd_charpoly(args) -> int:
 
 
 def _suite_kwargs(name: str, args) -> dict:
-    kw: dict = {"seed": args.seed, "threads": args.threads}
+    kw: dict = {"seed": args.seed}
     if name == "kernel":
         kw.update(N_list=args.N_list or (64, 128, 256), kappa=args.kappa,
                   samples=args.samples)
@@ -327,8 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, default=None,
                        help="output directory (config echoed for provenance)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--threads", type=int,
-                       default=thread_count(None))
         p.add_argument("--kappa", type=float, default=2.0)
         p.add_argument("--gamma", type=float, default=1.0)
 

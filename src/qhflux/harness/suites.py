@@ -1,15 +1,12 @@
 """Reproducible verification suites over the regime decomposition.
 
 Each suite derives one RNG stream per case from (seed, case index), so
-reports are bit-identical across runs; cases can evaluate on a thread pool
-without affecting the output order.
+reports are bit-identical across runs.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -26,27 +23,6 @@ from .classify import RegimeClassifier
 from .report import ReportRow, VerificationReport
 
 DERIVATIVE_NOISE_FLOOR = 1e-10
-
-
-def thread_count(explicit: int | None = None) -> int:
-    if explicit is not None and explicit > 0:
-        return explicit
-    env = os.environ.get("QHFLUX_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
-def map_cases(fn, cases, threads: int | None = None):
-    """Deterministic map over cases, optionally on a thread pool."""
-    k = thread_count(threads)
-    if k <= 1 or len(cases) <= 1:
-        return [fn(c) for c in cases]
-    with ThreadPoolExecutor(max_workers=k) as pool:
-        return list(pool.map(fn, cases))
 
 
 def case_rng(seed: int, index: int) -> np.random.Generator:
@@ -118,8 +94,8 @@ _ORDER_GROUPS = {
 
 
 def run_kernel_suite(N_list=(64, 128, 256), kappa: float = 2.0,
-                     samples: int = 1000, seed: int = 0, n: int = 2,
-                     threads: int | None = None) -> VerificationReport:
+                     samples: int = 1000, seed: int = 0,
+                     n: int = 2) -> VerificationReport:
     """Tail decay of the truncated kernel against the full projection.
 
     Differences and their derivatives come from exact log-domain tail sums;
@@ -154,7 +130,7 @@ def run_kernel_suite(N_list=(64, 128, 256), kappa: float = 2.0,
             sup_logs[total] = best
         return N, sup_logs, worst_cert
 
-    results = map_cases(run_one, list(enumerate(N_list)), threads)
+    results = [run_one(case) for case in enumerate(N_list)]
 
     for N, sup_logs, worst_cert in results:
         report.add(ReportRow(
@@ -203,8 +179,7 @@ def run_kernel_suite(N_list=(64, 128, 256), kappa: float = 2.0,
 def run_upsilon_suite(N_list=(128, 256), kappa: float = 2.0,
                       gamma: float = 1.0, configs: int = 20, seed: int = 0,
                       n: int = 2, sweep_N: int | None = None,
-                      sweep_points: int = 12,
-                      threads: int | None = None) -> VerificationReport:
+                      sweep_points: int = 12) -> VerificationReport:
     """Upsilon against its regime predictions, plus a merging separation sweep."""
     classifier = RegimeClassifier(kappa=kappa, gamma=gamma)
     report = VerificationReport(
@@ -227,7 +202,7 @@ def run_upsilon_suite(N_list=(128, 256), kappa: float = 2.0,
             worst_d2 = max(worst_d2, abs(upsilon_derivative(cfg, e0, e0)))
         return N, worst_val, worst_d1, worst_d2
 
-    for N, val, d1, d2 in map_cases(no_merging_case, list(enumerate(N_list)), threads):
+    for N, val, d1, d2 in map(no_merging_case, enumerate(N_list)):
         report.add(ReportRow(
             case_id=f"nomerge-N{N}", N=N, n=n, kappa=kappa, gamma=gamma,
             regime="no-merging", quantity="max |Upsilon - 1|", measured=val,
@@ -261,8 +236,8 @@ def run_upsilon_suite(N_list=(128, 256), kappa: float = 2.0,
 
 def run_potential_suite(N_list=(128, 256), kappa: float = 2.0, gamma: float = 1.0,
                         configs: int = 10, seed: int = 0, n: int = 2,
-                        merging_N: int = 512, sweep_points: int = 10,
-                        threads: int | None = None) -> VerificationReport:
+                        merging_N: int = 512,
+                        sweep_points: int = 10) -> VerificationReport:
     """Emergent fields against regime predictions and correction profiles."""
     classifier = RegimeClassifier(kappa=kappa, gamma=gamma)
     report = VerificationReport(
@@ -284,7 +259,7 @@ def run_potential_suite(N_list=(128, 256), kappa: float = 2.0, gamma: float = 1.
                 worst_v = max(worst_v, abs(field.V - 2.0 * N) / N)
         return N, worst_a, worst_v
 
-    for N, wa, wv in map_cases(no_merging_case, list(enumerate(N_list)), threads):
+    for N, wa, wv in map(no_merging_case, enumerate(N_list)):
         report.add(ReportRow(
             case_id=f"nomerge-A-N{N}", N=N, n=n, kappa=kappa, gamma=gamma,
             regime="no-merging", quantity="max |A - prediction|/N",
@@ -336,8 +311,7 @@ def _v_tail(y: float) -> float:
 # ------------------------------------------------------------------ global
 
 def run_global_suite(N: int = 64, n: int = 4, count: int = 500, seed: int = 0,
-                     kappa: float = 2.0, gamma: float = 1.0,
-                     threads: int | None = None) -> VerificationReport:
+                     kappa: float = 2.0, gamma: float = 1.0) -> VerificationReport:
     """Uniform bounds on the fields over all regimes, incl. deep mergers."""
     classifier = RegimeClassifier(kappa=kappa, gamma=gamma)
     report = VerificationReport(
@@ -373,8 +347,7 @@ def run_global_suite(N: int = 64, n: int = 4, count: int = 500, seed: int = 0,
             out.append((regime.kind, anorm, field.V, acent, drop))
         return out
 
-    rows = [r for chunk in map_cases(run_one, list(range(count)), threads)
-            for r in chunk]
+    rows = [r for idx in range(count) for r in run_one(idx)]
     max_a = max(r[1] for r in rows) / N
     max_v = max(r[2] for r in rows) / N ** 1.5
     min_v = min(r[2] for r in rows)
@@ -399,8 +372,7 @@ def run_global_suite(N: int = 64, n: int = 4, count: int = 500, seed: int = 0,
 
 # ------------------------------------------------------------------ oracle
 
-def run_oracle_suite(seed: int = 0, threads: int | None = None,
-                     mc_sweeps: int = 101_000) -> VerificationReport:
+def run_oracle_suite(seed: int = 0, mc_sweeps: int = 101_000) -> VerificationReport:
     """Closed-form pipeline against every independent oracle."""
     report = VerificationReport(suite="oracle", seed=seed,
                                 params={"mc_sweeps": mc_sweeps})
@@ -424,7 +396,7 @@ def run_oracle_suite(seed: int = 0, threads: int | None = None,
             worst = max(worst, abs(closed - exact) / max(abs(exact), 1.0))
         return (N, n, b), worst
 
-    for (N, n, b), worst in map_cases(partition_case, list(enumerate(cases)), threads):
+    for (N, n, b), worst in map(partition_case, enumerate(cases)):
         report.add(ReportRow(
             case_id=f"partition-N{N}-n{n}-b{b:g}", N=N, n=n,
             kappa=math.nan, gamma=math.nan, regime="exact",

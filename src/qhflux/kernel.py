@@ -11,6 +11,11 @@ b up to ~1024 and M up to ~1100 stay representable.  Derivative orders are
 term-wise sums, never finite differences.  Differences K_inf - K_M are always
 computed from the explicit tail sum over j >= M, which is the only stable way
 once they fall many orders below the kernel scale.
+
+Kernel matrices on point sets take the other route: one weighted-orbital
+table phi_j(z) and its d^p dbar^q derivatives, each entry bounded by its
+derivative scale, multiplied as D_z @ D_w^H.  The scalar series stays the
+independent reference that route is tested against.
 """
 
 from __future__ import annotations
@@ -253,87 +258,81 @@ def kernel_tail_bound(spec: KernelSpec, z: complex, w: complex) -> float:
     return 0.0 if lb == -math.inf else math.exp(lb)
 
 
+def _log_poisson(j: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """log(t^j e^{-t} / j!) for j >= 0, t > 0, in Loader's saddle-point form.
+
+    -stirlerr(j) - t bd0(j/t) - log(2 pi j)/2 keeps the error near eps |j - t|,
+    where j log t - t - log j! would scale every term by e^{j delta} from the
+    rounding delta of log t and let sum_j come out above 1.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        jj = np.maximum(j, 1.0)
+        small = gammaln(jj + 1) - (jj + 0.5) * np.log(jj) + jj - 0.5 * math.log(2 * math.pi)
+        inv2 = 1.0 / jj ** 2
+        series = (1 / 12 - inv2 * (1 / 360 - inv2 * (1 / 1260 - inv2 * (1 / 1680 - inv2 / 1188)))) / jj
+        stirlerr = np.where(jj > 15, series, small)
+        d = (j - t) / t
+        bd0 = t * ((1.0 + d) * np.log1p(d) - d)
+        return np.where(j == 0, -t, -stirlerr - bd0 - 0.5 * np.log(2 * math.pi * jj))
+
+
 def weighted_orbitals(b: float, M: int, pts: np.ndarray) -> np.ndarray:
     """Matrix U[i, j] = phi_j(pts[i]) including the Gaussian weight.
 
     Rows satisfy K_M(z_i, z_l) = (U U^H)[i, l]; every entry is bounded by
-    sqrt(b/pi), so plain double arithmetic is safe on grids.
+    sqrt(b/pi), so plain double arithmetic is safe on grids.  |phi_j(z)|^2 is
+    (b/pi) times the Poisson weight t^j e^{-t}/j! at t = b|z|^2.
     """
     pts = np.asarray(pts, dtype=complex).ravel()
-    j = np.arange(M)
-    logc = 0.5 * ((j + 1) * math.log(b) - math.log(math.pi) - gammaln(j + 1))
-    r = np.abs(pts)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logr = np.log(r)
-        jlogr = np.where(j[None, :] == 0, 0.0, j[None, :] * logr[:, None])
-    logmag = logc[None, :] + jlogr - 0.5 * b * (r ** 2)[:, None]
-    phase = j[None, :] * np.angle(pts)[:, None]
-    return np.exp(logmag) * np.exp(1j * phase)
+    j = np.arange(M, dtype=float)[None, :]
+    t = (b * np.abs(pts) ** 2)[:, None]
+    logp = np.where(t > 0, _log_poisson(j, np.where(t > 0, t, 1.0)),
+                    np.where(j == 0, 0.0, -np.inf))
+    phase = j * np.angle(pts)[:, None]
+    return math.sqrt(b / math.pi) * np.exp(0.5 * logp) * np.exp(1j * phase)
 
 
-def kernel_gram(spec: KernelSpec, pts_row: np.ndarray, pts_col: np.ndarray) -> np.ndarray:
-    """Dense matrix K_M(z_i, w_l) on moderate-b point sets via orbitals."""
-    u = weighted_orbitals(spec.b, spec.M, pts_row)
-    v = weighted_orbitals(spec.b, spec.M, pts_col)
-    return u @ v.conj().T
+def orbital_derivatives(b: float, M: int, pts: np.ndarray, orders) -> dict:
+    """Tables {(p, q): d^p dbar^q phi_j(pts[i])} from one orbital matrix.
 
-
-def kernel_matrix_partials(spec: KernelSpec, zs: np.ndarray, ws: np.ndarray,
-                           kmax: int) -> dict:
-    """Gaussian-weighted partial sums S~[m] = sum_{j<m} a_j x^j E on a point grid.
-
-    Every accumulated term is bounded by b/pi, so the recurrence is stable in
-    plain doubles; entries whose Gaussian factor underflows are exactly zero.
+    Uses d phi_j = sqrt(b j) phi_{j-1} - (b/2) zbar phi_j and
+    dbar phi_j = -(b/2) z phi_j: derivatives are index shifts of the
+    orbitals times polynomial weights, so no entry leaves the scale
+    sqrt(b/pi) (b + b|z|)^(p+q) and nothing underflows.
     """
-    b, M = spec.b, spec.M
-    zs = np.asarray(zs, dtype=complex)
-    ws = np.asarray(ws, dtype=complex)
-    x = zs[:, None] * ws.conj()[None, :]
-    logE = -0.5 * b * (np.abs(zs) ** 2)[:, None] - 0.5 * b * (np.abs(ws) ** 2)[None, :]
-    with np.errstate(under="ignore"):
-        tau = (b / math.pi) * np.exp(logE)
-    needed = sorted({max(M - k, 0) for k in range(kmax + 1)} | {M})
-    partials = {}
-    acc = np.zeros_like(tau)
-    for j in range(M):
-        if j in needed:
-            partials[j] = acc.copy()
-        acc = acc + tau
-        tau = tau * x * (b / (j + 1))
-    partials[M] = acc
-    for m in needed:
-        if m not in partials:
-            partials[m] = partials[M]
-    return partials
+    pts = np.asarray(pts, dtype=complex).ravel()
+    z = pts[:, None]
+    # shifted[l] = L^l phi with (L phi)_j = sqrt(b j) phi_{j-1}
+    shifted = [weighted_orbitals(b, M, pts)]
+    root = np.sqrt(b * np.arange(1, M))
+    for _ in range(max(p for p, _ in orders)):
+        nxt = np.zeros_like(shifted[0])
+        nxt[:, 1:] = shifted[-1][:, :-1] * root
+        shifted.append(nxt)
+
+    def d_z(m):  # d^m phi = (L - (b/2) zbar)^m phi
+        return sum(math.comb(m, l) * (-0.5 * b * z.conj()) ** (m - l) * shifted[l]
+                   for l in range(m + 1))
+
+    # dbar^q phi = (-(b/2) z)^q phi, then d^p by Leibniz over the z^q factor
+    return {(p, q): (-0.5 * b) ** q * sum(math.comb(p, k) * math.perm(q, k)
+                                          * z ** (q - k) * d_z(p - k)
+                                          for k in range(min(p, q) + 1))
+            for p, q in orders}
 
 
 def kernel_matrix(spec: KernelSpec, zs: np.ndarray, ws: np.ndarray,
-                  order: DerivOrder = (0, 0, 0, 0),
-                  partials: dict | None = None) -> np.ndarray:
-    """Matrix of d^order K_M(z_i, w_l), vectorized over both point lists."""
-    order = _check_order(order)
+                  order: DerivOrder = (0, 0, 0, 0)) -> np.ndarray:
+    """Matrix of d^order K_M(z_i, w_l), as D_z @ D_w^H over orbital tables.
+
+    d/dw and d/dwbar reach conj(phi_j(w)) as conj(dbar phi_j) and
+    conj(d phi_j), so the w side uses the orbital order (wbar, w).
+    """
+    a_zbar, a_z, a_wbar, a_w = _check_order(order)
     b, M = spec.b, spec.M
-    zs = np.asarray(zs, dtype=complex)
-    ws = np.asarray(ws, dtype=complex)
-    kmax = sum(order)
-    if partials is None:
-        partials = kernel_matrix_partials(spec, zs, ws, kmax)
-    Z = zs[:, None]
-    W = ws[None, :]
-    out = np.zeros((zs.size, ws.size), dtype=complex)
-    for (pz, pzb, pw, pwb, k, p), c in _deriv_terms(order):
-        factor = c * b ** (p + k)
-        term = factor * partials[max(M - k, 0)]
-        if pz:
-            term = term * Z ** pz
-        if pzb:
-            term = term * Z.conj() ** pzb
-        if pw:
-            term = term * W ** pw
-        if pwb:
-            term = term * W.conj() ** pwb
-        out += term
-    return out
+    d_z = orbital_derivatives(b, M, zs, [(a_z, a_zbar)])[(a_z, a_zbar)]
+    d_w = orbital_derivatives(b, M, ws, [(a_wbar, a_w)])[(a_wbar, a_w)]
+    return d_z @ d_w.conj().T
 
 
 def reproducing_residual(spec: KernelSpec, z: complex, w: complex,

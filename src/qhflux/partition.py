@@ -3,18 +3,54 @@ derivatives, the closed-form normalization, and Schur-complement densities."""
 
 from __future__ import annotations
 
+import itertools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.special import gammaln
 
-from .clinalg import SingularMatrixError, lu_factor
-from .kernel import KernelSpec, kernel_matrix, kernel_matrix_partials
+from .kernel import KernelSpec, kernel_matrix, orbital_derivatives
+from .lognum import LogComplex
+
+PIVOT_FLOOR = 1e-300
 
 
 class SingularConfigurationError(Exception):
     """Operation requires pairwise distinct hole positions."""
+
+
+class SingularMatrixError(Exception):
+    """Raised when an LU factorization has a pivot below PIVOT_FLOOR."""
+
+    def __init__(self, pivot_index: int):
+        self.pivot_index = pivot_index
+        super().__init__(f"numerically singular matrix at pivot {pivot_index}")
+
+
+def lu(matrix: np.ndarray):
+    """LAPACK LU with partial pivoting, for lu_solve and log_det.
+
+    Raises SingularMatrixError at the first |U_kk| below PIVOT_FLOOR.
+    """
+    with warnings.catch_warnings():
+        # an exactly zero pivot is reported below as SingularMatrixError
+        warnings.simplefilter("ignore", LinAlgWarning)
+        factor = lu_factor(matrix)
+    small = np.flatnonzero(np.abs(np.diag(factor[0])) < PIVOT_FLOOR)
+    if small.size:
+        raise SingularMatrixError(int(small[0]))
+    return factor
+
+
+def log_det(factor) -> LogComplex:
+    """Determinant of an LU factorization from the U diagonal and pivot sign."""
+    u_diag = np.diag(factor[0])
+    swaps = int(np.count_nonzero(factor[1] != np.arange(u_diag.size)))
+    return LogComplex(float(np.sum(np.log(np.abs(u_diag)))),
+                      float(np.sum(np.angle(u_diag))) + math.pi * (swaps % 2))
 
 
 @dataclass(frozen=True)
@@ -90,7 +126,7 @@ def upsilon(cfg: HoleConfig) -> float:
     if cfg.has_coincident_pair():
         return 0.0
     try:
-        det = lu_factor(scaled_kernel_matrix(cfg)).det
+        det = log_det(lu(scaled_kernel_matrix(cfg)))
     except SingularMatrixError:
         return 0.0
     return det.to_complex().real
@@ -100,15 +136,7 @@ def log_upsilon(cfg: HoleConfig) -> float:
     if cfg.n == 0:
         return 0.0
     cfg.require_distinct()
-    return lu_factor(scaled_kernel_matrix(cfg)).det.log_mag
-
-
-_SLOT_ORDERS = {
-    ("row", "h"): (0, 1, 0, 0),
-    ("row", "a"): (1, 0, 0, 0),
-    ("col", "h"): (0, 0, 0, 1),
-    ("col", "a"): (0, 0, 1, 0),
-}
+    return log_det(lu(scaled_kernel_matrix(cfg))).log_mag
 
 
 def _slot_list(alpha, beta, n):
@@ -126,32 +154,84 @@ def _slot_list(alpha, beta, n):
     return slots
 
 
-def _deriv_matrix(cfg: HoleConfig, slots, partials) -> np.ndarray:
-    """Entrywise derivative of the kernel matrix for the given slot list."""
-    pts = cfg.points()
-    n = cfg.n
+# orbital (d, dbar) orders that a holomorphic ("h") or antiholomorphic ("a")
+# slot puts on the row factor D_z or the column factor D_w of K = D_z @ D_w^H
+_SLOT_ORDERS = {
+    ("row", "h"): (1, 0),
+    ("row", "a"): (0, 1),
+    ("col", "h"): (0, 1),
+    ("col", "a"): (1, 0),
+}
+_HOLE_ORDERS = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2))
+
+
+def _deriv_matrix(tables: dict, w: np.ndarray, b: float, slots) -> np.ndarray:
+    """Entrywise slot derivative of (pi/b) [K_M(w_a, w_c)], from the hole
+    orbital tables scaled by sqrt(pi/b).
+
+    Each slot differentiates the row factor (row i of D_z) or the column
+    factor (row i of D_w).  The diagonal entry is a derivative of
+    (pi/b) K_M(w, w) = sum_{j<M} t^j e^{-t}/j! with t = b|w|^2, whose t-derivatives
+    are single tail terms; it is set from those, since the sum over factors
+    would cancel O(b) terms down to ~eps b instead of to the tail.
+    """
+    phi = tables[(0, 0)]
+    n, M = phi.shape
+    idx = np.arange(n)
     out = np.zeros((n, n), dtype=complex)
-    for assignment in _side_assignments(len(slots)):
-        order = [0, 0, 0, 0]
+    for assignment in itertools.product(("row", "col"), repeat=len(slots)):
+        orders = {"row": (0, 0), "col": (0, 0)}
         mask = np.ones((n, n), dtype=bool)
         for (i, typ), side in zip(slots, assignment):
-            o = _SLOT_ORDERS[(side, typ)]
-            order = [x + y for x, y in zip(order, o)]
-            if side == "row":
-                mask &= (np.arange(n) == i)[:, None]
-            else:
-                mask &= (np.arange(n) == i)[None, :]
-        if not mask.any():
-            continue
-        mat = kernel_matrix(cfg.spec, pts, pts, tuple(order), partials=partials)
-        out += np.where(mask, mat, 0.0)
+            orders[side] = tuple(x + y for x, y in zip(orders[side], _SLOT_ORDERS[(side, typ)]))
+            mask &= (idx == i)[:, None] if side == "row" else (idx == i)[None, :]
+        if mask.any():
+            out += np.where(mask, tables[orders["row"]] @ tables[orders["col"]].conj().T, 0.0)
+    holes = {i for i, _ in slots}
+    if len(holes) == 1:
+        (i,) = holes
+        last = np.abs(phi[i, M - 2:]) ** 2       # t^j e^{-t}/j! at j = M-2, M-1
+        dt = {1: -last[1], 2: last[1] - last[0]}  # d^m/dt^m of the diagonal
+        p = sum(typ == "h" for _, typ in slots)
+        q = len(slots) - p
+        out[i, i] = sum(math.comb(p, k) * math.comb(q, k) * math.factorial(k)
+                        * b ** (p + q - k) * w[i] ** (q - k) * w[i].conjugate() ** (p - k)
+                        * dt[p + q - k] for k in range(min(p, q) + 1))
     return out
 
 
-def _side_assignments(k: int):
-    if k == 1:
-        return [("row",), ("col",)]
-    return [(a, b) for a in ("row", "col") for b in ("row", "col")]
+def upsilon_derivatives(cfg: HoleConfig, *multi_indices) -> tuple[float, list[complex]]:
+    """Upsilon and its exact d^alpha dbar^beta for each (alpha, beta) pair.
+
+    Builds the hole orbital tables once and factors the kernel matrix once;
+    the derivatives follow from Jacobi's formula.  alpha, beta are per-hole
+    multi-indices of holomorphic and antiholomorphic orders, with
+    |alpha| + |beta| <= 2.  Raises SingularMatrixError on a singular matrix.
+    """
+    cfg.require_distinct()
+    slot_lists = [_slot_list(alpha, beta, cfg.n) for alpha, beta in multi_indices]
+    if cfg.n == 0:
+        return 1.0, [1.0 + 0j] * len(slot_lists)
+    b, w = cfg.b, cfg.points()
+    tables = {k: math.sqrt(math.pi / b) * t for k, t in
+              orbital_derivatives(b, cfg.spec.M, w, _HOLE_ORDERS).items()}
+    factor = lu(_deriv_matrix(tables, w, b, []))
+    ups = log_det(factor).to_complex().real
+    inverse = lu_solve(factor, np.eye(cfg.n))
+    out = []
+    for slots in slot_lists:
+        if not slots:
+            out.append(complex(ups))
+            continue
+        d = [inverse @ _deriv_matrix(tables, w, b, [s]) for s in slots]
+        if len(slots) == 1:
+            bracket = np.trace(d[0])
+        else:
+            d12 = inverse @ _deriv_matrix(tables, w, b, slots)
+            bracket = (np.trace(d[0]) * np.trace(d[1]) - np.trace(d[1] @ d[0])
+                       + np.trace(d12))
+        out.append(ups * complex(bracket))
+    return ups, out
 
 
 def upsilon_derivative(cfg: HoleConfig, alpha, beta) -> complex:
@@ -160,22 +240,7 @@ def upsilon_derivative(cfg: HoleConfig, alpha, beta) -> complex:
     alpha, beta are per-hole multi-indices of holomorphic and antiholomorphic
     orders, with |alpha| + |beta| <= 2.
     """
-    cfg.require_distinct()
-    slots = _slot_list(alpha, beta, cfg.n)
-    ups = upsilon(cfg)
-    if not slots:
-        return complex(ups)
-    pts = cfg.points()
-    partials = kernel_matrix_partials(cfg.spec, pts, pts, kmax=2)
-    m = kernel_matrix(cfg.spec, pts, pts, partials=partials)
-    factor = lu_factor(m)
-    if len(slots) == 1:
-        return ups * complex(np.trace(factor.solve(_deriv_matrix(cfg, slots, partials))))
-    d1 = factor.solve(_deriv_matrix(cfg, [slots[0]], partials))
-    d2 = factor.solve(_deriv_matrix(cfg, [slots[1]], partials))
-    d12 = factor.solve(_deriv_matrix(cfg, slots, partials))
-    bracket = (np.trace(d1) * np.trace(d2) - np.trace(d2 @ d1) + np.trace(d12))
-    return ups * complex(bracket)
+    return upsilon_derivatives(cfg, (alpha, beta))[1][0]
 
 
 def log_partition(cfg: HoleConfig) -> PartitionValue:
@@ -216,7 +281,7 @@ def theta(cfg: HoleConfig, z: complex) -> float:
         raise ValueError("theta needs at least one hole")
     cfg.require_distinct()
     m, nu = _paper_matrix_and_nu(cfg, np.array([z]))
-    x = lu_factor(m).solve(nu[0])
+    x = lu_solve(lu(m), nu[0])
     return float(np.real(np.conj(nu[0]) @ x))
 
 
@@ -226,7 +291,7 @@ def theta_polarized(cfg: HoleConfig, zeta: complex, z: complex) -> complex:
         raise ValueError("theta_polarized needs at least one hole")
     cfg.require_distinct()
     m, nu = _paper_matrix_and_nu(cfg, np.array([z, zeta]))
-    x = lu_factor(m).solve(nu[1])
+    x = lu_solve(lu(m), nu[1])
     return complex(np.conj(nu[0]) @ x)
 
 

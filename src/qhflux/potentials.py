@@ -16,11 +16,13 @@ import numpy as np
 from scipy.linalg import null_space
 
 from .kernel import weighted_orbitals
-from .partition import (HoleConfig, SingularConfigurationError, upsilon,
-                        upsilon_derivative)
+from .partition import (HoleConfig, SingularConfigurationError,
+                        SingularMatrixError, upsilon_derivatives)
 from .quadrature import QuadratureGrid, polar_grid
 
-UPSILON_FLOOR = 1e-280
+# per hole: a determinant of O(1) Gram entries computed within this of zero
+# is rounding noise whatever its sign (measured up to ~15 eps at n = 4)
+UPSILON_FLOOR = 64 * np.finfo(float).eps
 SEPARATION_FLOOR = 1e-12
 
 
@@ -64,14 +66,17 @@ def ab_sum(cfg: HoleConfig, j: int) -> np.ndarray:
 
 
 def _log_derivatives(cfg: HoleConfig, j: int) -> tuple[complex, float, float]:
-    ups = upsilon(cfg)
-    if ups < UPSILON_FLOOR:
-        raise DegenerateConfigurationError(f"Upsilon = {ups} below {UPSILON_FLOOR}")
     e_j = tuple(1 if i == j else 0 for i in range(cfg.n))
     zero = (0,) * cfg.n
-    dlog = upsilon_derivative(cfg, e_j, zero) / ups
-    mixed = upsilon_derivative(cfg, e_j, e_j) / ups
-    ddlog = mixed.real - abs(dlog) ** 2
+    try:
+        ups, (d1, d11) = upsilon_derivatives(cfg, (e_j, zero), (e_j, e_j))
+    except SingularMatrixError:
+        ups = 0.0
+    floor = UPSILON_FLOOR * cfg.n
+    if ups < floor:
+        raise DegenerateConfigurationError(f"Upsilon = {ups} below {floor}")
+    dlog = d1 / ups
+    ddlog = (d11 / ups).real - abs(dlog) ** 2
     return dlog, ddlog, ups
 
 

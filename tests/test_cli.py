@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from qhflux import cli
 from qhflux.cli import (UsageError, load_config, main, parse_complex,
                         parse_complex_list, parse_grid)
+from qhflux.potentials import DegenerateConfigurationError
 
 
 def test_parse_complex_forms():
@@ -174,3 +176,24 @@ def test_charpoly_subcommand(capsys):
                  "--seed", "2"])
     assert code == 0
     assert "z-score" in capsys.readouterr().out
+
+
+def test_field_map_flags_degenerate_row(tmp_path, monkeypatch):
+    def degenerate(cfg, j):
+        raise DegenerateConfigurationError("merging too deep")
+
+    monkeypatch.setattr(cli, "emergent_field_derivative", degenerate)
+    assert main(["field-map", "--N", "16", "--holes", "0.25+0i",
+                 "--grid", "0:0:1,0:0:1", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "field_map.csv").read_text().strip().split("\n")
+    assert "degenerate" in lines[1]
+
+
+def test_field_map_propagates_unexpected_errors(tmp_path, monkeypatch):
+    def broken(cfg, j):
+        raise RuntimeError("not a numerical degeneracy")
+
+    monkeypatch.setattr(cli, "emergent_field_derivative", broken)
+    with pytest.raises(RuntimeError):
+        main(["field-map", "--N", "16", "--holes", "0.25+0i",
+              "--grid", "0:0:1,0:0:1", "--out", str(tmp_path)])

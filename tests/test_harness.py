@@ -5,10 +5,9 @@ import pytest
 
 from qhflux.harness.classify import Regime, RegimeClassifier, classify
 from qhflux.harness.report import CSV_HEADER, ReportRow, VerificationReport
-from qhflux.harness.suites import (SamplingInfeasibleError, case_rng, map_cases,
+from qhflux.harness.suites import (SamplingInfeasibleError, case_rng,
                                    pair_config, run_kernel_suite,
-                                   run_upsilon_suite, sample_no_merging,
-                                   thread_count)
+                                   run_upsilon_suite, sample_no_merging)
 from qhflux.partition import HoleConfig
 
 
@@ -91,21 +90,6 @@ def test_reports_reproducible_bit_for_bit():
     assert a.to_json() == b.to_json()
     c = run_kernel_suite(N_list=(64,), samples=25, seed=10)
     assert c.to_csv() != a.to_csv()
-
-
-def test_threaded_map_preserves_order_and_values():
-    cases = list(range(24))
-    seq = map_cases(lambda i: i * i, cases, threads=1)
-    par = map_cases(lambda i: i * i, cases, threads=4)
-    assert seq == par
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv("QHFLUX_THREADS", "3")
-    assert thread_count(None) == 3
-    assert thread_count(7) == 7
-    monkeypatch.setenv("QHFLUX_THREADS", "junk")
-    assert thread_count(None) == 1
 
 
 def test_sampling_infeasible_raises():

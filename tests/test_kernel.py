@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -6,7 +7,7 @@ import pytest
 
 from qhflux.kernel import (KernelSpec, UnsupportedOrderError, kernel_derivative,
                            kernel_derivative_log, kernel_diff_log, kernel_eval,
-                           kernel_gram, kernel_infty, kernel_matrix,
+                           kernel_infty, kernel_matrix,
                            kernel_tail_bound, kernel_tail_bound_log, phi_rate,
                            reproducing_residual, weighted_orbitals)
 from qhflux.quadrature import cartesian_grid
@@ -264,24 +265,29 @@ def test_trace_and_hilbert_schmidt():
     assert hs == pytest.approx(M, rel=1e-6)
 
 
+ORDERS_UP_TO_2 = [o for o in itertools.product(range(3), repeat=4) if sum(o) <= 2]
+
+
 def test_matrix_path_matches_scalar_path():
-    spec = KernelSpec(b=48.0, M=50)
-    zs = np.array([0.3 + 0.2j, -0.5 + 0.1j, 0.05 - 0.6j])
-    ws = np.array([0.4 - 0.3j, 0.2 + 0.2j])
-    for order in [(0, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 1), (0, 1, 1, 0)]:
-        mat = kernel_matrix(spec, zs, ws, order)
-        # plain-double fast path: absolute roundoff ~ eps * M * (b/pi) * b^|a|
-        tol = 100 * spec.M * 2.3e-16 * (spec.b / math.pi) * spec.b ** sum(order)
-        for i, z in enumerate(zs):
-            for l, w in enumerate(ws):
-                ref = kernel_derivative(spec, z, w, order)
-                assert abs(mat[i, l] - ref) <= tol, order
+    # b|w|^2 reaches 924 at |w| = 0.95: far past exp underflow of the Gaussian
+    zs = np.array([0.9, -0.5 + 0.3j, 0.95j, 0.6 - 0.7j])
+    ws = np.array([0.9, 0.93 * np.exp(0.4j), -0.5 + 0.31j])
+    for b in (64, 256, 900, 1024):
+        spec = KernelSpec(b=float(b), M=b + 2)
+        for order in ORDERS_UP_TO_2:
+            mat = kernel_matrix(spec, zs, ws, order)
+            # plain-double fast path: absolute roundoff ~ eps * M * (b/pi) * b^|a|
+            tol = 100 * spec.M * 2.3e-16 * (spec.b / math.pi) * spec.b ** sum(order)
+            for i, z in enumerate(zs):
+                for l, w in enumerate(ws):
+                    ref = kernel_derivative(spec, z, w, order)
+                    assert abs(mat[i, l] - ref) <= tol, (b, order)
 
 
 def test_gram_matches_eval():
     spec = KernelSpec(b=24.0, M=26)
     pts = np.array([0.1 + 0.7j, -0.3 - 0.2j, 0.55])
-    g = kernel_gram(spec, pts, pts)
+    g = kernel_matrix(spec, pts, pts)
     for i, z in enumerate(pts):
         for l, w in enumerate(pts):
             ref = kernel_eval(spec, z, w).to_complex()

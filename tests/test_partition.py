@@ -1,9 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qhflux.kernel import KernelSpec, kernel_eval
+from qhflux.kernel import KernelSpec, kernel_eval, kernel_matrix
 from qhflux.oracle.monomial import partition_exact
 from qhflux.partition import (HoleConfig, PartitionValue, SingularConfigurationError,
                               log_partition, theta, theta_polarized, upsilon,
@@ -237,3 +240,42 @@ def test_coincident_rejections():
     for fn in (log_partition, lambda c: theta(c, 0.3)):
         with pytest.raises(SingularConfigurationError):
             fn(cfg)
+
+
+def mp_upsilon(ws, N):
+    """det[(pi/b) K_{N+n}(w_i, w_l)] from 30-digit kernel sums, b = N."""
+    with mpmath.workdps(30):
+        b = mpmath.mpf(N)
+        pts = [mpmath.mpc(w) for w in ws]
+
+        def k(z, w):
+            x, term, total = b * z * mpmath.conj(w), mpmath.mpf(1), mpmath.mpf(0)
+            for j in range(N + len(ws)):
+                total += term
+                term *= x / (j + 1)
+            return total * mpmath.exp(-b * (abs(z) ** 2 + abs(w) ** 2) / 2)
+
+        return float(mpmath.re(mpmath.det(mpmath.matrix(
+            [[k(z, w) for w in pts] for z in pts]))))
+
+
+@pytest.mark.parametrize("N, x", [(1024, 0.9), (900, 0.9), (1024, 0.85)])
+def test_upsilon_at_droplet_edge_matches_mpmath(N, x):
+    # b|w|^2 > 708: the Gaussian weight exp(-b|w|^2) alone underflows
+    cfg = HoleConfig(w=(x, -x), N=N)
+    assert upsilon(cfg) == pytest.approx(mp_upsilon(cfg.w, N), abs=1e-12)
+
+
+hole = st.tuples(st.floats(0.0, 0.95), st.floats(0.0, 2 * math.pi)).map(
+    lambda rt: complex(rt[0] * math.cos(rt[1]), rt[0] * math.sin(rt[1])))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(N=st.integers(1, 1024), holes=st.lists(hole, min_size=1, max_size=4, unique=True))
+def test_kernel_matrix_hermitian_and_upsilon_in_unit_interval(N, holes):
+    cfg = HoleConfig(w=tuple(holes), N=N)
+    k = (math.pi / N) * kernel_matrix(cfg.spec, cfg.points(), cfg.points())
+    assert np.max(np.abs(k - k.conj().T)) <= 1e-13
+    diag = np.real(np.diag(k))
+    assert np.all(np.abs(k) ** 2 <= np.outer(diag, diag) + 1e-13)  # Cauchy-Schwarz
+    assert -1e-12 <= upsilon(cfg) <= 1.0 + 1e-12

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from qhflux import partition
 from qhflux.partition import HoleConfig, SingularConfigurationError
 from qhflux.potentials import (DegenerateConfigurationError, FieldGrids,
                                ResourceBudgetError, ab_sum, asymptotic_prediction,
@@ -234,3 +236,25 @@ def test_field_grids_budget():
     with pytest.raises(ResourceBudgetError):
         emergent_field_integral(cfg, 0, FieldGrids(n_theta=2048, nodes_per_panel=32,
                                                    node_budget=1000))
+
+
+def test_field_call_factors_once(monkeypatch):
+    calls = []
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return scipy.linalg.lu_factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(partition, "lu_factor", counting)
+    cfg = HoleConfig(w=(0.3, -0.2 + 0.4j, 0.1j), N=64)
+    for j in range(cfg.n):
+        calls.clear()
+        emergent_field_derivative(cfg, j)
+        assert calls == [(3, 3)]
+
+
+def test_noise_level_upsilon_is_degenerate():
+    # true Upsilon ~ b s^2 = 1e-18 sits below the determinant's rounding noise
+    cfg = HoleConfig(w=(0.5j, 0.5j + 1e-10), N=100)
+    with pytest.raises(DegenerateConfigurationError):
+        emergent_field_derivative(cfg, 0)
