@@ -2,8 +2,10 @@
 
 Complex numbers on the command line use the literal form a+bi (decimal
 components); lists are comma-separated.  Exit codes: 0 success / all rows
-passed, 1 verification failure, 2 usage error.  All numeric output is
-deterministic given --seed; CSV floats carry 17 significant digits.
+passed, 1 verification failure, 2 usage error, 3 numerical failure (a
+degenerate configuration, a singular matrix or a precision loss).  All
+numeric output is deterministic given --seed; CSV floats carry 17
+significant digits.
 """
 
 from __future__ import annotations
@@ -22,19 +24,23 @@ from .harness.suites import (run_global_suite, run_kernel_suite, run_oracle_suit
                              run_potential_suite, run_upsilon_suite)
 from .kernel import (KernelSpec, kernel_diff_log, kernel_eval, kernel_infty,
                      kernel_tail_bound)
-from .oracle.charpoly import charpoly_moment_mc
+from .oracle.charpoly import PrecisionError, charpoly_moment_mc
 from .oracle.plasma import PlasmaConfig, dump_samples, plasma_mcmc, radial_density_l1
-from .partition import (HoleConfig, SingularConfigurationError, log_partition,
-                        upsilon, upsilon_prediction)
+from .partition import (HoleConfig, SingularConfigurationError, SingularMatrixError,
+                        log_partition, upsilon, upsilon_prediction)
 from .potentials import (DegenerateConfigurationError, asymptotic_prediction,
                          emergent_field_derivative)
 
+# each suite with the verify flags it takes besides --seed; a flag left
+# unset is not passed, so the suite's own default applies
 SUITES = {
-    "kernel": run_kernel_suite,
-    "upsilon": run_upsilon_suite,
-    "potential": run_potential_suite,
-    "global": run_global_suite,
-    "oracle": run_oracle_suite,
+    "kernel": (run_kernel_suite, ("N_list", "kappa", "samples")),
+    "upsilon": (run_upsilon_suite, ("N_list", "kappa", "gamma", "configs",
+                                    "sweep_points")),
+    "potential": (run_potential_suite, ("N_list", "kappa", "gamma", "configs",
+                                        "merging_N", "sweep_points")),
+    "global": (run_global_suite, ("N", "n", "count", "kappa", "gamma")),
+    "oracle": (run_oracle_suite, ()),
 }
 
 
@@ -81,6 +87,11 @@ def _outdir(args) -> Path | None:
     return Path(args.out) if args.out else None
 
 
+def _given(args, names) -> dict:
+    """The named flags the user set; the others keep the library defaults."""
+    return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+
+
 def cmd_kernel(args) -> int:
     n_extra = len(parse_complex_list(args.holes)) if args.holes else 0
     b = args.b if args.b is not None else float(args.N)
@@ -101,7 +112,7 @@ def cmd_kernel(args) -> int:
 def cmd_upsilon(args) -> int:
     holes = parse_complex_list(args.holes)
     cfg = HoleConfig(w=holes, N=args.N, b=args.b)
-    classifier = RegimeClassifier(kappa=args.kappa, gamma=args.gamma)
+    classifier = RegimeClassifier(**_given(args, ("kappa", "gamma")))
     regime = classifier.classify(cfg)
     val = upsilon(cfg)
     print(f"Upsilon = {fmt(val)}")
@@ -127,7 +138,7 @@ def cmd_potentials(args) -> int:
     j = args.j - 1
     if not 0 <= j < cfg.n:
         raise UsageError(f"tracer index --j {args.j} outside 1..{cfg.n}")
-    classifier = RegimeClassifier(kappa=args.kappa, gamma=args.gamma)
+    classifier = RegimeClassifier(**_given(args, ("kappa", "gamma")))
     regime = classifier.classify(cfg)
     field = emergent_field_derivative(cfg, j)
     print(f"A = ({fmt(field.A[0])}, {fmt(field.A[1])})")
@@ -159,7 +170,7 @@ def parse_grid(text: str):
 def cmd_field_map(args) -> int:
     fixed = parse_complex_list(args.holes)
     xs, ys = parse_grid(args.grid)
-    classifier = RegimeClassifier(kappa=args.kappa, gamma=args.gamma)
+    classifier = RegimeClassifier(**_given(args, ("kappa", "gamma")))
     j = len(fixed)
     lines = ["x,y,A_x,A_y,V,regime,predicted_A_x,predicted_A_y,predicted_V"]
     nanrow = ",".join(["nan"] * 3)
@@ -238,30 +249,12 @@ def cmd_charpoly(args) -> int:
     return 0 if abs(est.z_score) <= 3.0 else 1
 
 
-def _suite_kwargs(name: str, args) -> dict:
-    kw: dict = {"seed": args.seed}
-    if name == "kernel":
-        kw.update(N_list=args.N_list or (64, 128, 256), kappa=args.kappa,
-                  samples=args.samples)
-    elif name == "upsilon":
-        kw.update(N_list=args.N_list or (128, 256), kappa=args.kappa,
-                  gamma=args.gamma, configs=args.configs,
-                  sweep_points=args.sweep_points)
-    elif name == "potential":
-        kw.update(N_list=args.N_list or (128, 256), kappa=args.kappa,
-                  gamma=args.gamma, configs=args.configs,
-                  merging_N=args.merging_N, sweep_points=args.sweep_points)
-    elif name == "global":
-        kw.update(N=args.N, n=args.n, count=args.count, kappa=args.kappa,
-                  gamma=args.gamma)
-    return kw
-
-
 def run_suites(names, args) -> int:
     out = _outdir(args)
     all_ok = True
     for name in names:
-        report = SUITES[name](**_suite_kwargs(name, args))
+        run, flags = SUITES[name]
+        report = run(**_given(args, ("seed",) + flags))
         ok = report.all_passed
         all_ok &= ok
         print(f"suite {name}: {'PASS' if ok else 'FAIL'} "
@@ -291,10 +284,6 @@ def cmd_verify(args) -> int:
     return run_suites(names, args)
 
 
-def cmd_oracle(args) -> int:
-    return run_suites(["oracle"], args)
-
-
 def cmd_report(args) -> int:
     out = _outdir(args)
     if out is None or not out.is_dir():
@@ -322,16 +311,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "functions, emergent potentials, and verification suites.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
+    def seed(p, default=None):
+        p.add_argument("--seed", type=int, default=default)
+
+    def out(p):
         p.add_argument("--out", type=str, default=None,
                        help="output directory (config echoed for provenance)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--kappa", type=float, default=2.0)
-        p.add_argument("--gamma", type=float, default=1.0)
+
+    def regime(p):  # unset: the RegimeClassifier or suite default
+        p.add_argument("--kappa", type=float, default=None)
+        p.add_argument("--gamma", type=float, default=None)
 
     p = sub.add_parser("kernel", help="evaluate the truncated and full kernels")
-    common(p)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--b", type=float, default=None)
     p.add_argument("--M", type=int, default=None)
@@ -341,21 +332,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("upsilon", help="Upsilon determinant and normalization")
-    common(p)
+    regime(p)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--b", type=float, default=None)
     p.add_argument("--holes", type=str, required=True)
     p.set_defaults(func=cmd_upsilon)
 
     p = sub.add_parser("potentials", help="emergent fields at one tracer")
-    common(p)
+    regime(p)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--holes", type=str, required=True)
     p.add_argument("--j", type=int, default=1, help="tracer index, 1-based")
     p.set_defaults(func=cmd_potentials)
 
     p = sub.add_parser("field-map", help="tabulate fields for a moving hole")
-    common(p)
+    out(p)
+    regime(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--holes", type=str, default="", help="fixed holes")
     p.add_argument("--grid", type=str, required=True,
@@ -363,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_field_map)
 
     p = sub.add_parser("mcmc", help="sample the 2D Coulomb-gas density")
-    common(p)
+    seed(p, 0)
+    out(p)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--b", type=float, default=None)
     p.add_argument("--holes", type=str, default="")
@@ -378,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mcmc)
 
     p = sub.add_parser("charpoly", help="characteristic-polynomial moment vs exact")
-    common(p)
+    seed(p, 0)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--b", type=float, default=None)
     p.add_argument("--holes", type=str, required=True)
@@ -387,27 +381,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thin", type=int, default=10)
     p.set_defaults(func=cmd_charpoly)
 
-    p = sub.add_parser("oracle", help="run the oracle verification suite")
-    common(p)
-    p.set_defaults(func=cmd_oracle)
-
     p = sub.add_parser("verify", help="run verification suites")
-    common(p)
+    seed(p)
+    out(p)
+    regime(p)
     p.add_argument("--suite", choices=tuple(SUITES) + ("all",), required=True)
     p.add_argument("--config", type=str, default=None,
                    help="JSON config (as echoed by a previous run) to replay")
     p.add_argument("--N-list", dest="N_list", type=parse_int_list, default=None)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--configs", type=int, default=10)
-    p.add_argument("--sweep-points", dest="sweep_points", type=int, default=12)
-    p.add_argument("--merging-N", dest="merging_N", type=int, default=512)
-    p.add_argument("--N", type=int, default=64)
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--count", type=int, default=500)
+    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--configs", type=int, default=None)
+    p.add_argument("--sweep-points", dest="sweep_points", type=int, default=None)
+    p.add_argument("--merging-N", dest="merging_N", type=int, default=None)
+    p.add_argument("--N", type=int, default=None)
+    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--count", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("report", help="summarize suite results in a directory")
-    common(p)
+    out(p)
     p.set_defaults(func=cmd_report)
     return ap
 
@@ -423,6 +415,9 @@ def main(argv=None) -> int:
     except (SingularConfigurationError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except (DegenerateConfigurationError, SingularMatrixError, PrecisionError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

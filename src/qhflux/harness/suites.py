@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 
-from ..kernel import KernelSpec, kernel_diff_log, kernel_tail_bound_log
+from ..kernel import (KernelSpec, kernel_diff_log, kernel_eval, kernel_infty,
+                      kernel_tail_bound_log)
 from ..oracle.charpoly import charpoly_moment_mc
 from ..oracle.delta import delta_check
 from ..oracle.energy import GaussianPacket, energy_identity_check
@@ -18,7 +19,8 @@ from ..oracle.monomial import partition_exact
 from ..oracle.plasma import PlasmaConfig
 from ..oracle.slater import slater_density, slater_density_brute
 from ..partition import HoleConfig, log_partition, upsilon, upsilon_derivative
-from ..potentials import asymptotic_prediction, emergent_field_derivative, perp, to_vec
+from ..potentials import (asymptotic_prediction, correction_a, correction_v,
+                          emergent_field_derivative, perp, to_vec)
 from .classify import RegimeClassifier
 from .report import ReportRow, VerificationReport
 
@@ -110,8 +112,8 @@ def run_kernel_suite(N_list=(64, 128, 256), kappa: float = 2.0,
     # theoretical exponents are upper bounds on that decay
     delta = kappa * math.sqrt(math.log(min(N_list)) / min(N_list))
 
-    def run_one(args):
-        idx, N = args
+    sups = []  # per N in N_list: {total order: sup log |d(K_inf - K_M)|}
+    for idx, N in enumerate(N_list):
         rng = case_rng(seed, idx)
         spec = KernelSpec(b=float(N), M=N + n)
         pts = sample_points_in_disk(rng, 2 * samples, 1.0 - delta)
@@ -128,11 +130,7 @@ def run_kernel_suite(N_list=(64, 128, 256), kappa: float = 2.0,
                         gap = diff.log_mag - kernel_tail_bound_log(spec, z, w)
                         worst_cert = max(worst_cert, gap)
             sup_logs[total] = best
-        return N, sup_logs, worst_cert
-
-    results = [run_one(case) for case in enumerate(N_list)]
-
-    for N, sup_logs, worst_cert in results:
+        sups.append(sup_logs)
         report.add(ReportRow(
             case_id=f"certificate-N{N}", N=N, n=n, kappa=kappa, gamma=math.nan,
             regime="no-merging", quantity="max log(diff/bound) at order 0",
@@ -149,8 +147,7 @@ def run_kernel_suite(N_list=(64, 128, 256), kappa: float = 2.0,
     if len(N_list) >= 2:
         logN = np.log([float(N) for N in N_list])
         for total in _ORDER_GROUPS:
-            logs = np.array([next(s for nn, s, _ in results if nn == N)[total]
-                             for N in N_list])
+            logs = np.array([s[total] for s in sups])
             slope = float(np.polyfit(logN, logs, 1)[0])
             limit = 1 + total - 2 * kappa ** 2 + 0.5
             report.add(ReportRow(
@@ -162,7 +159,6 @@ def run_kernel_suite(N_list=(64, 128, 256), kappa: float = 2.0,
     # tail-sum route equals direct subtraction where the difference is
     # representable (small N, droplet edge)
     spec8 = KernelSpec(b=8.0, M=10)
-    from ..kernel import kernel_eval, kernel_infty
     z = w = 0.9 + 0j
     tail = kernel_diff_log(spec8, z, w).to_complex()
     direct = kernel_infty(spec8, z, w).to_complex() - kernel_eval(spec8, z, w).to_complex()
@@ -177,7 +173,7 @@ def run_kernel_suite(N_list=(64, 128, 256), kappa: float = 2.0,
 # ---------------------------------------------------------------- upsilon
 
 def run_upsilon_suite(N_list=(128, 256), kappa: float = 2.0,
-                      gamma: float = 1.0, configs: int = 20, seed: int = 0,
+                      gamma: float = 1.0, configs: int = 10, seed: int = 0,
                       n: int = 2, sweep_N: int | None = None,
                       sweep_points: int = 12) -> VerificationReport:
     """Upsilon against its regime predictions, plus a merging separation sweep."""
@@ -187,22 +183,16 @@ def run_upsilon_suite(N_list=(128, 256), kappa: float = 2.0,
         params={"N_list": list(N_list), "kappa": kappa, "gamma": gamma,
                 "configs": configs, "n": n, "sweep_points": sweep_points})
 
-    def no_merging_case(args):
-        idx, N = args
+    e0 = (1,) + (0,) * (n - 1)
+    zero = (0,) * n
+    for idx, N in enumerate(N_list):
         rng = case_rng(seed, idx)
-        worst_val = 0.0
-        worst_d1 = 0.0
-        worst_d2 = 0.0
-        e0 = (1,) + (0,) * (n - 1)
-        zero = (0,) * n
+        val = d1 = d2 = 0.0
         for _ in range(configs):
             cfg = sample_no_merging(rng, N, n, classifier)
-            worst_val = max(worst_val, abs(upsilon(cfg) - 1.0))
-            worst_d1 = max(worst_d1, abs(upsilon_derivative(cfg, e0, zero)))
-            worst_d2 = max(worst_d2, abs(upsilon_derivative(cfg, e0, e0)))
-        return N, worst_val, worst_d1, worst_d2
-
-    for N, val, d1, d2 in map(no_merging_case, enumerate(N_list)):
+            val = max(val, abs(upsilon(cfg) - 1.0))
+            d1 = max(d1, abs(upsilon_derivative(cfg, e0, zero)))
+            d2 = max(d2, abs(upsilon_derivative(cfg, e0, e0)))
         report.add(ReportRow(
             case_id=f"nomerge-N{N}", N=N, n=n, kappa=kappa, gamma=gamma,
             regime="no-merging", quantity="max |Upsilon - 1|", measured=val,
@@ -226,7 +216,7 @@ def run_upsilon_suite(N_list=(128, 256), kappa: float = 2.0,
         measured = upsilon(cfg)
         predicted = -math.expm1(-N * float(s) ** 2)
         report.add(ReportRow(
-            case_id=f"merge-sweep-{k}", N=N, n=n, kappa=kappa, gamma=gamma,
+            case_id=f"merge-sweep-{k}", N=N, n=cfg.n, kappa=kappa, gamma=gamma,
             regime="single-merging", quantity=f"Upsilon at s={s:.3e}",
             measured=measured, predicted=predicted, bound=1e-4, mode="tolerance"))
     return report
@@ -237,7 +227,7 @@ def run_upsilon_suite(N_list=(128, 256), kappa: float = 2.0,
 def run_potential_suite(N_list=(128, 256), kappa: float = 2.0, gamma: float = 1.0,
                         configs: int = 10, seed: int = 0, n: int = 2,
                         merging_N: int = 512,
-                        sweep_points: int = 10) -> VerificationReport:
+                        sweep_points: int = 12) -> VerificationReport:
     """Emergent fields against regime predictions and correction profiles."""
     classifier = RegimeClassifier(kappa=kappa, gamma=gamma)
     report = VerificationReport(
@@ -245,21 +235,16 @@ def run_potential_suite(N_list=(128, 256), kappa: float = 2.0, gamma: float = 1.
         params={"N_list": list(N_list), "kappa": kappa, "gamma": gamma,
                 "configs": configs, "n": n, "merging_N": merging_N})
 
-    def no_merging_case(args):
-        idx, N = args
+    for idx, N in enumerate(N_list):
         rng = case_rng(seed, 20_000 + idx)
-        worst_a = 0.0
-        worst_v = 0.0
+        wa = wv = 0.0
         for _ in range(configs):
             cfg = sample_no_merging(rng, N, n, classifier)
             for j in range(n):
                 field = emergent_field_derivative(cfg, j)
                 pred = asymptotic_prediction(cfg, j, "no-merging")
-                worst_a = max(worst_a, float(np.linalg.norm(field.A - pred.A)) / N)
-                worst_v = max(worst_v, abs(field.V - 2.0 * N) / N)
-        return N, worst_a, worst_v
-
-    for N, wa, wv in map(no_merging_case, enumerate(N_list)):
+                wa = max(wa, float(np.linalg.norm(field.A - pred.A)) / N)
+                wv = max(wv, abs(field.V - 2.0 * N) / N)
         report.add(ReportRow(
             case_id=f"nomerge-A-N{N}", N=N, n=n, kappa=kappa, gamma=gamma,
             regime="no-merging", quantity="max |A - prediction|/N",
@@ -280,32 +265,26 @@ def run_potential_suite(N_list=(128, 256), kappa: float = 2.0, gamma: float = 1.
         y = math.sqrt(N) * float(s)
         field = emergent_field_derivative(cfg, 0)
         base_pred = asymptotic_prediction(cfg, 0, "no-merging")
+        v_corr = correction_v(np.array([y, 0.0]))
         if y <= 3.0:
-            from ..potentials import correction_a, correction_v
-            v_corr = correction_v(np.array([y, 0.0]))
             a_corr = math.sqrt(N) * np.linalg.norm(correction_a(np.array([y, 0.0])))
             v_ratio = (2.0 * N - field.V) / (N * v_corr)
             a_ratio = float(np.linalg.norm(field.A - base_pred.A)) / a_corr
             tol = 0.01
             report.add(ReportRow(
-                case_id=f"merge-V-{k}", N=N, n=n, kappa=kappa, gamma=gamma,
+                case_id=f"merge-V-{k}", N=N, n=cfg.n, kappa=kappa, gamma=gamma,
                 regime="single-merging", quantity=f"(2N-V)/(N v) at sqrt(N)s={y:.3f}",
                 measured=v_ratio, predicted=1.0, bound=tol, mode="tolerance"))
             report.add(ReportRow(
-                case_id=f"merge-A-{k}", N=N, n=n, kappa=kappa, gamma=gamma,
+                case_id=f"merge-A-{k}", N=N, n=cfg.n, kappa=kappa, gamma=gamma,
                 regime="single-merging", quantity=f"|A-base|/(sqrt(N)|a|) at sqrt(N)s={y:.3f}",
                 measured=a_ratio, predicted=1.0, bound=tol, mode="tolerance"))
         else:
             report.add(ReportRow(
-                case_id=f"merge-wide-{k}", N=N, n=n, kappa=kappa, gamma=gamma,
+                case_id=f"merge-wide-{k}", N=N, n=cfg.n, kappa=kappa, gamma=gamma,
                 regime="no-merging", quantity=f"|V - 2N|/N at sqrt(N)s={y:.3f}",
-                measured=abs(field.V - 2.0 * N) / N, bound=max(1e-5, 2.0 * _v_tail(y))))
+                measured=abs(field.V - 2.0 * N) / N, bound=max(1e-5, 2.0 * v_corr)))
     return report
-
-
-def _v_tail(y: float) -> float:
-    from ..potentials import correction_v
-    return correction_v(np.array([y, 0.0]))
 
 
 # ------------------------------------------------------------------ global
@@ -335,19 +314,16 @@ def run_global_suite(N: int = 64, n: int = 4, count: int = 500, seed: int = 0,
             pts[1] = pts[0] + 1.0 / N  # separation^2 = N^{-2}, deep merger
         return HoleConfig(w=tuple(pts), N=N)
 
-    def run_one(idx: int):
+    rows = []
+    for idx in range(count):
         cfg = build(idx)
-        regime = classifier.classify(cfg)
-        out = []
+        kind = classifier.classify(cfg).kind
         for j in range(cfg.n):
             field = emergent_field_derivative(cfg, j)
             drop = abs(cfg.w[j]) <= 0.8
             anorm = float(np.linalg.norm(field.A))
             acent = float(np.linalg.norm(field.A - N * perp(to_vec(cfg.w[j]))))
-            out.append((regime.kind, anorm, field.V, acent, drop))
-        return out
-
-    rows = [r for idx in range(count) for r in run_one(idx)]
+            rows.append((kind, anorm, field.V, acent, drop))
     max_a = max(r[1] for r in rows) / N
     max_v = max(r[2] for r in rows) / N ** 1.5
     min_v = min(r[2] for r in rows)
@@ -380,8 +356,7 @@ def run_oracle_suite(seed: int = 0, mc_sweeps: int = 101_000) -> VerificationRep
     cases = [(N, n, b) for N in (1, 2, 3) for n in (1, 2)
              for b in (1.0, float(N), 2.5)]
 
-    def partition_case(args):
-        idx, (N, n, b) = args
+    for idx, (N, n, b) in enumerate(cases):
         rng = case_rng(seed, 50_000 + idx)
         worst = 0.0
         for _ in range(20):
@@ -394,9 +369,6 @@ def run_oracle_suite(seed: int = 0, mc_sweeps: int = 101_000) -> VerificationRep
             exact = partition_exact(cfg)
             closed = log_partition(cfg).log_value
             worst = max(worst, abs(closed - exact) / max(abs(exact), 1.0))
-        return (N, n, b), worst
-
-    for (N, n, b), worst in map(partition_case, enumerate(cases)):
         report.add(ReportRow(
             case_id=f"partition-N{N}-n{n}-b{b:g}", N=N, n=n,
             kappa=math.nan, gamma=math.nan, regime="exact",

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.special import gammaln
 
-from .kernel import KernelSpec, kernel_matrix, orbital_derivatives
+from .kernel import KernelSpec, orbital_derivatives, weighted_orbitals
 from .lognum import LogComplex
 
 PIVOT_FLOOR = 1e-300
@@ -115,8 +115,8 @@ def cumulative_log_factorials(m: int) -> float:
 
 def scaled_kernel_matrix(cfg: HoleConfig) -> np.ndarray:
     """(pi/b) K_{N+n}(w_i, w_j), the matrix under the Upsilon determinant."""
-    pts = cfg.points()
-    return (math.pi / cfg.b) * kernel_matrix(cfg.spec, pts, pts)
+    phi = weighted_orbitals(cfg.b, cfg.spec.M, cfg.points())
+    return (math.pi / cfg.b) * (phi @ phi.conj().T)
 
 
 def upsilon(cfg: HoleConfig) -> float:
@@ -269,9 +269,9 @@ def log_partition(cfg: HoleConfig) -> PartitionValue:
 
 def _paper_matrix_and_nu(cfg: HoleConfig, zs: np.ndarray):
     """M[i, j] = K(w_j, w_i) and nu(z)[i] = K(z, w_i) for a batch of z."""
-    pts = cfg.points()
-    m = kernel_matrix(cfg.spec, pts, pts).T
-    nu = kernel_matrix(cfg.spec, np.asarray(zs, dtype=complex), pts)
+    phi = weighted_orbitals(cfg.b, cfg.spec.M, cfg.points())
+    m = (phi @ phi.conj().T).T
+    nu = weighted_orbitals(cfg.b, cfg.spec.M, zs) @ phi.conj().T
     return m, nu
 
 

@@ -6,6 +6,7 @@ import pytest
 from qhflux import cli
 from qhflux.cli import (UsageError, load_config, main, parse_complex,
                         parse_complex_list, parse_grid)
+from qhflux.harness.suites import run_potential_suite, run_upsilon_suite
 from qhflux.potentials import DegenerateConfigurationError
 
 
@@ -51,9 +52,25 @@ def test_potentials_bad_index():
 
 
 def test_unknown_flag_exits_2():
-    with pytest.raises(SystemExit) as err:
-        main(["kernel", "--bogus", "1"])
-    assert err.value.code == 2
+    # flags a subcommand does not read, and the removed oracle subcommand,
+    # are usage errors
+    for argv in (["kernel", "--bogus", "1"],
+                 ["kernel", "--N", "64", "--z", "0.3", "--w", "0.4", "--seed", "1"],
+                 ["verify", "--suite", "oracle", "--format", "json"],
+                 ["oracle"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+
+
+def test_potentials_degenerate_exits_3(capsys):
+    assert main(["potentials", "--N", "64", "--holes", "0+0i,1e-13+0i"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_charpoly_precision_error_exits_3(capsys):
+    assert main(["charpoly", "--N", "1", "--holes", "0.7+0i", "--sweeps", "2000"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_field_map_csv(tmp_path, capsys):
@@ -142,6 +159,7 @@ def test_config_echo_round_trip(tmp_path):
     assert cfg["suite"] == "kernel"
     assert cfg["seed"] == 5
     assert tuple(cfg["N_list"]) == (64,)
+    assert cfg["kappa"] is None  # unset: the suite default
     # replaying the echoed config reproduces the outputs
     first = (tmp_path / "kernel.csv").read_bytes()
     replay = ["verify", "--suite", cfg["suite"], "--seed", str(cfg["seed"]),
@@ -155,6 +173,13 @@ def test_config_echo_round_trip(tmp_path):
     assert main(["verify", "--suite", "kernel", "--config", str(saved),
                  "--out", str(tmp_path)]) == 0
     assert (tmp_path / "kernel.csv").read_bytes() == first
+
+
+@pytest.mark.parametrize("suite, run", [("upsilon", run_upsilon_suite),
+                                        ("potential", run_potential_suite)])
+def test_verify_defaults_are_suite_defaults(tmp_path, suite, run):
+    assert main(["verify", "--suite", suite, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / f"{suite}.csv").read_text() == run(seed=0).to_csv()
 
 
 def test_mcmc_subcommand_with_dump(tmp_path, capsys):

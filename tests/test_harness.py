@@ -7,7 +7,8 @@ from qhflux.harness.classify import Regime, RegimeClassifier, classify
 from qhflux.harness.report import CSV_HEADER, ReportRow, VerificationReport
 from qhflux.harness.suites import (SamplingInfeasibleError, case_rng,
                                    pair_config, run_kernel_suite,
-                                   run_upsilon_suite, sample_no_merging)
+                                   run_potential_suite, run_upsilon_suite,
+                                   sample_no_merging)
 from qhflux.partition import HoleConfig
 
 
@@ -109,6 +110,15 @@ def test_upsilon_suite_small_passes():
     rep = run_upsilon_suite(N_list=(128,), configs=3, sweep_N=128,
                             sweep_points=4, seed=2)
     assert rep.all_passed
+
+
+def test_merging_rows_record_pair_hole_count():
+    # the merging sweeps run on two-hole pair configurations whatever n is
+    rows = (run_upsilon_suite(N_list=(512,), n=3, configs=1, sweep_points=3).rows
+            + run_potential_suite(N_list=(512,), n=3, configs=1, sweep_points=3).rows)
+    assert any(r.case_id.startswith("merge") for r in rows)
+    for row in rows:
+        assert row.n == (2 if row.case_id.startswith("merge") else 3), row.case_id
 
 
 def test_remainder_volume_is_small():
