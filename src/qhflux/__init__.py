@@ -8,10 +8,10 @@ from .partition import (HoleConfig, PartitionValue, SingularConfigurationError,
                         SingularMatrixError, log_partition, theta,
                         theta_polarized, upsilon, upsilon_derivative,
                         upsilon_prediction)
-from .potentials import (CorrectionFields, DegenerateConfigurationError,
-                         EmergentField, asymptotic_prediction, correction_a,
-                         correction_v, emergent_field_derivative,
-                         emergent_field_integral, refined_fields)
+from .potentials import (DegenerateConfigurationError, EmergentField,
+                         asymptotic_prediction, correction_a, correction_v,
+                         emergent_field_derivative, emergent_field_integral,
+                         refined_fields)
 from .quadrature import (IntegrationError, QuadratureGrid, cartesian_grid,
                          finite_diff_gradient, integrate2d, polar_grid)
 
@@ -27,7 +27,7 @@ __all__ = [
     "HoleConfig", "PartitionValue", "SingularConfigurationError",
     "upsilon", "upsilon_derivative", "log_partition", "theta",
     "theta_polarized", "upsilon_prediction",
-    "EmergentField", "CorrectionFields", "DegenerateConfigurationError",
+    "EmergentField", "DegenerateConfigurationError",
     "emergent_field_derivative", "emergent_field_integral",
     "correction_a", "correction_v", "refined_fields", "asymptotic_prediction",
     "__version__",

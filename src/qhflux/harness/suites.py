@@ -64,28 +64,6 @@ def pair_config(rng, N: int, separation: float, jitter: float = 0.05) -> HoleCon
     return HoleConfig(w=(c0 - u, c0 + u), N=N)
 
 
-def sample_single_merging(rng, N: int, n: int, classifier: RegimeClassifier,
-                          separation: float, attempts: int = 20000) -> HoleConfig:
-    d = classifier.delta(N)
-    for _ in range(attempts):
-        pair = pair_config(rng, N, separation)
-        pts = list(pair.w)
-        tries = 0
-        while len(pts) < n and tries < 200:
-            cand = complex(sample_points_in_disk(rng, 1, (1.0 - d) * 0.98)[0])
-            tries += 1
-            if all(abs(cand - p) >= 2.0 * d * 1.10 for p in pts):
-                pts.append(cand)
-        if len(pts) < n:
-            continue
-        cfg = HoleConfig(w=tuple(pts), N=N)
-        regime = classifier.classify(cfg)
-        if regime.kind == "single-merging" and regime.pair == (0, 1):
-            return cfg
-    raise SamplingInfeasibleError(
-        f"single-merging sampling failed at N={N}, n={n}, s={separation}")
-
-
 # ----------------------------------------------------------------- kernel
 
 _ORDER_GROUPS = {

@@ -83,13 +83,6 @@ class LogComplex:
             return LogComplex.zero()
         return LogComplex(self.log_mag + other.log_mag, self.phase + other.phase)
 
-    def __truediv__(self, other: "LogComplex") -> "LogComplex":
-        if other.is_zero:
-            raise ZeroDivisionError("division by log-domain zero")
-        if self.is_zero:
-            return LogComplex.zero()
-        return LogComplex(self.log_mag - other.log_mag, self.phase - other.phase)
-
     def __neg__(self) -> "LogComplex":
         if self.is_zero:
             return self
@@ -98,19 +91,10 @@ class LogComplex:
     def conjugate(self) -> "LogComplex":
         return LogComplex(self.log_mag, -self.phase)
 
-    def scaled(self, factor: float) -> "LogComplex":
-        """Multiply by an ordinary real factor."""
-        return self * LogComplex.from_real(factor)
-
     def powi(self, k: int) -> "LogComplex":
         if self.is_zero:
             return LogComplex.zero() if k > 0 else LogComplex(0.0, 0.0)
         return LogComplex(k * self.log_mag, k * self.phase)
-
-    @property
-    def real_sign(self) -> float:
-        """cos(phase), handy for values known to be real."""
-        return math.cos(self.phase)
 
 
 def log_sum(terms: list[LogComplex]) -> LogComplex:

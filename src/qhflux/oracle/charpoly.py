@@ -1,8 +1,11 @@
 """Monte Carlo moments of the characteristic polynomial.
 
 E[prod_j |Q(w_j)|^2] over the no-hole determinantal ensemble equals the
-ratio of quasi-hole normalizations; the estimator averages
-exp(2 sum_{j,k} log|w_j - z_k|) in the log domain with batch-means errors.
+ratio of quasi-hole normalizations.  That ensemble, with density
+exp(-b sum|z|^2) |Vandermonde|^2, is the eigenvalue law of G/sqrt(2b) for G
+with independent entries whose real and imaginary parts are standard normals
+(Ginibre 1965), so the estimator draws i.i.d. samples exactly and averages
+exp(2 sum_{j,k} log|w_j - z_k|) in the log domain.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..partition import HoleConfig, log_partition
-from .plasma import PlasmaConfig, plasma_mcmc
+from .plasma import PlasmaConfig
 
 
 class PrecisionError(Exception):
@@ -40,38 +43,36 @@ def exact_log_ratio(cfg: HoleConfig) -> float:
     return with_holes - no_holes
 
 
-def charpoly_moment_mc(cfg: HoleConfig, mcmc: PlasmaConfig,
-                       batches: int = 50) -> CharpolyEstimate:
-    """Estimate E[prod |Q(w_j)|^2] from no-hole chain samples."""
+def ginibre_samples(N: int, b: float, count: int, seed: int) -> np.ndarray:
+    """(count, N) exact draws from the no-hole mu = 1 plasma at field b."""
+    g = np.random.default_rng(seed).standard_normal((count, N, N, 2))
+    return np.linalg.eigvals((g[..., 0] + 1j * g[..., 1]) / math.sqrt(2.0 * b))
+
+
+def charpoly_moment_mc(cfg: HoleConfig, mcmc: PlasmaConfig) -> CharpolyEstimate:
+    """Estimate E[prod |Q(w_j)|^2] from i.i.d. Ginibre samples.
+
+    `mcmc` supplies N, b and the seed; the sample count is the number of
+    samples its chain would keep, len(range(burn_in, sweeps, thin)).
+    """
     if mcmc.holes or mcmc.mu != 1:
         raise ValueError("estimator needs samples from the no-hole mu = 1 density")
     if mcmc.N != cfg.N or mcmc.b != cfg.b:
-        raise ValueError("chain parameters must match the hole configuration")
-    samples, _ = plasma_mcmc(mcmc)
-    if len(samples) < 400:
-        raise PrecisionError(f"only {len(samples)} thinned samples; the "
-                             "batch-means error needs at least 400")
+        raise ValueError("sampler parameters must match the hole configuration")
+    count = len(range(mcmc.burn_in, mcmc.sweeps, mcmc.thin))
+    if count < 400:
+        raise PrecisionError(f"only {count} samples; the error estimate "
+                             "needs at least 400")
+    z = ginibre_samples(cfg.N, cfg.b, count, mcmc.seed)
     w = cfg.points()
-    logs = np.empty(len(samples))
-    for i, s in enumerate(samples):
-        d = np.abs(w[:, None] - s.positions[None, :])
-        logs[i] = 2.0 * float(np.sum(np.log(d)))
+    logs = 2.0 * np.sum(np.log(np.abs(w[None, :, None] - z[:, None, :])), axis=(1, 2))
     shift = logs.max()
     y = np.exp(logs - shift)
     mean = float(y.mean())
-    nb = min(batches, len(y) // 8)
-    usable = (len(y) // nb) * nb
-    bm = y[:usable].reshape(nb, -1).mean(axis=1)
-    se = float(bm.std(ddof=1) / math.sqrt(nb))
-    var_y = float(y.var(ddof=1))
-    tau = max(1.0, (usable / nb) * float(bm.var(ddof=1)) / var_y) if var_y > 0 else 1.0
-    n_eff = len(y) / tau
-    if n_eff < 100:
-        raise PrecisionError(f"only {n_eff:.0f} effective samples; need >= 100")
     return CharpolyEstimate(
-        log_estimate=shift + math.log(mean),
-        log_std_error=se / mean,
-        n_samples=len(y),
-        n_effective=n_eff,
+        log_estimate=float(shift) + math.log(mean),
+        log_std_error=float(y.std(ddof=1)) / math.sqrt(count) / mean,
+        n_samples=count,
+        n_effective=count,
         log_exact=exact_log_ratio(cfg),
     )

@@ -69,10 +69,6 @@ class MonomialPolynomial:
             out.add_term(e, c)
         return out
 
-    def scaled(self, factor: complex) -> "MonomialPolynomial":
-        return MonomialPolynomial(self.nvars,
-                                  {e: c * factor for e, c in self.terms.items()})
-
 
 def vandermonde_poly(nvars: int) -> MonomialPolynomial:
     """prod_{k<l}(z_k - z_l) expanded over permutations."""

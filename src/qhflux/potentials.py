@@ -170,20 +170,6 @@ def double_integral_direct(cfg: HoleConfig, j: int, grid: QuadratureGrid,
     return float(np.real(val))
 
 
-@dataclass(frozen=True)
-class CorrectionFields:
-    """Microscopic pair corrections a(y), v(y) at displacement y."""
-
-    y: np.ndarray
-    a: np.ndarray
-    v: float
-
-
-def correction_fields(y: np.ndarray) -> CorrectionFields:
-    y = np.asarray(y, dtype=float)
-    return CorrectionFields(y=y, a=correction_a(y), v=correction_v(y))
-
-
 def correction_a(y: np.ndarray) -> np.ndarray:
     """a(y) = y^perp / (e^{|y|^2} - 1); singular at y = 0."""
     y = np.asarray(y, dtype=float)

@@ -57,6 +57,7 @@ def test_unknown_flag_exits_2():
     for argv in (["kernel", "--bogus", "1"],
                  ["kernel", "--N", "64", "--z", "0.3", "--w", "0.4", "--seed", "1"],
                  ["verify", "--suite", "oracle", "--format", "json"],
+                 ["charpoly", "--N", "1", "--holes", "0.7+0i", "--thin", "2"],
                  ["oracle"]):
         with pytest.raises(SystemExit) as err:
             main(argv)
@@ -69,7 +70,7 @@ def test_potentials_degenerate_exits_3(capsys):
 
 
 def test_charpoly_precision_error_exits_3(capsys):
-    assert main(["charpoly", "--N", "1", "--holes", "0.7+0i", "--sweeps", "2000"]) == 3
+    assert main(["charpoly", "--N", "1", "--holes", "0.7+0i", "--samples", "100"]) == 3
     assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -175,6 +176,20 @@ def test_config_echo_round_trip(tmp_path):
     assert (tmp_path / "kernel.csv").read_bytes() == first
 
 
+def test_verify_config_fills_only_unset_flags(tmp_path):
+    # a stored config must not override --suite or --seed given alongside it
+    stored, out = tmp_path / "K", tmp_path / "D"
+    assert main(["verify", "--suite", "kernel", "--N-list", "128", "--samples", "5",
+                 "--out", str(stored)]) == 0
+    assert main(["verify", "--suite", "upsilon", "--seed", "3",
+                 "--config", str(stored / "config.json"), "--out", str(out)]) == 0
+    assert not (out / "kernel.csv").exists()
+    expected = run_upsilon_suite(N_list=(128,), seed=3).to_csv()
+    assert (out / "upsilon.csv").read_text() == expected
+    cfg = load_config(out / "config.json")
+    assert (cfg["suite"], cfg["seed"], cfg["N_list"]) == ("upsilon", 3, [128])
+
+
 @pytest.mark.parametrize("suite, run", [("upsilon", run_upsilon_suite),
                                         ("potential", run_potential_suite)])
 def test_verify_defaults_are_suite_defaults(tmp_path, suite, run):
@@ -197,10 +212,10 @@ def test_mcmc_subcommand_with_dump(tmp_path, capsys):
 
 def test_charpoly_subcommand(capsys):
     code = main(["charpoly", "--N", "1", "--holes", "0.7+0i",
-                 "--sweeps", "21000", "--burn-in", "1000", "--thin", "2",
-                 "--seed", "2"])
+                 "--samples", "10000", "--seed", "2"])
     assert code == 0
-    assert "z-score" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "z-score" in out and "samples = 10000" in out
 
 
 def test_field_map_flags_degenerate_row(tmp_path, monkeypatch):

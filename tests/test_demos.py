@@ -1,6 +1,6 @@
 """Smoke test: each quick demo script runs to completion.
 
-05_plasma_and_charpoly.py (about 31 s) and 06_contact_and_energy.py (about
+05_plasma_and_charpoly.py (about 17 s) and 06_contact_and_energy.py (about
 10 s) are left out for their run time; 01-04 take about 4 s together.
 """
 

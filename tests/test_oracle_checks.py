@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from qhflux.kernel import KernelSpec, kernel_eval
-from qhflux.oracle.charpoly import PrecisionError, charpoly_moment_mc, exact_log_ratio
+from qhflux.oracle import charpoly
+from qhflux.oracle.charpoly import (PrecisionError, charpoly_moment_mc, exact_log_ratio,
+                                    ginibre_samples)
 from qhflux.oracle.delta import delta_apply, delta_check
 from qhflux.oracle.energy import GaussianPacket, energy_identity_check
 from qhflux.oracle.plasma import PlasmaConfig
@@ -36,6 +38,36 @@ def test_charpoly_precision_guard():
     mcmc = PlasmaConfig(N=2, b=2.0, sweeps=300, burn_in=100, thin=50, seed=2)
     with pytest.raises(PrecisionError):
         charpoly_moment_mc(cfg, mcmc)
+
+
+def test_ginibre_draws_match_plasma_one_point_law():
+    # with no holes and mu = 1 the plasma is determinantal with orbitals
+    # z^k, k < N, so mean |z|^2 = (1/N) sum_k (k+1)/b = (N+1)/(2b)
+    N, b, count = 8, 8.0, 4000
+    z = ginibre_samples(N, b, count, seed=5)
+    assert z.shape == (count, N)
+    per_sample = np.mean(np.abs(z) ** 2, axis=1)
+    se = per_sample.std(ddof=1) / math.sqrt(count)
+    assert abs(per_sample.mean() - (N + 1) / (2 * b)) < 5 * se
+
+
+def test_charpoly_same_seed_is_bit_identical():
+    cfg = HoleConfig(w=(0.5, -0.2 + 0.3j), N=4, b=4.0)
+    mcmc = PlasmaConfig(N=4, b=4.0, sweeps=1500, burn_in=0, thin=1, seed=9)
+    first, second = charpoly_moment_mc(cfg, mcmc), charpoly_moment_mc(cfg, mcmc)
+    assert first == second
+    assert first.n_samples == first.n_effective == 1500
+
+
+def test_charpoly_does_not_run_the_chain(monkeypatch):
+    def chain(*args, **kwargs):
+        raise AssertionError("charpoly_moment_mc must not run the Metropolis chain")
+
+    monkeypatch.setattr(charpoly, "plasma_mcmc", chain, raising=False)
+    monkeypatch.setattr("qhflux.oracle.plasma.plasma_mcmc", chain)
+    cfg = HoleConfig(w=(0.4,), N=2, b=2.0)
+    est = charpoly_moment_mc(cfg, PlasmaConfig(N=2, b=2.0, sweeps=5000, seed=1))
+    assert est.n_samples == len(range(1000, 5000, 10)) == 400
 
 
 def test_charpoly_se_shrinks_with_samples():
