@@ -26,6 +26,7 @@ for N, q in ((1, 1.0), (2, 1.0), (2, 2.0)):
     print(f"    bath-averaged kinetic energy  = {r.lhs:.10f}")
     print(f"    gauged packet + scalar term   = {r.rhs:.10f}")
     print(f"    relative residual             = {r.relative_residual:.2e}")
+    print(f"    worst weighted node residual  = {r.max_pointwise_residual:.2e}")
 
 print("\nthe two sides come from disjoint pipelines (exact monomial integrals")
 print("vs kernel determinants), so agreement validates both at once")

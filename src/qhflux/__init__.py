@@ -11,7 +11,7 @@ from .partition import (HoleConfig, PartitionValue, SingularConfigurationError,
 from .potentials import (DegenerateConfigurationError, EmergentField,
                          asymptotic_prediction, correction_a, correction_v,
                          emergent_field_derivative, emergent_field_integral,
-                         refined_fields)
+                         emergent_fields, refined_fields)
 from .quadrature import (IntegrationError, QuadratureGrid, cartesian_grid,
                          finite_diff_gradient, integrate2d, polar_grid)
 
@@ -28,7 +28,7 @@ __all__ = [
     "upsilon", "upsilon_derivative", "log_partition", "theta",
     "theta_polarized", "upsilon_prediction",
     "EmergentField", "DegenerateConfigurationError",
-    "emergent_field_derivative", "emergent_field_integral",
+    "emergent_field_derivative", "emergent_field_integral", "emergent_fields",
     "correction_a", "correction_v", "refined_fields", "asymptotic_prediction",
     "__version__",
 ]

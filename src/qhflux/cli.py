@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .harness.classify import RegimeClassifier
-from .harness.report import CSV_HEADER, fmt
+from .harness.report import fmt
 from .harness.suites import (run_global_suite, run_kernel_suite, run_oracle_suite,
                              run_potential_suite, run_upsilon_suite)
 from .kernel import (KernelSpec, kernel_diff_log, kernel_eval, kernel_infty,

@@ -310,13 +310,13 @@ def orbital_derivatives(b: float, M: int, pts: np.ndarray, orders) -> dict:
         nxt[:, 1:] = shifted[-1][:, :-1] * root
         shifted.append(nxt)
 
-    def d_z(m):  # d^m phi = (L - (b/2) zbar)^m phi
-        return sum(math.comb(m, l) * (-0.5 * b * z.conj()) ** (m - l) * shifted[l]
-                   for l in range(m + 1))
+    # d^m phi = (L - (b/2) zbar)^m phi
+    d_z = [sum(math.comb(m, l) * (-0.5 * b * z.conj()) ** (m - l) * shifted[l]
+               for l in range(m + 1)) for m in range(len(shifted))]
 
     # dbar^q phi = (-(b/2) z)^q phi, then d^p by Leibniz over the z^q factor
     return {(p, q): (-0.5 * b) ** q * sum(math.comb(p, k) * math.perm(q, k)
-                                          * z ** (q - k) * d_z(p - k)
+                                          * z ** (q - k) * d_z[p - k]
                                           for k in range(min(p, q) + 1))
             for p, q in orders}
 

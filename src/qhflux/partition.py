@@ -23,11 +23,13 @@ class SingularConfigurationError(Exception):
 
 
 class SingularMatrixError(Exception):
-    """Raised when an LU factorization has a pivot below PIVOT_FLOOR."""
+    """Raised when an LU factorization has a pivot below PIVOT_FLOOR, or a
+    stacked determinant (which reports no pivot index) falls below it."""
 
-    def __init__(self, pivot_index: int):
+    def __init__(self, pivot_index: int | None = None):
         self.pivot_index = pivot_index
-        super().__init__(f"numerically singular matrix at pivot {pivot_index}")
+        where = "" if pivot_index is None else f" at pivot {pivot_index}"
+        super().__init__(f"numerically singular matrix{where}")
 
 
 def lu(matrix: np.ndarray):
@@ -166,8 +168,8 @@ _HOLE_ORDERS = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2))
 
 
 def _deriv_matrix(tables: dict, w: np.ndarray, b: float, slots) -> np.ndarray:
-    """Entrywise slot derivative of (pi/b) [K_M(w_a, w_c)], from the hole
-    orbital tables scaled by sqrt(pi/b).
+    """Entrywise slot derivative of (pi/b) [K_M(w_a, w_c)] for each row of a
+    stack, from hole orbital tables of shape (B, n, M) scaled by sqrt(pi/b).
 
     Each slot differentiates the row factor (row i of D_z) or the column
     factor (row i of D_w).  The diagonal entry is a derivative of
@@ -176,9 +178,9 @@ def _deriv_matrix(tables: dict, w: np.ndarray, b: float, slots) -> np.ndarray:
     would cancel O(b) terms down to ~eps b instead of to the tail.
     """
     phi = tables[(0, 0)]
-    n, M = phi.shape
+    n, M = phi.shape[1:]
     idx = np.arange(n)
-    out = np.zeros((n, n), dtype=complex)
+    out = np.zeros((phi.shape[0], n, n), dtype=complex)
     for assignment in itertools.product(("row", "col"), repeat=len(slots)):
         orders = {"row": (0, 0), "col": (0, 0)}
         mask = np.ones((n, n), dtype=bool)
@@ -186,52 +188,81 @@ def _deriv_matrix(tables: dict, w: np.ndarray, b: float, slots) -> np.ndarray:
             orders[side] = tuple(x + y for x, y in zip(orders[side], _SLOT_ORDERS[(side, typ)]))
             mask &= (idx == i)[:, None] if side == "row" else (idx == i)[None, :]
         if mask.any():
-            out += np.where(mask, tables[orders["row"]] @ tables[orders["col"]].conj().T, 0.0)
+            out += np.where(mask, tables[orders["row"]]
+                            @ tables[orders["col"]].conj().swapaxes(1, 2), 0.0)
     holes = {i for i, _ in slots}
     if len(holes) == 1:
         (i,) = holes
-        last = np.abs(phi[i, M - 2:]) ** 2       # t^j e^{-t}/j! at j = M-2, M-1
-        dt = {1: -last[1], 2: last[1] - last[0]}  # d^m/dt^m of the diagonal
+        last = np.abs(phi[:, i, M - 2:]) ** 2       # t^j e^{-t}/j! at j = M-2, M-1
+        dt = {1: -last[:, 1], 2: last[:, 1] - last[:, 0]}  # d^m/dt^m of the diagonal
         p = sum(typ == "h" for _, typ in slots)
         q = len(slots) - p
-        out[i, i] = sum(math.comb(p, k) * math.comb(q, k) * math.factorial(k)
-                        * b ** (p + q - k) * w[i] ** (q - k) * w[i].conjugate() ** (p - k)
-                        * dt[p + q - k] for k in range(min(p, q) + 1))
+        wi = w[:, i]
+        out[:, i, i] = sum(math.comb(p, k) * math.comb(q, k) * math.factorial(k)
+                           * b ** (p + q - k) * wi ** (q - k) * wi.conj() ** (p - k)
+                           * dt[p + q - k] for k in range(min(p, q) + 1))
     return out
+
+
+def upsilon_derivative_stack(b: float, M: int, holes, *multi_indices
+                             ) -> tuple[np.ndarray, np.ndarray]:
+    """Upsilon and its exact d^alpha dbar^beta for a stack of configurations.
+
+    holes has shape (B, n): one configuration of n distinct holes per row,
+    all with field strength b and M orbitals.  One orbital table serves all
+    B n holes, the (B, n, n) kernel matrices go through one stacked LAPACK
+    determinant and one stacked inverse, and the derivatives follow from
+    Jacobi's formula.  alpha, beta are per-hole multi-indices of holomorphic
+    and antiholomorphic orders, with |alpha| + |beta| <= 2.  Returns Upsilon,
+    shape (B,), and the derivatives, shape (B, len(multi_indices)).  A row
+    whose determinant is below PIVOT_FLOOR is singular: its Upsilon is 0 and
+    its derivatives are NaN, so callers must reject it.
+    """
+    w = np.asarray(holes, dtype=complex)
+    if w.ndim != 2:
+        raise ValueError("holes must have shape (B, n)")
+    B, n = w.shape
+    slot_lists = [_slot_list(alpha, beta, n) for alpha, beta in multi_indices]
+    if n == 0:
+        return np.ones(B), np.ones((B, len(slot_lists)), dtype=complex)
+    tables = {k: math.sqrt(math.pi / b) * t.reshape(B, n, M) for k, t in
+              orbital_derivatives(b, M, w.ravel(), _HOLE_ORDERS).items()}
+    base = _deriv_matrix(tables, w, b, [])
+    ups = np.linalg.det(base).real
+    singular = np.abs(ups) < PIVOT_FLOOR
+    ups[singular] = 0.0
+    inverse = np.linalg.inv(np.where(singular[:, None, None], np.eye(n), base))
+    single = {s: inverse @ _deriv_matrix(tables, w, b, [s])
+              for s in {s for slots in slot_lists for s in slots}}
+    out = np.empty((B, len(slot_lists)), dtype=complex)
+    for k, slots in enumerate(slot_lists):
+        if not slots:
+            out[:, k] = ups
+            continue
+        d = [single[s] for s in slots]
+        bracket = np.trace(d[0], axis1=1, axis2=2)
+        if len(slots) == 2:
+            d12 = inverse @ _deriv_matrix(tables, w, b, slots)
+            bracket = (bracket * np.trace(d[1], axis1=1, axis2=2)
+                       - np.trace(d[1] @ d[0], axis1=1, axis2=2)
+                       + np.trace(d12, axis1=1, axis2=2))
+        out[:, k] = ups * bracket
+    out[singular] = np.nan
+    return ups, out
 
 
 def upsilon_derivatives(cfg: HoleConfig, *multi_indices) -> tuple[float, list[complex]]:
     """Upsilon and its exact d^alpha dbar^beta for each (alpha, beta) pair.
 
-    Builds the hole orbital tables once and factors the kernel matrix once;
-    the derivatives follow from Jacobi's formula.  alpha, beta are per-hole
-    multi-indices of holomorphic and antiholomorphic orders, with
-    |alpha| + |beta| <= 2.  Raises SingularMatrixError on a singular matrix.
+    The B = 1 case of upsilon_derivative_stack.  Raises SingularMatrixError
+    on a singular kernel matrix, where Jacobi's formula has no inverse.
     """
     cfg.require_distinct()
-    slot_lists = [_slot_list(alpha, beta, cfg.n) for alpha, beta in multi_indices]
-    if cfg.n == 0:
-        return 1.0, [1.0 + 0j] * len(slot_lists)
-    b, w = cfg.b, cfg.points()
-    tables = {k: math.sqrt(math.pi / b) * t for k, t in
-              orbital_derivatives(b, cfg.spec.M, w, _HOLE_ORDERS).items()}
-    factor = lu(_deriv_matrix(tables, w, b, []))
-    ups = log_det(factor).to_complex().real
-    inverse = lu_solve(factor, np.eye(cfg.n))
-    out = []
-    for slots in slot_lists:
-        if not slots:
-            out.append(complex(ups))
-            continue
-        d = [inverse @ _deriv_matrix(tables, w, b, [s]) for s in slots]
-        if len(slots) == 1:
-            bracket = np.trace(d[0])
-        else:
-            d12 = inverse @ _deriv_matrix(tables, w, b, slots)
-            bracket = (np.trace(d[0]) * np.trace(d[1]) - np.trace(d[1] @ d[0])
-                       + np.trace(d12))
-        out.append(ups * complex(bracket))
-    return ups, out
+    ups, out = upsilon_derivative_stack(cfg.b, cfg.spec.M, cfg.points()[None, :],
+                                        *multi_indices)
+    if np.isnan(out).any():
+        raise SingularMatrixError()
+    return float(ups[0]), [complex(d) for d in out[0]]
 
 
 def upsilon_derivative(cfg: HoleConfig, alpha, beta) -> complex:

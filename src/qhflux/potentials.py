@@ -14,16 +14,24 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import null_space
+from scipy.special import gammaincc
 
 from .kernel import weighted_orbitals
 from .partition import (HoleConfig, SingularConfigurationError,
-                        SingularMatrixError, upsilon_derivatives)
+                        upsilon_derivative_stack)
 from .quadrature import QuadratureGrid, polar_grid
 
 # per hole: a determinant of O(1) Gram entries computed within this of zero
 # is rounding noise whatever its sign (measured up to ~15 eps at n = 4)
 UPSILON_FLOOR = 64 * np.finfo(float).eps
 SEPARATION_FLOOR = 1e-12
+# emergent_fields estimates the rounding error of V as V_ERROR_SCALE
+# (1 + b|w_j|^2) |dlog|^2 / (Upsilon / prod_i (pi/b) K_M(w_i, w_i)) and
+# refuses rows where it exceeds FIELD_ERROR_BUDGET N.  Against mpmath (N = 64
+# to 1024, n <= 4, separations 1e-6 to 1e-1, |w| up to 1.4) the estimate
+# was 0.5 to 300 times the actual error wherever that exceeded 1e-9 N.
+V_ERROR_SCALE = 2 * np.finfo(float).eps
+FIELD_ERROR_BUDGET = 1e-6
 
 
 class DegenerateConfigurationError(Exception):
@@ -51,46 +59,86 @@ def perp(v: np.ndarray) -> np.ndarray:
     return np.array([-v[1], v[0]])
 
 
+def _first_row(bad: np.ndarray):
+    """Index of the first True entry of a per-row mask, or None."""
+    rows = np.flatnonzero(bad)
+    return int(rows[0]) if rows.size else None
+
+
+def _ab_rows(w: np.ndarray, j: int) -> np.ndarray:
+    """Aharonov-Bohm sum of tracer j for each row of a (B, n) hole stack."""
+    d = w[:, [j]] - np.delete(w, j, axis=1)
+    row = _first_row(np.any(np.abs(d) < SEPARATION_FLOOR, axis=1))
+    if row is not None:
+        raise SingularConfigurationError(
+            f"row {row}: hole {j} closer than {SEPARATION_FLOOR} to another")
+    d_sq = np.hypot(d.real, d.imag) ** 2
+    return np.sum(np.stack([-d.imag, d.real], axis=-1) / d_sq[..., None], axis=1)
+
+
 def ab_sum(cfg: HoleConfig, j: int) -> np.ndarray:
     """Aharonov-Bohm sum over the other tracers, (y_j-y_l)^perp/|y_j-y_l|^2."""
-    out = np.zeros(2)
-    for l in range(cfg.n):
-        if l == j:
-            continue
-        d = cfg.w[j] - cfg.w[l]
-        if abs(d) < SEPARATION_FLOOR:
-            raise SingularConfigurationError(
-                f"holes {j} and {l} closer than {SEPARATION_FLOOR}")
-        out += perp(to_vec(d)) / abs(d) ** 2
-    return out
+    return _ab_rows(cfg.points()[None, :], j)[0]
 
 
-def _log_derivatives(cfg: HoleConfig, j: int) -> tuple[complex, float, float]:
-    e_j = tuple(1 if i == j else 0 for i in range(cfg.n))
-    zero = (0,) * cfg.n
-    try:
-        ups, (d1, d11) = upsilon_derivatives(cfg, (e_j, zero), (e_j, e_j))
-    except SingularMatrixError:
-        ups = 0.0
-    floor = UPSILON_FLOOR * cfg.n
-    if ups < floor:
-        raise DegenerateConfigurationError(f"Upsilon = {ups} below {floor}")
-    dlog = d1 / ups
-    ddlog = (d11 / ups).real - abs(dlog) ** 2
-    return dlog, ddlog, ups
+def emergent_fields(N: int, holes, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """A_j and V_j for a stack of hole configurations, b = N.
+
+    holes has shape (B, n), one configuration per row; returns A of shape
+    (B, 2) and V of shape (B,), from exact Upsilon log-derivatives computed
+    for all rows by one upsilon_derivative_stack call.  A row with
+    coincident holes raises SingularConfigurationError; a row merged beyond
+    what double precision resolves raises DegenerateConfigurationError.  The
+    message names the first such row.
+    """
+    w = np.asarray(holes, dtype=complex)
+    if w.ndim != 2:
+        raise ValueError("holes must have shape (B, n)")
+    n = w.shape[1]
+    if N < 1:
+        raise ValueError("bath size N must be at least 1")
+    if not 0 <= j < n:
+        raise ValueError(f"tracer index {j} outside 0..{n - 1}")
+    row = _first_row(np.triu(w[:, :, None] == w[:, None, :], 1).any(axis=(1, 2)))
+    if row is not None:
+        raise SingularConfigurationError(f"row {row}: hole positions must be pairwise distinct")
+
+    e_j = tuple(int(i == j) for i in range(n))
+    ups, derivs = upsilon_derivative_stack(float(N), N + n, w, (e_j, (0,) * n), (e_j, e_j))
+    d1, d11 = derivs.T
+    floor = UPSILON_FLOOR * n
+    row = _first_row(ups < floor)
+    if row is not None:
+        raise DegenerateConfigurationError(f"row {row}: Upsilon = {ups[row]} below {floor}")
+    # one rounding each: numpy's complex-by-real division multiplies by a
+    # rounded reciprocal, and np.hypot is correctly rounded where np.abs of
+    # a complex array often is not
+    dlog = d1.real / ups + 1j * (d1.imag / ups)
+    dlog_sq = np.hypot(dlog.real, dlog.imag) ** 2
+    ddlog = d11.real / ups - dlog_sq
+    # ddlog cancels two terms of size |dlog|^2.  Their rounding grows with
+    # b|w_j|^2 and with the conditioning of the kernel matrix, measured by
+    # Upsilon over the product of its diagonal (pi/b) K_M(w, w) = Q(M, b|w|^2)
+    corr = ups / np.prod(gammaincc(N + n, N * np.abs(w) ** 2), axis=1)
+    v_error = V_ERROR_SCALE * (1.0 + N * np.abs(w[:, j]) ** 2) * dlog_sq / corr
+    row = _first_row(v_error > FIELD_ERROR_BUDGET * N)
+    if row is not None:
+        raise DegenerateConfigurationError(
+            f"row {row}: V rounding error ~{v_error[row]:.2e} exceeds "
+            f"{FIELD_ERROR_BUDGET:g} N (merging too deep)")
+
+    a_vec = N * np.stack([-w[:, j].imag, w[:, j].real], axis=-1) - _ab_rows(w, j) \
+        + np.stack([dlog.imag, dlog.real], axis=-1)
+    return a_vec, 2.0 * N + 2.0 * ddlog
 
 
 def emergent_field_derivative(cfg: HoleConfig, j: int) -> EmergentField:
-    """A_j, V_j from exact Upsilon log-derivatives (b = N regime)."""
+    """A_j, V_j from exact Upsilon log-derivatives (b = N regime): the B = 1
+    case of emergent_fields."""
     if cfg.b != cfg.N:
         raise ValueError("derivative-route fields are defined in the b = N regime")
-    cfg.require_distinct()
-    N = cfg.N
-    dlog, ddlog, _ = _log_derivatives(cfg, j)
-    a_vec = N * perp(to_vec(cfg.w[j])) - ab_sum(cfg, j) \
-        + np.array([dlog.imag, dlog.real])
-    v_val = 2.0 * N + 2.0 * ddlog
-    return EmergentField(A=a_vec, V=float(v_val), j=j, method="derivative")
+    a_vec, v_val = emergent_fields(cfg.N, [cfg.w], j)
+    return EmergentField(A=a_vec[0], V=float(v_val[0]), j=j, method="derivative")
 
 
 @dataclass(frozen=True)

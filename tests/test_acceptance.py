@@ -11,13 +11,10 @@ import math
 import time
 
 import numpy as np
-import pytest
 
-from qhflux.harness.classify import RegimeClassifier
 from qhflux.harness.suites import (case_rng, pair_config, run_global_suite,
-                                   run_kernel_suite, run_oracle_suite,
                                    run_potential_suite, run_upsilon_suite,
-                                   sample_no_merging, sample_points_in_disk)
+                                   sample_points_in_disk)
 from qhflux.kernel import (KernelSpec, kernel_diff_log, kernel_tail_bound_log,
                            reproducing_residual, weighted_orbitals)
 from qhflux.oracle.charpoly import charpoly_moment_mc
@@ -25,7 +22,7 @@ from qhflux.oracle.energy import GaussianPacket, energy_identity_check
 from qhflux.oracle.monomial import partition_exact
 from qhflux.oracle.plasma import PlasmaConfig, plasma_mcmc, radial_density_l1
 from qhflux.oracle.slater import slater_density, slater_density_brute
-from qhflux.partition import HoleConfig, log_partition, upsilon
+from qhflux.partition import HoleConfig, log_partition
 from qhflux.potentials import (asymptotic_prediction, correction_a, correction_v,
                                emergent_field_derivative, emergent_field_integral,
                                perp)
@@ -214,13 +211,17 @@ def test_criterion_10_plasma_fidelity():
 
 def test_criterion_11_energy_identity():
     residuals = {}
+    pointwise = {}
     for label, (N, q) in {"(1,1,1)": (1, 1.0), "(2,1,1)": (2, 1.0),
                           "(2,1,2)": (2, 2.0)}.items():
         res = energy_identity_check(N, q=q, packet=GaussianPacket(center=0.3, a=30.0))
         residuals[label] = res.relative_residual
+        pointwise[label] = res.max_pointwise_residual
     worst = max(residuals.values())
-    ok = worst < 1e-5
-    assert verdict("11", ok, f"max relative residual {worst:.2e} (<1e-5)")
+    worst_node = max(pointwise.values())
+    ok = worst < 1e-5 and worst_node < 1e-12
+    assert verdict("11", ok, f"max relative residual {worst:.2e} (<1e-5); "
+                             f"max weighted node residual {worst_node:.2e} (<1e-12)")
 
 
 def test_criterion_12_slater_and_delta():

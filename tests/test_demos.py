@@ -1,7 +1,7 @@
 """Smoke test: each quick demo script runs to completion.
 
-05_plasma_and_charpoly.py (about 17 s) and 06_contact_and_energy.py (about
-10 s) are left out for their run time; 01-04 take about 4 s together.
+05_plasma_and_charpoly.py (about 17 s) is left out for its run time;
+01-04 and 06 take about 7 s together.
 """
 
 import os
@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-QUICK_DEMOS = sorted(ROOT.glob("demos/0[1-4]_*.py"))
+QUICK_DEMOS = sorted(ROOT.glob("demos/0[1-46]_*.py"))
 
 
 @pytest.mark.parametrize("script", QUICK_DEMOS, ids=lambda p: p.stem)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qhflux.harness.classify import Regime, RegimeClassifier, classify
+from qhflux.harness.classify import RegimeClassifier, classify
 from qhflux.harness.report import CSV_HEADER, ReportRow, VerificationReport
 from qhflux.harness.suites import (SamplingInfeasibleError, case_rng,
                                    pair_config, run_kernel_suite,

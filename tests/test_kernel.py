@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from qhflux.kernel import (KernelSpec, UnsupportedOrderError, kernel_derivative,
-                           kernel_derivative_log, kernel_diff_log, kernel_eval,
-                           kernel_infty, kernel_matrix,
+                           kernel_diff_log, kernel_eval, kernel_infty, kernel_matrix,
                            kernel_tail_bound, kernel_tail_bound_log, phi_rate,
                            reproducing_residual, weighted_orbitals)
 from qhflux.quadrature import cartesian_grid

@@ -183,3 +183,4 @@ def test_energy_identity(N, q, tol):
     packet = GaussianPacket(center=0.3, a=30.0)
     res = energy_identity_check(N, q=q, packet=packet, grid_order=40)
     assert res.relative_residual < tol
+    assert res.max_pointwise_residual < 1e-12

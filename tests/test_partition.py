@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhflux.kernel import KernelSpec, kernel_eval, kernel_matrix
+from qhflux.kernel import kernel_eval, kernel_matrix
 from qhflux.oracle.monomial import partition_exact
 from qhflux.partition import (HoleConfig, PartitionValue, SingularConfigurationError,
-                              log_partition, theta, theta_polarized, upsilon,
-                              upsilon_derivative, upsilon_prediction)
+                              SingularMatrixError, log_partition, theta,
+                              theta_polarized, upsilon, upsilon_derivative,
+                              upsilon_prediction)
 from qhflux.quadrature import cartesian_grid
 
 
@@ -120,6 +121,14 @@ def test_upsilon_second_derivative_vs_finite_difference():
 def test_upsilon_derivative_rejects_coincident():
     cfg = HoleConfig(w=(0.1, 0.1), N=8)
     with pytest.raises(SingularConfigurationError):
+        upsilon_derivative(cfg, (1, 0), (0, 0))
+
+
+def test_upsilon_derivative_on_singular_matrix_raises():
+    # distinct holes whose orbital rows agree to every bit: det is exactly 0
+    cfg = HoleConfig(w=(0.3, 0.3 + 1e-300j), N=8)
+    assert upsilon(cfg) == 0.0
+    with pytest.raises(SingularMatrixError):
         upsilon_derivative(cfg, (1, 0), (0, 0))
 
 

@@ -2,15 +2,15 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qhflux import partition
 from qhflux.partition import HoleConfig, SingularConfigurationError
 from qhflux.potentials import (DegenerateConfigurationError, FieldGrids,
                                ResourceBudgetError, ab_sum, asymptotic_prediction,
                                correction_a, correction_v, double_integral_direct,
                                emergent_field_derivative, emergent_field_integral,
-                               perp, refined_fields, to_vec)
+                               emergent_fields, perp, refined_fields, to_vec)
 from qhflux.quadrature import polar_grid
 
 
@@ -239,18 +239,26 @@ def test_field_grids_budget():
 
 
 def test_field_call_factors_once(monkeypatch):
+    # one stacked determinant and one stacked inverse per call, whatever B
     calls = []
 
-    def counting(a, *args, **kwargs):
-        calls.append(a.shape)
-        return scipy.linalg.lu_factor(a, *args, **kwargs)
+    def counting(name, fn):
+        def wrapper(a, *args, **kwargs):
+            calls.append((name, a.shape))
+            return fn(a, *args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(partition, "lu_factor", counting)
+    monkeypatch.setattr(np.linalg, "det", counting("det", np.linalg.det))
+    monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv))
     cfg = HoleConfig(w=(0.3, -0.2 + 0.4j, 0.1j), N=64)
     for j in range(cfg.n):
         calls.clear()
         emergent_field_derivative(cfg, j)
-        assert calls == [(3, 3)]
+        assert calls == [("det", (1, 3, 3)), ("inv", (1, 3, 3))]
+    holes = np.array(cfg.w) + np.linspace(0.0, 0.2, 50)[:, None]
+    calls.clear()
+    emergent_fields(64, holes, 1)
+    assert calls == [("det", (50, 3, 3)), ("inv", (50, 3, 3))]
 
 
 def test_noise_level_upsilon_is_degenerate():
@@ -258,3 +266,49 @@ def test_noise_level_upsilon_is_degenerate():
     cfg = HoleConfig(w=(0.5j, 0.5j + 1e-10), N=100)
     with pytest.raises(DegenerateConfigurationError):
         emergent_field_derivative(cfg, 0)
+
+
+def test_deep_merger_is_refused_not_wrong():
+    # two holes at c -+ s/2, N = 256; mpmath gives V = 256.0218453 at s = 1e-3,
+    # while rounding in ddlog makes V come out 283.99 at s = 1e-5 and
+    # -336,152 at 1e-6, so those must raise instead
+    c = 0.05 + 0.02j
+    field = emergent_field_derivative(HoleConfig(w=(c - 5e-4, c + 5e-4), N=256), 0)
+    assert field.V == pytest.approx(256.0218453, rel=1e-6)
+    for s in (1e-5, 1e-6, 1e-7):
+        with pytest.raises(DegenerateConfigurationError):
+            emergent_field_derivative(HoleConfig(w=(c - s / 2, c + s / 2), N=256), 0)
+
+
+def test_batch_error_names_the_row():
+    good = [(0.3, -0.2 + 0.4j), (0.1, -0.5j), (0.6j, -0.4)]
+    c = 0.05 + 0.02j
+    deep = (c - 5e-7, c + 5e-7)
+    with pytest.raises(DegenerateConfigurationError, match="row 2"):
+        emergent_fields(256, good[:2] + [deep] + good[2:], 0)
+    with pytest.raises(SingularConfigurationError, match="row 1"):
+        emergent_fields(256, good[:1] + [(0.2j, 0.2j)] + good[1:], 1)
+
+
+hole = st.tuples(st.floats(0.0, 0.95), st.floats(0.0, 2 * math.pi)).map(
+    lambda rt: complex(rt[0] * math.cos(rt[1]), rt[0] * math.sin(rt[1])))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(N=st.integers(1, 1024), n=st.integers(1, 4), data=st.data())
+def test_stacked_fields_match_one_config_at_a_time(N, n, data):
+    rows = data.draw(st.lists(st.lists(hole, min_size=n, max_size=n, unique=True),
+                              min_size=1, max_size=32))
+    j = data.draw(st.integers(0, n - 1))
+    looped = []
+    for w in rows:  # rows the one-config route refuses are left out
+        try:
+            looped.append((w, emergent_field_derivative(HoleConfig(w=tuple(w), N=N), j)))
+        except (DegenerateConfigurationError, SingularConfigurationError):
+            pass
+    if not looped:
+        return
+    a_vec, v_val = emergent_fields(N, [w for w, _ in looped], j)
+    for (_, f), a, v in zip(looped, a_vec, v_val):
+        assert np.allclose(a, f.A, rtol=1e-12, atol=1e-12 * N)
+        assert v == pytest.approx(f.V, rel=1e-12, abs=1e-12 * N)
