@@ -223,6 +223,7 @@ def cmd_mcmc(args) -> int:
     samples, diag = plasma_mcmc(cfg)
     r2 = float(np.mean([np.mean(np.abs(s.positions) ** 2) for s in samples]))
     print(f"samples = {len(samples)}  acceptance = {fmt(diag.acceptance_rate)}")
+    print(f"tau_int (log density, in samples) = {fmt(diag.tau_int)}")
     print(f"mean |z|^2 = {fmt(r2)}")
     if not holes and cfg.mu == 1:
         l1 = radial_density_l1(cfg, samples)

@@ -21,8 +21,9 @@ from .partition import (HoleConfig, SingularConfigurationError,
                         upsilon_derivative_stack)
 from .quadrature import QuadratureGrid, polar_grid
 
-# per hole: a determinant of O(1) Gram entries computed within this of zero
-# is rounding noise whatever its sign (measured up to ~15 eps at n = 4)
+# per hole: the determinant of the kernel matrix scaled to unit diagonal,
+# Upsilon / prod_i Q(M, b|w_i|^2), computed within this of zero is rounding
+# noise whatever its sign (measured up to ~15 eps at n = 4)
 UPSILON_FLOOR = 64 * np.finfo(float).eps
 SEPARATION_FLOOR = 1e-12
 # emergent_fields estimates the rounding error of V as V_ERROR_SCALE
@@ -106,10 +107,15 @@ def emergent_fields(N: int, holes, j: int) -> tuple[np.ndarray, np.ndarray]:
     e_j = tuple(int(i == j) for i in range(n))
     ups, derivs = upsilon_derivative_stack(float(N), N + n, w, (e_j, (0,) * n), (e_j, e_j))
     d1, d11 = derivs.T
+    # Upsilon over the product of its diagonal (pi/b) K_M(w, w) = Q(M, b|w|^2)
+    # measures the conditioning of the kernel matrix; raw Upsilon is also
+    # small when a hole merely sits outside the droplet
+    corr = ups / np.prod(gammaincc(N + n, N * np.abs(w) ** 2), axis=1)
     floor = UPSILON_FLOOR * n
-    row = _first_row(ups < floor)
+    row = _first_row(~(corr >= floor))
     if row is not None:
-        raise DegenerateConfigurationError(f"row {row}: Upsilon = {ups[row]} below {floor}")
+        raise DegenerateConfigurationError(
+            f"row {row}: Upsilon / prod Q = {corr[row]} below {floor}")
     # one rounding each: numpy's complex-by-real division multiplies by a
     # rounded reciprocal, and np.hypot is correctly rounded where np.abs of
     # a complex array often is not
@@ -117,9 +123,7 @@ def emergent_fields(N: int, holes, j: int) -> tuple[np.ndarray, np.ndarray]:
     dlog_sq = np.hypot(dlog.real, dlog.imag) ** 2
     ddlog = d11.real / ups - dlog_sq
     # ddlog cancels two terms of size |dlog|^2.  Their rounding grows with
-    # b|w_j|^2 and with the conditioning of the kernel matrix, measured by
-    # Upsilon over the product of its diagonal (pi/b) K_M(w, w) = Q(M, b|w|^2)
-    corr = ups / np.prod(gammaincc(N + n, N * np.abs(w) ** 2), axis=1)
+    # b|w_j|^2 and with the conditioning of the kernel matrix, corr
     v_error = V_ERROR_SCALE * (1.0 + N * np.abs(w[:, j]) ** 2) * dlog_sq / corr
     row = _first_row(v_error > FIELD_ERROR_BUDGET * N)
     if row is not None:

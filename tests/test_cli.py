@@ -202,7 +202,7 @@ def test_mcmc_subcommand_with_dump(tmp_path, capsys):
                  "--dump", str(tmp_path / "chain.bin")])
     assert code == 0
     out = capsys.readouterr().out
-    assert "acceptance" in out
+    assert "acceptance" in out and "tau_int" in out
     from qhflux.oracle.plasma import load_samples
     samples = load_samples(tmp_path / "chain.bin")
     assert len(samples) == 50

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import lfilter
 
-from qhflux.oracle.plasma import (PlasmaConfig, dump_samples, load_samples,
-                                  log_density, move_log_ratio, plasma_mcmc,
-                                  radial_density_l1)
+from qhflux.oracle.plasma import (PairLogCache, PlasmaConfig, dump_samples,
+                                  integrated_autocorrelation_time, load_samples,
+                                  log_density, plasma_mcmc, radial_density_l1)
 
 
 def stack(samples):
@@ -47,21 +50,80 @@ def test_move_ratio_consistent_with_density():
     rng = np.random.default_rng(0)
     z = rng.normal(size=5) + 1j * rng.normal(size=5)
     znew = 0.3 - 0.2j
-    direct = None
     z2 = z.copy()
     z2[2] = znew
     direct = log_density(cfg, z2) - log_density(cfg, z)
-    fast = move_log_ratio(cfg, z, 2, znew)
+    cache = PairLogCache(cfg, z)
+    fast, row, h = cache.log_ratio(2, znew)
     assert fast == pytest.approx(direct, abs=1e-12)
-    # reversing the move negates the ratio exactly
-    back = move_log_ratio(cfg, z2, 2, z[2])
+    # reversing the accepted move negates the ratio
+    cache.accept(2, znew, row, h)
+    back, _, _ = cache.log_ratio(2, z[2])
     assert back == pytest.approx(-fast, abs=1e-12)
 
 
 def test_coincident_proposal_rejected():
     cfg = PlasmaConfig(N=2, b=1.0, sweeps=4, burn_in=1, seed=0)
     z = np.array([0.1 + 0.1j, -0.2j])
-    assert move_log_ratio(cfg, z, 0, z[1]) == -math.inf
+    assert PairLogCache(cfg, z).log_ratio(0, z[1])[0] == -math.inf
+
+
+def test_proposal_onto_a_hole_rejected_only_when_it_repels():
+    z = np.array([0.1 + 0.1j, -0.2j, 0.3])
+    w = 0.25 - 0.5j
+    cfg = PlasmaConfig(N=3, b=2.0, holes=(w,), p=2, sweeps=4, burn_in=1)
+    ratio, row, _ = PairLogCache(cfg, z).log_ratio(1, w)
+    # no uniform draw has log u < -inf, so the loop never accepts it
+    assert ratio == -math.inf and row is None
+    # at p = 0 the hole exerts no force and the move is an ordinary one
+    free = PlasmaConfig(N=3, b=2.0, holes=(w,), p=0, sweeps=4, burn_in=1)
+    z2 = z.copy()
+    z2[1] = w
+    assert PairLogCache(free, z).log_ratio(1, w)[0] == pytest.approx(
+        log_density(free, z2) - log_density(free, z), abs=1e-12)
+
+
+point = st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)).map(lambda xy: complex(*xy))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(N=st.integers(1, 8), p=st.integers(0, 2), mu=st.integers(1, 3),
+       holes=st.lists(point, max_size=3), seed=st.integers(0, 2 ** 32 - 1),
+       moves=st.integers(1, 40))
+def test_cached_ratio_matches_density_difference(N, p, mu, holes, seed, moves):
+    cfg = PlasmaConfig(N=N, b=float(N), holes=tuple(holes), p=p, mu=mu,
+                       sweeps=2, burn_in=1)
+    rng = np.random.default_rng(seed)
+    cache = PairLogCache(cfg, rng.normal(size=N) + 1j * rng.normal(size=N))
+    for _ in range(moves):
+        k = int(rng.integers(N))
+        znew = cache.z[k] + complex(*rng.normal(scale=0.5, size=2))
+        ratio, row, h = cache.log_ratio(k, znew)
+        z = np.array(cache.z)
+        z2 = z.copy()
+        z2[k] = znew
+        direct = log_density(cfg, z2) - log_density(cfg, z)
+        assert abs(ratio - direct) <= 1e-10 * max(1.0, abs(direct))
+        if rng.uniform() < 0.5:
+            cache.accept(k, znew, row, h)
+            assert cache.z[k] == znew
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, 0.8])
+def test_tau_int_of_ar1_series(rho):
+    # x_t = rho x_{t-1} + e_t has tau_int = (1 + rho) / (1 - rho); Sokal's
+    # relative standard error sqrt(2 (2W + 1) / n) is at most 0.021 here
+    e = np.random.default_rng(17).normal(size=400_000)
+    x = lfilter([1.0], [1.0, -rho], e)
+    assert integrated_autocorrelation_time(x) == pytest.approx((1 + rho) / (1 - rho), rel=0.08)
+
+
+def test_tau_int_undefined_without_variation():
+    assert math.isnan(integrated_autocorrelation_time([1.0]))
+    assert math.isnan(integrated_autocorrelation_time([2.0, 2.0, 2.0]))
+    cfg = PlasmaConfig(N=3, b=3.0, sweeps=400, burn_in=100, thin=2, seed=2)
+    _, diag = plasma_mcmc(cfg)
+    assert math.isfinite(diag.tau_int) and diag.tau_int > 0
 
 
 def test_radial_profile_small_run():
