@@ -286,7 +286,10 @@ def weighted_orbitals(b: float, M: int, pts: np.ndarray) -> np.ndarray:
     pts = np.asarray(pts, dtype=complex).ravel()
     j = np.arange(M, dtype=float)[None, :]
     t = (b * np.abs(pts) ** 2)[:, None]
-    logp = np.where(t > 0, _log_poisson(j, np.where(t > 0, t, 1.0)),
+    # below t = 1e-280, where _log_poisson's t bd0 overflows, t counts as 0:
+    # that drops only orbitals j >= 1 below sqrt(b/pi) 1e-140
+    live = t > 1e-280
+    logp = np.where(live, _log_poisson(j, np.where(live, t, 1.0)),
                     np.where(j == 0, 0.0, -np.inf))
     phase = j * np.angle(pts)[:, None]
     return math.sqrt(b / math.pi) * np.exp(0.5 * logp) * np.exp(1j * phase)

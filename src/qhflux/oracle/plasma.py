@@ -35,6 +35,8 @@ class PlasmaConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "holes", tuple(complex(w) for w in self.holes))
+        if self.N < 1 or not self.b > 0 or self.thin < 1:
+            raise ValueError("need N >= 1, b > 0 and thin >= 1")
         if self.p < 0 or self.mu < 1:
             raise ValueError("need p >= 0 and mu >= 1")
         if self.sweeps <= self.burn_in:

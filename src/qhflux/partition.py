@@ -5,17 +5,18 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.special import gammaln
+from scipy.special import gammaincc, gammaln
 
 from .kernel import KernelSpec, orbital_derivatives, weighted_orbitals
-from .lognum import LogComplex
 
 PIVOT_FLOOR = 1e-300
+# per hole: the determinant of the kernel matrix scaled to unit diagonal,
+# Upsilon / prod_i Q(M, b|w_i|^2), computed within this of zero is rounding
+# noise whatever its sign (measured up to ~15 eps at n = 4)
+UPSILON_FLOOR = 64 * np.finfo(float).eps
 
 
 class SingularConfigurationError(Exception):
@@ -23,36 +24,8 @@ class SingularConfigurationError(Exception):
 
 
 class SingularMatrixError(Exception):
-    """Raised when an LU factorization has a pivot below PIVOT_FLOOR, or a
-    stacked determinant (which reports no pivot index) falls below it."""
-
-    def __init__(self, pivot_index: int | None = None):
-        self.pivot_index = pivot_index
-        where = "" if pivot_index is None else f" at pivot {pivot_index}"
-        super().__init__(f"numerically singular matrix{where}")
-
-
-def lu(matrix: np.ndarray):
-    """LAPACK LU with partial pivoting, for lu_solve and log_det.
-
-    Raises SingularMatrixError at the first |U_kk| below PIVOT_FLOOR.
-    """
-    with warnings.catch_warnings():
-        # an exactly zero pivot is reported below as SingularMatrixError
-        warnings.simplefilter("ignore", LinAlgWarning)
-        factor = lu_factor(matrix)
-    small = np.flatnonzero(np.abs(np.diag(factor[0])) < PIVOT_FLOOR)
-    if small.size:
-        raise SingularMatrixError(int(small[0]))
-    return factor
-
-
-def log_det(factor) -> LogComplex:
-    """Determinant of an LU factorization from the U diagonal and pivot sign."""
-    u_diag = np.diag(factor[0])
-    swaps = int(np.count_nonzero(factor[1] != np.arange(u_diag.size)))
-    return LogComplex(float(np.sum(np.log(np.abs(u_diag)))),
-                      float(np.sum(np.angle(u_diag))) + math.pi * (swaps % 2))
+    """The kernel matrix is numerically singular: its determinant is below
+    PIVOT_FLOOR or, scaled to unit diagonal, below UPSILON_FLOOR n."""
 
 
 @dataclass(frozen=True)
@@ -115,30 +88,39 @@ def cumulative_log_factorials(m: int) -> float:
     return float(_LOGFACT_CUM[m])
 
 
-def scaled_kernel_matrix(cfg: HoleConfig) -> np.ndarray:
-    """(pi/b) K_{N+n}(w_i, w_j), the matrix under the Upsilon determinant."""
-    phi = weighted_orbitals(cfg.b, cfg.spec.M, cfg.points())
-    return (math.pi / cfg.b) * (phi @ phi.conj().T)
+def correlation_ratio(b: float, M: int, holes: np.ndarray, ups: np.ndarray) -> np.ndarray:
+    """Upsilon / prod_i Q(M, b|w_i|^2) for each row of a (B, n) hole stack.
+
+    The diagonal of (pi/b) K_M(w, w) is Q(M, b|w|^2), so this is the
+    determinant of the kernel matrix scaled to unit diagonal: it measures
+    the conditioning, where raw Upsilon is also small when a hole merely
+    sits outside the droplet.
+    """
+    return ups / np.prod(gammaincc(M, b * np.abs(holes) ** 2), axis=1)
 
 
 def upsilon(cfg: HoleConfig) -> float:
     """det[(pi/b) K_{N+n}(w_i, w_j)], in [0, 1]; 0 for coincident points."""
-    if cfg.n == 0:
-        return 1.0
     if cfg.has_coincident_pair():
         return 0.0
-    try:
-        det = log_det(lu(scaled_kernel_matrix(cfg)))
-    except SingularMatrixError:
-        return 0.0
-    return det.to_complex().real
+    return float(upsilon_derivative_stack(cfg.b, cfg.spec.M, cfg.points()[None, :])[0][0])
+
+
+def _resolved_upsilon(cfg: HoleConfig) -> float:
+    """Upsilon, or SingularMatrixError where it is rounding noise."""
+    cfg.require_distinct()
+    holes = cfg.points()[None, :]
+    ups = upsilon_derivative_stack(cfg.b, cfg.spec.M, holes)[0]
+    if ups[0] >= PIVOT_FLOOR and correlation_ratio(
+            cfg.b, cfg.spec.M, holes, ups)[0] >= UPSILON_FLOOR * cfg.n:
+        return float(ups[0])
+    raise SingularMatrixError(f"Upsilon = {ups[0]:.3e} is rounding noise: below "
+                              "PIVOT_FLOOR, or below UPSILON_FLOOR n times prod Q")
 
 
 def log_upsilon(cfg: HoleConfig) -> float:
-    if cfg.n == 0:
-        return 0.0
-    cfg.require_distinct()
-    return log_det(lu(scaled_kernel_matrix(cfg))).log_mag
+    """log Upsilon, refused (SingularMatrixError) where Upsilon is rounding noise."""
+    return 0.0 if cfg.n == 0 else math.log(_resolved_upsilon(cfg))
 
 
 def _slot_list(alpha, beta, n):
@@ -216,7 +198,9 @@ def upsilon_derivative_stack(b: float, M: int, holes, *multi_indices
     and antiholomorphic orders, with |alpha| + |beta| <= 2.  Returns Upsilon,
     shape (B,), and the derivatives, shape (B, len(multi_indices)).  A row
     whose determinant is below PIVOT_FLOOR is singular: its Upsilon is 0 and
-    its derivatives are NaN, so callers must reject it.
+    its derivatives are NaN, so callers must reject it.  With no derivative
+    of positive order asked for, only the orbital table and the determinant
+    are computed.
     """
     w = np.asarray(holes, dtype=complex)
     if w.ndim != 2:
@@ -225,15 +209,18 @@ def upsilon_derivative_stack(b: float, M: int, holes, *multi_indices
     slot_lists = [_slot_list(alpha, beta, n) for alpha, beta in multi_indices]
     if n == 0:
         return np.ones(B), np.ones((B, len(slot_lists)), dtype=complex)
+    derivative = any(slot_lists)
     tables = {k: math.sqrt(math.pi / b) * t.reshape(B, n, M) for k, t in
-              orbital_derivatives(b, M, w.ravel(), _HOLE_ORDERS).items()}
+              orbital_derivatives(b, M, w.ravel(),
+                                  _HOLE_ORDERS if derivative else [(0, 0)]).items()}
     base = _deriv_matrix(tables, w, b, [])
     ups = np.linalg.det(base).real
     singular = np.abs(ups) < PIVOT_FLOOR
     ups[singular] = 0.0
-    inverse = np.linalg.inv(np.where(singular[:, None, None], np.eye(n), base))
-    single = {s: inverse @ _deriv_matrix(tables, w, b, [s])
-              for s in {s for slots in slot_lists for s in slots}}
+    if derivative:
+        inverse = np.linalg.inv(np.where(singular[:, None, None], np.eye(n), base))
+        single = {s: inverse @ _deriv_matrix(tables, w, b, [s])
+                  for s in {s for slots in slot_lists for s in slots}}
     out = np.empty((B, len(slot_lists)), dtype=complex)
     for k, slots in enumerate(slot_lists):
         if not slots:
@@ -251,27 +238,19 @@ def upsilon_derivative_stack(b: float, M: int, holes, *multi_indices
     return ups, out
 
 
-def upsilon_derivatives(cfg: HoleConfig, *multi_indices) -> tuple[float, list[complex]]:
-    """Upsilon and its exact d^alpha dbar^beta for each (alpha, beta) pair.
-
-    The B = 1 case of upsilon_derivative_stack.  Raises SingularMatrixError
-    on a singular kernel matrix, where Jacobi's formula has no inverse.
-    """
-    cfg.require_distinct()
-    ups, out = upsilon_derivative_stack(cfg.b, cfg.spec.M, cfg.points()[None, :],
-                                        *multi_indices)
-    if np.isnan(out).any():
-        raise SingularMatrixError()
-    return float(ups[0]), [complex(d) for d in out[0]]
-
-
 def upsilon_derivative(cfg: HoleConfig, alpha, beta) -> complex:
     """Exact d^alpha dbar^beta of Upsilon via Jacobi's formula.
 
     alpha, beta are per-hole multi-indices of holomorphic and antiholomorphic
-    orders, with |alpha| + |beta| <= 2.
+    orders, with |alpha| + |beta| <= 2.  Raises SingularMatrixError on a
+    singular kernel matrix, where Jacobi's formula has no inverse.
     """
-    return upsilon_derivatives(cfg, (alpha, beta))[1][0]
+    cfg.require_distinct()
+    out = upsilon_derivative_stack(cfg.b, cfg.spec.M, cfg.points()[None, :],
+                                   (alpha, beta))[1]
+    if np.isnan(out).any():
+        raise SingularMatrixError("kernel matrix determinant below PIVOT_FLOOR")
+    return complex(out[0, 0])
 
 
 def log_partition(cfg: HoleConfig) -> PartitionValue:
@@ -307,23 +286,22 @@ def _paper_matrix_and_nu(cfg: HoleConfig, zs: np.ndarray):
 
 
 def theta(cfg: HoleConfig, z: complex) -> float:
-    """Schur-complement density nu*(z) M^{-1} nu(z), in [0, K_{N+n}(z,z)]."""
+    """Schur-complement density nu*(z) M^{-1} nu(z), in [0, K_{N+n}(z,z)];
+    refused (SingularMatrixError) where Upsilon(w) is rounding noise."""
     if cfg.n < 1:
         raise ValueError("theta needs at least one hole")
-    cfg.require_distinct()
+    _resolved_upsilon(cfg)
     m, nu = _paper_matrix_and_nu(cfg, np.array([z]))
-    x = lu_solve(lu(m), nu[0])
-    return float(np.real(np.conj(nu[0]) @ x))
+    return float(np.real(np.conj(nu[0]) @ np.linalg.solve(m, nu[0])))
 
 
 def theta_polarized(cfg: HoleConfig, zeta: complex, z: complex) -> complex:
-    """Polarized Schur density nu*(z) M^{-1} nu(zeta)."""
+    """Polarized Schur density nu*(z) M^{-1} nu(zeta); refused like theta."""
     if cfg.n < 1:
         raise ValueError("theta_polarized needs at least one hole")
-    cfg.require_distinct()
+    _resolved_upsilon(cfg)
     m, nu = _paper_matrix_and_nu(cfg, np.array([z, zeta]))
-    x = lu_solve(lu(m), nu[1])
-    return complex(np.conj(nu[0]) @ x)
+    return complex(np.conj(nu[0]) @ np.linalg.solve(m, nu[1]))
 
 
 def upsilon_prediction(cfg: HoleConfig, regime: str,

@@ -14,17 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import null_space
-from scipy.special import gammaincc
 
 from .kernel import weighted_orbitals
-from .partition import (HoleConfig, SingularConfigurationError,
-                        upsilon_derivative_stack)
+from .partition import (UPSILON_FLOOR, HoleConfig, SingularConfigurationError,
+                        correlation_ratio, upsilon_derivative_stack)
 from .quadrature import QuadratureGrid, polar_grid
 
-# per hole: the determinant of the kernel matrix scaled to unit diagonal,
-# Upsilon / prod_i Q(M, b|w_i|^2), computed within this of zero is rounding
-# noise whatever its sign (measured up to ~15 eps at n = 4)
-UPSILON_FLOOR = 64 * np.finfo(float).eps
 SEPARATION_FLOOR = 1e-12
 # emergent_fields estimates the rounding error of V as V_ERROR_SCALE
 # (1 + b|w_j|^2) |dlog|^2 / (Upsilon / prod_i (pi/b) K_M(w_i, w_i)) and
@@ -107,10 +102,7 @@ def emergent_fields(N: int, holes, j: int) -> tuple[np.ndarray, np.ndarray]:
     e_j = tuple(int(i == j) for i in range(n))
     ups, derivs = upsilon_derivative_stack(float(N), N + n, w, (e_j, (0,) * n), (e_j, e_j))
     d1, d11 = derivs.T
-    # Upsilon over the product of its diagonal (pi/b) K_M(w, w) = Q(M, b|w|^2)
-    # measures the conditioning of the kernel matrix; raw Upsilon is also
-    # small when a hole merely sits outside the droplet
-    corr = ups / np.prod(gammaincc(N + n, N * np.abs(w) ** 2), axis=1)
+    corr = correlation_ratio(float(N), N + n, w, ups)
     floor = UPSILON_FLOOR * n
     row = _first_row(~(corr >= floor))
     if row is not None:

@@ -209,6 +209,18 @@ def test_mcmc_subcommand_with_dump(tmp_path, capsys):
     assert samples[0].shape == (4,)
 
 
+def test_mcmc_invalid_config_exits_2(capsys):
+    base = ["mcmc", "--N", "4", "--sweeps", "20", "--burn-in", "5"]
+    for flags in (["--b", "0"], ["--thin", "0"], ["--N", "0"]):
+        assert main(base + flags) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_upsilon_rounding_noise_exits_3(capsys):
+    assert main(["upsilon", "--N", "64", "--holes", "0.1+0.05j,0.1000000001+0.05j"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_charpoly_subcommand(capsys):
     code = main(["charpoly", "--N", "1", "--holes", "0.7+0i",
                  "--samples", "10000", "--seed", "2"])

@@ -291,3 +291,16 @@ def test_gram_matches_eval():
         for l, w in enumerate(pts):
             ref = kernel_eval(spec, z, w).to_complex()
             assert abs(g[i, l] - ref) <= 1e-12 * (24.0 / math.pi)
+
+
+def test_orbitals_at_tiny_radius_are_finite():
+    # |phi_j| = sqrt(b/pi) (sqrt(b)|z|)^j / sqrt(j!) e^{-b|z|^2/2}; below
+    # b|z|^2 = 1e-280 only phi_0 is kept, down to a subnormal b|z|^2
+    b = 6.0
+    u = weighted_orbitals(b, 8, np.array([1e-135, 1e-150j, 6.5e-155, 1e-160 - 1e-160j]))
+    assert np.all(np.isfinite(u))
+    scale = math.sqrt(b / math.pi)
+    ref = [scale * (math.sqrt(b) * 1e-135) ** j / math.sqrt(math.factorial(j)) for j in range(3)]
+    assert np.allclose(np.abs(u[0, :3]), ref, rtol=1e-12, atol=0.0)
+    assert np.allclose(np.abs(u[:, 0]), scale, rtol=1e-15, atol=0.0)
+    assert np.all(np.abs(u[:, 1:]) <= scale * 1e-134)

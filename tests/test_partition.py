@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qhflux
 from qhflux.kernel import kernel_eval, kernel_matrix
 from qhflux.oracle.monomial import partition_exact
 from qhflux.partition import (HoleConfig, PartitionValue, SingularConfigurationError,
-                              SingularMatrixError, log_partition, theta,
+                              SingularMatrixError, log_partition, log_upsilon, theta,
                               theta_polarized, upsilon, upsilon_derivative,
                               upsilon_prediction)
 from qhflux.quadrature import cartesian_grid
@@ -130,6 +131,16 @@ def test_upsilon_derivative_on_singular_matrix_raises():
     assert upsilon(cfg) == 0.0
     with pytest.raises(SingularMatrixError):
         upsilon_derivative(cfg, (1, 0), (0, 0))
+
+
+def test_holes_far_outside_droplet_are_singular():
+    # every orbital entry of |w| = 5 at N = 64 underflows: the kernel matrix is 0
+    cfg = HoleConfig(w=(5.0, -5.0), N=64)
+    assert upsilon(cfg) == 0.0
+    for fn in (log_upsilon, lambda c: theta(c, 0.3)):
+        with pytest.raises(SingularMatrixError):
+            fn(cfg)
+    assert qhflux.SingularMatrixError is SingularMatrixError
 
 
 def test_no_merging_derivative_is_tiny():
@@ -288,3 +299,31 @@ def test_kernel_matrix_hermitian_and_upsilon_in_unit_interval(N, holes):
     diag = np.real(np.diag(k))
     assert np.all(np.abs(k) ** 2 <= np.outer(diag, diag) + 1e-13)  # Cauchy-Schwarz
     assert -1e-12 <= upsilon(cfg) <= 1.0 + 1e-12
+
+
+def test_log_upsilon_refuses_rounding_noise():
+    # Upsilon ~ 1 - exp(-N s^2) = N s^2 sinks into rounding below s ~ 1e-8
+    c = 0.1 + 0.05j
+    for s in (1e-9, 1e-10):
+        cfg = HoleConfig(w=(c, c + s), N=64)
+        for fn in (log_upsilon, log_partition):
+            with pytest.raises(SingularMatrixError):
+                fn(cfg)
+    cfg = HoleConfig(w=(c, c + 1e-4), N=64)
+    assert log_upsilon(cfg) == pytest.approx(math.log(mp_upsilon(cfg.w, 64)), abs=1e-8)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(N=st.integers(2, 1024), holes=st.lists(hole, min_size=2, max_size=4, unique=True))
+def test_schur_identity(N, holes):
+    # Upsilon(w u z) = (pi/b) Upsilon(w) (K(z,z) - Theta(z|w)), with M = N + n
+    # for both sides
+    *w, z = holes
+    cfg = HoleConfig(w=tuple(w), N=N)
+    big = upsilon(HoleConfig(w=tuple(holes), N=N - 1, b=float(N)))
+    kzz = kernel_eval(cfg.spec, z, z).to_complex().real
+    try:
+        rhs = (math.pi / N) * upsilon(cfg) * (kzz - theta(cfg, z))
+    except SingularMatrixError:  # Upsilon(w) is rounding noise, and so is the left side
+        rhs = 0.0
+    assert big == pytest.approx(rhs, abs=1e-12)
