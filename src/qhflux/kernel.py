@@ -272,7 +272,8 @@ def _log_poisson(j: np.ndarray, t: np.ndarray) -> np.ndarray:
         series = (1 / 12 - inv2 * (1 / 360 - inv2 * (1 / 1260 - inv2 * (1 / 1680 - inv2 / 1188)))) / jj
         stirlerr = np.where(jj > 15, series, small)
         d = (j - t) / t
-        bd0 = t * ((1.0 + d) * np.log1p(d) - d)
+        # j/t below eps rounds d to -1, where (1 + d) log1p(d) takes its limit 0
+        bd0 = t * (np.where(d > -1.0, (1.0 + d) * np.log1p(d), 0.0) - d)
         return np.where(j == 0, -t, -stirlerr - bd0 - 0.5 * np.log(2 * math.pi * jj))
 
 
@@ -285,7 +286,9 @@ def weighted_orbitals(b: float, M: int, pts: np.ndarray) -> np.ndarray:
     """
     pts = np.asarray(pts, dtype=complex).ravel()
     j = np.arange(M, dtype=float)[None, :]
-    t = (b * np.abs(pts) ** 2)[:, None]
+    # an overflowed t counts as the largest double, where every orbital is 0
+    with np.errstate(over="ignore"):
+        t = np.minimum(b * np.abs(pts) ** 2, np.finfo(float).max)[:, None]
     # below t = 1e-280, where _log_poisson's t bd0 overflows, t counts as 0:
     # that drops only orbitals j >= 1 below sqrt(b/pi) 1e-140
     live = t > 1e-280

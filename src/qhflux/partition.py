@@ -3,7 +3,7 @@ derivatives, the closed-form normalization, and Schur-complement densities."""
 
 from __future__ import annotations
 
-import itertools
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -38,6 +38,8 @@ class HoleConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "w", tuple(complex(v) for v in self.w))
+        if not all(cmath.isfinite(v) for v in self.w):
+            raise ValueError("hole positions must be finite")
         if self.N < 1:
             raise ValueError("bath size N must be at least 1")
         if self.b is None:
@@ -99,158 +101,126 @@ def correlation_ratio(b: float, M: int, holes: np.ndarray, ups: np.ndarray) -> n
     return ups / np.prod(gammaincc(M, b * np.abs(holes) ** 2), axis=1)
 
 
+def _kernel_stack(b: float, M: int, holes):
+    """Hole orbital tables phi, shape (B, n, M) and scaled by sqrt(pi/b), the
+    kernel matrices phi phi^H = (pi/b) [K_M(w_a, w_c)] and their determinants
+    Upsilon for a (B, n) stack of holes.  A row whose determinant is below
+    PIVOT_FLOOR is singular: its Upsilon is 0."""
+    w = np.asarray(holes, dtype=complex)
+    if w.ndim != 2:
+        raise ValueError("holes must have shape (B, n)")
+    B, n = w.shape
+    phi = math.sqrt(math.pi / b) * weighted_orbitals(b, M, w.ravel()).reshape(B, n, M)
+    kernel = phi @ phi.conj().swapaxes(1, 2)
+    ups = np.linalg.det(kernel).real
+    ups[np.abs(ups) < PIVOT_FLOOR] = 0.0
+    return phi, kernel, ups
+
+
+def upsilon_stack(b: float, M: int, holes) -> np.ndarray:
+    """Upsilon for each row of a (B, n) hole stack, from one orbital table
+    and one stacked determinant; 0 where the kernel matrix is singular."""
+    return _kernel_stack(b, M, holes)[2]
+
+
 def upsilon(cfg: HoleConfig) -> float:
     """det[(pi/b) K_{N+n}(w_i, w_j)], in [0, 1]; 0 for coincident points."""
     if cfg.has_coincident_pair():
         return 0.0
-    return float(upsilon_derivative_stack(cfg.b, cfg.spec.M, cfg.points()[None, :])[0][0])
+    return float(upsilon_stack(cfg.b, cfg.spec.M, cfg.points()[None, :])[0])
 
 
-def _resolved_upsilon(cfg: HoleConfig) -> float:
-    """Upsilon, or SingularMatrixError where it is rounding noise."""
+def _resolved_upsilon(cfg: HoleConfig):
+    """Orbital table, kernel matrix and Upsilon of one configuration, or
+    SingularMatrixError where Upsilon is rounding noise."""
     cfg.require_distinct()
     holes = cfg.points()[None, :]
-    ups = upsilon_derivative_stack(cfg.b, cfg.spec.M, holes)[0]
+    phi, kernel, ups = _kernel_stack(cfg.b, cfg.spec.M, holes)
     if ups[0] >= PIVOT_FLOOR and correlation_ratio(
             cfg.b, cfg.spec.M, holes, ups)[0] >= UPSILON_FLOOR * cfg.n:
-        return float(ups[0])
+        return phi[0], kernel[0], float(ups[0])
     raise SingularMatrixError(f"Upsilon = {ups[0]:.3e} is rounding noise: below "
                               "PIVOT_FLOOR, or below UPSILON_FLOOR n times prod Q")
 
 
 def log_upsilon(cfg: HoleConfig) -> float:
     """log Upsilon, refused (SingularMatrixError) where Upsilon is rounding noise."""
-    return 0.0 if cfg.n == 0 else math.log(_resolved_upsilon(cfg))
+    return 0.0 if cfg.n == 0 else math.log(_resolved_upsilon(cfg)[2])
 
 
-def _slot_list(alpha, beta, n):
-    alpha = tuple(int(a) for a in alpha)
-    beta = tuple(int(a) for a in beta)
-    if len(alpha) != n or len(beta) != n:
-        raise ValueError("derivative multi-indices must have one entry per hole")
-    slots = []
-    for i, a in enumerate(alpha):
-        slots.extend([(i, "h")] * a)
-    for i, a in enumerate(beta):
-        slots.extend([(i, "a")] * a)
-    if len(slots) > 2:
-        raise ValueError("upsilon_derivative supports total order at most 2")
-    return slots
-
-
-# orbital (d, dbar) orders that a holomorphic ("h") or antiholomorphic ("a")
-# slot puts on the row factor D_z or the column factor D_w of K = D_z @ D_w^H
-_SLOT_ORDERS = {
-    ("row", "h"): (1, 0),
-    ("row", "a"): (0, 1),
-    ("col", "h"): (0, 1),
-    ("col", "a"): (1, 0),
-}
-_HOLE_ORDERS = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2))
-
-
-def _deriv_matrix(tables: dict, w: np.ndarray, b: float, slots) -> np.ndarray:
-    """Entrywise slot derivative of (pi/b) [K_M(w_a, w_c)] for each row of a
-    stack, from hole orbital tables of shape (B, n, M) scaled by sqrt(pi/b).
-
-    Each slot differentiates the row factor (row i of D_z) or the column
-    factor (row i of D_w).  The diagonal entry is a derivative of
-    (pi/b) K_M(w, w) = sum_{j<M} t^j e^{-t}/j! with t = b|w|^2, whose t-derivatives
-    are single tail terms; it is set from those, since the sum over factors
-    would cancel O(b) terms down to ~eps b instead of to the tail.
-    """
-    phi = tables[(0, 0)]
-    n, M = phi.shape[1:]
-    idx = np.arange(n)
-    out = np.zeros((phi.shape[0], n, n), dtype=complex)
-    for assignment in itertools.product(("row", "col"), repeat=len(slots)):
-        orders = {"row": (0, 0), "col": (0, 0)}
-        mask = np.ones((n, n), dtype=bool)
-        for (i, typ), side in zip(slots, assignment):
-            orders[side] = tuple(x + y for x, y in zip(orders[side], _SLOT_ORDERS[(side, typ)]))
-            mask &= (idx == i)[:, None] if side == "row" else (idx == i)[None, :]
-        if mask.any():
-            out += np.where(mask, tables[orders["row"]]
-                            @ tables[orders["col"]].conj().swapaxes(1, 2), 0.0)
-    holes = {i for i, _ in slots}
-    if len(holes) == 1:
-        (i,) = holes
-        last = np.abs(phi[:, i, M - 2:]) ** 2       # t^j e^{-t}/j! at j = M-2, M-1
-        dt = {1: -last[:, 1], 2: last[:, 1] - last[:, 0]}  # d^m/dt^m of the diagonal
-        p = sum(typ == "h" for _, typ in slots)
-        q = len(slots) - p
-        wi = w[:, i]
-        out[:, i, i] = sum(math.comb(p, k) * math.comb(q, k) * math.factorial(k)
-                           * b ** (p + q - k) * wi ** (q - k) * wi.conj() ** (p - k)
-                           * dt[p + q - k] for k in range(min(p, q) + 1))
-    return out
-
-
-def upsilon_derivative_stack(b: float, M: int, holes, *multi_indices
-                             ) -> tuple[np.ndarray, np.ndarray]:
-    """Upsilon and its exact d^alpha dbar^beta for a stack of configurations.
+def upsilon_derivative_stack(b: float, M: int, holes, j: int
+                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Upsilon, d_j Upsilon and d_j dbar_j Upsilon for a stack of configurations.
 
     holes has shape (B, n): one configuration of n distinct holes per row,
-    all with field strength b and M orbitals.  One orbital table serves all
-    B n holes, the (B, n, n) kernel matrices go through one stacked LAPACK
-    determinant and one stacked inverse, and the derivatives follow from
-    Jacobi's formula.  alpha, beta are per-hole multi-indices of holomorphic
-    and antiholomorphic orders, with |alpha| + |beta| <= 2.  Returns Upsilon,
-    shape (B,), and the derivatives, shape (B, len(multi_indices)).  A row
-    whose determinant is below PIVOT_FLOOR is singular: its Upsilon is 0 and
-    its derivatives are NaN, so callers must reject it.  With no derivative
-    of positive order asked for, only the orbital table and the determinant
-    are computed.
+    all with field strength b and M orbitals; j is the tracer.  Only row j
+    and column j of the kernel matrix depend on w_j, so each derivative
+    matrix is built from hole j's first-order and mixed orbital tables.  Its
+    (j, j) entry is a derivative of (pi/b) K_M(w, w) = Q(M, t), t = b|w|^2,
+    whose t-derivatives are single tail terms; it is set from those, since
+    the sum over orbitals would cancel O(b) terms down to ~eps b instead of
+    to the tail.  The (B, n, n) kernel matrices go through one stacked
+    determinant and one stacked inverse, and Jacobi's formula gives the
+    derivatives.  Returns three arrays of shape (B,); a singular row has
+    Upsilon 0 and NaN derivatives, so callers must reject it.
     """
-    w = np.asarray(holes, dtype=complex)
-    if w.ndim != 2:
-        raise ValueError("holes must have shape (B, n)")
-    B, n = w.shape
-    slot_lists = [_slot_list(alpha, beta, n) for alpha, beta in multi_indices]
-    if n == 0:
-        return np.ones(B), np.ones((B, len(slot_lists)), dtype=complex)
-    derivative = any(slot_lists)
-    tables = {k: math.sqrt(math.pi / b) * t.reshape(B, n, M) for k, t in
-              orbital_derivatives(b, M, w.ravel(),
-                                  _HOLE_ORDERS if derivative else [(0, 0)]).items()}
-    base = _deriv_matrix(tables, w, b, [])
-    ups = np.linalg.det(base).real
-    singular = np.abs(ups) < PIVOT_FLOOR
-    ups[singular] = 0.0
-    if derivative:
-        inverse = np.linalg.inv(np.where(singular[:, None, None], np.eye(n), base))
-        single = {s: inverse @ _deriv_matrix(tables, w, b, [s])
-                  for s in {s for slots in slot_lists for s in slots}}
-    out = np.empty((B, len(slot_lists)), dtype=complex)
-    for k, slots in enumerate(slot_lists):
-        if not slots:
-            out[:, k] = ups
-            continue
-        d = [single[s] for s in slots]
-        bracket = np.trace(d[0], axis1=1, axis2=2)
-        if len(slots) == 2:
-            d12 = inverse @ _deriv_matrix(tables, w, b, slots)
-            bracket = (bracket * np.trace(d[1], axis1=1, axis2=2)
-                       - np.trace(d[1] @ d[0], axis1=1, axis2=2)
-                       + np.trace(d12, axis1=1, axis2=2))
-        out[:, k] = ups * bracket
-    out[singular] = np.nan
-    return ups, out
+    phi, kernel, ups = _kernel_stack(b, M, holes)
+    n = phi.shape[1]
+    w = np.asarray(holes, dtype=complex)[:, j]
+    t10, t01, t11 = (math.sqrt(math.pi / b) * t for t in
+                     orbital_derivatives(b, M, w, [(1, 0), (0, 1), (1, 1)]).values())
+    last = np.abs(phi[:, j, M - 2:]) ** 2            # t^k e^{-t}/k! at k = M-2, M-1
+    q1, q2 = -last[:, 1], last[:, 1] - last[:, 0]    # d/dt and d^2/dt^2 of Q(M, t)
+    phi_h = phi.conj().swapaxes(1, 2)
+
+    def tracer_matrix(row, col, diag):
+        # row j is row phi^H and column j is phi col^H
+        out = np.zeros_like(kernel)
+        out[:, j, :] = (row[:, None, :] @ phi_h)[:, 0]
+        out[:, :, j] = (phi @ col.conj()[:, :, None])[:, :, 0]
+        out[:, j, j] = diag
+        return out
+
+    singular = ups == 0.0
+    inverse = np.linalg.inv(np.where(singular[:, None, None], np.eye(n), kernel))
+    d = inverse @ tracer_matrix(t10, t01, b * w.conj() * q1)
+    dbar = inverse @ tracer_matrix(t01, t10, b * w * q1)
+    ddbar = inverse @ tracer_matrix(t11, t11, b ** 2 * w * w.conj() * q2 + b * q1)
+    first = np.trace(d, axis1=1, axis2=2)
+    second = (first * np.trace(dbar, axis1=1, axis2=2)
+              - np.trace(dbar @ d, axis1=1, axis2=2) + np.trace(ddbar, axis1=1, axis2=2))
+    d1, d11 = ups * first, ups * second
+    d1[singular] = d11[singular] = np.nan
+    return ups, d1, d11
 
 
 def upsilon_derivative(cfg: HoleConfig, alpha, beta) -> complex:
     """Exact d^alpha dbar^beta of Upsilon via Jacobi's formula.
 
     alpha, beta are per-hole multi-indices of holomorphic and antiholomorphic
-    orders, with |alpha| + |beta| <= 2.  Raises SingularMatrixError on a
-    singular kernel matrix, where Jacobi's formula has no inverse.
+    orders.  The orders the fields use are supported: none, d_i, dbar_i (the
+    conjugate of d_i, since Upsilon is real) and d_i dbar_i; any other
+    raises ValueError.  Raises SingularMatrixError on a singular kernel
+    matrix, where Jacobi's formula has no inverse.
     """
     cfg.require_distinct()
-    out = upsilon_derivative_stack(cfg.b, cfg.spec.M, cfg.points()[None, :],
-                                   (alpha, beta))[1]
-    if np.isnan(out).any():
+    alpha, beta = tuple(int(a) for a in alpha), tuple(int(a) for a in beta)
+    if len(alpha) != cfg.n or len(beta) != cfg.n:
+        raise ValueError("derivative multi-indices must have one entry per hole")
+    moved = [i for i in range(cfg.n) if alpha[i] or beta[i]]
+    order = (alpha[moved[0]], beta[moved[0]]) if moved else (0, 0)
+    if len(moved) > 1 or order not in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        raise ValueError("upsilon_derivative takes no derivative, d_i, dbar_i "
+                         "or d_i dbar_i of one hole i")
+    holes = cfg.points()[None, :]
+    if moved:
+        ups, d1, d11 = upsilon_derivative_stack(cfg.b, cfg.spec.M, holes, moved[0])
+        value = {(1, 0): d1, (0, 1): d1.conj(), (1, 1): d11}[order]
+    else:
+        ups = value = upsilon_stack(cfg.b, cfg.spec.M, holes)
+    if ups[0] == 0.0:
         raise SingularMatrixError("kernel matrix determinant below PIVOT_FLOOR")
-    return complex(out[0, 0])
+    return complex(value[0])
 
 
 def log_partition(cfg: HoleConfig) -> PartitionValue:
@@ -277,31 +247,21 @@ def log_partition(cfg: HoleConfig) -> PartitionValue:
                           log_upsilon=log_ups)
 
 
-def _paper_matrix_and_nu(cfg: HoleConfig, zs: np.ndarray):
-    """M[i, j] = K(w_j, w_i) and nu(z)[i] = K(z, w_i) for a batch of z."""
-    phi = weighted_orbitals(cfg.b, cfg.spec.M, cfg.points())
-    m = (phi @ phi.conj().T).T
-    nu = weighted_orbitals(cfg.b, cfg.spec.M, zs) @ phi.conj().T
-    return m, nu
-
-
 def theta(cfg: HoleConfig, z: complex) -> float:
     """Schur-complement density nu*(z) M^{-1} nu(z), in [0, K_{N+n}(z,z)];
     refused (SingularMatrixError) where Upsilon(w) is rounding noise."""
-    if cfg.n < 1:
-        raise ValueError("theta needs at least one hole")
-    _resolved_upsilon(cfg)
-    m, nu = _paper_matrix_and_nu(cfg, np.array([z]))
-    return float(np.real(np.conj(nu[0]) @ np.linalg.solve(m, nu[0])))
+    return theta_polarized(cfg, z, z).real
 
 
 def theta_polarized(cfg: HoleConfig, zeta: complex, z: complex) -> complex:
-    """Polarized Schur density nu*(z) M^{-1} nu(zeta); refused like theta."""
+    """Polarized Schur density nu*(z) M^{-1} nu(zeta), with M[i, l] =
+    K(w_l, w_i) and nu(z)[i] = K(z, w_i); refused like theta."""
     if cfg.n < 1:
-        raise ValueError("theta_polarized needs at least one hole")
-    _resolved_upsilon(cfg)
-    m, nu = _paper_matrix_and_nu(cfg, np.array([z, zeta]))
-    return complex(np.conj(nu[0]) @ np.linalg.solve(m, nu[1]))
+        raise ValueError("the Schur density needs at least one hole")
+    phi, kernel, _ = _resolved_upsilon(cfg)
+    # phi and kernel carry sqrt(pi/b) and pi/b, which cancel in nu* M^{-1} nu
+    nu = weighted_orbitals(cfg.b, cfg.spec.M, np.array([z, zeta])) @ phi.conj().T
+    return complex(np.conj(nu[0]) @ np.linalg.solve(kernel.T, nu[1]))
 
 
 def upsilon_prediction(cfg: HoleConfig, regime: str,

@@ -95,13 +95,13 @@ def emergent_fields(N: int, holes, j: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("bath size N must be at least 1")
     if not 0 <= j < n:
         raise ValueError(f"tracer index {j} outside 0..{n - 1}")
+    if not np.isfinite(w).all():
+        raise ValueError("hole positions must be finite")
     row = _first_row(np.triu(w[:, :, None] == w[:, None, :], 1).any(axis=(1, 2)))
     if row is not None:
         raise SingularConfigurationError(f"row {row}: hole positions must be pairwise distinct")
 
-    e_j = tuple(int(i == j) for i in range(n))
-    ups, derivs = upsilon_derivative_stack(float(N), N + n, w, (e_j, (0,) * n), (e_j, e_j))
-    d1, d11 = derivs.T
+    ups, d1, d11 = upsilon_derivative_stack(float(N), N + n, w, j)
     corr = correlation_ratio(float(N), N + n, w, ups)
     floor = UPSILON_FLOOR * n
     row = _first_row(~(corr >= floor))

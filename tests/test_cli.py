@@ -248,3 +248,19 @@ def test_field_map_propagates_unexpected_errors(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError):
         main(["field-map", "--N", "16", "--holes", "0.25+0i",
               "--grid", "0:0:1,0:0:1", "--out", str(tmp_path)])
+
+
+def test_non_finite_hole_exits_2(capsys):
+    for argv in (["upsilon", "--N", "8", "--holes", "nan+0i"],
+                 ["potentials", "--N", "8", "--holes", "nan+0i,0.3+0i"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_infeasible_suite_parameters_exit_2(tmp_path, capsys):
+    for flags in (["--suite", "global", "--n", "1", "--count", "4"],
+                  ["--suite", "global", "--n", "0", "--count", "4"],
+                  ["--suite", "potential", "--N-list", "4", "--configs", "2"]):
+        assert main(["verify", *flags, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err

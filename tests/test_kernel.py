@@ -9,6 +9,7 @@ from qhflux.kernel import (KernelSpec, UnsupportedOrderError, kernel_derivative,
                            kernel_diff_log, kernel_eval, kernel_infty, kernel_matrix,
                            kernel_tail_bound, kernel_tail_bound_log, phi_rate,
                            reproducing_residual, weighted_orbitals)
+from qhflux.partition import HoleConfig, SingularMatrixError, log_upsilon, upsilon
 from qhflux.quadrature import cartesian_grid
 
 
@@ -304,3 +305,14 @@ def test_orbitals_at_tiny_radius_are_finite():
     assert np.allclose(np.abs(u[0, :3]), ref, rtol=1e-12, atol=0.0)
     assert np.allclose(np.abs(u[:, 0]), scale, rtol=1e-15, atol=0.0)
     assert np.all(np.abs(u[:, 1:]) <= scale * 1e-134)
+
+
+def test_orbitals_far_outside_droplet_are_zero():
+    # j/t rounds (j - t)/t to -1 near |z| = 1e8, and b|z|^2 overflows near
+    # 1e154: both must give an all-zero row, not NaN
+    u = weighted_orbitals(8.0, 10, np.array([1e8, -1e20j, 1e200 + 1e200j]))
+    assert np.all(u == 0.0)
+    cfg = HoleConfig(w=(0.1, 1e8), N=8)
+    assert upsilon(cfg) == 0.0
+    with pytest.raises(SingularMatrixError):
+        log_upsilon(cfg)

@@ -119,6 +119,15 @@ def test_upsilon_second_derivative_vs_finite_difference():
     assert abs(exact - direct) <= 1e-8 * abs(direct)
 
 
+def test_upsilon_derivative_takes_only_tracer_orders():
+    # the engine differentiates in one tracer: a cross-hole derivative and
+    # d_0^2 are refused
+    cfg = HoleConfig(w=(0.2 + 0.1j, -0.3), N=16)
+    for alpha, beta in (((1, 0), (0, 1)), ((2, 0), (0, 0))):
+        with pytest.raises(ValueError):
+            upsilon_derivative(cfg, alpha, beta)
+
+
 def test_upsilon_derivative_rejects_coincident():
     cfg = HoleConfig(w=(0.1, 0.1), N=8)
     with pytest.raises(SingularConfigurationError):

@@ -300,29 +300,31 @@ def mp_log_upsilon(ws, N):
 
 
 def test_hole_outside_droplet_is_not_degenerate():
-    # hole 1 at |w| = 1.55 sits outside the N = 64 droplet: Upsilon = 4.9e-16
-    # lies below the floor, but Upsilon / prod Q does not, and the fields
-    # match the mpmath five-point stencil of log Upsilon
+    # hole 1 of (0.3, 1.55) sits outside the N = 64 droplet: Upsilon = 4.9e-16
+    # lies below the floor, but Upsilon / prod Q does not.  The fields of
+    # every tracer, here and for four holes inside the droplet, match the
+    # mpmath five-point stencil of log Upsilon
     import mpmath
 
-    N, ws, h = 64, (0.3, 1.55), mpmath.mpf("1e-6")
-    cfg = HoleConfig(w=ws, N=N)
-    for j in (0, 1):
-        with mpmath.workdps(50):
-            def f(dx, dy):
-                moved = list(ws)
-                moved[j] = mpmath.mpc(ws[j]) + mpmath.mpc(dx, dy)
-                return mp_log_upsilon(moved, N)
+    N, h = 64, mpmath.mpf("1e-6")
+    for ws in ((0.3, 1.55), (0.3, -0.2 + 0.4j, 0.1j, 0.15 + 0.1j)):
+        cfg = HoleConfig(w=ws, N=N)
+        for j in range(cfg.n):
+            with mpmath.workdps(50):
+                def f(dx, dy):
+                    moved = list(ws)
+                    moved[j] = mpmath.mpc(ws[j]) + mpmath.mpc(dx, dy)
+                    return mp_log_upsilon(moved, N)
 
-            f0, fx1, fx0, fy1, fy0 = f(0, 0), f(h, 0), f(-h, 0), f(0, h), f(0, -h)
-            v_ref = float(2 * N + (fx1 + fx0 + fy1 + fy0 - 4 * f0) / (2 * h ** 2))
-            grad = np.array([float((fx1 - fx0) / (2 * h)), float((fy1 - fy0) / (2 * h))])
-        # A_j = N y_j^perp - AB_j + grad^perp log Upsilon / 2
-        a_ref = N * perp(to_vec(ws[j])) - ab_sum(cfg, j) + 0.5 * perp(grad)
-        field = emergent_field_derivative(cfg, j)
-        assert np.all(np.isfinite(field.A)) and math.isfinite(field.V)
-        assert field.V == pytest.approx(v_ref, rel=1e-9)
-        assert field.A == pytest.approx(a_ref, rel=1e-9, abs=1e-9)
+                f0, fx1, fx0, fy1, fy0 = f(0, 0), f(h, 0), f(-h, 0), f(0, h), f(0, -h)
+                v_ref = float(2 * N + (fx1 + fx0 + fy1 + fy0 - 4 * f0) / (2 * h ** 2))
+                grad = np.array([float((fx1 - fx0) / (2 * h)), float((fy1 - fy0) / (2 * h))])
+            # A_j = N y_j^perp - AB_j + grad^perp log Upsilon / 2
+            a_ref = N * perp(to_vec(ws[j])) - ab_sum(cfg, j) + 0.5 * perp(grad)
+            field = emergent_field_derivative(cfg, j)
+            assert np.all(np.isfinite(field.A)) and math.isfinite(field.V)
+            assert field.V == pytest.approx(v_ref, rel=1e-9)
+            assert field.A == pytest.approx(a_ref, rel=1e-9, abs=1e-9)
 
 
 def test_batch_error_names_the_row():
