@@ -3,7 +3,7 @@ functions, emergent gauge/scalar potentials, and independent oracles."""
 
 from .kernel import (DerivOrder, KernelSpec, kernel_derivative, kernel_eval,
                      kernel_infty, kernel_tail_bound, reproducing_residual)
-from .lognum import LogComplex, log_sum
+from .lognum import LogComplex
 from .partition import (HoleConfig, PartitionValue, SingularConfigurationError,
                         SingularMatrixError, log_partition, theta,
                         theta_polarized, upsilon, upsilon_derivative,
@@ -18,7 +18,7 @@ from .quadrature import (IntegrationError, QuadratureGrid, cartesian_grid,
 __version__ = "0.1.0"
 
 __all__ = [
-    "LogComplex", "log_sum",
+    "LogComplex",
     "SingularMatrixError",
     "QuadratureGrid", "cartesian_grid", "polar_grid", "integrate2d",
     "finite_diff_gradient", "IntegrationError",

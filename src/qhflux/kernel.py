@@ -5,22 +5,30 @@ The truncated kernel is
     K_M(z, w) = sum_{j<M} (b^{j+1} / (pi j!)) z^j wbar^j exp(-b(|z|^2+|w|^2)/2)
 
 and K_inf is the M -> infinity limit (b/pi) exp(-b(|z|^2+|w|^2-2 z wbar)/2).
-Evaluation runs a scaled multiplicative term recurrence in the log domain, so
-b up to ~1024 and M up to ~1100 stay representable.  Derivative orders are
-4-tuples (zbar, z, wbar, w) with total order at most 4; derivatives are exact
-term-wise sums, never finite differences.  Differences K_inf - K_M are always
-computed from the explicit tail sum over j >= M, which is the only stable way
-once they fall many orders below the kernel scale.
+Derivative orders are 4-tuples (zbar, z, wbar, w) with total order at most 4;
+derivatives are exact term-wise sums, never finite differences.  Differences
+K_inf - K_M are always computed from the explicit tail sum over j >= M, which
+is the only stable way once they fall many orders below the kernel scale.
+
+`kernel_log_stack` evaluates the truncated, tail or infinite series for B
+pairs (z_r, w_r) at once as (log-magnitude, phase) arrays, so b up to ~1024
+and M up to ~1100 stay representable; `kernel_eval`, `kernel_derivative` and
+`kernel_diff_log` are its B = 1 case.  The series runs in chunks of terms:
+within a chunk the term magnitudes are a running product of the ratios
+b|x|/(j+1) and the partial sums a running sum whose exact rounding errors
+are kept as compensation.  Each row carries its own log scale, rescaled at a
+chunk start whenever the chunk's products could pass 1e250, and its own stop
+rule; a sum below 8 eps times the mass of its terms is cancellation noise
+and reported as zero.  No row's value depends on the other rows.
 
 Kernel matrices on point sets take the other route: one weighted-orbital
 table phi_j(z) and its d^p dbar^q derivatives, each entry bounded by its
-derivative scale, multiplied as D_z @ D_w^H.  The scalar series stays the
+derivative scale, multiplied as D_z @ D_w^H.  The series stays the
 independent reference that route is tested against.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -28,12 +36,15 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln
 
-from .lognum import LogComplex, log_sum
+from .lognum import LogComplex
 from .quadrature import QuadratureGrid
 
 DerivOrder = tuple[int, int, int, int]
 
-_RESCALE = 1e250
+_LOG_RESCALE = math.log(1e250)
+_CHUNK = 32          # terms in the first chunk; each later chunk is twice as long
+_CHUNK_MAX = 1024
+_NOISE = 8.0 * np.finfo(float).eps
 
 
 class UnsupportedOrderError(ValueError):
@@ -54,75 +65,92 @@ class KernelSpec:
             raise ValueError("truncation order M must be at least 1")
 
 
-def _series0_log(b: float, x: complex, j0: int, j1: float) -> LogComplex:
-    """sum_{j0 <= j < j1} (b^{j+1}/(pi j!)) x^j in the log domain.
+def _series_stack(b: float, x: np.ndarray, j0: int, j1: float):
+    """sum_{j0 <= j < j1} (b^{j+1}/(pi j!)) x^j for each entry of x, as
+    (log-magnitude, phase) arrays; -inf marks a zero sum.
 
-    j1 may be math.inf; the loop stops once terms past the peak stop
-    contributing at double precision.
+    j1 may be math.inf; a row stops once its remaining terms, bounded by a
+    geometric series, fall below 1e-20 of its sum.
     """
+    log_mag, phase = np.full(x.shape, -np.inf), np.zeros(x.shape)
     if j1 <= j0:
-        return LogComplex.zero()
-    r = abs(x)
-    if r == 0.0:
-        if j0 == 0:
-            return LogComplex.from_real(b / math.pi)
-        return LogComplex.zero()
-    theta = cmath.phase(x)
-    scale = (j0 + 1) * math.log(b) + j0 * math.log(r) - math.log(math.pi) \
-        - float(gammaln(j0 + 1))
-    t = 1.0
-    acc = 0j
-    comp = 0j  # Neumaier compensation keeps the sum error at ~eps * max term
-    mass = 0.0
+        return log_mag, phase
+    rows = np.arange(x.size)
+    r, theta = np.abs(x), np.angle(x)
     br = b * r
-    j = j0
-    while j < j1:
-        term = t * cmath.exp(1j * (j * theta))
-        new = acc + term
-        if abs(acc) >= abs(term):
-            comp += (acc - new) + term
-        else:
-            comp += (term - new) + acc
-        acc = new
-        mass += t
-        t *= br / (j + 1)
-        j += 1
-        if t > _RESCALE or abs(acc) > _RESCALE or mass > _RESCALE:
-            shift = math.log(max(t, abs(acc), mass))
-            scale += shift
-            f = math.exp(-shift)
-            t *= f
-            acc *= f
-            comp *= f
-            mass *= f
-        ratio = br / (j + 1)
-        if ratio < 0.95 and acc != 0 and t / (1.0 - ratio) < abs(acc) * 1e-20:
-            break
-        if t == 0.0:
-            break
-    acc += comp
-    # a sum below the roundoff floor of its own terms is cancellation noise
-    if abs(acc) <= 8.0 * 2.220446049250313e-16 * mass:
-        return LogComplex.zero()
-    return LogComplex(scale + math.log(abs(acc)), cmath.phase(acc))
+    # a row's next term j is exp(scale) t; acc, comp and mass share its
+    # scale, which is -inf where x = 0 and j0 > 0
+    with np.errstate(divide="ignore"):
+        scale = ((j0 + 1) * math.log(b) + (j0 * np.log(r) if j0 else np.zeros(x.size))
+                 - math.log(math.pi) - float(gammaln(j0 + 1)))
+    j = np.full(x.size, float(j0))
+    ratio = br / (j0 + 1.0)                    # from term j to term j + 1
+    t, mass = np.ones(x.size), np.zeros(x.size)
+    acc = np.zeros(x.size, dtype=complex)
+    comp = np.zeros(x.size, dtype=complex)     # exact rounding errors of acc
+    width = _CHUNK
+    while rows.size:
+        # the ratios fall along a chunk, so its n terms grow at most by the
+        # first ratio to the power n: n is capped to keep that below 1e250,
+        # and a row whose products could pass 1e250 is rescaled first
+        growth = np.log(np.maximum(ratio, 1.0))
+        n = np.minimum(width if j1 == math.inf else np.minimum(width, j1 - j),
+                       np.maximum(1.0, np.floor(_LOG_RESCALE / np.maximum(growth, 1e-300))))
+        log_big = np.log(np.maximum(t, mass))      # mass bounds |acc| too
+        over = log_big + n * growth > _LOG_RESCALE
+        if np.count_nonzero(over):
+            shift = np.where(over, log_big, 0.0)
+            f = np.exp(-shift)
+            scale, t, acc, comp, mass = scale + shift, t * f, acc * f, comp * f, mass * f
+
+        i = np.arange(width)
+        pos = j[:, None] + i                      # term index of each column
+        step = br[:, None] / pos[:, 1:]
+        if np.count_nonzero(n < width):
+            step[i[1:] >= n[:, None]] = 0.0
+        mags = np.concatenate([t[:, None], step], axis=1).cumprod(axis=1)
+        terms = mags * np.exp(1j * (pos * theta[:, None]))
+        # running sums, and the exact rounding error of each addition (TwoSum)
+        partial = np.concatenate([acc[:, None], terms], axis=1).cumsum(axis=1)
+        before, after = partial[:, :-1], partial[:, 1:]
+        back = after - before
+        comp = comp + ((before - (after - back)) + (terms - back)).sum(axis=1)
+        mass = mass + mags.sum(axis=1)
+        acc = partial[:, -1].copy()
+        j = j + n
+        t = mags[np.arange(rows.size), n.astype(int) - 1] * (br / j)
+        ratio = br / (j + 1.0)
+
+        done = t <= 1e-20 * np.abs(acc) * np.maximum(1.0 - ratio, 0.0)
+        if j1 < math.inf:
+            done |= j >= j1
+        finished = np.count_nonzero(done)
+        if finished:
+            total = acc[done] + comp[done]
+            size = np.abs(total)
+            # a sum below the rounding floor of its own terms is cancellation noise
+            ok = size > _NOISE * mass[done]
+            log_mag[rows[done]] = np.where(
+                ok, scale[done] + np.log(np.where(ok, size, 1.0)), -np.inf)
+            phase[rows[done]] = np.where(ok, np.angle(total), 0.0)
+            if finished == rows.size:
+                break
+            keep = ~done
+            rows, br, theta, scale, j, ratio, t, acc, comp, mass = (
+                a[keep] for a in (rows, br, theta, scale, j, ratio, t, acc, comp, mass))
+        width = min(2 * width, _CHUNK_MAX)
+    return log_mag, phase
 
 
-def _series_deriv_log(spec: KernelSpec, x: complex, k: int, which: str) -> LogComplex:
+def _series_deriv_stack(spec: KernelSpec, x: np.ndarray, k: int, which: str):
     """k-th x-derivative of the coefficient series, by range shift."""
-    b, M = spec.b, spec.M
-    bk = LogComplex(k * math.log(b), 0.0)
-    if which == "truncated":
-        return bk * _series0_log(b, x, 0, max(M - k, 0))
+    b, cut = spec.b, max(spec.M - k, 0)
     if which == "infinite":
-        return LogComplex(k * math.log(b) + math.log(b / math.pi) + b * x.real,
-                          b * x.imag)
-    if which == "tail":
-        return bk * _series0_log(b, x, max(M - k, 0), math.inf)
-    raise ValueError(f"unknown kernel variant {which!r}")
-
-
-def _gauss_log(b: float, z: complex, w: complex) -> LogComplex:
-    return LogComplex(-0.5 * b * (abs(z) ** 2 + abs(w) ** 2), 0.0)
+        log_mag, phase = math.log(b / math.pi) + b * x.real, b * x.imag
+    else:
+        log_mag, phase = _series_stack(b, x, *((0, cut) if which == "truncated"
+                                               else (cut, math.inf)))
+    return k * math.log(b) + log_mag, phase
 
 
 # Symbolic expansion of mixed derivatives: each entry maps
@@ -176,35 +204,54 @@ def _check_order(order: DerivOrder, max_total: int = 4) -> DerivOrder:
     return order
 
 
-def kernel_derivative_log(spec: KernelSpec, z: complex, w: complex,
-                          order: DerivOrder, which: str) -> LogComplex:
+def kernel_log_stack(spec: KernelSpec, zs, ws, order: DerivOrder,
+                     which: str) -> tuple[np.ndarray, np.ndarray]:
+    """d^order of K_M ("truncated"), K_inf ("infinite") or K_inf - K_M
+    ("tail", from the explicit tail sum) at each pair (zs[r], ws[r]).
+
+    Returns (log-magnitude, phase) arrays of shape (B,); a zero value,
+    including a sum of derivative terms that cancels below 8 eps of their
+    mass, has log-magnitude -inf and phase 0.
+    """
     order = _check_order(order)
-    x = z * w.conjugate()
-    series = {}
-    gauss = _gauss_log(spec.b, z, w)
-    lz = LogComplex.from_complex(z)
-    lw = LogComplex.from_complex(w)
-    values = []
-    for (pz, pzb, pw, pwb, k, p), c in _deriv_terms(order):
-        if k not in series:
-            series[k] = _series_deriv_log(spec, x, k, which)
-        sk = series[k]
-        if sk.is_zero:
-            continue
-        term = LogComplex.from_real(c * spec.b ** p)
-        term = term * lz.powi(pz) * lz.conjugate().powi(pzb)
-        term = term * lw.powi(pw) * lw.conjugate().powi(pwb)
-        term = term * sk * gauss
-        if not term.is_zero:
-            values.append(term)
-    if not values:
-        return LogComplex.zero()
-    return log_sum(values)
+    if which not in ("truncated", "infinite", "tail"):
+        raise ValueError(f"unknown kernel variant {which!r}")
+    z = np.asarray(zs, dtype=complex).ravel()
+    w = np.asarray(ws, dtype=complex).ravel()
+    terms = _deriv_terms(order)
+    x = z * w.conj()
+    series = {k: _series_deriv_stack(spec, x, k, which) for k in {key[4] for key, _ in terms}}
+    # sum c b^p z^pz zbar^pzb w^pw wbar^pwb S^(k) row by row, each S^(k)
+    # relative to the largest one
+    top = np.maximum.reduce([s_log for s_log, _ in series.values()])
+    live = top > -np.inf
+    top = np.where(live, top, 0.0)
+    unit = {k: np.exp((s_log - top) + 1j * s_phase) for k, (s_log, s_phase) in series.items()}
+    acc = np.zeros(z.shape, dtype=complex)
+    mass = np.zeros(z.shape)
+    for (pz, pzb, pw, pwb, k, p), c in terms:
+        term = c * spec.b ** p * unit[k]
+        for base, power in ((z, pz), (z.conj(), pzb), (w, pw), (w.conj(), pwb)):
+            if power:
+                term = term * base ** power
+        acc += term
+        mass += np.abs(term)
+    size = np.abs(acc)
+    ok = live & (size > _NOISE * mass)
+    gauss = -0.5 * spec.b * (np.abs(z) ** 2 + np.abs(w) ** 2)
+    return (np.where(ok, gauss + top + np.log(np.where(ok, size, 1.0)), -np.inf),
+            np.where(ok, np.angle(acc), 0.0))
+
+
+def _kernel_log(spec: KernelSpec, z: complex, w: complex, order: DerivOrder,
+                which: str) -> LogComplex:
+    log_mag, phase = kernel_log_stack(spec, [z], [w], order, which)
+    return LogComplex(float(log_mag[0]), float(phase[0]))
 
 
 def kernel_eval(spec: KernelSpec, z: complex, w: complex) -> LogComplex:
     """Truncated kernel K_M(z, w)."""
-    return _series0_log(spec.b, z * w.conjugate(), 0, spec.M) * _gauss_log(spec.b, z, w)
+    return _kernel_log(spec, z, w, (0, 0, 0, 0), "truncated")
 
 
 def kernel_infty(spec: KernelSpec, z: complex, w: complex) -> LogComplex:
@@ -220,42 +267,38 @@ def kernel_derivative(spec: KernelSpec, z: complex, w: complex,
     """Mixed derivative of K_M or K_inf, exact term-wise differentiation."""
     if which not in ("truncated", "infinite"):
         raise ValueError("which must be 'truncated' or 'infinite'")
-    return kernel_derivative_log(spec, z, w, order, which).to_complex()
+    return _kernel_log(spec, z, w, order, which).to_complex()
 
 
 def kernel_diff_log(spec: KernelSpec, z: complex, w: complex,
                     order: DerivOrder = (0, 0, 0, 0)) -> LogComplex:
     """d^order (K_inf - K_M) via the explicit tail sum over j >= M."""
-    return kernel_derivative_log(spec, z, w, order, "tail")
+    return _kernel_log(spec, z, w, order, "tail")
 
 
-def phi_rate(x: float) -> float:
-    """x - log x - 1, the exponential decay rate of the kernel tail."""
-    if x < 0:
+def phi_rate(x):
+    """x - log x - 1, the exponential decay rate of the kernel tail; inf at 0."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
         raise ValueError("phi_rate needs a nonnegative argument")
-    if x == 0.0:
-        return math.inf
-    return x - math.log(x) - 1.0
+    return (x - np.log(x, out=np.full(x.shape, -np.inf), where=x > 0) - 1.0)[()]
 
 
-def kernel_tail_bound_log(spec: KernelSpec, z: complex, w: complex) -> float:
-    """log of the certified bound on |K_inf - K_M| for M >= b, |z wbar| < 1."""
-    n_eff = spec.M - spec.b
-    if n_eff < 0:
+def kernel_tail_bound_log(spec: KernelSpec, z, w):
+    """log of the certified bound on |K_inf - K_M| for M >= b, |z wbar| < 1,
+    elementwise over arrays of z and w; -inf where z or w is 0."""
+    if spec.M < spec.b:
         raise ValueError("tail bound certified only for M >= b")
-    q = abs(z) * abs(w)
-    if q >= 1.0:
+    q = np.abs(z) * np.abs(w)
+    if np.any(q >= 1.0):
         raise ValueError("tail bound requires |z wbar| < 1")
-    rate = phi_rate(abs(z) ** 2) + phi_rate(abs(w) ** 2)
-    if math.isinf(rate):
-        return -math.inf
+    rate = phi_rate(np.abs(z) ** 2) + phi_rate(np.abs(w) ** 2)
     return (-math.log(math.pi) + 0.5 * math.log(5.0 * spec.b / (4.0 * math.pi))
-            - math.log1p(-q) - 0.5 * spec.b * rate)
+            - np.log1p(-q) - 0.5 * spec.b * rate)
 
 
 def kernel_tail_bound(spec: KernelSpec, z: complex, w: complex) -> float:
-    lb = kernel_tail_bound_log(spec, z, w)
-    return 0.0 if lb == -math.inf else math.exp(lb)
+    return math.exp(kernel_tail_bound_log(spec, z, w))
 
 
 def _log_poisson(j: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -298,19 +341,19 @@ def weighted_orbitals(b: float, M: int, pts: np.ndarray) -> np.ndarray:
     return math.sqrt(b / math.pi) * np.exp(0.5 * logp) * np.exp(1j * phase)
 
 
-def orbital_derivatives(b: float, M: int, pts: np.ndarray, orders) -> dict:
-    """Tables {(p, q): d^p dbar^q phi_j(pts[i])} from one orbital matrix.
+def orbital_derivatives(b: float, orbitals: np.ndarray, pts: np.ndarray, orders) -> dict:
+    """Tables {(p, q): d^p dbar^q phi_j(pts[i])} from the orbital matrix
+    weighted_orbitals(b, M, pts).
 
     Uses d phi_j = sqrt(b j) phi_{j-1} - (b/2) zbar phi_j and
     dbar phi_j = -(b/2) z phi_j: derivatives are index shifts of the
     orbitals times polynomial weights, so no entry leaves the scale
     sqrt(b/pi) (b + b|z|)^(p+q) and nothing underflows.
     """
-    pts = np.asarray(pts, dtype=complex).ravel()
-    z = pts[:, None]
+    z = np.asarray(pts, dtype=complex).reshape(-1, 1)
     # shifted[l] = L^l phi with (L phi)_j = sqrt(b j) phi_{j-1}
-    shifted = [weighted_orbitals(b, M, pts)]
-    root = np.sqrt(b * np.arange(1, M))
+    shifted = [orbitals]
+    root = np.sqrt(b * np.arange(1, orbitals.shape[1]))
     for _ in range(max(p for p, _ in orders)):
         nxt = np.zeros_like(shifted[0])
         nxt[:, 1:] = shifted[-1][:, :-1] * root
@@ -336,8 +379,8 @@ def kernel_matrix(spec: KernelSpec, zs: np.ndarray, ws: np.ndarray,
     """
     a_zbar, a_z, a_wbar, a_w = _check_order(order)
     b, M = spec.b, spec.M
-    d_z = orbital_derivatives(b, M, zs, [(a_z, a_zbar)])[(a_z, a_zbar)]
-    d_w = orbital_derivatives(b, M, ws, [(a_wbar, a_w)])[(a_wbar, a_w)]
+    d_z = orbital_derivatives(b, weighted_orbitals(b, M, zs), zs, [(a_z, a_zbar)])[(a_z, a_zbar)]
+    d_w = orbital_derivatives(b, weighted_orbitals(b, M, ws), ws, [(a_wbar, a_w)])[(a_wbar, a_w)]
     return d_z @ d_w.conj().T
 
 

@@ -98,29 +98,33 @@ def correlation_ratio(b: float, M: int, holes: np.ndarray, ups: np.ndarray) -> n
     the conditioning, where raw Upsilon is also small when a hole merely
     sits outside the droplet.
     """
-    return ups / np.prod(gammaincc(M, b * np.abs(holes) ** 2), axis=1)
+    q = np.prod(gammaincc(M, b * np.abs(holes) ** 2), axis=1)
+    # where prod Q underflows to 0, so does Upsilon: the ratio counts as 0
+    return np.divide(ups, q, out=np.zeros_like(ups), where=q > 0.0)
 
 
 def _kernel_stack(b: float, M: int, holes):
-    """Hole orbital tables phi, shape (B, n, M) and scaled by sqrt(pi/b), the
-    kernel matrices phi phi^H = (pi/b) [K_M(w_a, w_c)] and their determinants
-    Upsilon for a (B, n) stack of holes.  A row whose determinant is below
-    PIVOT_FLOOR is singular: its Upsilon is 0."""
+    """Hole orbital tables orb = weighted_orbitals, shape (B, n, M), the same
+    scaled by sqrt(pi/b) as phi, the kernel matrices phi phi^H =
+    (pi/b) [K_M(w_a, w_c)] and their determinants Upsilon for a (B, n) stack
+    of holes.  A row whose determinant is below PIVOT_FLOOR is singular: its
+    Upsilon is 0."""
     w = np.asarray(holes, dtype=complex)
     if w.ndim != 2:
         raise ValueError("holes must have shape (B, n)")
     B, n = w.shape
-    phi = math.sqrt(math.pi / b) * weighted_orbitals(b, M, w.ravel()).reshape(B, n, M)
+    orb = weighted_orbitals(b, M, w.ravel()).reshape(B, n, M)
+    phi = math.sqrt(math.pi / b) * orb
     kernel = phi @ phi.conj().swapaxes(1, 2)
     ups = np.linalg.det(kernel).real
     ups[np.abs(ups) < PIVOT_FLOOR] = 0.0
-    return phi, kernel, ups
+    return orb, phi, kernel, ups
 
 
 def upsilon_stack(b: float, M: int, holes) -> np.ndarray:
     """Upsilon for each row of a (B, n) hole stack, from one orbital table
     and one stacked determinant; 0 where the kernel matrix is singular."""
-    return _kernel_stack(b, M, holes)[2]
+    return _kernel_stack(b, M, holes)[3]
 
 
 def upsilon(cfg: HoleConfig) -> float:
@@ -135,7 +139,7 @@ def _resolved_upsilon(cfg: HoleConfig):
     SingularMatrixError where Upsilon is rounding noise."""
     cfg.require_distinct()
     holes = cfg.points()[None, :]
-    phi, kernel, ups = _kernel_stack(cfg.b, cfg.spec.M, holes)
+    _, phi, kernel, ups = _kernel_stack(cfg.b, cfg.spec.M, holes)
     if ups[0] >= PIVOT_FLOOR and correlation_ratio(
             cfg.b, cfg.spec.M, holes, ups)[0] >= UPSILON_FLOOR * cfg.n:
         return phi[0], kernel[0], float(ups[0])
@@ -155,7 +159,8 @@ def upsilon_derivative_stack(b: float, M: int, holes, j: int
     holes has shape (B, n): one configuration of n distinct holes per row,
     all with field strength b and M orbitals; j is the tracer.  Only row j
     and column j of the kernel matrix depend on w_j, so each derivative
-    matrix is built from hole j's first-order and mixed orbital tables.  Its
+    matrix is built from hole j's first-order and mixed orbital tables,
+    derived from the orbital table the determinant already uses.  Its
     (j, j) entry is a derivative of (pi/b) K_M(w, w) = Q(M, t), t = b|w|^2,
     whose t-derivatives are single tail terms; it is set from those, since
     the sum over orbitals would cancel O(b) terms down to ~eps b instead of
@@ -164,11 +169,11 @@ def upsilon_derivative_stack(b: float, M: int, holes, j: int
     derivatives.  Returns three arrays of shape (B,); a singular row has
     Upsilon 0 and NaN derivatives, so callers must reject it.
     """
-    phi, kernel, ups = _kernel_stack(b, M, holes)
+    orb, phi, kernel, ups = _kernel_stack(b, M, holes)
     n = phi.shape[1]
     w = np.asarray(holes, dtype=complex)[:, j]
     t10, t01, t11 = (math.sqrt(math.pi / b) * t for t in
-                     orbital_derivatives(b, M, w, [(1, 0), (0, 1), (1, 1)]).values())
+                     orbital_derivatives(b, orb[:, j], w, [(1, 0), (0, 1), (1, 1)]).values())
     last = np.abs(phi[:, j, M - 2:]) ** 2            # t^k e^{-t}/k! at k = M-2, M-1
     q1, q2 = -last[:, 1], last[:, 1] - last[:, 0]    # d/dt and d^2/dt^2 of Q(M, t)
     phi_h = phi.conj().swapaxes(1, 2)

@@ -68,6 +68,14 @@ def test_potentials_degenerate_exits_3(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_far_outside_hole_refused_with_zero_ratio(capsys):
+    # prod Q underflows to 0 for the hole at 1e8, and so does Upsilon: the
+    # correlation ratio is 0, not 0/0
+    assert main(["potentials", "--N", "8", "--holes", "1e8+0i,0.3+0i"]) == 3
+    err = capsys.readouterr().err
+    assert "Upsilon / prod Q = 0.0 below" in err and "nan" not in err
+
+
 def test_charpoly_precision_error_exits_3(capsys):
     assert main(["charpoly", "--N", "1", "--holes", "0.7+0i", "--samples", "100"]) == 3
     assert capsys.readouterr().err.startswith("error: ")
@@ -260,7 +268,8 @@ def test_non_finite_hole_exits_2(capsys):
 def test_infeasible_suite_parameters_exit_2(tmp_path, capsys):
     for flags in (["--suite", "global", "--n", "1", "--count", "4"],
                   ["--suite", "global", "--n", "0", "--count", "4"],
-                  ["--suite", "potential", "--N-list", "4", "--configs", "2"]):
+                  ["--suite", "potential", "--N-list", "4", "--configs", "2"],
+                  ["--suite", "kernel", "--samples", "0"]):
         assert main(["verify", *flags, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err

@@ -93,6 +93,20 @@ def test_reports_reproducible_bit_for_bit():
     assert c.to_csv() != a.to_csv()
 
 
+def test_kernel_suite_makes_one_stacked_call_per_n_and_order(monkeypatch):
+    from qhflux.harness import suites
+    stacked, single = [], []
+    real_stack, real_single = suites.kernel_log_stack, suites.kernel_diff_log
+    monkeypatch.setattr(suites, "kernel_log_stack", lambda spec, zs, ws, order, which: (
+        stacked.append((spec.b, tuple(order), len(zs))) or real_stack(spec, zs, ws, order, which)))
+    monkeypatch.setattr(suites, "kernel_diff_log", lambda *args: (
+        single.append(args) or real_single(*args)))
+    run_kernel_suite(N_list=(16, 32), samples=20, seed=3)
+    orders = [o for group in suites._ORDER_GROUPS.values() for o in group]
+    assert stacked == [(b, o, 20) for b in (16.0, 32.0) for o in orders]
+    assert len(single) == 1   # the N = 8 tail-versus-subtraction row
+
+
 def test_sampling_infeasible_raises():
     classifier = RegimeClassifier(kappa=2.0)
     rng = case_rng(0, 0)

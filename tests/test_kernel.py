@@ -4,11 +4,13 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhflux.kernel import (KernelSpec, UnsupportedOrderError, kernel_derivative,
-                           kernel_diff_log, kernel_eval, kernel_infty, kernel_matrix,
-                           kernel_tail_bound, kernel_tail_bound_log, phi_rate,
-                           reproducing_residual, weighted_orbitals)
+                           kernel_diff_log, kernel_eval, kernel_infty, kernel_log_stack,
+                           kernel_matrix, kernel_tail_bound, kernel_tail_bound_log,
+                           phi_rate, reproducing_residual, weighted_orbitals)
 from qhflux.partition import HoleConfig, SingularMatrixError, log_upsilon, upsilon
 from qhflux.quadrature import cartesian_grid
 
@@ -219,6 +221,18 @@ def test_tail_bound_origin_underflows():
     assert kernel_diff_log(spec, 0j, 0j).is_zero
 
 
+def test_tail_bound_takes_arrays_and_refuses_outside_its_domain():
+    spec = KernelSpec(b=64.0, M=66)
+    zs, ws = np.array([0.3 + 0.1j, 0j, -0.5j]), np.array([0.2, 0.4, 0.9])
+    got = kernel_tail_bound_log(spec, zs, ws)
+    assert got.tolist() == [kernel_tail_bound_log(spec, z, w) for z, w in zip(zs, ws)]
+    assert got[1] == -math.inf
+    with pytest.raises(ValueError):
+        kernel_tail_bound_log(spec, zs, np.array([0.2, 0.4, 2.1]))   # |z wbar| = 1.05
+    with pytest.raises(ValueError):
+        kernel_tail_bound_log(KernelSpec(b=64.0, M=60), zs, ws)
+
+
 def test_tail_equals_direct_subtraction_when_representable():
     # At N = 8 near the droplet edge the difference is large enough to
     # compute by direct subtraction, cross-checking the tail-sum route.
@@ -316,3 +330,62 @@ def test_orbitals_far_outside_droplet_are_zero():
     assert upsilon(cfg) == 0.0
     with pytest.raises(SingularMatrixError):
         log_upsilon(cfg)
+
+
+def _disk_point(radius, u, angle):
+    return radius * math.sqrt(u) * complex(math.cos(angle), math.sin(angle))
+
+
+_POINT = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(N=st.integers(1, 1024), dM=st.sampled_from([0, 2, 4]),
+       order=st.sampled_from(ORDERS_UP_TO_2), which=st.sampled_from(["tail", "truncated"]),
+       points=st.lists(st.tuples(_POINT, _POINT), min_size=1, max_size=6))
+def test_stacked_rows_equal_single_calls(N, dM, order, which, points):
+    # truncated sums reach |z wbar| = 1.2; tails stay inside |z|, |w| <= 0.95
+    radius = math.sqrt(1.2) if which == "truncated" else 0.95
+    zs = [_disk_point(radius, *p) for p, _ in points]
+    ws = [_disk_point(radius, *q) for _, q in points]
+    spec = KernelSpec(b=float(N), M=N + dM)
+    log_mag, phase = kernel_log_stack(spec, zs, ws, order, which)
+    for r, (z, w) in enumerate(zip(zs, ws)):
+        one_mag, one_phase = kernel_log_stack(spec, [z], [w], order, which)
+        assert one_mag[0].tobytes() == log_mag[r].tobytes(), (r, z, w)
+        assert one_phase[0].tobytes() == phase[r].tobytes(), (r, z, w)
+
+
+def _mp_tail(N, M, z, w, d_z):
+    """K_inf - K_M, or its d/dz, as a 50-digit term sum over j >= M."""
+    with mpmath.workdps(50):
+        b, z, w = mpmath.mpf(N), mpmath.mpc(z), mpmath.mpc(w)
+        x = z * mpmath.conj(w)
+        s = ds = mpmath.mpf(0)   # sum_j c_j x^j and sum_j c_j j x^(j-1)
+        for j in itertools.count(M):
+            c = b ** (j + 1) / (mpmath.pi * mpmath.factorial(j))
+            s += c * x ** j
+            ds += c * j * x ** (j - 1) if j else 0
+            if x == 0 or (b * abs(x) / (j + 1) < 0.9
+                          and c * (j + 1) * abs(x) ** (j - 1) < 1e-30 * (abs(s) + abs(ds))):
+                break
+        gauss = mpmath.exp(-b * (abs(z) ** 2 + abs(w) ** 2) / 2)
+        if d_z:
+            return gauss * (ds * mpmath.conj(w) - b * mpmath.conj(z) / 2 * s)
+        return gauss * s
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(N=st.integers(1, 1024), dM=st.sampled_from([0, 2, 4]), d_z=st.booleans(),
+       p=_POINT, q=_POINT)
+def test_tail_matches_mpmath_term_sum(N, dM, d_z, p, q):
+    z, w = _disk_point(0.95, *p), _disk_point(0.95, *q)
+    got = kernel_diff_log(KernelSpec(b=float(N), M=N + dM), z, w, (0, int(d_z), 0, 0))
+    exact = _mp_tail(N, N + dM, z, w, d_z)
+    if exact == 0:
+        assert got.is_zero
+        return
+    log_mag = float(mpmath.log(abs(exact)))
+    dphase = abs((got.phase - float(mpmath.arg(exact)) + math.pi) % (2 * math.pi) - math.pi)
+    tol = 1e-12 * max(1.0, abs(log_mag))
+    assert abs(got.log_mag - log_mag) <= tol and dphase <= tol, (got, log_mag)
