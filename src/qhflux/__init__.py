@@ -1,9 +1,9 @@
 """Determinantal quasi-hole numerics: stable kernels, exact partition
 functions, emergent gauge/scalar potentials, and independent oracles."""
 
-from .kernel import (DerivOrder, KernelSpec, kernel_derivative, kernel_eval,
-                     kernel_infty, kernel_tail_bound, reproducing_residual)
-from .lognum import LogComplex
+from .kernel import (DerivOrder, KernelSpec, LogComplex, kernel_derivative,
+                     kernel_eval, kernel_infty, kernel_tail_bound,
+                     reproducing_residual)
 from .partition import (HoleConfig, PartitionValue, SingularConfigurationError,
                         SingularMatrixError, log_partition, theta,
                         theta_polarized, upsilon, upsilon_derivative,

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .harness.classify import RegimeClassifier
-from .harness.report import fmt
+from .harness.report import csv_field, fmt
 from .harness.suites import (run_global_suite, run_kernel_suite, run_oracle_suite,
                              run_potential_suite, run_upsilon_suite)
 from .kernel import (KernelSpec, kernel_diff_log, kernel_eval, kernel_infty,
@@ -172,43 +172,41 @@ def cmd_field_map(args) -> int:
     xs, ys = parse_grid(args.grid)
     classifier = RegimeClassifier(**_given(args, ("kappa", "gamma")))
     j = len(fixed)
-    lines = ["x,y,A_x,A_y,V,regime,predicted_A_x,predicted_A_y,predicted_V"]
-    nanrow = ",".join(["nan"] * 3)
+    header = "x,y,A_x,A_y,V,regime,predicted_A_x,predicted_A_y,predicted_V".split(",")
+    rows = []
+    nans = ["nan"] * 3
     for x in xs:
         for y in ys:
             mover = complex(x, y)
             if any(mover == wf for wf in fixed):
-                lines.append(f"{fmt(x)},{fmt(y)},{nanrow},coincident,{nanrow}")
+                rows.append([fmt(x), fmt(y), *nans, "coincident", *nans])
                 continue
             cfg = HoleConfig(w=fixed + (mover,), N=args.N)
             regime = classifier.classify(cfg)
             try:
                 field = emergent_field_derivative(cfg, j)
             except (DegenerateConfigurationError, SingularConfigurationError):
-                lines.append(f"{fmt(x)},{fmt(y)},{nanrow},degenerate,{nanrow}")
+                rows.append([fmt(x), fmt(y), *nans, "degenerate", *nans])
                 continue
             if regime.kind in ("no-merging", "single-merging"):
                 pred = asymptotic_prediction(cfg, j, regime.kind, pair=regime.pair)
                 pa, pv = pred.A, pred.V
             else:
                 pa, pv = np.array([math.nan, math.nan]), math.nan
-            lines.append(",".join([
-                fmt(x), fmt(y), fmt(field.A[0]), fmt(field.A[1]), fmt(field.V),
-                str(regime), fmt(pa[0]), fmt(pa[1]), fmt(pv)]))
+            rows.append([fmt(x), fmt(y), fmt(field.A[0]), fmt(field.A[1]), fmt(field.V),
+                         csv_field(str(regime)), fmt(pa[0]), fmt(pa[1]), fmt(pv)])
     if args.format == "json":
-        header = lines[0].split(",")
-        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
-        text = json.dumps(rows, indent=2) + "\n"
+        text = json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
         name = "field_map.json"
     else:
-        text = "\n".join(lines) + "\n"
+        text = "\n".join(",".join(row) for row in [header, *rows]) + "\n"
         name = "field_map.csv"
     out = _outdir(args)
     if out:
         out.mkdir(parents=True, exist_ok=True)
         (out / name).write_text(text)
         echo_config(args, out)
-        print(f"wrote {out / name} ({len(lines) - 1} rows)")
+        print(f"wrote {out / name} ({len(rows)} rows)")
     else:
         sys.stdout.write(text)
     return 0

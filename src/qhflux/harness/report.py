@@ -16,6 +16,11 @@ def fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def csv_field(s: str) -> str:
+    """A text field made safe for an unquoted CSV column: commas become ';'."""
+    return s.replace(",", ";")
+
+
 @dataclass(frozen=True)
 class ReportRow:
     case_id: str
@@ -52,12 +57,9 @@ class ReportRow:
         return self.deviation <= self.bound
 
     def csv_line(self) -> str:
-        def clean(s: str) -> str:
-            return s.replace(",", ";")
-
         return ",".join([
-            clean(self.case_id), str(self.N), str(self.n), fmt(self.kappa),
-            fmt(self.gamma), clean(self.regime), clean(self.quantity),
+            csv_field(self.case_id), str(self.N), str(self.n), fmt(self.kappa),
+            fmt(self.gamma), csv_field(self.regime), csv_field(self.quantity),
             fmt(self.measured), fmt(self.predicted), fmt(self.bound),
             fmt(self.ratio), "1" if self.passed else "0",
         ])

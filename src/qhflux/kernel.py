@@ -13,13 +13,15 @@ is the only stable way once they fall many orders below the kernel scale.
 `kernel_log_stack` evaluates the truncated, tail or infinite series for B
 pairs (z_r, w_r) at once as (log-magnitude, phase) arrays, so b up to ~1024
 and M up to ~1100 stay representable; `kernel_eval`, `kernel_derivative` and
-`kernel_diff_log` are its B = 1 case.  The series runs in chunks of terms:
-within a chunk the term magnitudes are a running product of the ratios
-b|x|/(j+1) and the partial sums a running sum whose exact rounding errors
-are kept as compensation.  Each row carries its own log scale, rescaled at a
-chunk start whenever the chunk's products could pass 1e250, and its own stop
-rule; a sum below 8 eps times the mass of its terms is cancellation noise
-and reported as zero.  No row's value depends on the other rows.
+`kernel_diff_log` are its B = 1 case, and a single value comes back as the
+record `LogComplex` (log-magnitude, phase in [-pi, pi]).  The series runs in
+chunks of terms: within a chunk the term magnitudes are a running product of
+the ratios b|x|/(j+1) and the partial sums a running sum whose exact rounding
+errors are kept as compensation.  Each row carries its own log scale,
+rescaled at a chunk start whenever the chunk's products could pass 1e250,
+and its own stop rule; a sum below 8 eps times the mass of its terms is
+cancellation noise and reported as zero.  No row's value depends on the
+other rows.
 
 Kernel matrices on point sets take the other route: one weighted-orbital
 table phi_j(z) and its d^p dbar^q derivatives, each entry bounded by its
@@ -29,6 +31,7 @@ independent reference that route is tested against.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,7 +39,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln
 
-from .lognum import LogComplex
 from .quadrature import QuadratureGrid
 
 DerivOrder = tuple[int, int, int, int]
@@ -243,6 +245,27 @@ def kernel_log_stack(spec: KernelSpec, zs, ws, order: DerivOrder,
             np.where(ok, np.angle(acc), 0.0))
 
 
+@dataclass(frozen=True)
+class LogComplex:
+    """exp(log_mag) exp(i phase), phase in [-pi, pi]; log_mag = -inf is the
+    zero value (a sum that cancels below its rounding floor)."""
+
+    log_mag: float
+    phase: float
+
+    @property
+    def is_zero(self) -> bool:
+        return self.log_mag == -math.inf
+
+    def to_complex(self) -> complex:
+        """The value as a double complex; infinite modulus past overflow."""
+        try:
+            mag = math.exp(self.log_mag)
+        except OverflowError:
+            mag = math.inf
+        return cmath.rect(mag, self.phase)
+
+
 def _kernel_log(spec: KernelSpec, z: complex, w: complex, order: DerivOrder,
                 which: str) -> LogComplex:
     log_mag, phase = kernel_log_stack(spec, [z], [w], order, which)
@@ -259,7 +282,7 @@ def kernel_infty(spec: KernelSpec, z: complex, w: complex) -> LogComplex:
     x = z * w.conjugate()
     return LogComplex(math.log(spec.b / math.pi)
                       - 0.5 * spec.b * (abs(z) ** 2 + abs(w) ** 2) + spec.b * x.real,
-                      spec.b * x.imag)
+                      math.remainder(spec.b * x.imag, 2.0 * math.pi))
 
 
 def kernel_derivative(spec: KernelSpec, z: complex, w: complex,

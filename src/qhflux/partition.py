@@ -134,17 +134,23 @@ def upsilon(cfg: HoleConfig) -> float:
     return float(upsilon_stack(cfg.b, cfg.spec.M, cfg.points()[None, :])[0])
 
 
+def _refuse_noise(cfg: HoleConfig, holes: np.ndarray, ups: np.ndarray):
+    """SingularMatrixError where the Upsilon of the one-row stack holes is
+    rounding noise: below PIVOT_FLOOR, or below UPSILON_FLOOR n prod Q."""
+    if not (ups[0] >= PIVOT_FLOOR and correlation_ratio(
+            cfg.b, cfg.spec.M, holes, ups)[0] >= UPSILON_FLOOR * cfg.n):
+        raise SingularMatrixError(f"Upsilon = {ups[0]:.3e} is rounding noise: below "
+                                  "PIVOT_FLOOR, or below UPSILON_FLOOR n times prod Q")
+
+
 def _resolved_upsilon(cfg: HoleConfig):
     """Orbital table, kernel matrix and Upsilon of one configuration, or
     SingularMatrixError where Upsilon is rounding noise."""
     cfg.require_distinct()
     holes = cfg.points()[None, :]
     _, phi, kernel, ups = _kernel_stack(cfg.b, cfg.spec.M, holes)
-    if ups[0] >= PIVOT_FLOOR and correlation_ratio(
-            cfg.b, cfg.spec.M, holes, ups)[0] >= UPSILON_FLOOR * cfg.n:
-        return phi[0], kernel[0], float(ups[0])
-    raise SingularMatrixError(f"Upsilon = {ups[0]:.3e} is rounding noise: below "
-                              "PIVOT_FLOOR, or below UPSILON_FLOOR n times prod Q")
+    _refuse_noise(cfg, holes, ups)
+    return phi[0], kernel[0], float(ups[0])
 
 
 def log_upsilon(cfg: HoleConfig) -> float:
@@ -206,7 +212,7 @@ def upsilon_derivative(cfg: HoleConfig, alpha, beta) -> complex:
     orders.  The orders the fields use are supported: none, d_i, dbar_i (the
     conjugate of d_i, since Upsilon is real) and d_i dbar_i; any other
     raises ValueError.  Raises SingularMatrixError on a singular kernel
-    matrix, where Jacobi's formula has no inverse.
+    matrix, and for a derivative also where Upsilon is rounding noise.
     """
     cfg.require_distinct()
     alpha, beta = tuple(int(a) for a in alpha), tuple(int(a) for a in beta)
@@ -220,11 +226,12 @@ def upsilon_derivative(cfg: HoleConfig, alpha, beta) -> complex:
     holes = cfg.points()[None, :]
     if moved:
         ups, d1, d11 = upsilon_derivative_stack(cfg.b, cfg.spec.M, holes, moved[0])
+        _refuse_noise(cfg, holes, ups)
         value = {(1, 0): d1, (0, 1): d1.conj(), (1, 1): d11}[order]
     else:
-        ups = value = upsilon_stack(cfg.b, cfg.spec.M, holes)
-    if ups[0] == 0.0:
-        raise SingularMatrixError("kernel matrix determinant below PIVOT_FLOOR")
+        value = upsilon_stack(cfg.b, cfg.spec.M, holes)
+        if value[0] == 0.0:
+            raise SingularMatrixError("kernel matrix determinant below PIVOT_FLOOR")
     return complex(value[0])
 
 

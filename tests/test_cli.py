@@ -134,10 +134,18 @@ def test_field_map_dip_near_fixed_hole(tmp_path):
     assert code == 0
     line = (tmp_path / "field_map.csv").read_text().strip().split("\n")[1]
     parts = line.split(",")
+    assert len(parts) == 9  # the merging pair's regime carries no comma
     v_val = float(parts[4])
     v_one = 2.0 / (math.e - 1.0) ** 2
     assert v_val == pytest.approx(N * (2.0 - v_one), rel=1e-4)
     assert "single-merging" in parts[5]
+
+    code = main(["field-map", "--N", str(N), "--holes", "0.25+0i", "--format", "json",
+                 "--grid", f"{x_probe}:{x_probe}:1,0:0:1", "--out", str(tmp_path / "json")])
+    assert code == 0
+    [row] = json.loads((tmp_path / "json" / "field_map.json").read_text())
+    assert row["regime"] == parts[5]
+    assert row["predicted_V"] == parts[8]
 
 
 def test_verify_oracle_like_suite_and_report(tmp_path, capsys):

@@ -315,7 +315,9 @@ def test_log_upsilon_refuses_rounding_noise():
     c = 0.1 + 0.05j
     for s in (1e-9, 1e-10):
         cfg = HoleConfig(w=(c, c + s), N=64)
-        for fn in (log_upsilon, log_partition):
+        for fn in (log_upsilon, log_partition,
+                   lambda cfg: upsilon_derivative(cfg, (1, 0), (0, 0)),
+                   lambda cfg: upsilon_derivative(cfg, (1, 0), (1, 0))):
             with pytest.raises(SingularMatrixError):
                 fn(cfg)
     cfg = HoleConfig(w=(c, c + 1e-4), N=64)
