@@ -1,4 +1,3 @@
-import cmath
 import itertools
 import math
 
@@ -8,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qhflux
-from qhflux.kernel import (KernelSpec, LogComplex, UnsupportedOrderError,
+from qhflux.kernel import (KernelSpec, UnsupportedOrderError,
                            kernel_derivative, kernel_diff_log, kernel_eval, kernel_infty,
                            kernel_log_stack, kernel_matrix, kernel_tail_bound,
                            kernel_tail_bound_log, phi_rate, reproducing_residual,
@@ -98,31 +96,6 @@ def test_infty_formula_point():
     v = kernel_infty(spec, 0.5, 0j)
     assert v.to_complex() == pytest.approx((4.0 / math.pi) * math.exp(-0.5), rel=1e-14)
     assert v.phase == 0.0
-
-
-def test_log_complex_record():
-    # to_complex is exp(log_mag) e^{i phase} to a few eps against 50 digits,
-    # the overflow limit is an infinite value without NaN, -inf is zero
-    eps = np.finfo(float).eps
-    rng = np.random.default_rng(4)
-    for log_mag, phase in zip(rng.uniform(-700, 700, 400),
-                              rng.uniform(-math.pi, math.pi, 400)):
-        got = LogComplex(float(log_mag), float(phase)).to_complex()
-        with mpmath.workdps(50):
-            ref = mpmath.exp(mpmath.mpf(log_mag)) * mpmath.expj(mpmath.mpf(phase))
-            assert abs(mpmath.mpc(got) - ref) <= 4 * eps * abs(ref)
-    for phase in (0.0, 1.0, -math.pi):
-        big = LogComplex(710.0, phase).to_complex()
-        assert cmath.isinf(big) and not cmath.isnan(big)
-    zero = LogComplex(-math.inf, 0.0)
-    assert zero.is_zero and zero.to_complex() == 0j
-    assert qhflux.LogComplex is LogComplex
-    # b Im(z wbar) = -706.56 comes back reduced to [-pi, pi]
-    z, w = 0.9 + 0.3j, -0.5 + 0.6j
-    val = kernel_infty(KernelSpec(b=1024.0, M=1), z, w)
-    assert -math.pi <= val.phase <= math.pi
-    assert cmath.exp(1j * val.phase) == pytest.approx(
-        cmath.exp(1j * 1024.0 * (z * w.conjugate()).imag), abs=1e-12)
 
 
 def test_hermiticity():
