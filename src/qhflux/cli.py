@@ -93,15 +93,14 @@ def _given(args, names) -> dict:
 
 
 def cmd_kernel(args) -> int:
-    n_extra = len(parse_complex_list(args.holes)) if args.holes else 0
     b = args.b if args.b is not None else float(args.N)
-    M = args.M if args.M is not None else args.N + n_extra
+    M = args.M if args.M is not None else args.N
     spec = KernelSpec(b=b, M=M)
     z, w = parse_complex(args.z), parse_complex(args.w)
     k = kernel_eval(spec, z, w)
     kinf = kernel_infty(spec, z, w)
     print(f"K_M(z,w)   = {format_complex(k.to_complex())}  (log magnitude {fmt(k.log_mag)})")
-    print(f"K_inf(z,w) = {format_complex(kinf.to_complex())}")
+    print(f"K_inf(z,w) = {format_complex(kinf.to_complex())}  (log magnitude {fmt(kinf.log_mag)})")
     diff = kernel_diff_log(spec, z, w)
     print(f"|K_inf - K_M| = {fmt(0.0 if diff.is_zero else math.exp(diff.log_mag))}")
     if abs(z * w.conjugate()) < 1.0 and M >= b:
@@ -327,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=int, default=None)
     p.add_argument("--z", type=str, required=True)
     p.add_argument("--w", type=str, required=True)
-    p.add_argument("--holes", type=str, default="")
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("upsilon", help="Upsilon determinant and normalization")

@@ -54,7 +54,3 @@ class RegimeClassifier:
             if abs(cfg.w[i] - cfg.w[j]) ** 2 >= cfg.N ** (-1.0 - self.gamma):
                 return Regime("single-merging", pair=(i, j))
         return Regime("remainder")
-
-
-def classify(cfg: HoleConfig, kappa: float = 2.0, gamma: float = 1.0) -> Regime:
-    return RegimeClassifier(kappa=kappa, gamma=gamma).classify(cfg)

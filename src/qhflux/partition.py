@@ -24,8 +24,8 @@ class SingularConfigurationError(Exception):
 
 
 class SingularMatrixError(Exception):
-    """The kernel matrix is numerically singular: its determinant is below
-    PIVOT_FLOOR or, scaled to unit diagonal, below UPSILON_FLOOR n."""
+    """The kernel matrix is numerically singular: its determinant, scaled to
+    unit diagonal, is below UPSILON_FLOOR n (see resolved_rows)."""
 
 
 @dataclass(frozen=True)
@@ -58,12 +58,8 @@ class HoleConfig:
     def points(self) -> np.ndarray:
         return np.asarray(self.w, dtype=complex)
 
-    def has_coincident_pair(self) -> bool:
-        return any(self.w[i] == self.w[j]
-                   for i in range(self.n) for j in range(i + 1, self.n))
-
     def require_distinct(self):
-        if self.has_coincident_pair():
+        if coincident_rows(self.points()[None, :])[0]:
             raise SingularConfigurationError("hole positions must be pairwise distinct")
 
 
@@ -90,25 +86,38 @@ def cumulative_log_factorials(m: int) -> float:
     return float(_LOGFACT_CUM[m])
 
 
-def correlation_ratio(b: float, M: int, holes: np.ndarray, ups: np.ndarray) -> np.ndarray:
-    """Upsilon / prod_i Q(M, b|w_i|^2) for each row of a (B, n) hole stack.
+def coincident_rows(holes) -> np.ndarray:
+    """For each row of a (B, n) hole stack, whether two of its holes coincide."""
+    w = np.asarray(holes, dtype=complex)
+    # each hole equals itself: a row with a coincident pair has more than n
+    # equal entries
+    return (w[:, :, None] == w[:, None, :]).sum(axis=(1, 2)) > w.shape[1]
 
-    The diagonal of (pi/b) K_M(w, w) is Q(M, b|w|^2), so this is the
-    determinant of the kernel matrix scaled to unit diagonal: it measures
-    the conditioning, where raw Upsilon is also small when a hole merely
-    sits outside the droplet.
+
+def resolved_rows(b: float, M: int, holes, ups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(corr, resolved) for each row of a (B, n) hole stack with Upsilon ups:
+    the one rule by which every caller refuses Upsilon as rounding noise.
+
+    corr is Upsilon / prod_i Q(M, b|w_i|^2).  The diagonal of
+    (pi/b) K_M(w, w) is Q(M, b|w|^2), so this is the determinant of the
+    kernel matrix scaled to unit diagonal: it measures the conditioning,
+    where raw Upsilon is also small when a hole merely sits outside the
+    droplet.  A row is resolved when corr >= UPSILON_FLOOR n, which a
+    singular row (Upsilon 0) or a negative Upsilon never is.
     """
-    q = np.prod(gammaincc(M, b * np.abs(holes) ** 2), axis=1)
+    w = np.asarray(holes, dtype=complex)
+    q = np.prod(gammaincc(M, b * np.abs(w) ** 2), axis=1)
     # where prod Q underflows to 0, so does Upsilon: the ratio counts as 0
-    return np.divide(ups, q, out=np.zeros_like(ups), where=q > 0.0)
+    corr = np.divide(ups, q, out=np.zeros_like(ups), where=q > 0.0)
+    return corr, corr >= UPSILON_FLOOR * w.shape[1]
 
 
 def _kernel_stack(b: float, M: int, holes):
     """Hole orbital tables orb = weighted_orbitals, shape (B, n, M), the same
     scaled by sqrt(pi/b) as phi, the kernel matrices phi phi^H =
     (pi/b) [K_M(w_a, w_c)] and their determinants Upsilon for a (B, n) stack
-    of holes.  A row whose determinant is below PIVOT_FLOOR is singular: its
-    Upsilon is 0."""
+    of holes.  A row with coincident holes or a determinant below PIVOT_FLOOR
+    is singular: its Upsilon is 0."""
     w = np.asarray(holes, dtype=complex)
     if w.ndim != 2:
         raise ValueError("holes must have shape (B, n)")
@@ -117,7 +126,7 @@ def _kernel_stack(b: float, M: int, holes):
     phi = math.sqrt(math.pi / b) * orb
     kernel = phi @ phi.conj().swapaxes(1, 2)
     ups = np.linalg.det(kernel).real
-    ups[np.abs(ups) < PIVOT_FLOOR] = 0.0
+    ups[(np.abs(ups) < PIVOT_FLOOR) | coincident_rows(w)] = 0.0
     return orb, phi, kernel, ups
 
 
@@ -129,18 +138,7 @@ def upsilon_stack(b: float, M: int, holes) -> np.ndarray:
 
 def upsilon(cfg: HoleConfig) -> float:
     """det[(pi/b) K_{N+n}(w_i, w_j)], in [0, 1]; 0 for coincident points."""
-    if cfg.has_coincident_pair():
-        return 0.0
     return float(upsilon_stack(cfg.b, cfg.spec.M, cfg.points()[None, :])[0])
-
-
-def _refuse_noise(cfg: HoleConfig, holes: np.ndarray, ups: np.ndarray):
-    """SingularMatrixError where the Upsilon of the one-row stack holes is
-    rounding noise: below PIVOT_FLOOR, or below UPSILON_FLOOR n prod Q."""
-    if not (ups[0] >= PIVOT_FLOOR and correlation_ratio(
-            cfg.b, cfg.spec.M, holes, ups)[0] >= UPSILON_FLOOR * cfg.n):
-        raise SingularMatrixError(f"Upsilon = {ups[0]:.3e} is rounding noise: below "
-                                  "PIVOT_FLOOR, or below UPSILON_FLOOR n times prod Q")
 
 
 def _resolved_upsilon(cfg: HoleConfig):
@@ -149,7 +147,9 @@ def _resolved_upsilon(cfg: HoleConfig):
     cfg.require_distinct()
     holes = cfg.points()[None, :]
     _, phi, kernel, ups = _kernel_stack(cfg.b, cfg.spec.M, holes)
-    _refuse_noise(cfg, holes, ups)
+    if not resolved_rows(cfg.b, cfg.spec.M, holes, ups)[1][0]:
+        raise SingularMatrixError(f"Upsilon = {ups[0]:.3e} is rounding noise: below "
+                                  "PIVOT_FLOOR, or below UPSILON_FLOOR n times prod Q")
     return phi[0], kernel[0], float(ups[0])
 
 
@@ -162,7 +162,7 @@ def upsilon_derivative_stack(b: float, M: int, holes, j: int
                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Upsilon, d_j Upsilon and d_j dbar_j Upsilon for a stack of configurations.
 
-    holes has shape (B, n): one configuration of n distinct holes per row,
+    holes has shape (B, n): one configuration of n holes per row,
     all with field strength b and M orbitals; j is the tracer.  Only row j
     and column j of the kernel matrix depend on w_j, so each derivative
     matrix is built from hole j's first-order and mixed orbital tables,
@@ -173,7 +173,7 @@ def upsilon_derivative_stack(b: float, M: int, holes, j: int
     to the tail.  The (B, n, n) kernel matrices go through one stacked
     determinant and one stacked inverse, and Jacobi's formula gives the
     derivatives.  Returns three arrays of shape (B,); a singular row has
-    Upsilon 0 and NaN derivatives, so callers must reject it.
+    Upsilon 0 and NaN derivatives, and resolved_rows refuses it.
     """
     orb, phi, kernel, ups = _kernel_stack(b, M, holes)
     n = phi.shape[1]
@@ -205,36 +205,6 @@ def upsilon_derivative_stack(b: float, M: int, holes, j: int
     return ups, d1, d11
 
 
-def upsilon_derivative(cfg: HoleConfig, alpha, beta) -> complex:
-    """Exact d^alpha dbar^beta of Upsilon via Jacobi's formula.
-
-    alpha, beta are per-hole multi-indices of holomorphic and antiholomorphic
-    orders.  The orders the fields use are supported: none, d_i, dbar_i (the
-    conjugate of d_i, since Upsilon is real) and d_i dbar_i; any other
-    raises ValueError.  Raises SingularMatrixError on a singular kernel
-    matrix, and for a derivative also where Upsilon is rounding noise.
-    """
-    cfg.require_distinct()
-    alpha, beta = tuple(int(a) for a in alpha), tuple(int(a) for a in beta)
-    if len(alpha) != cfg.n or len(beta) != cfg.n:
-        raise ValueError("derivative multi-indices must have one entry per hole")
-    moved = [i for i in range(cfg.n) if alpha[i] or beta[i]]
-    order = (alpha[moved[0]], beta[moved[0]]) if moved else (0, 0)
-    if len(moved) > 1 or order not in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        raise ValueError("upsilon_derivative takes no derivative, d_i, dbar_i "
-                         "or d_i dbar_i of one hole i")
-    holes = cfg.points()[None, :]
-    if moved:
-        ups, d1, d11 = upsilon_derivative_stack(cfg.b, cfg.spec.M, holes, moved[0])
-        _refuse_noise(cfg, holes, ups)
-        value = {(1, 0): d1, (0, 1): d1.conj(), (1, 1): d11}[order]
-    else:
-        value = upsilon_stack(cfg.b, cfg.spec.M, holes)
-        if value[0] == 0.0:
-            raise SingularMatrixError("kernel matrix determinant below PIVOT_FLOOR")
-    return complex(value[0])
-
-
 def log_partition(cfg: HoleConfig) -> PartitionValue:
     """Exact log of the squared-norm normalization of the quasi-hole state.
 
@@ -242,7 +212,7 @@ def log_partition(cfg: HoleConfig) -> PartitionValue:
     by exp(b sum |w_j|^2) Upsilon / |Vandermonde|^2; at n = 0 it reduces to
     pi^N prod k! b^{-N(N+1)/2}.
     """
-    cfg.require_distinct()
+    log_ups = log_upsilon(cfg)    # refuses coincident holes first
     N, n, b = cfg.N, cfg.n, cfg.b
     log_gamma = (float(gammaln(N + 1)) + N * math.log(math.pi)
                  + cumulative_log_factorials(N + n - 1)
@@ -252,7 +222,6 @@ def log_partition(cfg: HoleConfig) -> PartitionValue:
     for i in range(n):
         for j in range(i + 1, n):
             log_vdm += math.log(abs(cfg.w[j] - cfg.w[i]))
-    log_ups = log_upsilon(cfg)
     total = log_gamma + b_sum - 2.0 * log_vdm + log_ups
     return PartitionValue(log_value=total, log_gamma=log_gamma, b_sum_sq=b_sum,
                           minus_two_log_vandermonde=-2.0 * log_vdm,

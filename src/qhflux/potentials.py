@@ -17,7 +17,7 @@ from scipy.linalg import null_space
 
 from .kernel import weighted_orbitals
 from .partition import (UPSILON_FLOOR, HoleConfig, SingularConfigurationError,
-                        correlation_ratio, upsilon_derivative_stack)
+                        coincident_rows, resolved_rows, upsilon_derivative_stack)
 from .quadrature import QuadratureGrid, polar_grid
 
 SEPARATION_FLOOR = 1e-12
@@ -97,17 +97,16 @@ def emergent_fields(N: int, holes, j: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"tracer index {j} outside 0..{n - 1}")
     if not np.isfinite(w).all():
         raise ValueError("hole positions must be finite")
-    row = _first_row(np.triu(w[:, :, None] == w[:, None, :], 1).any(axis=(1, 2)))
+    row = _first_row(coincident_rows(w))
     if row is not None:
         raise SingularConfigurationError(f"row {row}: hole positions must be pairwise distinct")
 
     ups, d1, d11 = upsilon_derivative_stack(float(N), N + n, w, j)
-    corr = correlation_ratio(float(N), N + n, w, ups)
-    floor = UPSILON_FLOOR * n
-    row = _first_row(~(corr >= floor))
+    corr, resolved = resolved_rows(float(N), N + n, w, ups)
+    row = _first_row(~resolved)
     if row is not None:
         raise DegenerateConfigurationError(
-            f"row {row}: Upsilon / prod Q = {corr[row]} below {floor}")
+            f"row {row}: Upsilon / prod Q = {corr[row]} below {UPSILON_FLOOR * n}")
     # one rounding each: numpy's complex-by-real division multiplies by a
     # rounded reciprocal, and np.hypot is correctly rounded where np.abs of
     # a complex array often is not

@@ -8,13 +8,6 @@ import numpy as np
 from scipy.special import roots_legendre
 
 
-class IntegrationError(Exception):
-    def __init__(self, node: complex, value):
-        self.node = node
-        self.value = value
-        super().__init__(f"non-finite integrand value {value} at node {node}")
-
-
 @dataclass
 class QuadratureGrid:
     nodes: np.ndarray            # complex points
@@ -80,35 +73,9 @@ def polar_grid(center: complex, r_max: float, *, r_min: float = 1e-8,
                           center=center, radii=r, radial_weights=wr)
 
 
-def integrate2d(grid: QuadratureGrid, f) -> complex:
-    """Weighted sum of f over the grid; rejects non-finite integrand values."""
-    try:
-        values = np.asarray(f(grid.nodes), dtype=complex)
-        if values.shape != grid.nodes.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        values = np.array([f(z) for z in grid.nodes], dtype=complex)
-    bad = ~np.isfinite(values.real) | ~np.isfinite(values.imag)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise IntegrationError(grid.nodes[i], values[i])
-    return complex(np.sum(grid.weights * values))
-
-
 def integrate_radial(grid: QuadratureGrid, f) -> complex:
     """1D radial rule of a polar grid applied to a radial profile f(r)."""
     if grid.radii is None:
         raise ValueError("integrate_radial needs a polar-centered grid")
     values = np.array([f(r) for r in grid.radii], dtype=complex)
     return complex(2.0 * np.pi * np.sum(grid.radial_weights * grid.radii * values))
-
-
-def finite_diff_gradient(f, point: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central second-order finite-difference gradient of f at point."""
-    x = np.asarray(point, dtype=float)
-    out = []
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        out.append((f(x + e) - f(x - e)) / (2.0 * h))
-    return np.asarray(out)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -39,6 +40,16 @@ def test_kernel_subcommand(capsys):
     assert "K_M(z,w)" in out and "tail bound" in out
 
 
+def test_kernel_prints_log_magnitude_of_k_inf(capsys):
+    # K_inf = e^-1043.8 underflows to -0+0i: its log magnitude tells the value
+    assert main(["kernel", "--N", "1024", "--z", "0.9+0.3i", "--w=-0.5+0.6i"]) == 0
+    line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("K_inf"))
+    log_mag = float(line.split("(log magnitude ")[1].rstrip(")"))
+    # log(b/pi) - b(|z|^2 + |w|^2)/2 + b Re(z wbar)
+    exact = math.log(1024 / math.pi) - 512 * (0.9 + 0.61) + 1024 * -0.27
+    assert log_mag == pytest.approx(exact, rel=1e-14)
+
+
 def test_potentials_subcommand(capsys):
     code = main(["potentials", "--N", "256", "--holes", "0.3+0i,-0.3+0i", "--j", "1"])
     assert code == 0
@@ -55,6 +66,7 @@ def test_unknown_flag_exits_2():
     # are usage errors
     for argv in (["kernel", "--bogus", "1"],
                  ["kernel", "--N", "64", "--z", "0.3", "--w", "0.4", "--seed", "1"],
+                 ["kernel", "--N", "64", "--z", "0.3", "--w", "0.4", "--holes", "0.1"],
                  ["verify", "--suite", "oracle", "--format", "json"],
                  ["charpoly", "--N", "1", "--holes", "0.7+0i", "--thin", "2"],
                  ["oracle"]):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qhflux.harness.classify import RegimeClassifier, classify
+from qhflux.harness.classify import RegimeClassifier
 from qhflux.harness.report import CSV_HEADER, ReportRow, VerificationReport
 from qhflux.harness.suites import (SamplingInfeasibleError, case_rng,
                                    pair_config, run_kernel_suite,
@@ -16,13 +16,14 @@ def test_classify_no_merging_example():
     # 2 delta_256(kappa=2) = 0.589, so separation 0.62 is no-merging while
     # 0.5 already counts as merging
     cfg = HoleConfig(w=(-0.31, 0.31), N=256)
-    assert classify(cfg, kappa=2.0).kind == "no-merging"
-    assert classify(HoleConfig(w=(0j, 0.5), N=256), kappa=2.0).kind == "single-merging"
+    assert RegimeClassifier(kappa=2.0).classify(cfg).kind == "no-merging"
+    merging = HoleConfig(w=(0j, 0.5), N=256)
+    assert RegimeClassifier(kappa=2.0).classify(merging).kind == "single-merging"
 
 
 def test_classify_single_merging_example():
     cfg = HoleConfig(w=(0j, 1.0 / 16.0), N=256)
-    r = classify(cfg, kappa=2.0, gamma=1.0)
+    r = RegimeClassifier(kappa=2.0, gamma=1.0).classify(cfg)
     assert r.kind == "single-merging"
     assert r.pair == (0, 1)
 
@@ -30,18 +31,18 @@ def test_classify_single_merging_example():
 def test_classify_two_close_pairs_is_remainder():
     s = 1.0 / 16.0
     cfg = HoleConfig(w=(0j, s, 0.5, 0.5 + s * 1j), N=256)
-    assert classify(cfg, kappa=2.0).kind == "remainder"
+    assert RegimeClassifier(kappa=2.0).classify(cfg).kind == "remainder"
 
 
 def test_classify_outside_droplet():
     cfg = HoleConfig(w=(0.95, 0.1), N=256)
-    assert classify(cfg, kappa=2.0).kind == "outside-droplet"
+    assert RegimeClassifier(kappa=2.0).classify(cfg).kind == "outside-droplet"
 
 
 def test_classify_deep_merge_is_remainder():
     n_val = 256
     cfg = HoleConfig(w=(0j, n_val ** -1.2), N=n_val)
-    assert classify(cfg, kappa=2.0, gamma=1.0).kind == "remainder"
+    assert RegimeClassifier(kappa=2.0, gamma=1.0).classify(cfg).kind == "remainder"
 
 
 def test_classify_threshold_resolves_singular():
@@ -49,7 +50,7 @@ def test_classify_threshold_resolves_singular():
     n_val = 256
     d = RegimeClassifier(2.0, 1.0).delta(n_val)
     cfg = HoleConfig(w=(0j, 2.0 * d), N=n_val)
-    assert classify(cfg, kappa=2.0).kind == "single-merging"
+    assert RegimeClassifier(kappa=2.0).classify(cfg).kind == "single-merging"
 
 
 def test_classify_label_permutation_stable():
@@ -59,7 +60,8 @@ def test_classify_label_permutation_stable():
         cfg = HoleConfig(w=tuple(pts), N=128)
         kinds = set()
         for perm in ((0, 1, 2), (2, 1, 0), (1, 2, 0)):
-            kinds.add(classify(HoleConfig(w=tuple(pts[i] for i in perm), N=128)).kind)
+            permuted = HoleConfig(w=tuple(pts[i] for i in perm), N=128)
+            kinds.add(RegimeClassifier().classify(permuted).kind)
         assert len(kinds) == 1
 
 

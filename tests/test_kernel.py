@@ -80,6 +80,17 @@ def test_against_mpmath_oracle():
         assert rel <= tol, (b, M, z, w, rel)
 
 
+def test_cancelled_series_is_zero_or_accurate():
+    # qhflux kernel --N 1024 --z 0.9+0.3i --w=-0.5+0.6i: the truncated sum
+    # cancels to e^-47 of its term mass, below the rounding of ~1,000 term
+    # phases, and used to print K_M = 9.6e-19-1.1e-18i for a true
+    # -7.8e-25-8.7e-25i.  Noise is reported as zero, a value is accurate
+    spec, z, w = KernelSpec(1024.0, 1024), 0.9 + 0.3j, -0.5 + 0.6j
+    got = kernel_eval(spec, z, w)
+    if not got.is_zero:
+        assert got.to_complex() == pytest.approx(mp_kernel(1024.0, 1024, z, w), rel=1e-6, abs=0)
+
+
 def test_infinite_limit_modulus():
     # |K_inf(z,w)| = (b/pi) exp(-b|z-w|^2/2), checked at b=16, z=0.3, w=0.4
     spec = KernelSpec(b=16.0, M=1)

@@ -10,9 +10,10 @@ import qhflux
 from qhflux.kernel import kernel_eval, kernel_matrix
 from qhflux.oracle.monomial import partition_exact
 from qhflux.partition import (HoleConfig, PartitionValue, SingularConfigurationError,
-                              SingularMatrixError, log_partition, log_upsilon, theta,
-                              theta_polarized, upsilon, upsilon_derivative,
-                              upsilon_prediction)
+                              SingularMatrixError, log_partition, log_upsilon,
+                              resolved_rows, theta, theta_polarized, upsilon,
+                              upsilon_derivative_stack, upsilon_prediction)
+from qhflux.potentials import DegenerateConfigurationError, emergent_fields
 from qhflux.quadrature import cartesian_grid
 
 
@@ -62,11 +63,10 @@ def test_upsilon_rotation_invariant():
         assert upsilon(HoleConfig(w=rot, N=16)) == pytest.approx(ref, rel=1e-12)
 
 
-def test_upsilon_derivative_order_zero():
-    rng = np.random.default_rng(34)
-    cfg = seeded_config(rng, N=12, n=2)
-    val = upsilon_derivative(cfg, (0, 0), (0, 0))
-    assert val == pytest.approx(upsilon(cfg), rel=1e-14)
+def tracer_derivatives(cfg, j):
+    """Upsilon, d_j Upsilon and d_j dbar_j Upsilon of one configuration."""
+    ups, d1, d11 = upsilon_derivative_stack(cfg.b, cfg.spec.M, cfg.points()[None, :], j)
+    return float(ups[0]), complex(d1[0]), complex(d11[0])
 
 
 def wirtinger_fd_holes(f, cfg, i, anti=False, h=1e-5):
@@ -85,11 +85,12 @@ def wirtinger_fd_holes(f, cfg, i, anti=False, h=1e-5):
 def test_upsilon_derivative_vs_finite_difference():
     rng = np.random.default_rng(35)
     cfg = seeded_config(rng, N=16, n=2, min_sep=0.3)
-    exact = upsilon_derivative(cfg, (1, 0), (0, 0))
+    exact = tracer_derivatives(cfg, 0)[1]
     fd = wirtinger_fd_holes(upsilon, cfg, 0)
     assert abs(exact - fd) <= 1e-6 * max(abs(exact), 1e-6)
 
-    exact_a = upsilon_derivative(cfg, (0, 0), (0, 1))
+    # dbar_1 Upsilon is the conjugate of d_1 Upsilon, since Upsilon is real
+    exact_a = tracer_derivatives(cfg, 1)[1].conjugate()
     fd_a = wirtinger_fd_holes(upsilon, cfg, 1, anti=True)
     assert abs(exact_a - fd_a) <= 1e-6 * max(abs(exact_a), 1e-6)
 
@@ -98,7 +99,7 @@ def test_upsilon_second_derivative_vs_finite_difference():
     # merging-scale pair keeps the mixed derivative O(N) so nested FD noise
     # (~eps/h^2) stays far below it
     cfg = HoleConfig(w=(0.2 + 0.1j, 0.35 + 0.1j), N=16)
-    exact = upsilon_derivative(cfg, (1, 0), (1, 0))
+    exact = tracer_derivatives(cfg, 0)[2]
     h = 3e-4
     fd = wirtinger_fd_holes(
         lambda c: wirtinger_fd_holes(upsilon, c, 0, h=h), cfg, 0, anti=True, h=h)
@@ -119,27 +120,24 @@ def test_upsilon_second_derivative_vs_finite_difference():
     assert abs(exact - direct) <= 1e-8 * abs(direct)
 
 
-def test_upsilon_derivative_takes_only_tracer_orders():
-    # the engine differentiates in one tracer: a cross-hole derivative and
-    # d_0^2 are refused
-    cfg = HoleConfig(w=(0.2 + 0.1j, -0.3), N=16)
-    for alpha, beta in (((1, 0), (0, 1)), ((2, 0), (0, 0))):
-        with pytest.raises(ValueError):
-            upsilon_derivative(cfg, alpha, beta)
-
-
 def test_upsilon_derivative_rejects_coincident():
+    # a coincident row is singular: Upsilon 0, NaN derivatives, not resolved
     cfg = HoleConfig(w=(0.1, 0.1), N=8)
-    with pytest.raises(SingularConfigurationError):
-        upsilon_derivative(cfg, (1, 0), (0, 0))
+    ups, d1, d11 = tracer_derivatives(cfg, 0)
+    assert ups == 0.0 and math.isnan(d1.real) and math.isnan(d11.real)
+    assert not resolved_rows(cfg.b, cfg.spec.M, cfg.points()[None, :], np.array([ups]))[1][0]
 
 
 def test_upsilon_derivative_on_singular_matrix_raises():
     # distinct holes whose orbital rows agree to every bit: det is exactly 0
     cfg = HoleConfig(w=(0.3, 0.3 + 1e-300j), N=8)
     assert upsilon(cfg) == 0.0
+    ups, d1, d11 = tracer_derivatives(cfg, 0)
+    assert ups == 0.0 and math.isnan(d1.real) and math.isnan(d11.real)
     with pytest.raises(SingularMatrixError):
-        upsilon_derivative(cfg, (1, 0), (0, 0))
+        log_upsilon(cfg)
+    with pytest.raises(DegenerateConfigurationError, match="Upsilon / prod Q"):
+        emergent_fields(cfg.N, [cfg.w], 0)
 
 
 def test_holes_far_outside_droplet_are_singular():
@@ -155,7 +153,7 @@ def test_holes_far_outside_droplet_are_singular():
 def test_no_merging_derivative_is_tiny():
     # kappa = 2 style separation at N = 256: |dUpsilon| ~ N^{-7}
     cfg = HoleConfig(w=(0.4, -0.35 + 0.2j), N=256)
-    d = upsilon_derivative(cfg, (1, 0), (0, 0))
+    d = tracer_derivatives(cfg, 0)[1]
     assert abs(d) < 100 * 256.0 ** (1 - 8)
 
 
@@ -311,17 +309,45 @@ def test_kernel_matrix_hermitian_and_upsilon_in_unit_interval(N, holes):
 
 
 def test_log_upsilon_refuses_rounding_noise():
-    # Upsilon ~ 1 - exp(-N s^2) = N s^2 sinks into rounding below s ~ 1e-8
+    # Upsilon ~ 1 - exp(-N s^2) = N s^2 sinks into rounding below s ~ 1e-8,
+    # and the fields refuse it by the same rule
     c = 0.1 + 0.05j
     for s in (1e-9, 1e-10):
         cfg = HoleConfig(w=(c, c + s), N=64)
-        for fn in (log_upsilon, log_partition,
-                   lambda cfg: upsilon_derivative(cfg, (1, 0), (0, 0)),
-                   lambda cfg: upsilon_derivative(cfg, (1, 0), (1, 0))):
+        for fn in (log_upsilon, log_partition):
             with pytest.raises(SingularMatrixError):
                 fn(cfg)
+        for j in (0, 1):
+            with pytest.raises(DegenerateConfigurationError, match="Upsilon / prod Q"):
+                emergent_fields(64, [cfg.w], j)
     cfg = HoleConfig(w=(c, c + 1e-4), N=64)
     assert log_upsilon(cfg) == pytest.approx(math.log(mp_upsilon(cfg.w, 64)), abs=1e-8)
+
+
+near = st.tuples(st.floats(-14.0, -1.0), st.floats(0.0, 2 * math.pi)).map(
+    lambda ea: 10.0 ** ea[0] * complex(math.cos(ea[1]), math.sin(ea[1])))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(N=st.integers(1, 1024), holes=st.lists(hole, min_size=1, max_size=4, unique=True),
+       offset=st.none() | near)
+def test_log_upsilon_and_fields_refuse_the_same_rows(N, holes, offset):
+    # one refusal rule: log Upsilon is refused exactly where the fields call
+    # Upsilon / prod Q rounding noise, near-coincident pairs included
+    if offset is not None and len(holes) > 1:
+        holes[-1] = holes[0] + offset
+    cfg = HoleConfig(w=tuple(holes), N=N)
+    try:
+        log_upsilon(cfg)
+        refused = False
+    except SingularMatrixError:
+        refused = True
+    try:
+        emergent_fields(N, [cfg.w], 0)
+        degenerate = False
+    except DegenerateConfigurationError as err:
+        degenerate = "Upsilon / prod Q" in str(err)
+    assert refused == degenerate
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
