@@ -20,9 +20,10 @@ the ratios b|x|/(j+1) and the partial sums a running sum whose exact rounding
 errors are kept as compensation.  Each row carries its own log scale,
 rescaled at a chunk start whenever the chunk's products could pass 1e250,
 and its own stop rule.  A sum is cancellation noise, reported as zero,
-below the rounding floor of its terms: 8 eps (2 + j (1 + |arg x|)) times
-their mass for a last term j, since term j carries the rounding of a j-step
-running product and of its phase j arg x, besides that of the additions.
+below the rounding floor of its terms: 8 eps (2 + (j - j0) + j |arg x|)
+times their mass for terms j0..j, since term j carries the rounding of a
+running product over j - j0 steps and of its phase j arg x, besides that of
+the additions.
 No row's value depends on the other rows.
 
 Kernel matrices on point sets take the other route: one weighted-orbital
@@ -133,10 +134,11 @@ def _series_stack(b: float, x: np.ndarray, j0: int, j1: float):
             total = acc[done] + comp[done]
             size = np.abs(total)
             # a sum below the rounding floor of its own terms is cancellation
-            # noise; the last term, j - 1, carries ~j eps from the running
-            # product and ~j |arg x| eps from its phase, besides the additions
+            # noise; the last term, j - 1, carries ~(j - j0) eps from the
+            # running product from j0 and ~j |arg x| eps from its phase,
+            # besides the additions
             last = j[done] - 1.0
-            ok = size > _NOISE * (2.0 + last * (1.0 + np.abs(theta[done]))) * mass[done]
+            ok = size > _NOISE * (2.0 + (last - j0) + last * np.abs(theta[done])) * mass[done]
             log_mag[rows[done]] = np.where(
                 ok, scale[done] + np.log(np.where(ok, size, 1.0)), -np.inf)
             phase[rows[done]] = np.where(ok, np.angle(total), 0.0)

@@ -88,10 +88,9 @@ def cumulative_log_factorials(m: int) -> float:
 
 def coincident_rows(holes) -> np.ndarray:
     """For each row of a (B, n) hole stack, whether two of its holes coincide."""
-    w = np.asarray(holes, dtype=complex)
-    # each hole equals itself: a row with a coincident pair has more than n
-    # equal entries
-    return (w[:, :, None] == w[:, None, :]).sum(axis=(1, 2)) > w.shape[1]
+    # equal holes sort next to each other
+    w = np.sort(np.asarray(holes, dtype=complex), axis=1)
+    return (w[:, 1:] == w[:, :-1]).any(axis=1)
 
 
 def resolved_rows(b: float, M: int, holes, ups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -116,8 +115,8 @@ def _kernel_stack(b: float, M: int, holes):
     """Hole orbital tables orb = weighted_orbitals, shape (B, n, M), the same
     scaled by sqrt(pi/b) as phi, the kernel matrices phi phi^H =
     (pi/b) [K_M(w_a, w_c)] and their determinants Upsilon for a (B, n) stack
-    of holes.  A row with coincident holes or a determinant below PIVOT_FLOOR
-    is singular: its Upsilon is 0."""
+    of holes.  A row whose determinant is below PIVOT_FLOOR is singular: its
+    Upsilon is 0."""
     w = np.asarray(holes, dtype=complex)
     if w.ndim != 2:
         raise ValueError("holes must have shape (B, n)")
@@ -126,7 +125,7 @@ def _kernel_stack(b: float, M: int, holes):
     phi = math.sqrt(math.pi / b) * orb
     kernel = phi @ phi.conj().swapaxes(1, 2)
     ups = np.linalg.det(kernel).real
-    ups[(np.abs(ups) < PIVOT_FLOOR) | coincident_rows(w)] = 0.0
+    ups[np.abs(ups) < PIVOT_FLOOR] = 0.0
     return orb, phi, kernel, ups
 
 
@@ -138,7 +137,10 @@ def upsilon_stack(b: float, M: int, holes) -> np.ndarray:
 
 def upsilon(cfg: HoleConfig) -> float:
     """det[(pi/b) K_{N+n}(w_i, w_j)], in [0, 1]; 0 for coincident points."""
-    return float(upsilon_stack(cfg.b, cfg.spec.M, cfg.points()[None, :])[0])
+    holes = cfg.points()[None, :]
+    if coincident_rows(holes)[0]:
+        return 0.0
+    return float(upsilon_stack(cfg.b, cfg.spec.M, holes)[0])
 
 
 def _resolved_upsilon(cfg: HoleConfig):
