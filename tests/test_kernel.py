@@ -91,6 +91,26 @@ def test_cancelled_series_is_zero_or_accurate():
         assert got.to_complex() == pytest.approx(mp_kernel(1024.0, 1024, z, w), rel=1e-6, abs=0)
 
 
+def test_cancelled_tail_is_zero_or_accurate():
+    # the tail sum over j >= M = 1024 cancels to ~1e-50 of its term mass and
+    # used to come out with log magnitude -41.6 for a true -141.5
+    spec = KernelSpec(1024.0, 1024)
+    z, w = 1.1532447356645956 - 0.697369969587003j, -0.8102755291459917 - 0.8511921013814814j
+    got = kernel_diff_log(spec, z, w)
+    if got.is_zero:
+        return
+    with mpmath.workdps(300):
+        b, x = mpmath.mpf(spec.b), mpmath.mpc(z) * mpmath.conj(mpmath.mpc(w))
+        term = b ** (spec.M + 1) / (mpmath.pi * mpmath.factorial(spec.M)) * x ** spec.M
+        tail, j = mpmath.mpf(0), spec.M
+        while j < b * abs(x) or abs(term) > mpmath.mpf(10) ** -80 * abs(tail):
+            tail += term
+            term *= b * x / (j + 1)
+            j += 1
+        ref = complex(tail * mpmath.exp(-b * (abs(mpmath.mpc(z)) ** 2 + abs(mpmath.mpc(w)) ** 2) / 2))
+    assert got.to_complex() == pytest.approx(ref, rel=1e-6, abs=0)
+
+
 def test_infinite_limit_modulus():
     # |K_inf(z,w)| = (b/pi) exp(-b|z-w|^2/2), checked at b=16, z=0.3, w=0.4
     spec = KernelSpec(b=16.0, M=1)
