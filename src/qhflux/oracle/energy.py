@@ -5,23 +5,27 @@ magnetic kinetic energy splits exactly into a gauged tracer energy plus a
 scalar-potential term.  The left side is computed here from first principles:
 monomial expansion gives the bath integrals I0 = <Psi, Psi>,
 J1 = <Psi, dPsi/dw> and I22 = <dPsi/dw, dPsi/dw> exactly at every tracer
-quadrature node; the right side takes A and V at all nodes of the grid
-from one stacked call into the production field route, emergent_fields.
-The identity holds pointwise, so the two sides agree at every node to
-rounding: relative residuals are 0 to ~2e-16 at grid orders 4, 8 and 48
-alike, and the check reports the worst weighted node as well as the
-integrated residual.  The grid sets which weighted region is checked, not
-the size of the residual.  Agreement validates both pipelines at once.
+quadrature node.  The expansion runs once per check, with the hole given as
+the array of all nodes, so its coefficients and the three integrals are
+per-node arrays; it stays the capped brute-force expansion of the monomial
+oracle and calls no field or partition code.  The right side takes A and V
+at all nodes of the grid from one stacked call into the production field
+route, emergent_fields.  The identity holds pointwise, so the two sides
+agree at every node to rounding: relative residuals are 0 to ~2e-16 at grid
+orders 4, 8 and 48 alike, and the check reports the worst weighted node as
+well as the integrated residual.  The grid sets which weighted region is
+checked, not the size of the residual.  Agreement validates both pipelines
+at once.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..partition import HoleConfig
 from ..potentials import emergent_fields
 from ..quadrature import cartesian_grid
 from .monomial import gaussian_pair_integral, quasi_hole_poly, quasi_hole_poly_dw
@@ -34,12 +38,21 @@ class GaussianPacket:
     center: complex
     a: float = 30.0
 
-    def value(self, w: complex) -> float:
-        return math.exp(-self.a * abs(w - self.center) ** 2)
+    def __post_init__(self):
+        if not (math.isfinite(self.a) and self.a > 0):
+            raise ValueError(f"packet width a must be finite and positive, got {self.a}")
+        if not cmath.isfinite(self.center):
+            raise ValueError(f"packet center must be finite, got {self.center}")
 
-    def gradient(self, w: complex) -> np.ndarray:
+    def value(self, w):
+        """Phi at w: a complex number, or an array of positions."""
+        return np.exp(-self.a * np.abs(w - self.center) ** 2)
+
+    def gradient(self, w) -> np.ndarray:
+        """(d/dx, d/dy) Phi at w, in a trailing axis of length 2."""
         d = w - self.center
-        return -2.0 * self.a * np.array([d.real, d.imag]) * self.value(w)
+        return -2.0 * self.a * np.stack([d.real, d.imag], axis=-1) \
+            * self.value(w)[..., None]
 
 
 @dataclass(frozen=True)
@@ -54,20 +67,29 @@ class EnergyIdentityResult:
         return abs(self.lhs - self.rhs) / abs(self.rhs)
 
 
-def _bath_integrals(cfg: HoleConfig) -> tuple[float, complex, float]:
-    psi = quasi_hole_poly(cfg)
-    dpsi = quasi_hole_poly_dw(cfg, 0)
-    i0 = gaussian_pair_integral(psi, psi, cfg.b).real
-    j1 = gaussian_pair_integral(psi, dpsi, cfg.b)
-    i22 = gaussian_pair_integral(dpsi, dpsi, cfg.b).real
-    return i0, j1, i22
+def _bath_integrals(N: int, w):
+    """I0, J1 and I22 for one hole at w (a complex number or an array of nodes)."""
+    psi = quasi_hole_poly(N, (w,))
+    dpsi = quasi_hole_poly_dw(N, (w,), 0)
+    b = float(N)
+    i0 = gaussian_pair_integral(psi, psi, b).real
+    j1 = gaussian_pair_integral(psi, dpsi, b)
+    i22 = gaussian_pair_integral(dpsi, dpsi, b).real
+    # at N = 1, dPsi/dw = 1 has no w in it and I22 comes back a scalar
+    return tuple(np.broadcast_to(v, np.shape(w)) for v in (i0, j1, i22))
+
+
+def _sq_norm(v: np.ndarray) -> np.ndarray:
+    return np.sum(v.real ** 2 + v.imag ** 2, axis=-1)
 
 
 def energy_identity_check(N: int, q: float, packet: GaussianPacket,
                           grid_order: int = 48) -> EnergyIdentityResult:
     """Both sides of the kinetic decomposition for one hole, b = N."""
-    if N > 2:
-        raise ValueError("monomial route capped at N <= 2")
+    if not 1 <= N <= 2:
+        raise ValueError(f"monomial route takes bath size N = 1 or 2, got {N}")
+    if not math.isfinite(q):
+        raise ValueError(f"coupling q must be finite, got {q}")
     b = float(N)
     half_width = 7.0 / math.sqrt(2.0 * packet.a)
     base = cartesian_grid(half_width, order=grid_order)
@@ -75,35 +97,29 @@ def energy_identity_check(N: int, q: float, packet: GaussianPacket,
     weights = base.weights
 
     field_a, field_v = emergent_fields(N, nodes[:, None], 0)
-    lhs = 0.0
-    rhs = 0.0
-    worst = 0.0
-    for w, wt, a_vec, v_val in zip(nodes, weights, field_a, field_v):
-        cfg = HoleConfig(w=(w,), N=N, b=b)
-        i0, j1, i22 = _bath_integrals(cfg)
+    # per-node arrays; vectors carry a trailing (x, y) axis
+    i0, j1, i22 = _bath_integrals(N, nodes)
 
-        # Xi = c Psi with c = I0^{-1/2}; grad c = -(1/2) I0^{-3/2} grad I0
-        grad_i0 = 2.0 * np.array([j1.real, -j1.imag])
-        c = i0 ** -0.5
-        grad_c = -0.5 * i0 ** -1.5 * grad_i0
-        # T1 = int conj(Xi) grad Xi, T2 = int |grad Xi|^2
-        t1 = c * grad_c * i0 + c * c * np.array([j1, 1j * j1])
-        s = grad_c[0] - 1j * grad_c[1]
-        t2 = float(grad_c @ grad_c) * i0 + 2.0 * c * c * i22 \
-            + 2.0 * c * float(np.real(s * j1.conjugate()))
+    # Xi = c Psi with c = I0^{-1/2}; grad c = -(1/2) I0^{-3/2} grad I0
+    grad_i0 = 2.0 * np.stack([j1.real, -j1.imag], axis=-1)
+    c = i0 ** -0.5
+    grad_c = (-0.5 * i0 ** -1.5)[:, None] * grad_i0
+    # T1 = int conj(Xi) grad Xi, T2 = int |grad Xi|^2
+    t1 = c[:, None] * grad_c * i0[:, None] + (c * c)[:, None] * np.stack([j1, 1j * j1], axis=-1)
+    s = grad_c[:, 0] - 1j * grad_c[:, 1]
+    t2 = np.sum(grad_c * grad_c, axis=-1) * i0 + 2.0 * c * c * i22 \
+        + 2.0 * c * np.real(s * j1.conj())
 
-        phi = packet.value(w)
-        grad_phi = packet.gradient(w)
-        y_perp = np.array([-w.imag, w.real])
-        d_phi = -1j * grad_phi - q * b * y_perp * phi
+    phi = packet.value(nodes)
+    grad_phi = packet.gradient(nodes)
+    y_perp = np.stack([-nodes.imag, nodes.real], axis=-1)
+    d_phi = -1j * grad_phi - q * b * y_perp * phi[:, None]
 
-        lhs_y = float(np.vdot(d_phi, d_phi).real) + phi * phi * t2 \
-            + 2.0 * float(np.real(1j * phi * (d_phi @ t1.conjugate())))
+    lhs_y = _sq_norm(d_phi) + phi * phi * t2 \
+        + 2.0 * np.real(1j * phi * np.sum(d_phi * t1.conj(), axis=-1))
+    rhs_y = _sq_norm(d_phi + field_a * phi[:, None]) + phi * phi * field_v
 
-        gauged = d_phi + a_vec * phi
-        rhs_y = float(np.vdot(gauged, gauged).real) + phi * phi * float(v_val)
-
-        lhs += wt * lhs_y
-        rhs += wt * rhs_y
-        worst = max(worst, wt * abs(lhs_y - rhs_y))
+    lhs = float(weights @ lhs_y)
+    rhs = float(weights @ rhs_y)
+    worst = float(np.max(weights * np.abs(lhs_y - rhs_y)))
     return EnergyIdentityResult(lhs=lhs, rhs=rhs, max_pointwise_residual=worst / abs(rhs))

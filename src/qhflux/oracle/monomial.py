@@ -3,7 +3,10 @@
 The joint state is a polynomial in (z_1..z_N) times a Gaussian, so squared
 norms and marginals reduce to the moment integral
 int z^a zbar^c e^{-b|z|^2} dz = delta_{ac} pi a! / b^{a+1}, applied exactly
-term by term.  Sizes are capped (the Vandermonde is expanded over all N!
+term by term.  A coefficient is a complex number or, when the hole
+positions are given as arrays (one entry per tracer node), an array of that
+shape: one expansion then carries every node, and each integral comes back
+as an array.  Sizes are capped (the Vandermonde is expanded over all N!
 permutations), which keeps this an independent brute-force oracle rather
 than a general polynomial engine.
 """
@@ -12,6 +15,8 @@ from __future__ import annotations
 
 import math
 from itertools import permutations
+
+import numpy as np
 
 from ..partition import HoleConfig
 
@@ -47,14 +52,17 @@ class MonomialPolynomial:
         self.nvars = nvars
         self.terms = dict(terms or {})
 
-    def add_term(self, exponents: tuple[int, ...], coeff: complex):
-        if coeff == 0:
-            return
+    def add_term(self, exponents: tuple[int, ...], coeff):
+        """Add coeff to a term; a scalar sum that is exactly 0 drops the term.
+
+        A per-node array coefficient is kept even where it vanishes, so no
+        array is asked for its truth value.
+        """
         cur = self.terms.get(exponents, 0j) + coeff
-        if cur == 0:
-            self.terms.pop(exponents, None)
-        else:
+        if isinstance(cur, np.ndarray) or cur != 0:
             self.terms[exponents] = cur
+        else:
+            self.terms.pop(exponents, None)
 
     def __mul__(self, other: "MonomialPolynomial") -> "MonomialPolynomial":
         out = MonomialPolynomial(self.nvars)
@@ -79,19 +87,19 @@ def vandermonde_poly(nvars: int) -> MonomialPolynomial:
     return out
 
 
-def _hole_factor_coeffs(ws) -> list[complex]:
-    """Ascending coefficients of prod_j (w_j - t) in t."""
+def _hole_factor_coeffs(ws) -> list:
+    """Ascending coefficients of prod_j (w_j - t) in t (arrays if the w_j are)."""
     coeffs = [1.0 + 0j]
     for w in ws:
         nxt = [0j] * (len(coeffs) + 1)
         for d, c in enumerate(coeffs):
-            nxt[d] += complex(w) * c
+            nxt[d] += w * c
             nxt[d + 1] -= c
         coeffs = nxt
     return coeffs
 
 
-def _product_over_vars(coeffs: list[complex], nvars: int,
+def _product_over_vars(coeffs: list, nvars: int,
                        skip: int | None = None) -> MonomialPolynomial:
     out = MonomialPolynomial(nvars, {(0,) * nvars: 1.0 + 0j})
     for k in range(nvars):
@@ -106,36 +114,48 @@ def _product_over_vars(coeffs: list[complex], nvars: int,
     return out
 
 
-def quasi_hole_poly(cfg: HoleConfig) -> MonomialPolynomial:
-    """Polynomial part of the joint state: prod_{j,k}(w_j - z_k) Vandermonde."""
-    if cfg.N > MAX_BATH or cfg.n > MAX_HOLES:
+def _check_size(N: int, ws):
+    if N < 1:
+        raise ValueError("bath size N must be at least 1")
+    if N > MAX_BATH or len(ws) > MAX_HOLES:
         raise ExpansionSizeError(f"expansion capped at N <= {MAX_BATH}, n <= {MAX_HOLES}")
-    holes = _product_over_vars(_hole_factor_coeffs(cfg.w), cfg.N)
-    return holes * vandermonde_poly(cfg.N)
 
 
-def quasi_hole_poly_dw(cfg: HoleConfig, j: int) -> MonomialPolynomial:
+def quasi_hole_poly(N: int, ws) -> MonomialPolynomial:
+    """Polynomial part of the joint state: prod_{j,k}(w_j - z_k) Vandermonde.
+
+    ws holds the n hole positions, each a complex number or an array of
+    positions (all of one shape); the coefficients then have that shape.
+    """
+    _check_size(N, ws)
+    holes = _product_over_vars(_hole_factor_coeffs(ws), N)
+    return holes * vandermonde_poly(N)
+
+
+def quasi_hole_poly_dw(N: int, ws, j: int) -> MonomialPolynomial:
     """Holomorphic w_j-derivative of the quasi-hole polynomial."""
-    if cfg.N > MAX_BATH or cfg.n > MAX_HOLES:
-        raise ExpansionSizeError(f"expansion capped at N <= {MAX_BATH}, n <= {MAX_HOLES}")
-    others = [w for i, w in enumerate(cfg.w) if i != j]
+    _check_size(N, ws)
+    others = [w for i, w in enumerate(ws) if i != j]
     partner = _hole_factor_coeffs(others)
-    full = _hole_factor_coeffs(cfg.w)
-    total = MonomialPolynomial(cfg.N)
-    for ell in range(cfg.N):
-        rest = _product_over_vars(full, cfg.N, skip=ell)
-        factor = MonomialPolynomial(cfg.N)
+    full = _hole_factor_coeffs(ws)
+    total = MonomialPolynomial(N)
+    for ell in range(N):
+        rest = _product_over_vars(full, N, skip=ell)
+        factor = MonomialPolynomial(N)
         for d, c in enumerate(partner):
-            e = [0] * cfg.N
+            e = [0] * N
             e[ell] = d
             factor.add_term(tuple(e), c)
         total = total + rest * factor
-    return total * vandermonde_poly(cfg.N)
+    return total * vandermonde_poly(N)
 
 
 def gaussian_pair_integral(pa: MonomialPolynomial, pb: MonomialPolynomial,
-                           b: float) -> complex:
-    """int conj(A) B prod_k e^{-b|z_k|^2} dz, exact via matched moments."""
+                           b: float):
+    """int conj(A) B prod_k e^{-b|z_k|^2} dz, exact via matched moments.
+
+    A complex number, or an array of the coefficients' shape.
+    """
     out = 0j
     for e, ca in pa.terms.items():
         cb = pb.terms.get(e)
@@ -150,7 +170,7 @@ def gaussian_pair_integral(pa: MonomialPolynomial, pb: MonomialPolynomial,
 
 def partition_exact(cfg: HoleConfig) -> float:
     """log of the defining squared-norm integral, exact for tiny systems."""
-    poly = quasi_hole_poly(cfg)
+    poly = quasi_hole_poly(cfg.N, cfg.w)
     val = gaussian_pair_integral(poly, poly, cfg.b).real
     return math.log(val)
 

@@ -9,6 +9,7 @@ from qhflux.oracle.charpoly import (PrecisionError, charpoly_moment_mc, exact_lo
                                     ginibre_samples)
 from qhflux.oracle.delta import delta_apply, delta_check
 from qhflux.oracle.energy import GaussianPacket, energy_identity_check
+from qhflux.oracle.monomial import gaussian_pair_integral
 from qhflux.oracle.plasma import PlasmaConfig
 from qhflux.oracle.slater import slater_density, slater_density_brute
 from qhflux.partition import HoleConfig
@@ -183,3 +184,50 @@ def test_energy_identity(N, q, tol):
     res = energy_identity_check(N, q=q, packet=packet, grid_order=40)
     assert res.relative_residual < tol
     assert res.max_pointwise_residual < 1e-12
+
+
+@pytest.mark.parametrize("N,q", [(1, 1.0), (2, 1.0), (2, 2.0)])
+@pytest.mark.parametrize("order", [4, 8, 48])
+def test_energy_identity_rounding_at_every_grid(N, q, order):
+    # the identity holds pointwise, so the grid order does not set the residual
+    res = energy_identity_check(N, q=q, packet=GaussianPacket(center=0.3, a=30.0),
+                                grid_order=order)
+    assert res.relative_residual < 1e-13
+    assert res.max_pointwise_residual < 1e-12
+
+
+def test_energy_identity_expands_once_per_check(monkeypatch):
+    from qhflux.oracle import energy
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return gaussian_pair_integral(*args)
+
+    monkeypatch.setattr(energy, "gaussian_pair_integral", counted)
+    energy_identity_check(2, q=1.0, packet=GaussianPacket(center=0.3), grid_order=48)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("a", [0.0, -1.0, math.nan, math.inf])
+def test_energy_packet_rejects_bad_width(a):
+    with pytest.raises(ValueError, match="width"):
+        GaussianPacket(center=0.3, a=a)
+
+
+@pytest.mark.parametrize("center", [complex(math.nan, 0.0), complex(0.3, math.inf)])
+def test_energy_packet_rejects_non_finite_center(center):
+    with pytest.raises(ValueError, match="center"):
+        GaussianPacket(center=center)
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf])
+def test_energy_identity_rejects_non_finite_q(q):
+    with pytest.raises(ValueError, match="coupling"):
+        energy_identity_check(1, q=q, packet=GaussianPacket(center=0.3), grid_order=4)
+
+
+@pytest.mark.parametrize("N", [0, -1, 3])
+def test_energy_identity_rejects_bath_size(N):
+    with pytest.raises(ValueError, match="N"):
+        energy_identity_check(N, q=1.0, packet=GaussianPacket(center=0.3), grid_order=4)
