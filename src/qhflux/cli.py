@@ -29,7 +29,7 @@ from .oracle.plasma import PlasmaConfig, dump_samples, plasma_mcmc, radial_densi
 from .partition import (HoleConfig, SingularConfigurationError, SingularMatrixError,
                         log_partition, upsilon, upsilon_prediction)
 from .potentials import (DegenerateConfigurationError, asymptotic_prediction,
-                         emergent_field_derivative)
+                         emergent_field_derivative, emergent_field_stack)
 
 # each suite with the verify flags it takes besides --seed; a flag left
 # unset is not passed, so the suite's own default applies
@@ -168,31 +168,28 @@ def parse_grid(text: str):
 
 def cmd_field_map(args) -> int:
     fixed = parse_complex_list(args.holes)
+    HoleConfig(w=fixed, N=args.N).require_distinct()
     xs, ys = parse_grid(args.grid)
     classifier = RegimeClassifier(**_given(args, ("kappa", "gamma")))
     j = len(fixed)
     header = "x,y,A_x,A_y,V,regime,predicted_A_x,predicted_A_y,predicted_V".split(",")
     rows = []
-    nans = ["nan"] * 3
-    for x in xs:
-        for y in ys:
-            mover = complex(x, y)
-            if any(mover == wf for wf in fixed):
-                rows.append([fmt(x), fmt(y), *nans, "coincident", *nans])
+    for x in xs:  # one field call per grid column
+        holes = np.array([fixed + (complex(x, y),) for y in ys]).reshape(len(ys), j + 1)
+        a_col, v_col, refusals = emergent_field_stack(args.N, holes, j)
+        for k, y in enumerate(ys):
+            if k in refusals:
+                coincident = isinstance(refusals[k], SingularConfigurationError)
+                rows.append([fmt(x), fmt(y), *["nan"] * 3,
+                             "coincident" if coincident else "degenerate", *["nan"] * 3])
                 continue
-            cfg = HoleConfig(w=fixed + (mover,), N=args.N)
+            cfg = HoleConfig(w=holes[k], N=args.N)
             regime = classifier.classify(cfg)
-            try:
-                field = emergent_field_derivative(cfg, j)
-            except (DegenerateConfigurationError, SingularConfigurationError):
-                rows.append([fmt(x), fmt(y), *nans, "degenerate", *nans])
-                continue
+            pa, pv = np.array([math.nan, math.nan]), math.nan
             if regime.kind in ("no-merging", "single-merging"):
                 pred = asymptotic_prediction(cfg, j, regime.kind, pair=regime.pair)
                 pa, pv = pred.A, pred.V
-            else:
-                pa, pv = np.array([math.nan, math.nan]), math.nan
-            rows.append([fmt(x), fmt(y), fmt(field.A[0]), fmt(field.A[1]), fmt(field.V),
+            rows.append([fmt(x), fmt(y), fmt(a_col[k, 0]), fmt(a_col[k, 1]), fmt(v_col[k]),
                          csv_field(str(regime)), fmt(pa[0]), fmt(pa[1]), fmt(pv)])
     if args.format == "json":
         text = json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"

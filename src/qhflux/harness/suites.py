@@ -165,7 +165,7 @@ def run_upsilon_suite(N_list=(128, 256), kappa: float = 2.0,
     for idx, N in enumerate(N_list):
         rng = case_rng(seed, idx)
         holes = [sample_no_merging(rng, N, n, classifier).w for _ in range(configs)]
-        ups, *derivs = upsilon_derivative_stack(float(N), N + n, holes, 0)
+        ups, *derivs, _ = upsilon_derivative_stack(float(N), N + n, holes, 0)
         val = float(np.max(np.abs(ups - 1.0)))
         d1, d2 = (float(np.max(np.abs(d))) for d in derivs)
         report.add(ReportRow(

@@ -115,8 +115,8 @@ def _kernel_stack(b: float, M: int, holes):
     """Hole orbital tables orb = weighted_orbitals, shape (B, n, M), the same
     scaled by sqrt(pi/b) as phi, the kernel matrices phi phi^H =
     (pi/b) [K_M(w_a, w_c)] and their determinants Upsilon for a (B, n) stack
-    of holes.  A row whose determinant is below PIVOT_FLOOR is singular: its
-    Upsilon is 0."""
+    of holes.  A row whose determinant is below PIVOT_FLOOR, or not finite as
+    numpy's det can be for denormal kernel entries, is singular: Upsilon 0."""
     w = np.asarray(holes, dtype=complex)
     if w.ndim != 2:
         raise ValueError("holes must have shape (B, n)")
@@ -124,8 +124,9 @@ def _kernel_stack(b: float, M: int, holes):
     orb = weighted_orbitals(b, M, w.ravel()).reshape(B, n, M)
     phi = math.sqrt(math.pi / b) * orb
     kernel = phi @ phi.conj().swapaxes(1, 2)
-    ups = np.linalg.det(kernel).real
-    ups[np.abs(ups) < PIVOT_FLOOR] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ups = np.linalg.det(kernel).real
+    ups[~(np.abs(ups) >= PIVOT_FLOOR)] = 0.0    # NaN included
     return orb, phi, kernel, ups
 
 
@@ -161,8 +162,9 @@ def log_upsilon(cfg: HoleConfig) -> float:
 
 
 def upsilon_derivative_stack(b: float, M: int, holes, j: int
-                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Upsilon, d_j Upsilon and d_j dbar_j Upsilon for a stack of configurations.
+                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Upsilon, d_j Upsilon, d_j dbar_j Upsilon and the correlation ratio of
+    resolved_rows for a stack of configurations.
 
     holes has shape (B, n): one configuration of n holes per row,
     all with field strength b and M orbitals; j is the tracer.  Only row j
@@ -174,8 +176,9 @@ def upsilon_derivative_stack(b: float, M: int, holes, j: int
     the sum over orbitals would cancel O(b) terms down to ~eps b instead of
     to the tail.  The (B, n, n) kernel matrices go through one stacked
     determinant and one stacked inverse, and Jacobi's formula gives the
-    derivatives.  Returns three arrays of shape (B,); a singular row has
-    Upsilon 0 and NaN derivatives, and resolved_rows refuses it.
+    derivatives.  Returns four arrays of shape (B,); the derivatives are NaN
+    on exactly the rows that resolved_rows refuses, whose kernel matrices
+    are not inverted.
     """
     orb, phi, kernel, ups = _kernel_stack(b, M, holes)
     n = phi.shape[1]
@@ -194,8 +197,8 @@ def upsilon_derivative_stack(b: float, M: int, holes, j: int
         out[:, j, j] = diag
         return out
 
-    singular = ups == 0.0
-    inverse = np.linalg.inv(np.where(singular[:, None, None], np.eye(n), kernel))
+    corr, resolved = resolved_rows(b, M, holes, ups)
+    inverse = np.linalg.inv(np.where(resolved[:, None, None], kernel, np.eye(n)))
     d = inverse @ tracer_matrix(t10, t01, b * w.conj() * q1)
     dbar = inverse @ tracer_matrix(t01, t10, b * w * q1)
     ddbar = inverse @ tracer_matrix(t11, t11, b ** 2 * w * w.conj() * q2 + b * q1)
@@ -203,8 +206,8 @@ def upsilon_derivative_stack(b: float, M: int, holes, j: int
     second = (first * np.trace(dbar, axis1=1, axis2=2)
               - np.trace(dbar @ d, axis1=1, axis2=2) + np.trace(ddbar, axis1=1, axis2=2))
     d1, d11 = ups * first, ups * second
-    d1[singular] = d11[singular] = np.nan
-    return ups, d1, d11
+    d1[~resolved] = d11[~resolved] = complex(np.nan, np.nan)
+    return ups, d1, d11, corr
 
 
 def log_partition(cfg: HoleConfig) -> PartitionValue:

@@ -17,11 +17,10 @@ from scipy.linalg import null_space
 
 from .kernel import weighted_orbitals
 from .partition import (UPSILON_FLOOR, HoleConfig, SingularConfigurationError,
-                        coincident_rows, resolved_rows, upsilon_derivative_stack)
+                        coincident_rows, upsilon_derivative_stack)
 from .quadrature import QuadratureGrid, polar_grid
 
-SEPARATION_FLOOR = 1e-12
-# emergent_fields estimates the rounding error of V as V_ERROR_SCALE
+# emergent_field_stack estimates the rounding error of V as V_ERROR_SCALE
 # (1 + b|w_j|^2) |dlog|^2 / (Upsilon / prod_i (pi/b) K_M(w_i, w_i)) and
 # refuses rows where it exceeds FIELD_ERROR_BUDGET N.  Against mpmath (N = 64
 # to 1024, n <= 4, separations 1e-6 to 1e-1, |w| up to 1.4) the estimate
@@ -55,38 +54,28 @@ def perp(v: np.ndarray) -> np.ndarray:
     return np.array([-v[1], v[0]])
 
 
-def _first_row(bad: np.ndarray):
-    """Index of the first True entry of a per-row mask, or None."""
-    rows = np.flatnonzero(bad)
-    return int(rows[0]) if rows.size else None
-
-
 def _ab_rows(w: np.ndarray, j: int) -> np.ndarray:
     """Aharonov-Bohm sum of tracer j for each row of a (B, n) hole stack."""
     d = w[:, [j]] - np.delete(w, j, axis=1)
-    row = _first_row(np.any(np.abs(d) < SEPARATION_FLOOR, axis=1))
-    if row is not None:
-        raise SingularConfigurationError(
-            f"row {row}: hole {j} closer than {SEPARATION_FLOOR} to another")
     d_sq = np.hypot(d.real, d.imag) ** 2
     return np.sum(np.stack([-d.imag, d.real], axis=-1) / d_sq[..., None], axis=1)
 
 
 def ab_sum(cfg: HoleConfig, j: int) -> np.ndarray:
     """Aharonov-Bohm sum over the other tracers, (y_j-y_l)^perp/|y_j-y_l|^2."""
+    cfg.require_distinct()
     return _ab_rows(cfg.points()[None, :], j)[0]
 
 
-def emergent_fields(N: int, holes, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """A_j and V_j for a stack of hole configurations, b = N.
+def emergent_field_stack(N: int, holes, j: int) -> tuple[np.ndarray, np.ndarray, dict]:
+    """A_j, V_j and the refused rows of a stack of hole configurations, b = N.
 
-    holes has shape (B, n), one configuration per row; returns A of shape
-    (B, 2) and V of shape (B,), from exact Upsilon log-derivatives computed
-    for all rows by one upsilon_derivative_stack call.  A row with
-    coincident holes raises SingularConfigurationError; a row merged beyond
-    what double precision resolves raises DegenerateConfigurationError.  The
-    message names the first such row.
-    """
+    holes has shape (B, n); returns A (B, 2) and V (B,) from one
+    upsilon_derivative_stack call, and a dict from each refused row to its
+    error: rows with coincident holes first (SingularConfigurationError),
+    then in row order those with Upsilon rounding noise (resolved_rows) or a
+    V rounding error above FIELD_ERROR_BUDGET N (DegenerateConfigurationError).
+    A refused row has NaN fields and raises no numpy warning."""
     w = np.asarray(holes, dtype=complex)
     if w.ndim != 2:
         raise ValueError("holes must have shape (B, n)")
@@ -97,16 +86,9 @@ def emergent_fields(N: int, holes, j: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"tracer index {j} outside 0..{n - 1}")
     if not np.isfinite(w).all():
         raise ValueError("hole positions must be finite")
-    row = _first_row(coincident_rows(w))
-    if row is not None:
-        raise SingularConfigurationError(f"row {row}: hole positions must be pairwise distinct")
 
-    ups, d1, d11 = upsilon_derivative_stack(float(N), N + n, w, j)
-    corr, resolved = resolved_rows(float(N), N + n, w, ups)
-    row = _first_row(~resolved)
-    if row is not None:
-        raise DegenerateConfigurationError(
-            f"row {row}: Upsilon / prod Q = {corr[row]} below {UPSILON_FLOOR * n}")
+    coincident = coincident_rows(w)
+    ups, d1, d11, corr = upsilon_derivative_stack(float(N), N + n, w, j)
     # one rounding each: numpy's complex-by-real division multiplies by a
     # rounded reciprocal, and np.hypot is correctly rounded where np.abs of
     # a complex array often is not
@@ -116,15 +98,32 @@ def emergent_fields(N: int, holes, j: int) -> tuple[np.ndarray, np.ndarray]:
     # ddlog cancels two terms of size |dlog|^2.  Their rounding grows with
     # b|w_j|^2 and with the conditioning of the kernel matrix, corr
     v_error = V_ERROR_SCALE * (1.0 + N * np.abs(w[:, j]) ** 2) * dlog_sq / corr
-    row = _first_row(v_error > FIELD_ERROR_BUDGET * N)
-    if row is not None:
-        raise DegenerateConfigurationError(
-            f"row {row}: V rounding error ~{v_error[row]:.2e} exceeds "
-            f"{FIELD_ERROR_BUDGET:g} N (merging too deep)")
+    noise = np.isnan(d1)    # exactly the rows resolved_rows refuses
+    ok = ~(coincident | noise | (v_error > FIELD_ERROR_BUDGET * N))
+    refusals = {}
+    for row in sorted(np.flatnonzero(~ok).tolist(), key=lambda r: not coincident[r]):
+        refusals[row] = (
+            SingularConfigurationError(f"row {row}: hole positions must be pairwise distinct")
+            if coincident[row] else DegenerateConfigurationError(f"row {row}: " + (
+                f"Upsilon / prod Q = {corr[row]} below {UPSILON_FLOOR * n}" if noise[row] else
+                f"V rounding error ~{v_error[row]:.2e} exceeds {FIELD_ERROR_BUDGET:g} N "
+                "(merging too deep)")))
 
-    a_vec = N * np.stack([-w[:, j].imag, w[:, j].real], axis=-1) - _ab_rows(w, j) \
-        + np.stack([dlog.imag, dlog.real], axis=-1)
-    return a_vec, 2.0 * N + 2.0 * ddlog
+    rows = ok if refusals else slice(None)    # a view where no row is refused
+    a_vec = np.full((len(w), 2), np.nan)
+    a_vec[rows] = (N * np.stack([-w[rows, j].imag, w[rows, j].real], axis=-1)
+                   - _ab_rows(w[rows], j) + np.stack([dlog[rows].imag, dlog[rows].real], axis=-1))
+    return a_vec, np.where(ok, 2.0 * N + 2.0 * ddlog, np.nan), refusals
+
+
+def emergent_fields(N: int, holes, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """A_j (B, 2) and V_j (B,) of emergent_field_stack where it refuses no
+    row; otherwise it raises the error of the first row in its dict, which
+    puts coincident holes before rounding noise and names the row."""
+    a_vec, v_val, refusals = emergent_field_stack(N, holes, j)
+    if refusals:
+        raise next(iter(refusals.values()))
+    return a_vec, v_val
 
 
 def emergent_field_derivative(cfg: HoleConfig, j: int) -> EmergentField:

@@ -1,13 +1,21 @@
+import contextlib
+import io
+import itertools
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhflux import cli
 from qhflux.cli import (UsageError, load_config, main, parse_complex,
                         parse_complex_list, parse_grid)
+from qhflux.harness.report import fmt
 from qhflux.harness.suites import run_potential_suite, run_upsilon_suite
-from qhflux.potentials import DegenerateConfigurationError
+from qhflux.partition import HoleConfig
+from qhflux.potentials import DegenerateConfigurationError, emergent_field_derivative
 
 
 def test_parse_complex_forms():
@@ -257,25 +265,65 @@ def test_charpoly_subcommand(capsys):
     assert "z-score" in out and "samples = 10000" in out
 
 
-def test_field_map_flags_degenerate_row(tmp_path, monkeypatch):
-    def degenerate(cfg, j):
-        raise DegenerateConfigurationError("merging too deep")
-
-    monkeypatch.setattr(cli, "emergent_field_derivative", degenerate)
-    assert main(["field-map", "--N", "16", "--holes", "0.25+0i",
-                 "--grid", "0:0:1,0:0:1", "--out", str(tmp_path)]) == 0
+def test_field_map_flags_degenerate_row(tmp_path):
+    # a mover 1e-6 from the fixed hole at N = 256 merges too deep for V
+    assert main(["field-map", "--N", "256", "--holes", "0.05+0.02i",
+                 "--grid", "0.050001:0.050001:1,0.02:0.02:1", "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "field_map.csv").read_text().strip().split("\n")
-    assert "degenerate" in lines[1]
+    assert lines[1].split(",")[2:6] == ["nan", "nan", "nan", "degenerate"]
 
 
 def test_field_map_propagates_unexpected_errors(tmp_path, monkeypatch):
-    def broken(cfg, j):
+    def broken(N, holes, j):
         raise RuntimeError("not a numerical degeneracy")
 
-    monkeypatch.setattr(cli, "emergent_field_derivative", broken)
+    monkeypatch.setattr(cli, "emergent_field_stack", broken)
     with pytest.raises(RuntimeError):
         main(["field-map", "--N", "16", "--holes", "0.25+0i",
               "--grid", "0:0:1,0:0:1", "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize("flags", [["--holes", "0.1+0i,0.1+0i", "--grid", "0:0.2:3,0:0:1"],
+                                   ["--holes", "nan+0i", "--grid", ""],
+                                   ["--N", "0", "--grid", ""]])
+def test_field_map_invalid_input_exits_2(capsys, flags):
+    # the fixed holes and N are refused before any grid point is evaluated
+    argv = ["field-map", "--N", "16", *flags]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+grid_axis = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.integers(1, 4))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(N=st.integers(1, 512), xa=grid_axis, ya=grid_axis, data=st.data())
+def test_field_map_rows_match_one_point_fields(N, xa, ya, data):
+    # every row: coincident iff the mover is a fixed hole, degenerate iff the
+    # one-point field call refuses it, else that call's A and V to the bit
+    xs, ys = (np.linspace(lo, hi, k) for lo, hi, k in (xa, ya))
+    on_grid = st.tuples(st.sampled_from(xs.tolist()), st.sampled_from(ys.tolist()))
+    near = st.sampled_from([0.0, 1e-7, 1e-3, 0.1])
+    picks = data.draw(st.lists(st.tuples(on_grid, near), min_size=1, max_size=3))
+    fixed = tuple(dict.fromkeys(complex(x + d, y) for (x, y), d in picks))
+    grid = f"{xa[0]!r}:{xa[1]!r}:{xa[2]},{ya[0]!r}:{ya[1]!r}:{ya[2]}"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["field-map", "--N", str(N), f"--grid={grid}", "--holes="
+                     + ",".join(f"{w.real!r}{w.imag:+.17g}i" for w in fixed)]) == 0
+    rows = [line.split(",") for line in out.getvalue().strip().split("\n")[1:]]
+    assert len(rows) == len(xs) * len(ys)
+    for row, (x, y) in zip(rows, itertools.product(xs, ys)):
+        mover = complex(x, y)
+        if mover in fixed:
+            assert row[5] == "coincident"
+            continue
+        try:
+            field = emergent_field_derivative(HoleConfig(w=fixed + (mover,), N=N), len(fixed))
+        except DegenerateConfigurationError:
+            assert row[5] == "degenerate"
+            continue
+        assert row[2:5] == [fmt(field.A[0]), fmt(field.A[1]), fmt(field.V)]
 
 
 def test_non_finite_hole_exits_2(capsys):

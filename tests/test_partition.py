@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qhflux
@@ -65,7 +66,7 @@ def test_upsilon_rotation_invariant():
 
 def tracer_derivatives(cfg, j):
     """Upsilon, d_j Upsilon and d_j dbar_j Upsilon of one configuration."""
-    ups, d1, d11 = upsilon_derivative_stack(cfg.b, cfg.spec.M, cfg.points()[None, :], j)
+    ups, d1, d11, _ = upsilon_derivative_stack(cfg.b, cfg.spec.M, cfg.points()[None, :], j)
     return float(ups[0]), complex(d1[0]), complex(d11[0])
 
 
@@ -348,6 +349,38 @@ def test_log_upsilon_and_fields_refuse_the_same_rows(N, holes, offset):
     except DegenerateConfigurationError as err:
         degenerate = "Upsilon / prod Q" in str(err)
     assert refused == degenerate
+
+
+wide = st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2 * math.pi)).map(
+    lambda rt: complex(rt[0] * math.cos(rt[1]), rt[0] * math.sin(rt[1])))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(N=st.integers(1, 1024), holes=st.lists(wide, min_size=1, max_size=4, unique=True),
+       offset=st.none() | near)
+# the kernel diagonal underflows to denormals far outside the droplet, and
+# numpy's determinant comes out NaN
+@example(N=1024, holes=[1.808, 1.808 + 1e-8j, 1.42j, 0.725], offset=None)
+# a near-singular kernel matrix, whose inverse overflows
+@example(N=1024, holes=[0.06959865763466389 - 1.1158315405362287j,
+                        0.06959865792041531 - 1.1158315402563248j,
+                        -0.4093831259378029 - 0.15514965447536366j,
+                        0.11271275670124109 - 0.2826712965117596j], offset=None)
+def test_upsilon_and_fields_stay_in_range_without_warnings(N, holes, offset):
+    # out to |w| = 2: Upsilon stays in [0, 1] and the fields are finite or
+    # refused with a typed error, with no numpy warning on the way
+    if offset is not None and len(holes) > 1:
+        holes[-1] = holes[0] + offset
+    cfg = HoleConfig(w=tuple(holes), N=N)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert -1e-12 <= upsilon(cfg) <= 1.0 + 1e-12
+        for j in range(cfg.n):
+            try:
+                a_vec, v_val = emergent_fields(N, [cfg.w], j)
+            except (DegenerateConfigurationError, SingularConfigurationError):
+                continue
+            assert np.all(np.isfinite(a_vec)) and np.all(np.isfinite(v_val))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

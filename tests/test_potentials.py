@@ -10,7 +10,8 @@ from qhflux.potentials import (DegenerateConfigurationError, FieldGrids,
                                ResourceBudgetError, ab_sum, asymptotic_prediction,
                                correction_a, correction_v, double_integral_direct,
                                emergent_field_derivative, emergent_field_integral,
-                               emergent_fields, perp, refined_fields, to_vec)
+                               emergent_field_stack, emergent_fields, perp,
+                               refined_fields, to_vec)
 from qhflux.quadrature import polar_grid
 
 
@@ -18,10 +19,14 @@ def test_perp_convention():
     assert np.allclose(perp(np.array([1.0, 2.0])), [-2.0, 1.0])
 
 
-def test_ab_sum_rejects_tiny_separation():
-    cfg = HoleConfig(w=(0.1, 0.1 + 1e-13), N=8)
+def test_ab_sum_rejects_coincident_holes():
+    # coincident_rows is the one coincidence rule; a separation of 1e-13 is
+    # distinct and gives the finite 1/s Aharonov-Bohm term
     with pytest.raises(SingularConfigurationError):
-        ab_sum(cfg, 0)
+        ab_sum(HoleConfig(w=(0.1, 0.1), N=8), 0)
+    cfg = HoleConfig(w=(0.1, 0.1 + 1e-13), N=8)
+    s = (cfg.w[1] - cfg.w[0]).real
+    assert ab_sum(cfg, 0) == pytest.approx([0.0, -1.0 / s], rel=1e-15)
 
 
 def test_ab_curl_reproduces_point_fluxes():
@@ -335,6 +340,17 @@ def test_batch_error_names_the_row():
         emergent_fields(256, good[:2] + [deep] + good[2:], 0)
     with pytest.raises(SingularConfigurationError, match="row 1"):
         emergent_fields(256, good[:1] + [(0.2j, 0.2j)] + good[1:], 1)
+    # the stack keeps the other rows: refused rows are NaN, coincident first
+    mixed = [good[0], deep, good[1], (0.2j, 0.2j), good[2]]
+    a_vec, v_val, refusals = emergent_field_stack(256, mixed, 0)
+    assert list(refusals) == [3, 1]
+    assert isinstance(refusals[3], SingularConfigurationError)
+    assert isinstance(refusals[1], DegenerateConfigurationError)
+    assert np.isnan(a_vec[[1, 3]]).all() and np.isnan(v_val[[1, 3]]).all()
+    a_good, v_good = emergent_fields(256, good, 0)
+    assert np.array_equal(a_vec[[0, 2, 4]], a_good) and np.array_equal(v_val[[0, 2, 4]], v_good)
+    with pytest.raises(SingularConfigurationError, match="row 3"):
+        emergent_fields(256, mixed, 0)
 
 
 hole = st.tuples(st.floats(0.0, 0.95), st.floats(0.0, 2 * math.pi)).map(

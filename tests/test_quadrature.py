@@ -66,7 +66,7 @@ def test_finite_diff_gradient_of_log_upsilon():
     point, h = 0.2 + 0.1j, 1e-5
     grad = np.array([(logups(point + e) - logups(point - e)) / (2 * h) for e in (h, 1j * h)])
     cfg = HoleConfig(w=(point, other), N=8)
-    ups, d1, _ = upsilon_derivative_stack(cfg.b, cfg.spec.M, cfg.points()[None, :], 0)
+    ups, d1, _, _ = upsilon_derivative_stack(cfg.b, cfg.spec.M, cfg.points()[None, :], 0)
     dlog = complex(d1[0]) / float(ups[0])
     analytic = 2.0 * np.array([dlog.real, -dlog.imag])
     assert np.linalg.norm(grad - analytic) <= 1e-6 * np.linalg.norm(analytic)
