@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .quadrature import QuadratureGrid
 
@@ -87,7 +86,7 @@ def _series_stack(b: float, x: np.ndarray, j0: int, j1: float):
     # scale, which is -inf where x = 0 and j0 > 0
     with np.errstate(divide="ignore"):
         scale = ((j0 + 1) * math.log(b) + (j0 * np.log(r) if j0 else np.zeros(x.size))
-                 - math.log(math.pi) - float(gammaln(j0 + 1)))
+                 - math.log(math.pi) - math.lgamma(j0 + 1))
     j = np.full(x.size, float(j0))
     ratio = br / (j0 + 1.0)                    # from term j to term j + 1
     t, mass = np.ones(x.size), np.zeros(x.size)
@@ -331,6 +330,18 @@ def kernel_tail_bound(spec: KernelSpec, z: complex, w: complex) -> float:
     return math.exp(kernel_tail_bound_log(spec, z, w))
 
 
+# stirlerr(k) = log k! - (k + 1/2) log k + k - log(2 pi)/2 for k = 1..15, as
+# the double-precision expression gives it, where _log_poisson's series is
+# not yet accurate
+_STIRLERR = np.array([
+    0.08106146679532733, 0.041340695955409235, 0.02767792568499816,
+    0.020790672103765395, 0.016644691189821703, 0.013876128823070655,
+    0.011896709945891981, 0.010411265261975, 0.009255462182710783,
+    0.008330563433360805, 0.00757367548795207, 0.006942840107208692,
+    0.00640899418800478, 0.005951370112766252, 0.005554733551965452,
+])
+
+
 def _log_poisson(j: np.ndarray, t: np.ndarray) -> np.ndarray:
     """log(t^j e^{-t} / j!) for j >= 0, t > 0, in Loader's saddle-point form.
 
@@ -340,10 +351,9 @@ def _log_poisson(j: np.ndarray, t: np.ndarray) -> np.ndarray:
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         jj = np.maximum(j, 1.0)
-        small = gammaln(jj + 1) - (jj + 0.5) * np.log(jj) + jj - 0.5 * math.log(2 * math.pi)
         inv2 = 1.0 / jj ** 2
         series = (1 / 12 - inv2 * (1 / 360 - inv2 * (1 / 1260 - inv2 * (1 / 1680 - inv2 / 1188)))) / jj
-        stirlerr = np.where(jj > 15, series, small)
+        stirlerr = np.where(jj > 15, series, _STIRLERR[np.minimum(jj, 15).astype(int) - 1])
         d = (j - t) / t
         # j/t below eps rounds d to -1, where (1 + d) log1p(d) takes its limit 0
         bd0 = t * (np.where(d > -1.0, (1.0 + d) * np.log1p(d), 0.0) - d)

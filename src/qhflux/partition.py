@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc, gammaln
 
 from .kernel import KernelSpec, orbital_derivatives, weighted_orbitals
 
@@ -82,7 +81,7 @@ def cumulative_log_factorials(m: int) -> float:
     global _LOGFACT_CUM
     if m >= _LOGFACT_CUM.size:
         size = max(m + 1, 1101)
-        _LOGFACT_CUM = np.concatenate([[0.0], np.cumsum(gammaln(np.arange(2, size + 1)))])
+        _LOGFACT_CUM = np.cumsum([0.0] + [math.lgamma(k + 1) for k in range(1, size)])
     return float(_LOGFACT_CUM[m])
 
 
@@ -93,22 +92,22 @@ def coincident_rows(holes) -> np.ndarray:
     return (w[:, 1:] == w[:, :-1]).any(axis=1)
 
 
-def resolved_rows(b: float, M: int, holes, ups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(corr, resolved) for each row of a (B, n) hole stack with Upsilon ups:
-    the one rule by which every caller refuses Upsilon as rounding noise.
+def resolved_rows(kernel: np.ndarray, ups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(corr, resolved) for each row of a (B, n, n) stack of kernel matrices
+    (pi/b) [K_M(w_a, w_c)] with determinants Upsilon ups: the one rule by
+    which every caller refuses Upsilon as rounding noise.
 
-    corr is Upsilon / prod_i Q(M, b|w_i|^2).  The diagonal of
-    (pi/b) K_M(w, w) is Q(M, b|w|^2), so this is the determinant of the
-    kernel matrix scaled to unit diagonal: it measures the conditioning,
-    where raw Upsilon is also small when a hole merely sits outside the
-    droplet.  A row is resolved when corr >= UPSILON_FLOOR n, which a
-    singular row (Upsilon 0) or a negative Upsilon never is.
+    corr is Upsilon / prod_i Q(M, b|w_i|^2), where Q(M, b|w|^2) is the
+    diagonal (pi/b) K_M(w, w), read off the kernel matrix; so corr is the
+    determinant of the kernel matrix scaled to unit diagonal.  It measures
+    the conditioning, where raw Upsilon is also small when a hole merely
+    sits outside the droplet.  A row is resolved when corr >= UPSILON_FLOOR n,
+    which a singular row (Upsilon 0) or a negative Upsilon never is.
     """
-    w = np.asarray(holes, dtype=complex)
-    q = np.prod(gammaincc(M, b * np.abs(w) ** 2), axis=1)
+    q = np.prod(kernel.diagonal(axis1=1, axis2=2).real, axis=1)
     # where prod Q underflows to 0, so does Upsilon: the ratio counts as 0
     corr = np.divide(ups, q, out=np.zeros_like(ups), where=q > 0.0)
-    return corr, corr >= UPSILON_FLOOR * w.shape[1]
+    return corr, corr >= UPSILON_FLOOR * kernel.shape[1]
 
 
 def _kernel_stack(b: float, M: int, holes):
@@ -150,7 +149,7 @@ def _resolved_upsilon(cfg: HoleConfig):
     cfg.require_distinct()
     holes = cfg.points()[None, :]
     _, phi, kernel, ups = _kernel_stack(cfg.b, cfg.spec.M, holes)
-    if not resolved_rows(cfg.b, cfg.spec.M, holes, ups)[1][0]:
+    if not resolved_rows(kernel, ups)[1][0]:
         raise SingularMatrixError(f"Upsilon = {ups[0]:.3e} is rounding noise: below "
                                   "PIVOT_FLOOR, or below UPSILON_FLOOR n times prod Q")
     return phi[0], kernel[0], float(ups[0])
@@ -197,7 +196,7 @@ def upsilon_derivative_stack(b: float, M: int, holes, j: int
         out[:, j, j] = diag
         return out
 
-    corr, resolved = resolved_rows(b, M, holes, ups)
+    corr, resolved = resolved_rows(kernel, ups)
     inverse = np.linalg.inv(np.where(resolved[:, None, None], kernel, np.eye(n)))
     d = inverse @ tracer_matrix(t10, t01, b * w.conj() * q1)
     dbar = inverse @ tracer_matrix(t01, t10, b * w * q1)
@@ -219,7 +218,7 @@ def log_partition(cfg: HoleConfig) -> PartitionValue:
     """
     log_ups = log_upsilon(cfg)    # refuses coincident holes first
     N, n, b = cfg.N, cfg.n, cfg.b
-    log_gamma = (float(gammaln(N + 1)) + N * math.log(math.pi)
+    log_gamma = (math.lgamma(N + 1) + N * math.log(math.pi)
                  + cumulative_log_factorials(N + n - 1)
                  + (n - (N + n) * (N + n + 1) / 2.0) * math.log(b))
     b_sum = b * float(np.sum(np.abs(cfg.points()) ** 2))

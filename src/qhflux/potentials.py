@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .kernel import weighted_orbitals
 from .partition import (UPSILON_FLOOR, HoleConfig, SingularConfigurationError,
@@ -57,8 +56,9 @@ def perp(v: np.ndarray) -> np.ndarray:
 def _ab_rows(w: np.ndarray, j: int) -> np.ndarray:
     """Aharonov-Bohm sum of tracer j for each row of a (B, n) hole stack."""
     d = w[:, [j]] - np.delete(w, j, axis=1)
-    d_sq = np.hypot(d.real, d.imag) ** 2
-    return np.sum(np.stack([-d.imag, d.real], axis=-1) / d_sq[..., None], axis=1)
+    # d / |d|^2 as 1 / conj(d): |d|^2 itself underflows once |d| < ~1.5e-154
+    u = 1.0 / d.conj()
+    return np.sum(np.stack([-u.imag, u.real], axis=-1), axis=1)
 
 
 def ab_sum(cfg: HoleConfig, j: int) -> np.ndarray:
@@ -163,7 +163,11 @@ def vanishing_subspace(cfg: HoleConfig, pts: np.ndarray):
     """
     spec = cfg.spec
     constraints = weighted_orbitals(spec.b, spec.M, cfg.points())
-    basis = null_space(constraints)
+    # the null space of the n x M constraints, with scipy.linalg.null_space's
+    # rank rule: singular values above max(n, M) eps s_max count
+    _, s, vh = np.linalg.svd(constraints)
+    rank = np.count_nonzero(s > max(constraints.shape) * np.finfo(float).eps * s.max(initial=0.0))
+    basis = vh[rank:].conj().T
     u = weighted_orbitals(spec.b, spec.M, pts)
     return u @ basis
 

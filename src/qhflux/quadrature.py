@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
 
 
 @dataclass
@@ -26,8 +26,16 @@ class QuadratureGrid:
         return self.nodes.size
 
 
+@lru_cache(maxsize=None)
+def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], cached and read-only."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _panel_gl(edges: np.ndarray, nodes_per_panel: int):
-    x, w = roots_legendre(nodes_per_panel)
+    x, w = gauss_legendre(nodes_per_panel)
     lo = edges[:-1][:, None]
     hi = edges[1:][:, None]
     r = (0.5 * (hi - lo) * x[None, :] + 0.5 * (hi + lo)).ravel()
@@ -37,7 +45,7 @@ def _panel_gl(edges: np.ndarray, nodes_per_panel: int):
 
 def cartesian_grid(radius: float, order: int = 64) -> QuadratureGrid:
     """Tensor Gauss-Legendre on the square [-radius, radius]^2."""
-    x, w = roots_legendre(order)
+    x, w = gauss_legendre(order)
     x = radius * x
     w = radius * w
     nodes = (x[:, None] + 1j * x[None, :]).ravel()

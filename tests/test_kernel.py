@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from qhflux.kernel import (KernelSpec, UnsupportedOrderError,
                            kernel_derivative, kernel_diff_log, kernel_eval, kernel_infty,
@@ -420,3 +421,13 @@ def test_tail_matches_mpmath_term_sum(N, dM, d_z, p, q):
     dphase = abs((got.phase - float(mpmath.arg(exact)) + math.pi) % (2 * math.pi) - math.pi)
     tol = 1e-12 * max(1.0, abs(log_mag))
     assert abs(got.log_mag - log_mag) <= tol and dphase <= tol, (got, log_mag)
+
+
+def test_stirling_table_is_the_gammaln_expression():
+    # _log_poisson reads stirlerr(k), k <= 15, from a table; it must hold the
+    # very doubles the gammaln expression gives, so that weighted_orbitals
+    # is unchanged to the bit
+    from qhflux.kernel import _STIRLERR
+    k = np.arange(1, 16, dtype=float)
+    expr = gammaln(k + 1) - (k + 0.5) * np.log(k) + k - 0.5 * math.log(2 * math.pi)
+    assert _STIRLERR.tobytes() == expr.tobytes()

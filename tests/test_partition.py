@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaincc
 
 import qhflux
 from qhflux.kernel import kernel_eval, kernel_matrix
 from qhflux.oracle.monomial import partition_exact
-from qhflux.partition import (HoleConfig, PartitionValue, SingularConfigurationError,
-                              SingularMatrixError, log_partition, log_upsilon,
+from qhflux.partition import (UPSILON_FLOOR, HoleConfig, PartitionValue,
+                              SingularConfigurationError, SingularMatrixError,
+                              _kernel_stack, log_partition, log_upsilon,
                               resolved_rows, theta, theta_polarized, upsilon,
                               upsilon_derivative_stack, upsilon_prediction)
 from qhflux.potentials import DegenerateConfigurationError, emergent_fields
@@ -126,7 +128,8 @@ def test_upsilon_derivative_rejects_coincident():
     cfg = HoleConfig(w=(0.1, 0.1), N=8)
     ups, d1, d11 = tracer_derivatives(cfg, 0)
     assert ups == 0.0 and math.isnan(d1.real) and math.isnan(d11.real)
-    assert not resolved_rows(cfg.b, cfg.spec.M, cfg.points()[None, :], np.array([ups]))[1][0]
+    kernel = math.pi / cfg.b * kernel_matrix(cfg.spec, cfg.points(), cfg.points())
+    assert not resolved_rows(kernel[None], np.array([ups]))[1][0]
 
 
 def test_upsilon_derivative_on_singular_matrix_raises():
@@ -397,3 +400,32 @@ def test_schur_identity(N, holes):
     except SingularMatrixError:  # Upsilon(w) is rounding noise, and so is the left side
         rhs = 0.0
     assert big == pytest.approx(rhs, abs=1e-12)
+
+
+@pytest.mark.parametrize("b", [8.0, 64.0, 256.0, 1024.0])
+def test_kernel_diagonal_is_regularized_gamma_and_refusals_match(b):
+    # resolved_rows reads Q(M, b|w|^2) off the kernel diagonal, where it
+    # once called gammaincc: the two agree wherever gammaincc is a normal
+    # number, and the refusal verdicts agree row by row
+    rng = np.random.default_rng(int(b))
+    for M in (int(b), int(b) + 1, int(b) + 3):
+        w = np.linspace(0.0, 1.4, 57) * np.exp(2j * np.pi * rng.uniform(size=57))
+        q = _kernel_stack(b, M, w[:, None])[2][:, 0, 0].real
+        ref = gammaincc(M, b * np.abs(w) ** 2)
+        live = ref > 1e-290
+        assert np.all(np.abs(q[live] - ref[live]) <= 1e-11 * ref[live])
+        for n in (2, 3):
+            # one hole at a centre, the others 1e-9 to 1 away from it
+            centre = rng.uniform(-1.2, 1.2, (40, 1)) + 1j * rng.uniform(-1.2, 1.2, (40, 1))
+            holes = centre + 10.0 ** rng.uniform(-9, 0, (40, n)) * np.exp(
+                2j * np.pi * rng.uniform(size=(40, n)))
+            holes[:, 0] = centre[:, 0]
+            holes[0] = [1e8] + [0.3] * (n - 1) + np.arange(n) * 0.1j    # far outside
+            _, _, kernel, ups = _kernel_stack(b, M, holes)
+            corr, resolved = resolved_rows(kernel, ups)
+            q_old = np.prod(gammaincc(M, b * np.abs(holes) ** 2), axis=1)
+            corr_old = np.divide(ups, q_old, out=np.zeros_like(ups), where=q_old > 0.0)
+            assert np.array_equal(resolved, corr_old >= UPSILON_FLOOR * n)
+            assert np.all(np.abs(corr - corr_old) <= 1e-11 * np.abs(corr_old))
+            assert not resolved[0] and corr[0] == 0.0
+            assert 0 < np.count_nonzero(resolved) < len(resolved)

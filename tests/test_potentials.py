@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import null_space
 
 from qhflux.partition import HoleConfig, SingularConfigurationError
 from qhflux.potentials import (DegenerateConfigurationError, FieldGrids,
@@ -27,6 +29,31 @@ def test_ab_sum_rejects_coincident_holes():
     cfg = HoleConfig(w=(0.1, 0.1 + 1e-13), N=8)
     s = (cfg.w[1] - cfg.w[0]).real
     assert ab_sum(cfg, 0) == pytest.approx([0.0, -1.0 / s], rel=1e-15)
+
+
+def test_ab_sum_below_the_square_root_of_the_smallest_double():
+    # |d|^2 underflows to 0 at |d| = 1e-170; the sum d / |d|^2 does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ab_sum(HoleConfig(w=(0.1, 0.1 + 1e-170j), N=8), 0)
+    assert np.all(np.isfinite(got))
+    assert got == pytest.approx([1e170, 0.0], rel=1e-15)
+
+
+def test_ab_sum_agrees_with_the_squared_modulus_form():
+    # perp(d) / hypot(d)^2 term by term, on ordinary separations; with three
+    # or more holes the terms can cancel, so the error is taken against the
+    # term mass sum_l 1/|d_l|
+    from qhflux.potentials import _ab_rows
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 4):
+        w = rng.uniform(-1, 1, (500, n)) + 1j * rng.uniform(-1, 1, (500, n))
+        for j in range(n):
+            d = w[:, [j]] - np.delete(w, j, axis=1)
+            squared = np.hypot(d.real, d.imag)[..., None] ** 2
+            old = np.sum(np.stack([-d.imag, d.real], axis=-1) / squared, axis=1)
+            err = np.linalg.norm(_ab_rows(w, j) - old, axis=1)
+            assert np.all(err <= 1e-15 * np.sum(1 / np.abs(d), axis=1))
 
 
 def test_ab_curl_reproduces_point_fluxes():
@@ -217,6 +244,21 @@ def test_double_integral_factorization_matches_direct():
     frob = float(np.sum(np.abs(t_mat) ** 2))
     direct = double_integral_direct(cfg, 0, grid)
     assert frob == pytest.approx(direct, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_vanishing_subspace_projector_matches_null_space(n):
+    # the basis is an SVD's choice; the projector onto it is not
+    from qhflux.kernel import weighted_orbitals
+    from qhflux.potentials import vanishing_subspace
+    rng = np.random.default_rng(n)
+    cfg = HoleConfig(w=tuple(rng.uniform(-0.6, 0.6, n) + 1j * rng.uniform(-0.6, 0.6, n)), N=16)
+    pts = rng.uniform(-1.2, 1.2, 40) + 1j * rng.uniform(-1.2, 1.2, 40)
+    psi = vanishing_subspace(cfg, pts)
+    old = weighted_orbitals(cfg.b, cfg.spec.M, pts) @ null_space(
+        weighted_orbitals(cfg.b, cfg.spec.M, cfg.points()))
+    assert psi.shape == old.shape == (40, 16)
+    assert np.max(np.abs(psi @ psi.conj().T - old @ old.conj().T)) <= 1e-12
 
 
 def test_integral_route_polar_refinement_converges():

@@ -1,9 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from qhflux.quadrature import cartesian_grid, integrate_radial, polar_grid
+from qhflux.quadrature import cartesian_grid, gauss_legendre, integrate_radial, polar_grid
 
 
 def integrate(grid, f):
@@ -70,3 +71,37 @@ def test_finite_diff_gradient_of_log_upsilon():
     dlog = complex(d1[0]) / float(ups[0])
     analytic = 2.0 * np.array([dlog.real, -dlog.imag])
     assert np.linalg.norm(grad - analytic) <= 1e-6 * np.linalg.norm(analytic)
+
+
+def _mp_legendre_rule(n, x0):
+    """Roots of P_n polished from x0 by Newton's method at 40 digits, and
+    their weights 2 / ((1 - x^2) P_n'(x)^2)."""
+    xs, ws = [], []
+    with mpmath.workdps(40):
+        for x in map(mpmath.mpf, x0):
+            for _ in range(4):
+                p0, p1 = mpmath.mpf(1), x
+                for k in range(2, n + 1):
+                    p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+                dp = n * (x * p1 - p0) / (x * x - 1)
+                x -= p1 / dp
+            xs.append(float(x))
+            ws.append(float(2 / ((1 - x * x) * dp * dp)))
+    return np.array(xs), np.array(ws)
+
+
+@pytest.mark.parametrize("order", [10, 12, 16, 24, 32, 48, 64, 80, 96, 120])
+def test_gauss_legendre_matches_mpmath(order):
+    x, w = gauss_legendre(order)
+    half = x.size // 2    # the rule is symmetric about 0
+    xr, wr = _mp_legendre_rule(order, x[half:])
+    assert np.all(np.abs(x[half:] - xr) <= 4e-16)
+    assert np.all(np.abs(w[half:] - wr) <= 2e-11 * wr)
+    assert np.array_equal(x[:half], -x[::-1][:half]) and np.array_equal(w, w[::-1])
+
+
+def test_gauss_legendre_is_cached_and_read_only():
+    x, w = gauss_legendre(48)
+    assert gauss_legendre(48)[0] is x
+    with pytest.raises(ValueError):
+        w[0] = 1.0
