@@ -2,11 +2,12 @@
 
 The target log-density is
     L(z) = -b sum|z_k|^2 + 2 mu sum_{i<j} log|z_i-z_j| + 2 p sum_{k,j} log|z_k-w_j|,
-sampled with single-particle sweeps and isotropic Gaussian proposals.  A
-sweep runs in pure Python over PairLogCache, which keeps the pairwise logs
-so that a move costs N - 1 fresh logarithms; log_density recomputes each
-kept sample from scratch with numpy, independently of the cache.  Chains
-are bit-reproducible from the seed.
+sampled with single-particle sweeps and isotropic Gaussian proposals.  No
+particle moves before its turn, so metropolis_sweep builds every distance a
+sweep can need with numpy before its first accept decision, and each move
+only sums entries of a precomputed row; log_density recomputes each kept
+sample from scratch with numpy, independently of the sweep.  Chains are
+bit-reproducible from the seed.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import math
 import struct
 import warnings
 from dataclasses import dataclass
-from math import log
+from functools import lru_cache
+from itertools import compress
 
 import numpy as np
 
@@ -88,13 +90,20 @@ def integrated_autocorrelation_time(series) -> float:
     return float(tau[np.argmax(cut)] if cut.any() else tau[-1])
 
 
+@lru_cache(maxsize=16)
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, 1) as read-only arrays."""
+    i, j = np.triu_indices(n, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def log_density(cfg: PlasmaConfig, z: np.ndarray) -> float:
     val = -cfg.b * float(np.sum(np.abs(z) ** 2))
     if cfg.N > 1:
-        d = z[:, None] - z[None, :]
-        iu = np.triu_indices(cfg.N, 1)
+        i, j = _pair_indices(cfg.N)
         with np.errstate(divide="ignore"):
-            val += 2.0 * cfg.mu * float(np.sum(np.log(np.abs(d[iu]))))
+            val += 2.0 * cfg.mu * float(np.sum(np.log(np.abs(z[i] - z[j]))))
     if cfg.holes and cfg.p:
         w = np.asarray(cfg.holes)
         with np.errstate(divide="ignore"):
@@ -102,54 +111,50 @@ def log_density(cfg: PlasmaConfig, z: np.ndarray) -> float:
     return val
 
 
-class PairLogCache:
-    """The chain state as Python objects, with the logarithms a move reuses.
+def metropolis_sweep(cfg: PlasmaConfig, z: np.ndarray, steps: np.ndarray,
+                     logu: np.ndarray) -> tuple[np.ndarray, list[bool], list[float]]:
+    """Move particles k = 0, ..., N-1 in turn to z'_k = z_k + steps[k], each
+    when logu[k] is below the move's log density ratio.
 
-    Holds the positions z as Python complexes, the pairwise logs
-    L[i][k] = log|z_i - z_k| (with L[k][k] = 0) and the hole terms
-    H[k] = sum_j log|z_k - w_j|.  A proposal takes N - 1 fresh logarithms
-    for the row of the moved particle, plus one per hole; the old row's sum
-    is taken afresh from the cached entries, so no rounding drift builds up
-    along a chain.
+    No particle moves before its turn, so every other particle i sits at z_i,
+    or at z'_i once it has moved.  With R[k, i] = log(|z'_k - z_i| / |z_k - z_i|)
+    the ratio of move k is the precomputed base
+        b (|z_k|^2 - |z'_k|^2) + 2 p (hole terms) + 2 mu sum_{i != k} R[k, i]
+    plus 2 mu sum of G[k, i] = log(|z'_k - z'_i| / |z_k - z'_i|) - R[k, i] over
+    the particles i < k accepted earlier in the sweep.  A proposal onto a
+    current particle, or onto a hole when p > 0, meets log 0 = -inf and is
+    rejected.  One onto a site z_i vacated earlier in the sweep puts -inf in
+    the base and +inf in the correction; that NaN ratio is taken afresh from
+    the particles' current sites.  Returns the positions after the sweep,
+    the accept flags and the N log ratios.
     """
-
-    def __init__(self, cfg: PlasmaConfig, z: np.ndarray):
-        self.b = cfg.b
-        self.two_mu = 2.0 * cfg.mu
-        self.two_p = 2.0 * cfg.p
-        self.holes = list(cfg.holes) if cfg.p else []
-        z = np.asarray(z, dtype=complex)
-        self.z = z.tolist()
-        d = np.abs(np.subtract.outer(z, z))
-        np.fill_diagonal(d, 1.0)
-        with np.errstate(divide="ignore"):
-            self.L = np.log(d).tolist()
-            w = np.asarray(self.holes, dtype=complex)
-            self.H = np.sum(np.log(np.abs(np.subtract.outer(z, w))), axis=1).tolist()
-
-    def log_ratio(self, k: int, znew: complex) -> tuple[float, list | None, float]:
-        """Log density ratio for moving particle k to znew, with the row of
-        pairwise logs and the hole term that accept() stores."""
-        zk = self.z[k]
-        d = [znew - zi for zi in self.z]
-        d[k] = 1.0
-        try:
-            row = list(map(log, map(abs, d)))
-            h = sum([log(abs(znew - w)) for w in self.holes])
-        except ValueError:  # log(0.0): znew lands on another particle or a hole
-            return -math.inf, None, 0.0
-        val = -self.b * (abs(znew) ** 2 - abs(zk) ** 2)
-        val += self.two_mu * (sum(row) - sum(self.L[k]))
-        val += self.two_p * (h - self.H[k])
-        return val, row, h
-
-    def accept(self, k: int, znew: complex, row: list, h: float):
-        """Move particle k to znew, storing log_ratio's row and hole term."""
-        self.z[k] = znew
-        for Li, v in zip(self.L, row):
-            Li[k] = v
-        self.L[k] = row
-        self.H[k] = h
+    n = cfg.N
+    holes = cfg.holes if cfg.p else ()
+    zp = z + steps
+    pts = np.concatenate((z, zp, holes))
+    sq = np.abs(pts[:2 * n]) ** 2
+    d = np.abs(pts[:2 * n, None] - pts)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.log(d[n:] / d[:n])   # r[k, j] = log(|z'_k - pts_j| / |z_k - pts_j|)
+        r.ravel()[::r.shape[1] + 1] = 0.0   # particle k's own entry
+        c = cfg.b * (sq[:n] - sq[n:])
+        if holes:
+            c += 2.0 * cfg.p * r[:, 2 * n:].sum(axis=1)
+        old = r[:, :n]
+        two_mu = 2.0 * cfg.mu
+        base = c + two_mu * old.sum(axis=1)
+        g = r[:, n:2 * n] - old
+    at = list(range(n))   # column of r at each particle's current site
+    accepted, ratios = [], []
+    for k, (bk, gk, lu) in enumerate(zip(base.tolist(), g.tolist(), logu.tolist())):
+        ratio = bk + two_mu * sum(compress(gk, accepted))
+        if ratio != ratio:   # -inf + inf: z'_k is a site vacated in this sweep
+            ratio = float(c[k] + two_mu * r[k, at].sum())
+        ratios.append(ratio)
+        accepted.append(lu < ratio)
+        if lu < ratio:
+            at[k] = n + k
+    return pts[at], accepted, ratios
 
 
 def initial_positions(cfg: PlasmaConfig, rng: np.random.Generator) -> np.ndarray:
@@ -162,27 +167,20 @@ def initial_positions(cfg: PlasmaConfig, rng: np.random.Generator) -> np.ndarray
 def iter_plasma_mcmc(cfg: PlasmaConfig, diagnostics: ChainDiagnostics | None = None):
     """Generator of thinned post-burn-in samples."""
     rng = np.random.default_rng(np.random.PCG64(cfg.seed))
-    cache = PairLogCache(cfg, initial_positions(cfg, rng))
-    z, log_ratio, accept = cache.z, cache.log_ratio, cache.accept
+    z = initial_positions(cfg, rng)
     diag = diagnostics if diagnostics is not None else ChainDiagnostics()
     scale = cfg.proposal_scale
     kept = []
     for sweep in range(cfg.sweeps):
         # an (N, 2) row-major draw viewed as complex is complex(x, y) per row
-        steps = rng.normal(0.0, scale, size=(cfg.N, 2)).view(complex)[:, 0].tolist()
-        logu = np.log(rng.uniform(size=cfg.N)).tolist()
-        for k in range(cfg.N):
-            znew = z[k] + steps[k]
-            ratio, row, h = log_ratio(k, znew)
-            if logu[k] < ratio:
-                accept(k, znew, row, h)
-                diag.accepted += 1
+        steps = rng.normal(0.0, scale, size=(cfg.N, 2)).view(complex)[:, 0]
+        logu = np.log(rng.uniform(size=cfg.N))
+        z, accepted, _ = metropolis_sweep(cfg, z, steps, logu)
+        diag.accepted += sum(accepted)
         diag.proposals += cfg.N
         if sweep >= cfg.burn_in and (sweep - cfg.burn_in) % cfg.thin == 0:
-            positions = np.array(z)
-            kept.append(log_density(cfg, positions))
-            yield PlasmaSample(positions=positions, log_density=kept[-1],
-                               sweep_index=sweep)
+            kept.append(log_density(cfg, z))
+            yield PlasmaSample(positions=z, log_density=kept[-1], sweep_index=sweep)
     diag.acceptance_rate = diag.accepted / max(diag.proposals, 1)
     diag.tau_int = integrated_autocorrelation_time(kept)
     if not 0.05 <= diag.acceptance_rate <= 0.95:
@@ -198,14 +196,11 @@ def plasma_mcmc(cfg: PlasmaConfig) -> tuple[list[PlasmaSample], ChainDiagnostics
 
 
 def dump_samples(path, n: int, samples: list[PlasmaSample]):
-    """Binary dump: little-endian int64 N, then 2N float64 per sample."""
+    """Binary dump: little-endian int64 N, then 2N float64 per sample
+    (re z_1, im z_1, ..., re z_N, im z_N)."""
+    pos = np.array([s.positions for s in samples], dtype="<c16").reshape(-1, n)
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<q", n))
-        for s in samples:
-            flat = np.empty(2 * n)
-            flat[0::2] = s.positions.real
-            flat[1::2] = s.positions.imag
-            fh.write(flat.astype("<f8").tobytes())
+        fh.write(struct.pack("<q", n) + pos.tobytes())
 
 
 def load_samples(path) -> list[np.ndarray]:

@@ -1,6 +1,6 @@
 """Smoke test: each demo script runs to completion.
 
-01-06 take about 8 s together on a 2-vCPU box; 05_plasma_and_charpoly.py,
+01-06 take about 7 s together on a 2-vCPU box; 05_plasma_and_charpoly.py,
 the slowest, takes about 3 s (its two Metropolis chains run about 400k
 moves).
 """

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
-from qhflux.oracle.plasma import (PairLogCache, PlasmaConfig, dump_samples,
+from qhflux.oracle.plasma import (PlasmaConfig, dump_samples, initial_positions,
                                   integrated_autocorrelation_time, load_samples,
-                                  log_density, plasma_mcmc, radial_density_l1)
+                                  log_density, metropolis_sweep, plasma_mcmc,
+                                  radial_density_l1)
 
 
 def stack(samples):
@@ -44,43 +46,85 @@ def test_seed_reproducibility_bit_identical():
         assert sa.log_density == sb.log_density
 
 
+def one_move(cfg, z, k, znew, logu=-1e300):
+    """Sweep in which only particle k can move (every other log u is +inf),
+    to znew = z_k + steps[k]; returns the sweep's output."""
+    steps = np.zeros(cfg.N, dtype=complex)
+    steps[k] = znew - z[k]
+    lu = np.full(cfg.N, math.inf)
+    lu[k] = logu
+    return metropolis_sweep(cfg, z, steps, lu)
+
+
 def test_move_ratio_consistent_with_density():
     cfg = PlasmaConfig(N=5, b=3.0, holes=(0.2 + 0.1j,), p=1, mu=2,
                        sweeps=10, burn_in=1, seed=7)
     rng = np.random.default_rng(0)
     z = rng.normal(size=5) + 1j * rng.normal(size=5)
     znew = 0.3 - 0.2j
+    after, accepted, ratios = one_move(cfg, z, 2, znew)
     z2 = z.copy()
-    z2[2] = znew
+    z2[2] = after[2]
+    assert accepted == [False, False, True, False, False]
+    assert np.array_equal(after, z2) and after[2] == pytest.approx(znew, abs=1e-15)
     direct = log_density(cfg, z2) - log_density(cfg, z)
-    cache = PairLogCache(cfg, z)
-    fast, row, h = cache.log_ratio(2, znew)
-    assert fast == pytest.approx(direct, abs=1e-12)
+    assert ratios[2] == pytest.approx(direct, abs=1e-12)
     # reversing the accepted move negates the ratio
-    cache.accept(2, znew, row, h)
-    back, _, _ = cache.log_ratio(2, z[2])
-    assert back == pytest.approx(-fast, abs=1e-12)
+    back = one_move(cfg, after, 2, z[2])[2][2]
+    assert back == pytest.approx(-ratios[2], abs=1e-12)
 
 
 def test_coincident_proposal_rejected():
     cfg = PlasmaConfig(N=2, b=1.0, sweeps=4, burn_in=1, seed=0)
-    z = np.array([0.1 + 0.1j, -0.2j])
-    assert PairLogCache(cfg, z).log_ratio(0, z[1])[0] == -math.inf
+    z = np.array([0.5 + 0.25j, -0.25j])   # dyadic, so z_0 + (z_1 - z_0) == z_1
+    after, accepted, ratios = one_move(cfg, z, 0, z[1])
+    assert ratios[0] == -math.inf and accepted == [False, False]
+    assert np.array_equal(after, z)
+
+
+def test_proposal_onto_a_moved_particle_rejected():
+    # particle 0 moves first; particle 1 then proposes its new site
+    cfg = PlasmaConfig(N=3, b=1.0, sweeps=4, burn_in=1, seed=0)
+    z = np.array([0.5 + 0.25j, -0.25j, 0.75])
+    steps = np.array([0.25, 0.75 + 0.5j, 0.0])   # z_1 + steps[1] == z_0 + steps[0]
+    after, accepted, ratios = metropolis_sweep(cfg, z, steps, np.array([-1e300, -1e300, math.inf]))
+    assert accepted == [True, False, False] and ratios[1] == -math.inf
+    assert np.array_equal(after, [0.75 + 0.25j, -0.25j, 0.75])
+
+
+@pytest.mark.parametrize("first_moves", [True, False])
+def test_proposal_onto_a_vacated_site(first_moves):
+    # particle 1 proposes z_0 exactly: a free site if particle 0 has moved
+    # away earlier in the sweep, an occupied one if it has not
+    cfg = PlasmaConfig(N=3, b=2.0, holes=(0.5j,), p=1, mu=2, sweeps=4, burn_in=1)
+    z = np.array([0.5 + 0.25j, -0.25j, 0.75])
+    steps = np.array([-0.25 + 0.5j, 0.5 + 0.5j, 0.0])
+    lu0 = -1e300 if first_moves else math.inf
+    after, accepted, ratios = metropolis_sweep(cfg, z, steps, np.array([lu0, -1e300, math.inf]))
+    if first_moves:
+        moved = np.array([0.25 + 0.75j, -0.25j, 0.75])
+        landed = np.array([0.25 + 0.75j, 0.5 + 0.25j, 0.75])
+        direct = log_density(cfg, landed) - log_density(cfg, moved)
+        assert math.isfinite(ratios[1])
+        assert ratios[1] == pytest.approx(direct, abs=1e-12)
+        assert accepted == [True, True, False] and np.array_equal(after, landed)
+    else:
+        assert ratios[1] == -math.inf
+        assert accepted == [False, False, False] and np.array_equal(after, z)
 
 
 def test_proposal_onto_a_hole_rejected_only_when_it_repels():
-    z = np.array([0.1 + 0.1j, -0.2j, 0.3])
+    z = np.array([0.5 + 0.25j, -0.25j, 0.75])
     w = 0.25 - 0.5j
     cfg = PlasmaConfig(N=3, b=2.0, holes=(w,), p=2, sweeps=4, burn_in=1)
-    ratio, row, _ = PairLogCache(cfg, z).log_ratio(1, w)
-    # no uniform draw has log u < -inf, so the loop never accepts it
-    assert ratio == -math.inf and row is None
+    after, accepted, ratios = one_move(cfg, z, 1, w)
+    # no uniform draw has log u < -inf, so the sweep never accepts it
+    assert ratios[1] == -math.inf and not accepted[1] and np.array_equal(after, z)
     # at p = 0 the hole exerts no force and the move is an ordinary one
     free = PlasmaConfig(N=3, b=2.0, holes=(w,), p=0, sweeps=4, burn_in=1)
-    z2 = z.copy()
-    z2[1] = w
-    assert PairLogCache(free, z).log_ratio(1, w)[0] == pytest.approx(
-        log_density(free, z2) - log_density(free, z), abs=1e-12)
+    after, accepted, ratios = one_move(free, z, 1, w)
+    assert accepted[1] and after[1] == w
+    assert ratios[1] == pytest.approx(log_density(free, after) - log_density(free, z), abs=1e-12)
 
 
 point = st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)).map(lambda xy: complex(*xy))
@@ -89,24 +133,63 @@ point = st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)).map(lambda xy: com
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(N=st.integers(1, 8), p=st.integers(0, 2), mu=st.integers(1, 3),
        holes=st.lists(point, max_size=3), seed=st.integers(0, 2 ** 32 - 1),
-       moves=st.integers(1, 40))
-def test_cached_ratio_matches_density_difference(N, p, mu, holes, seed, moves):
+       sweeps=st.integers(1, 5))
+def test_sweep_ratios_match_density_differences(N, p, mu, holes, seed, sweeps):
     cfg = PlasmaConfig(N=N, b=float(N), holes=tuple(holes), p=p, mu=mu,
                        sweeps=2, burn_in=1)
     rng = np.random.default_rng(seed)
-    cache = PairLogCache(cfg, rng.normal(size=N) + 1j * rng.normal(size=N))
-    for _ in range(moves):
-        k = int(rng.integers(N))
-        znew = cache.z[k] + complex(*rng.normal(scale=0.5, size=2))
-        ratio, row, h = cache.log_ratio(k, znew)
-        z = np.array(cache.z)
-        z2 = z.copy()
-        z2[k] = znew
-        direct = log_density(cfg, z2) - log_density(cfg, z)
-        assert abs(ratio - direct) <= 1e-10 * max(1.0, abs(direct))
-        if rng.uniform() < 0.5:
-            cache.accept(k, znew, row, h)
-            assert cache.z[k] == znew
+    z = rng.normal(size=N) + 1j * rng.normal(size=N)
+    for _ in range(sweeps):
+        steps = rng.normal(scale=0.5, size=N) + 1j * rng.normal(scale=0.5, size=N)
+        logu = np.log(rng.uniform(size=N))
+        after, accepted, ratios = metropolis_sweep(cfg, z, steps, logu)
+        cur = z.copy()
+        for k in range(N):
+            moved = cur.copy()
+            moved[k] = z[k] + steps[k]
+            direct = log_density(cfg, moved) - log_density(cfg, cur)
+            assert abs(ratios[k] - direct) <= 1e-10 * max(1.0, abs(direct))
+            assert accepted[k] == (logu[k] < ratios[k])
+            if accepted[k]:
+                cur = moved
+        assert np.array_equal(after, cur)
+        z = after
+
+
+def reference_chain(cfg):
+    """Plain per-move Metropolis on log_density differences, drawing the
+    same random numbers as iter_plasma_mcmc."""
+    rng = np.random.default_rng(np.random.PCG64(cfg.seed))
+    z = initial_positions(cfg, rng)
+    kept, accepted = [], 0
+    for sweep in range(cfg.sweeps):
+        steps = rng.normal(0.0, cfg.proposal_scale, size=(cfg.N, 2)).view(complex)[:, 0]
+        logu = np.log(rng.uniform(size=cfg.N))
+        for k in range(cfg.N):
+            moved = z.copy()
+            moved[k] = z[k] + steps[k]
+            if logu[k] < log_density(cfg, moved) - log_density(cfg, z):
+                z = moved
+                accepted += 1
+        if sweep >= cfg.burn_in and (sweep - cfg.burn_in) % cfg.thin == 0:
+            kept.append(z)
+    return kept, accepted
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 16])
+@pytest.mark.parametrize("holes, p", [((), 1), ((0.3 + 0.1j, -0.4j), 0),
+                                      ((0.3 + 0.1j, -0.4j), 1), ((0.3 + 0.1j, -0.4j), 2)],
+                         ids=["no-holes", "holes-p0", "holes-p1", "holes-p2"])
+@pytest.mark.parametrize("mu", [1, 3])
+def test_chain_matches_reference_chain(N, holes, p, mu):
+    cfg = PlasmaConfig(N=N, b=float(N), holes=holes, p=p, mu=mu,
+                       sweeps=300, burn_in=100, thin=5, seed=N + 10 * p + mu)
+    samples, diag = plasma_mcmc(cfg)
+    kept, accepted = reference_chain(cfg)
+    assert diag.accepted == accepted and diag.proposals == cfg.N * cfg.sweeps
+    assert len(samples) == len(kept)
+    for s, z in zip(samples, kept):
+        assert np.array_equal(s.positions, z)
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.5, 0.8])
@@ -149,6 +232,20 @@ def test_dump_round_trip(tmp_path):
     assert len(back) == len(samples)
     for arr, s in zip(back, samples):
         assert np.array_equal(arr, s.positions)
+
+
+def test_dump_file_format(tmp_path):
+    cfg = PlasmaConfig(N=3, b=3.0, sweeps=60, burn_in=20, thin=10, seed=9)
+    samples, _ = plasma_mcmc(cfg)
+    path = tmp_path / "chain.bin"
+    dump_samples(path, cfg.N, samples)
+    expected = struct.pack("<q", cfg.N)
+    for s in samples:
+        expected += struct.pack(f"<{2 * cfg.N}d", *[v for z in s.positions
+                                                    for v in (z.real, z.imag)])
+    assert len(samples) == 4 and path.read_bytes() == expected
+    dump_samples(path, cfg.N, [])
+    assert path.read_bytes() == struct.pack("<q", cfg.N)
 
 
 def test_general_exponents_run():
