@@ -360,25 +360,70 @@ def _log_poisson(j: np.ndarray, t: np.ndarray) -> np.ndarray:
         return np.where(j == 0, -t, -stirlerr - bd0 - 0.5 * np.log(2 * math.pi * jj))
 
 
+# a row recurs from phi_0 while e^{-t/2} is a normal double
+_T_NEAR = -2.0 * math.log(np.finfo(float).tiny)
+
+
 def weighted_orbitals(b: float, M: int, pts: np.ndarray) -> np.ndarray:
     """Matrix U[i, j] = phi_j(pts[i]) including the Gaussian weight.
 
     Rows satisfy K_M(z_i, z_l) = (U U^H)[i, l]; every entry is bounded by
     sqrt(b/pi), so plain double arithmetic is safe on grids.  |phi_j(z)|^2 is
     (b/pi) times the Poisson weight t^j e^{-t}/j! at t = b|z|^2.
+
+    A row is the recurrence phi_j = phi_{j-1} z sqrt(b/j), one cumulative
+    product along the orbital axis from e^{-t/2}, rescaled once so that its
+    mode entry j* = min(floor(t), M - 1) equals the saddle-point value of
+    _log_poisson there, with phase j* arg z.  The mode anchor carries an
+    error of a few eps in magnitude, and the recurrence adds about eps per
+    step away from it, so entry j is good to about eps |j - j*|, besides
+    the conditioning of phi_j on z itself: eps |j - t| in magnitude from
+    the rounding of t, eps j in phase from that of arg z.
+
+    Rows with t > _T_NEAR, far outside the droplet, have no normal e^{-t/2}
+    to start from: they start at the mode anchor and recur both ways, down
+    by phi_j = phi_{j+1} sqrt((j+1)/b) / z.  Magnitudes only fall away from
+    the mode, so an entry that underflows to 0 is below the double range.
+    No row's value depends on the other rows.
     """
     pts = np.asarray(pts, dtype=complex).ravel()
-    j = np.arange(M, dtype=float)[None, :]
     # an overflowed t counts as the largest double, where every orbital is 0
     with np.errstate(over="ignore"):
-        t = np.minimum(b * np.abs(pts) ** 2, np.finfo(float).max)[:, None]
-    # below t = 1e-280, where _log_poisson's t bd0 overflows, t counts as 0:
-    # that drops only orbitals j >= 1 below sqrt(b/pi) 1e-140
-    live = t > 1e-280
-    logp = np.where(live, _log_poisson(j, np.where(live, t, 1.0)),
-                    np.where(j == 0, 0.0, -np.inf))
-    phase = j * np.angle(pts)[:, None]
-    return math.sqrt(b / math.pi) * np.exp(0.5 * logp) * np.exp(1j * phase)
+        t = np.minimum(b * np.abs(pts) ** 2, np.finfo(float).max)
+    mode = np.fmin(np.floor(t), M - 1)      # a NaN point gives a NaN row
+    anchor = (math.sqrt(b / math.pi) * np.exp(0.5 * _log_poisson(mode, t))
+              * np.exp(1j * mode * np.angle(pts)))
+    near = t <= _T_NEAR
+    # a far row runs through the shared product as (1, 0, ..., 0) and is set
+    # below, so no product in it can overflow
+    out = np.empty((pts.size, M), dtype=complex)
+    out[:, 0] = np.where(near, np.exp(-0.5 * t), 1.0)
+    np.multiply(np.where(near, pts, 0.0)[:, None], np.sqrt(b / np.arange(1.0, M)), out=out[:, 1:])
+    np.multiply.accumulate(out, axis=1, out=out)
+    at_mode = out[np.arange(pts.size), np.where(near, mode, 0).astype(int)]
+    out *= (anchor / at_mode)[:, None]
+    far = np.flatnonzero(~near)
+    if far.size:
+        out[far] = _far_orbitals(b, M, pts[far], mode[far], anchor[far])
+    return out
+
+
+def _far_orbitals(b: float, M: int, z: np.ndarray, mode: np.ndarray,
+                  anchor: np.ndarray) -> np.ndarray:
+    """Rows phi_j(z[i]), j < M, for t > _T_NEAR: the ratios phi_j/phi_{j-1}
+    above the mode and phi_j/phi_{j+1} below it, each accumulated outward
+    from the anchor; every ratio has modulus below 1."""
+    j = np.arange(M, dtype=float)
+    z, mode = z[:, None], mode[:, None]
+    up = np.multiply(z, np.sqrt(b / np.maximum(j, 1.0)), where=j > mode,
+                     out=np.ones((z.size, M), dtype=complex))
+    down = np.divide(np.sqrt((j + 1.0) / b), z, where=j < mode,
+                     out=np.ones((z.size, M), dtype=complex))
+    np.multiply.accumulate(up, axis=1, out=up)
+    np.multiply.accumulate(down[:, ::-1], axis=1, out=down[:, ::-1])
+    up *= down
+    up *= anchor[:, None]
+    return up
 
 
 def orbital_derivatives(b: float, orbitals: np.ndarray, pts: np.ndarray, orders) -> dict:

@@ -206,11 +206,9 @@ def dump_samples(path, n: int, samples: list[PlasmaSample]):
 def load_samples(path) -> list[np.ndarray]:
     with open(path, "rb") as fh:
         n = struct.unpack("<q", fh.read(8))[0]
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-    out = []
-    for row in raw.reshape(-1, 2 * n):
-        out.append(row[0::2] + 1j * row[1::2])
-    return out
+        raw = np.frombuffer(fh.read(), dtype="<c16")
+    # each (re, im) pair is one little-endian complex128, read as it was written
+    return list(raw.reshape(-1, n).astype(complex))
 
 
 def radial_density_l1(cfg: PlasmaConfig, samples: list[PlasmaSample],

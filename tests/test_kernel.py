@@ -1,14 +1,15 @@
 import itertools
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
+from scipy.special import gammaincc, gammaln
 
-from qhflux.kernel import (KernelSpec, UnsupportedOrderError,
+from qhflux.kernel import (_T_NEAR, KernelSpec, UnsupportedOrderError,
                            kernel_derivative, kernel_diff_log, kernel_eval, kernel_infty,
                            kernel_log_stack, kernel_matrix, kernel_tail_bound,
                            kernel_tail_bound_log, phi_rate, reproducing_residual,
@@ -425,9 +426,95 @@ def test_tail_matches_mpmath_term_sum(N, dM, d_z, p, q):
 
 def test_stirling_table_is_the_gammaln_expression():
     # _log_poisson reads stirlerr(k), k <= 15, from a table; it must hold the
-    # very doubles the gammaln expression gives, so that weighted_orbitals
-    # is unchanged to the bit
+    # very doubles the gammaln expression gives, so that the mode anchors of
+    # weighted_orbitals' rows equal those of the gammaln expression
     from qhflux.kernel import _STIRLERR
     k = np.arange(1, 16, dtype=float)
     expr = gammaln(k + 1) - (k + 0.5) * np.log(k) + k - 0.5 * math.log(2 * math.pi)
     assert _STIRLERR.tobytes() == expr.tobytes()
+
+
+_EPS = np.finfo(float).eps
+
+
+def _mp_orbitals(b, M, z):
+    """phi_j(z), j < M, as 40-digit mpmath numbers, by the exact recurrence."""
+    with mpmath.workdps(40):
+        b, z = mpmath.mpf(b), mpmath.mpc(z)
+        phi = [mpmath.sqrt(b / mpmath.pi) * mpmath.exp(-b * abs(z) ** 2 / 2)]
+        for j in range(1, M):
+            phi.append(phi[-1] * z * mpmath.sqrt(b / j))
+        return phi
+
+
+def _assert_orbitals_match_mpmath(b, M, z, row):
+    # magnitudes are good to eps |j - t|, from the rounding of t = b|z|^2
+    # (with j* = floor(t) inside the droplet, |j - t| <= 1 + |j - j*|);
+    # phases to eps (j + |j - j*|), from the rounding of arg z carried to
+    # the mode and one step of the recurrence per orbital away from it
+    t = b * abs(z) ** 2
+    mode = min(math.floor(t), M - 1)
+    for j, exact in enumerate(_mp_orbitals(b, M, z)):
+        if abs(exact) > 1e-290:
+            ref = complex(exact)
+            mag_err = abs(abs(row[j]) / abs(ref) - 1.0)
+            phase_err = abs(np.angle(row[j] / ref))
+            assert mag_err <= 8 * _EPS * (1 + abs(j - t)), (j, mag_err)
+            assert phase_err <= 8 * _EPS * (1 + j + abs(j - mode)), (j, phase_err)
+        elif abs(exact) < 2.0 ** -1076:
+            # a factor 2 below what rounds to the least subnormal
+            assert row[j] == 0, (j, row[j])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(N=st.integers(1, 1024), dM=st.sampled_from([0, 2, 4]),
+       points=st.lists(st.tuples(st.floats(0.0, 2.5), st.floats(0.0, 2 * math.pi)),
+                       min_size=1, max_size=3))
+def test_orbitals_match_mpmath(N, dM, points):
+    # |z| up to 2.5 puts rows past b|z|^2 = _T_NEAR once N >= 227
+    b, M = float(N), N + dM
+    zs = np.array([r * complex(math.cos(a), math.sin(a)) for r, a in points])
+    u = weighted_orbitals(b, M, zs)
+    for z, row in zip(zs, u):
+        _assert_orbitals_match_mpmath(b, M, z, row)
+        # sum_j (pi/b) |phi_j|^2 is the Poisson mass below M
+        mass = math.pi / b * float(np.sum(np.abs(row) ** 2))
+        assert abs(mass - gammaincc(M, b * abs(z) ** 2)) <= 1e-13
+
+
+def test_far_rows_recur_both_ways_from_the_mode():
+    # b = 1500 with M = 1600 puts the mode of |z| near 1 (t = 1500 to 1513)
+    # below M - 1: the row recurs down to j = 0 and up to j = M - 1 from it
+    b, M = 1500.0, 1600
+    for z in (1.0, -0.7 + 0.72j):
+        assert b * abs(z) ** 2 > _T_NEAR and math.floor(b * abs(z) ** 2) < M - 1
+        _assert_orbitals_match_mpmath(b, M, z, weighted_orbitals(b, M, np.array([z]))[0])
+
+
+def test_stacked_orbitals_equal_single_point_calls():
+    # row r depends on point r alone, to the bit, near and far rows mixed
+    rng = np.random.default_rng(18)
+    for b, M in ((32.0, 36), (1024.0, 1028)):
+        zs = 2.5 * np.sqrt(rng.uniform(size=40)) * np.exp(2j * math.pi * rng.uniform(size=40))
+        zs[:3] = (0.0, 1e-160, 1.2e3)
+        near = b * np.abs(zs) ** 2 <= _T_NEAR
+        assert near.any() and not near.all()
+        u = weighted_orbitals(b, M, zs)
+        for r, z in enumerate(zs):
+            assert u[r].tobytes() == weighted_orbitals(b, M, np.array([z]))[0].tobytes(), r
+
+
+def test_orbital_edge_cases_are_finite_and_quiet():
+    # t = b at z = 1, so b steps over the start threshold ulp by ulp
+    edges = [np.nextafter(_T_NEAR, 0.0), _T_NEAR, np.nextafter(_T_NEAR, math.inf)]
+    cases = [(6.0, 8, [0.0, 1e-160, 1e200]), (6.0, 1, [0.0, 0.7, 1e-160, 1e200])]
+    cases += [(b, M, [1.0, -1j]) for b in edges for M in (1, 40, 1500)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for b, M, zs in cases:
+            u = weighted_orbitals(b, M, np.array(zs, dtype=complex))
+            assert u.shape == (len(zs), M) and np.all(np.isfinite(u)), (b, M)
+    for b in edges:
+        for M in (40, 1500):
+            _assert_orbitals_match_mpmath(b, M, 1.0, weighted_orbitals(b, M, np.array([1.0]))[0])
+    assert np.array_equal(weighted_orbitals(6.0, 1, np.array([0.0])), [[math.sqrt(6.0 / math.pi)]])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
-from qhflux.oracle.plasma import (PlasmaConfig, dump_samples, initial_positions,
+from qhflux.oracle.plasma import (PlasmaConfig, PlasmaSample, dump_samples, initial_positions,
                                   integrated_autocorrelation_time, load_samples,
                                   log_density, metropolis_sweep, plasma_mcmc,
                                   radial_density_l1)
@@ -232,6 +232,15 @@ def test_dump_round_trip(tmp_path):
     assert len(back) == len(samples)
     for arr, s in zip(back, samples):
         assert np.array_equal(arr, s.positions)
+
+
+def test_dump_round_trip_keeps_every_bit(tmp_path):
+    # a signed zero and an infinite part come back as written
+    pos = np.array([complex(-0.0, 1.0), complex(0.5, math.inf)])
+    path = tmp_path / "chain.bin"
+    dump_samples(path, 2, [PlasmaSample(pos, 0.0, 0)])
+    (back,) = load_samples(path)
+    assert back.tobytes() == pos.tobytes()
 
 
 def test_dump_file_format(tmp_path):
