@@ -26,10 +26,10 @@ running product over j - j0 steps and of its phase j arg x, besides that of
 the additions.
 No row's value depends on the other rows.
 
-Kernel matrices on point sets take the other route: one weighted-orbital
-table phi_j(z) and its d^p dbar^q derivatives, each entry bounded by its
-derivative scale, multiplied as D_z @ D_w^H.  The series stays the
-independent reference that route is tested against.
+Kernel matrices on point sets take the other route: the weighted-orbital
+table phi_j(z), multiplied as U U^H, and one tracer's tables d phi, dbar phi
+and d dbar phi (tracer_tables), which its emergent fields need.  The series
+stays the independent reference that route is tested against.
 """
 
 from __future__ import annotations
@@ -49,6 +49,8 @@ _LOG_RESCALE = math.log(1e250)
 _CHUNK = 32          # terms in the first chunk; each later chunk is twice as long
 _CHUNK_MAX = 1024
 _NOISE = 8.0 * np.finfo(float).eps
+# a tail row sums about b|z wbar| terms before they fall
+_TAIL_TERMS_MAX = 2.0 ** 20
 
 
 class UnsupportedOrderError(ValueError):
@@ -203,13 +205,29 @@ def _deriv_terms(order: DerivOrder) -> tuple:
     return tuple(terms.items())
 
 
-def _check_order(order: DerivOrder, max_total: int = 4) -> DerivOrder:
+def _check_order(order: DerivOrder) -> DerivOrder:
     order = tuple(int(a) for a in order)
     if len(order) != 4 or any(a < 0 for a in order):
         raise UnsupportedOrderError(f"bad derivative order {order}")
-    if sum(order) > max_total:
-        raise UnsupportedOrderError(f"total derivative order {sum(order)} > {max_total}")
+    if sum(order) > 4:
+        raise UnsupportedOrderError(f"total derivative order {sum(order)} > 4")
     return order
+
+
+def _check_points(b: float, z: np.ndarray, w: np.ndarray, tail: bool):
+    """Refuse (ValueError, naming the first such row) pairs the series cannot
+    evaluate: b(|z|^2 + |w|^2) not finite, a non-finite point included, or,
+    for the tail, more than _TAIL_TERMS_MAX terms to sum."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        az, aw = np.abs(z), np.abs(w)
+        finite = np.isfinite(b * (az * az + aw * aw))
+        terms = b * az * aw
+    bad = ~finite | (terms > _TAIL_TERMS_MAX) if tail else ~finite
+    if bad.any():
+        r = int(np.argmax(bad))
+        why = (f"needs finite b(|z|^2 + |w|^2) (b = {b:g})" if not finite[r] else
+               f"would sum ~b|z wbar| = {terms[r]:.3g} tail terms, above 2^20")
+        raise ValueError(f"row {r}: kernel at z = {z[r]}, w = {w[r]} {why}")
 
 
 def kernel_log_stack(spec: KernelSpec, zs, ws, order: DerivOrder,
@@ -219,13 +237,15 @@ def kernel_log_stack(spec: KernelSpec, zs, ws, order: DerivOrder,
 
     Returns (log-magnitude, phase) arrays of shape (B,); a zero value,
     including a sum of derivative terms that cancels below 8 eps of their
-    mass, has log-magnitude -inf and phase 0.
+    mass, has log-magnitude -inf and phase 0.  A pair with b(|z|^2 + |w|^2)
+    not finite, or a tail of over 2^20 terms, raises ValueError.
     """
     order = _check_order(order)
     if which not in ("truncated", "infinite", "tail"):
         raise ValueError(f"unknown kernel variant {which!r}")
     z = np.asarray(zs, dtype=complex).ravel()
     w = np.asarray(ws, dtype=complex).ravel()
+    _check_points(spec.b, z, w, which == "tail")
     terms = _deriv_terms(order)
     x = z * w.conj()
     series = {k: _series_deriv_stack(spec, x, k, which) for k in {key[4] for key, _ in terms}}
@@ -285,6 +305,7 @@ def kernel_eval(spec: KernelSpec, z: complex, w: complex) -> LogComplex:
 
 def kernel_infty(spec: KernelSpec, z: complex, w: complex) -> LogComplex:
     """Full-projection kernel (b/pi) exp(-b(|z|^2+|w|^2-2 z wbar)/2)."""
+    _check_points(spec.b, np.array([z], dtype=complex), np.array([w], dtype=complex), False)
     x = z * w.conjugate()
     return LogComplex(math.log(spec.b / math.pi)
                       - 0.5 * spec.b * (abs(z) ** 2 + abs(w) ** 2) + spec.b * x.real,
@@ -426,47 +447,21 @@ def _far_orbitals(b: float, M: int, z: np.ndarray, mode: np.ndarray,
     return up
 
 
-def orbital_derivatives(b: float, orbitals: np.ndarray, pts: np.ndarray, orders) -> dict:
-    """Tables {(p, q): d^p dbar^q phi_j(pts[i])} from the orbital matrix
-    weighted_orbitals(b, M, pts).
+def tracer_tables(b: float, orbitals: np.ndarray, pts: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tables (d phi_j, dbar phi_j, d dbar phi_j) at pts[i] from the orbital
+    matrix weighted_orbitals(b, M, pts).
 
-    Uses d phi_j = sqrt(b j) phi_{j-1} - (b/2) zbar phi_j and
-    dbar phi_j = -(b/2) z phi_j: derivatives are index shifts of the
-    orbitals times polynomial weights, so no entry leaves the scale
-    sqrt(b/pi) (b + b|z|)^(p+q) and nothing underflows.
+    d phi_j = sqrt(b j) phi_{j-1} - (b/2) zbar phi_j, dbar phi_j =
+    -(b/2) z phi_j and d dbar phi_j = -(b/2) (phi_j + z d phi_j): index
+    shifts of the orbitals times polynomial weights, so no entry leaves the
+    scale sqrt(b/pi) (b + b|z|)^2 and nothing underflows.
     """
     z = np.asarray(pts, dtype=complex).reshape(-1, 1)
-    # shifted[l] = L^l phi with (L phi)_j = sqrt(b j) phi_{j-1}
-    shifted = [orbitals]
-    root = np.sqrt(b * np.arange(1, orbitals.shape[1]))
-    for _ in range(max(p for p, _ in orders)):
-        nxt = np.zeros_like(shifted[0])
-        nxt[:, 1:] = shifted[-1][:, :-1] * root
-        shifted.append(nxt)
-
-    # d^m phi = (L - (b/2) zbar)^m phi
-    d_z = [sum(math.comb(m, l) * (-0.5 * b * z.conj()) ** (m - l) * shifted[l]
-               for l in range(m + 1)) for m in range(len(shifted))]
-
-    # dbar^q phi = (-(b/2) z)^q phi, then d^p by Leibniz over the z^q factor
-    return {(p, q): (-0.5 * b) ** q * sum(math.comb(p, k) * math.perm(q, k)
-                                          * z ** (q - k) * d_z[p - k]
-                                          for k in range(min(p, q) + 1))
-            for p, q in orders}
-
-
-def kernel_matrix(spec: KernelSpec, zs: np.ndarray, ws: np.ndarray,
-                  order: DerivOrder = (0, 0, 0, 0)) -> np.ndarray:
-    """Matrix of d^order K_M(z_i, w_l), as D_z @ D_w^H over orbital tables.
-
-    d/dw and d/dwbar reach conj(phi_j(w)) as conj(dbar phi_j) and
-    conj(d phi_j), so the w side uses the orbital order (wbar, w).
-    """
-    a_zbar, a_z, a_wbar, a_w = _check_order(order)
-    b, M = spec.b, spec.M
-    d_z = orbital_derivatives(b, weighted_orbitals(b, M, zs), zs, [(a_z, a_zbar)])[(a_z, a_zbar)]
-    d_w = orbital_derivatives(b, weighted_orbitals(b, M, ws), ws, [(a_wbar, a_w)])[(a_wbar, a_w)]
-    return d_z @ d_w.conj().T
+    shifted = np.zeros_like(orbitals)        # sqrt(b j) phi_{j-1}
+    shifted[:, 1:] = orbitals[:, :-1] * np.sqrt(b * np.arange(1, orbitals.shape[1]))
+    d = -0.5 * b * z.conj() * orbitals + shifted
+    return d, -0.5 * b * (z * orbitals), -0.5 * b * (z * d + orbitals)
 
 
 def reproducing_residual(spec: KernelSpec, z: complex, w: complex,

@@ -55,6 +55,9 @@ def charpoly_moment_mc(cfg: HoleConfig, mcmc: PlasmaConfig) -> CharpolyEstimate:
     `mcmc` supplies N, b and the seed; the sample count is the number of
     samples its chain would keep, len(range(burn_in, sweeps, thin)).
     """
+    if cfg.n == 0:
+        # the moment of an empty product is exactly 1: no error to estimate
+        raise ValueError("the characteristic-polynomial moment needs at least one hole")
     if mcmc.holes or mcmc.mu != 1:
         raise ValueError("estimator needs samples from the no-hole mu = 1 density")
     if mcmc.N != cfg.N or mcmc.b != cfg.b:

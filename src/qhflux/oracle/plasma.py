@@ -53,7 +53,6 @@ class PlasmaConfig:
 class PlasmaSample:
     positions: np.ndarray
     log_density: float
-    sweep_index: int
 
 
 @dataclass
@@ -164,34 +163,27 @@ def initial_positions(cfg: PlasmaConfig, rng: np.random.Generator) -> np.ndarray
     return radius * np.sqrt(u) * np.exp(1j * phi)
 
 
-def iter_plasma_mcmc(cfg: PlasmaConfig, diagnostics: ChainDiagnostics | None = None):
-    """Generator of thinned post-burn-in samples."""
+def plasma_mcmc(cfg: PlasmaConfig) -> tuple[list[PlasmaSample], ChainDiagnostics]:
+    """Thinned post-burn-in samples of one chain, and its diagnostics."""
     rng = np.random.default_rng(np.random.PCG64(cfg.seed))
     z = initial_positions(cfg, rng)
-    diag = diagnostics if diagnostics is not None else ChainDiagnostics()
-    scale = cfg.proposal_scale
-    kept = []
+    diag = ChainDiagnostics()
+    samples = []
     for sweep in range(cfg.sweeps):
         # an (N, 2) row-major draw viewed as complex is complex(x, y) per row
-        steps = rng.normal(0.0, scale, size=(cfg.N, 2)).view(complex)[:, 0]
+        steps = rng.normal(0.0, cfg.proposal_scale, size=(cfg.N, 2)).view(complex)[:, 0]
         logu = np.log(rng.uniform(size=cfg.N))
         z, accepted, _ = metropolis_sweep(cfg, z, steps, logu)
         diag.accepted += sum(accepted)
         diag.proposals += cfg.N
         if sweep >= cfg.burn_in and (sweep - cfg.burn_in) % cfg.thin == 0:
-            kept.append(log_density(cfg, z))
-            yield PlasmaSample(positions=z, log_density=kept[-1], sweep_index=sweep)
+            samples.append(PlasmaSample(positions=z, log_density=log_density(cfg, z)))
     diag.acceptance_rate = diag.accepted / max(diag.proposals, 1)
-    diag.tau_int = integrated_autocorrelation_time(kept)
+    diag.tau_int = integrated_autocorrelation_time([s.log_density for s in samples])
     if not 0.05 <= diag.acceptance_rate <= 0.95:
         diag.tuning_warning = True
         warnings.warn(f"acceptance rate {diag.acceptance_rate:.3f} outside [0.05, 0.95]; "
                       "consider adjusting proposal_scale", RuntimeWarning)
-
-
-def plasma_mcmc(cfg: PlasmaConfig) -> tuple[list[PlasmaSample], ChainDiagnostics]:
-    diag = ChainDiagnostics()
-    samples = list(iter_plasma_mcmc(cfg, diag))
     return samples, diag
 
 

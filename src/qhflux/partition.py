@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import KernelSpec, orbital_derivatives, weighted_orbitals
+from .kernel import KernelSpec, tracer_tables, weighted_orbitals
 
 PIVOT_FLOOR = 1e-300
 # per hole: the determinant of the kernel matrix scaled to unit diagonal,
@@ -182,10 +182,11 @@ def upsilon_derivative_stack(b: float, M: int, holes, j: int
     orb, phi, kernel, ups = _kernel_stack(b, M, holes)
     n = phi.shape[1]
     w = np.asarray(holes, dtype=complex)[:, j]
-    t10, t01, t11 = (math.sqrt(math.pi / b) * t for t in
-                     orbital_derivatives(b, orb[:, j], w, [(1, 0), (0, 1), (1, 1)]).values())
-    last = np.abs(phi[:, j, M - 2:]) ** 2            # t^k e^{-t}/k! at k = M-2, M-1
-    q1, q2 = -last[:, 1], last[:, 1] - last[:, 0]    # d/dt and d^2/dt^2 of Q(M, t)
+    t10, t01, t11 = (math.sqrt(math.pi / b) * t for t in tracer_tables(b, orb[:, j], w))
+    # t^k e^{-t}/k! at k = M-1 and M-2; the latter is 0 at M = 1
+    top = np.abs(phi[:, j, M - 1]) ** 2
+    below = np.abs(phi[:, j, M - 2]) ** 2 if M > 1 else 0.0
+    q1, q2 = -top, top - below                       # d/dt and d^2/dt^2 of Q(M, t)
     phi_h = phi.conj().swapaxes(1, 2)
 
     def tracer_matrix(row, col, diag):
@@ -234,7 +235,8 @@ def log_partition(cfg: HoleConfig) -> PartitionValue:
 
 def theta(cfg: HoleConfig, z: complex) -> float:
     """Schur-complement density nu*(z) M^{-1} nu(z), in [0, K_{N+n}(z,z)];
-    refused (SingularMatrixError) where Upsilon(w) is rounding noise."""
+    refused (SingularMatrixError) where Upsilon(w) is rounding noise, and
+    (ValueError) at a non-finite z."""
     return theta_polarized(cfg, z, z).real
 
 
@@ -243,6 +245,8 @@ def theta_polarized(cfg: HoleConfig, zeta: complex, z: complex) -> complex:
     K(w_l, w_i) and nu(z)[i] = K(z, w_i); refused like theta."""
     if cfg.n < 1:
         raise ValueError("the Schur density needs at least one hole")
+    if not (cmath.isfinite(z) and cmath.isfinite(zeta)):
+        raise ValueError(f"Schur density needs finite points, got z = {z}, zeta = {zeta}")
     phi, kernel, _ = _resolved_upsilon(cfg)
     # phi and kernel carry sqrt(pi/b) and pi/b, which cancel in nu* M^{-1} nu
     nu = weighted_orbitals(cfg.b, cfg.spec.M, np.array([z, zeta])) @ phi.conj().T

@@ -26,6 +26,7 @@ from .quadrature import QuadratureGrid, polar_grid
 # was 0.5 to 300 times the actual error wherever that exceeded 1e-9 N.
 V_ERROR_SCALE = 2 * np.finfo(float).eps
 FIELD_ERROR_BUDGET = 1e-6
+NODE_BUDGET = 200_000     # largest grid emergent_field_integral accepts
 
 
 class DegenerateConfigurationError(Exception):
@@ -135,23 +136,12 @@ def emergent_field_derivative(cfg: HoleConfig, j: int) -> EmergentField:
     return EmergentField(A=a_vec[0], V=float(v_val[0]), j=j, method="derivative")
 
 
-@dataclass(frozen=True)
-class FieldGrids:
-    """Quadrature for the integral route; built around w_j when omitted."""
-
-    grid: QuadratureGrid | None = None
-    n_theta: int = 96
-    nodes_per_panel: int = 12
-    node_budget: int = 200_000
-
-    def build(self, cfg: HoleConfig, j: int) -> QuadratureGrid:
-        if self.grid is not None:
-            return self.grid
-        b = cfg.b
-        r_max = abs(cfg.w[j]) + 1.0 + 8.0 / math.sqrt(b)
-        width = min(0.45 / math.sqrt(b), r_max / 8.0)
-        return polar_grid(cfg.w[j], r_max, n_theta=self.n_theta,
-                          nodes_per_panel=self.nodes_per_panel, panel_width=width)
+def _field_grid(cfg: HoleConfig, j: int) -> QuadratureGrid:
+    """The integral route's grid: polar around w_j, out to 8 magnetic lengths
+    past the droplet edge."""
+    r_max = abs(cfg.w[j]) + 1.0 + 8.0 / math.sqrt(cfg.b)
+    width = min(0.45 / math.sqrt(cfg.b), r_max / 8.0)
+    return polar_grid(cfg.w[j], r_max, n_theta=96, nodes_per_panel=12, panel_width=width)
 
 
 def vanishing_subspace(cfg: HoleConfig, pts: np.ndarray):
@@ -173,8 +163,9 @@ def vanishing_subspace(cfg: HoleConfig, pts: np.ndarray):
 
 
 def emergent_field_integral(cfg: HoleConfig, j: int,
-                            grids: FieldGrids | None = None) -> EmergentField:
-    """A_j, V_j from the conditional-density integral formulas.
+                            grid: QuadratureGrid | None = None) -> EmergentField:
+    """A_j, V_j from the conditional-density integral formulas on grid
+    (default _field_grid), refused above NODE_BUDGET nodes.
 
     A_j = Im((1,i)^T int P(z)/(w_j-z) dz) and
     V_j = 2 int P(z)/|w_j-z|^2 dz - 2 ||T||_F^2, where P is the diagonal of
@@ -186,10 +177,10 @@ def emergent_field_integral(cfg: HoleConfig, j: int,
     cfg.require_distinct()
     if cfg.n < 1:
         raise ValueError("integral-route fields need at least one hole")
-    grids = grids or FieldGrids()
-    grid = grids.build(cfg, j)
-    if grid.size > grids.node_budget:
-        raise ResourceBudgetError(f"grid size {grid.size} exceeds budget")
+    if grid is None:
+        grid = _field_grid(cfg, j)
+    if grid.size > NODE_BUDGET:
+        raise ResourceBudgetError(f"grid size {grid.size} exceeds budget {NODE_BUDGET}")
     psi = vanishing_subspace(cfg, grid.nodes)
     p_diag = np.sum(np.abs(psi) ** 2, axis=1)
     pole = cfg.w[j] - grid.nodes
@@ -201,14 +192,12 @@ def emergent_field_integral(cfg: HoleConfig, j: int,
     return EmergentField(A=a_vec, V=v_val, j=j, method="integral")
 
 
-def double_integral_direct(cfg: HoleConfig, j: int, grid: QuadratureGrid,
-                           max_nodes: int = 4096) -> float:
+def double_integral_direct(cfg: HoleConfig, j: int, grid: QuadratureGrid) -> float:
     """Direct product-form evaluation of the conditioned-square double
     integral; O(grid^2), capped, kept as a cross-check of the factorized
     Frobenius form."""
-    if grid.size > max_nodes:
-        raise ResourceBudgetError(
-            f"direct double integral capped at {max_nodes} nodes per factor")
+    if grid.size > 4096:
+        raise ResourceBudgetError("direct double integral capped at 4096 nodes per factor")
     psi = vanishing_subspace(cfg, grid.nodes)
     ktilde = psi @ psi.conj().T
     f = grid.weights / (cfg.w[j] - grid.nodes)

@@ -7,13 +7,13 @@ from functools import lru_cache
 
 import numpy as np
 
+R_MIN = 1e-8    # first panel edge of every polar grid
+
 
 @dataclass
 class QuadratureGrid:
     nodes: np.ndarray            # complex points
     weights: np.ndarray          # positive area weights
-    scheme: str
-    center: complex = 0j
     radii: np.ndarray | None = field(default=None, repr=False)
     radial_weights: np.ndarray | None = field(default=None, repr=False)
 
@@ -50,23 +50,22 @@ def cartesian_grid(radius: float, order: int = 64) -> QuadratureGrid:
     w = radius * w
     nodes = (x[:, None] + 1j * x[None, :]).ravel()
     weights = (w[:, None] * w[None, :]).ravel()
-    return QuadratureGrid(nodes=nodes, weights=weights, scheme="cartesian-tensor")
+    return QuadratureGrid(nodes=nodes, weights=weights)
 
 
-def polar_grid(center: complex, r_max: float, *, r_min: float = 1e-8,
-               n_theta: int = 64, nodes_per_panel: int = 10,
-               panel_width: float | None = None) -> QuadratureGrid:
+def polar_grid(center: complex, r_max: float, *, n_theta: int = 64,
+               nodes_per_panel: int = 10, panel_width: float | None = None) -> QuadratureGrid:
     """Polar grid centered at a (possibly singular) point.
 
     Rings are grouped into radial Gauss-Legendre panels whose edges grow
-    geometrically from r_min; once panels reach panel_width the spacing
+    geometrically from R_MIN; once panels reach panel_width the spacing
     switches to uniform so the outer region stays resolved.
     """
-    if r_max <= r_min:
-        raise ValueError("r_max must exceed r_min")
+    if r_max <= R_MIN:
+        raise ValueError(f"r_max must exceed {R_MIN:g}")
     if panel_width is None:
         panel_width = r_max / 4.0
-    edges = [r_min]
+    edges = [R_MIN]
     while edges[-1] * 10.0 < min(panel_width, r_max):
         edges.append(edges[-1] * 10.0)
     while edges[-1] < r_max:
@@ -77,8 +76,7 @@ def polar_grid(center: complex, r_max: float, *, r_min: float = 1e-8,
     wtheta = 2.0 * np.pi / n_theta
     nodes = (center + r[:, None] * np.exp(1j * theta)[None, :]).ravel()
     weights = (wr * r)[:, None].repeat(n_theta, axis=1).ravel() * wtheta
-    return QuadratureGrid(nodes=nodes, weights=weights, scheme="polar-centered",
-                          center=center, radii=r, radial_weights=wr)
+    return QuadratureGrid(nodes=nodes, weights=weights, radii=r, radial_weights=wr)
 
 
 def integrate_radial(grid: QuadratureGrid, f) -> complex:

@@ -3,6 +3,10 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,8 @@ from qhflux.harness.report import fmt
 from qhflux.harness.suites import run_potential_suite, run_upsilon_suite
 from qhflux.partition import HoleConfig
 from qhflux.potentials import DegenerateConfigurationError, emergent_field_derivative
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_parse_complex_forms():
@@ -341,3 +347,24 @@ def test_infeasible_suite_parameters_exit_2(tmp_path, capsys):
         assert main(["verify", *flags, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--N", "4", "--z", "nan", "--w", "0.1"],
+    ["kernel", "--N", "4", "--z", "1e200", "--w", "1e200"],
+    # the tail series would run ~6e201 terms
+    ["kernel", "--N", "64", "--M", "66", "--z", "1e100", "--w", "1e100"],
+    # no holes: the moment is exactly 1 and its standard error 0
+    ["charpoly", "--N", "4", "--holes", ""],
+    ["mcmc", "--N", "4", "--b", "0"],
+    ["kernel", "--N", "4", "--M", "0", "--z", "0.1", "--w", "0.2"],
+], ids=["kernel-nan", "kernel-overflow", "kernel-long-tail", "charpoly-no-holes",
+        "mcmc-b0", "kernel-M0"])
+def test_bad_input_exits_2_with_one_error_line(argv):
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run([sys.executable, "-m", "qhflux.cli", *argv], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=20)
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 2, proc.stderr
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr

@@ -11,8 +11,8 @@ from scipy.special import gammaincc, gammaln
 
 from qhflux.kernel import (_T_NEAR, KernelSpec, UnsupportedOrderError,
                            kernel_derivative, kernel_diff_log, kernel_eval, kernel_infty,
-                           kernel_log_stack, kernel_matrix, kernel_tail_bound,
-                           kernel_tail_bound_log, phi_rate, reproducing_residual,
+                           kernel_log_stack, kernel_tail_bound, kernel_tail_bound_log,
+                           phi_rate, reproducing_residual, tracer_tables,
                            weighted_orbitals)
 from qhflux.partition import HoleConfig, SingularMatrixError, log_upsilon, upsilon
 from qhflux.quadrature import cartesian_grid
@@ -232,6 +232,21 @@ def test_order_guard():
         kernel_derivative(spec, 0.1, 0.2, (0, -1, 0, 0))
 
 
+def test_unevaluable_points_are_refused_by_row():
+    spec = KernelSpec(b=64.0, M=66)
+    ok = [0.1, 0.2j]
+    for which in ("truncated", "infinite", "tail"):
+        for bad in (math.nan, complex(0.0, math.inf), 1e160):   # 1e160: b|z|^2 overflows
+            with pytest.raises(ValueError, match="row 2: .* finite b"):
+                kernel_log_stack(spec, ok + [bad], ok + [0.3], (0, 0, 0, 0), which)
+    with pytest.raises(ValueError, match="finite b"):
+        kernel_infty(spec, 1e200, 0.1)
+    # ~b|z wbar| = 6.4e201 terms: refused at once instead of summed
+    with pytest.raises(ValueError, match="row 0: .* tail terms"):
+        kernel_diff_log(spec, 1e100, 1e100)
+    assert not kernel_diff_log(spec, 30.0, 30.0).is_zero    # 57,600 terms
+
+
 def test_tail_bound_certifies_difference():
     # 1000 seeded pairs inside the kappa = 2 shrunk disk at N = 64
     N, n = 64, 2
@@ -315,30 +330,33 @@ def test_trace_and_hilbert_schmidt():
 ORDERS_UP_TO_2 = [o for o in itertools.product(range(3), repeat=4) if sum(o) <= 2]
 
 
+def orbital_tables(b, M, pts):
+    """{(p, q): d^p dbar^q phi_j(pts[i])} for p, q <= 1, as production builds them."""
+    orb = weighted_orbitals(b, M, pts)
+    d, dbar, d_dbar = tracer_tables(b, orb, pts)
+    return {(0, 0): orb, (1, 0): d, (0, 1): dbar, (1, 1): d_dbar}
+
+
 def test_matrix_path_matches_scalar_path():
-    # b|w|^2 reaches 924 at |w| = 0.95: far past exp underflow of the Gaussian
-    zs = np.array([0.9, -0.5 + 0.3j, 0.95j, 0.6 - 0.7j])
-    ws = np.array([0.9, 0.93 * np.exp(0.4j), -0.5 + 0.31j])
-    for b in (64, 256, 900, 1024):
+    # b|w|^2 reaches 924 at |w| = 0.95: far past exp underflow of the Gaussian;
+    # both sides share the points of a Gram matrix
+    gram = [0.1 + 0.7j, -0.3 - 0.2j, 0.55]
+    zs = np.array([0.9, -0.5 + 0.3j, 0.95j, 0.6 - 0.7j, *gram])
+    ws = np.array([0.9, 0.93 * np.exp(0.4j), -0.5 + 0.31j, *gram])
+    z_pairs, w_pairs = (a.ravel() for a in np.meshgrid(zs, ws, indexing="ij"))
+    for b in (24, 64, 256, 900, 1024):
         spec = KernelSpec(b=float(b), M=b + 2)
-        for order in ORDERS_UP_TO_2:
-            mat = kernel_matrix(spec, zs, ws, order)
+        z_side, w_side = orbital_tables(spec.b, spec.M, zs), orbital_tables(spec.b, spec.M, ws)
+        # d/dw and d/dwbar reach conj(phi_j(w)) as conj(dbar phi_j) and
+        # conj(d phi_j), so the w side's table is (wbar, w)
+        for order in itertools.product(range(2), repeat=4):
+            a_zbar, a_z, a_wbar, a_w = order
+            mat = z_side[a_z, a_zbar] @ w_side[a_wbar, a_w].conj().T
+            log_mag, phase = kernel_log_stack(spec, z_pairs, w_pairs, order, "truncated")
+            ref = (np.exp(log_mag) * np.exp(1j * phase)).reshape(mat.shape)
             # plain-double fast path: absolute roundoff ~ eps * M * (b/pi) * b^|a|
             tol = 100 * spec.M * 2.3e-16 * (spec.b / math.pi) * spec.b ** sum(order)
-            for i, z in enumerate(zs):
-                for l, w in enumerate(ws):
-                    ref = kernel_derivative(spec, z, w, order)
-                    assert abs(mat[i, l] - ref) <= tol, (b, order)
-
-
-def test_gram_matches_eval():
-    spec = KernelSpec(b=24.0, M=26)
-    pts = np.array([0.1 + 0.7j, -0.3 - 0.2j, 0.55])
-    g = kernel_matrix(spec, pts, pts)
-    for i, z in enumerate(pts):
-        for l, w in enumerate(pts):
-            ref = kernel_eval(spec, z, w).to_complex()
-            assert abs(g[i, l] - ref) <= 1e-12 * (24.0 / math.pi)
+            assert np.max(np.abs(mat - ref)) <= tol, (b, order)
 
 
 def test_orbitals_at_tiny_radius_are_finite():

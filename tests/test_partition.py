@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaincc
 
 import qhflux
-from qhflux.kernel import kernel_eval, kernel_matrix
+from qhflux.kernel import kernel_eval
 from qhflux.oracle.monomial import partition_exact
 from qhflux.partition import (UPSILON_FLOOR, HoleConfig, PartitionValue,
                               SingularConfigurationError, SingularMatrixError,
@@ -128,8 +128,18 @@ def test_upsilon_derivative_rejects_coincident():
     cfg = HoleConfig(w=(0.1, 0.1), N=8)
     ups, d1, d11 = tracer_derivatives(cfg, 0)
     assert ups == 0.0 and math.isnan(d1.real) and math.isnan(d11.real)
-    kernel = math.pi / cfg.b * kernel_matrix(cfg.spec, cfg.points(), cfg.points())
-    assert not resolved_rows(kernel[None], np.array([ups]))[1][0]
+    kernel = _kernel_stack(cfg.b, cfg.spec.M, cfg.points()[None, :])[2]
+    assert not resolved_rows(kernel, np.array([ups]))[1][0]
+
+
+def test_upsilon_derivative_stack_with_one_orbital():
+    # M = 1: Upsilon = e^{-t}, d Upsilon = -b wbar e^{-t} and
+    # d dbar Upsilon = (b^2 |w|^2 - b) e^{-t}, with t = b|w|^2
+    b, w = 3.0, 0.3 + 0.2j
+    ups, d1, d11, _ = upsilon_derivative_stack(b, 1, [[w]], 0)
+    e = math.exp(-b * abs(w) ** 2)
+    assert ups[0] == e and d1[0] == -b * w.conjugate() * e
+    assert d11[0] == pytest.approx((b * b * abs(w) ** 2 - b) * e, rel=1e-15)
 
 
 def test_upsilon_derivative_on_singular_matrix_raises():
@@ -244,6 +254,15 @@ def test_theta_polarized_cauchy_schwarz_and_edge():
     assert pol == pytest.approx(k, rel=1e-9)
 
 
+def test_theta_refuses_non_finite_points():
+    cfg = HoleConfig(w=(0.3, -0.2j), N=8)
+    for z, zeta in ((math.nan, 0.1), (0.1, complex(math.inf, 0.0))):
+        with pytest.raises(ValueError, match="finite"):
+            theta_polarized(cfg, zeta, z)
+    with pytest.raises(ValueError, match="finite"):
+        theta(cfg, complex(0.0, math.nan))
+
+
 def test_vanishing_diag_matches_theta():
     from qhflux.potentials import vanishing_subspace
     rng = np.random.default_rng(41)
@@ -305,7 +324,7 @@ hole = st.tuples(st.floats(0.0, 0.95), st.floats(0.0, 2 * math.pi)).map(
 @given(N=st.integers(1, 1024), holes=st.lists(hole, min_size=1, max_size=4, unique=True))
 def test_kernel_matrix_hermitian_and_upsilon_in_unit_interval(N, holes):
     cfg = HoleConfig(w=tuple(holes), N=N)
-    k = (math.pi / N) * kernel_matrix(cfg.spec, cfg.points(), cfg.points())
+    k = _kernel_stack(cfg.b, cfg.spec.M, cfg.points()[None, :])[2][0]
     assert np.max(np.abs(k - k.conj().T)) <= 1e-13
     diag = np.real(np.diag(k))
     assert np.all(np.abs(k) ** 2 <= np.outer(diag, diag) + 1e-13)  # Cauchy-Schwarz

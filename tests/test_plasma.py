@@ -158,7 +158,7 @@ def test_sweep_ratios_match_density_differences(N, p, mu, holes, seed, sweeps):
 
 def reference_chain(cfg):
     """Plain per-move Metropolis on log_density differences, drawing the
-    same random numbers as iter_plasma_mcmc."""
+    same random numbers as plasma_mcmc."""
     rng = np.random.default_rng(np.random.PCG64(cfg.seed))
     z = initial_positions(cfg, rng)
     kept, accepted = [], 0
@@ -238,7 +238,7 @@ def test_dump_round_trip_keeps_every_bit(tmp_path):
     # a signed zero and an infinite part come back as written
     pos = np.array([complex(-0.0, 1.0), complex(0.5, math.inf)])
     path = tmp_path / "chain.bin"
-    dump_samples(path, 2, [PlasmaSample(pos, 0.0, 0)])
+    dump_samples(path, 2, [PlasmaSample(pos, 0.0)])
     (back,) = load_samples(path)
     assert back.tobytes() == pos.tobytes()
 

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import null_space
 
 from qhflux.partition import HoleConfig, SingularConfigurationError
-from qhflux.potentials import (DegenerateConfigurationError, FieldGrids,
-                               ResourceBudgetError, ab_sum, asymptotic_prediction,
+from qhflux.potentials import (DegenerateConfigurationError, ResourceBudgetError, ab_sum, asymptotic_prediction,
                                correction_a, correction_v, double_integral_direct,
                                emergent_field_derivative, emergent_field_integral,
                                emergent_field_stack, emergent_fields, perp,
@@ -265,8 +264,11 @@ def test_integral_route_polar_refinement_converges():
     # the conditioned density vanishes quadratically at the hole, so the
     # singular integrands are integrable and refinement converges fast
     cfg = HoleConfig(w=(0.2 + 0.1j, -0.35), N=16)
-    coarse = emergent_field_integral(cfg, 0, FieldGrids(n_theta=48, nodes_per_panel=8))
-    fine = emergent_field_integral(cfg, 0, FieldGrids(n_theta=128, nodes_per_panel=16))
+    r_max = abs(cfg.w[0]) + 1.0 + 8.0 / math.sqrt(cfg.b)
+    width = min(0.45 / math.sqrt(cfg.b), r_max / 8.0)
+    coarse, fine = (emergent_field_integral(cfg, 0, polar_grid(
+        cfg.w[0], r_max, n_theta=n_theta, nodes_per_panel=per_panel, panel_width=width))
+        for n_theta, per_panel in ((48, 8), (128, 16)))
     assert np.linalg.norm(coarse.A - fine.A) < 1e-7 * cfg.N
     assert abs(coarse.V - fine.V) < 1e-5 * cfg.N
 
@@ -279,10 +281,10 @@ def test_double_integral_direct_budget():
 
 
 def test_field_grids_budget():
-    cfg = HoleConfig(w=(0.1,), N=8)
-    with pytest.raises(ResourceBudgetError):
-        emergent_field_integral(cfg, 0, FieldGrids(n_theta=2048, nodes_per_panel=32,
-                                                   node_budget=1000))
+    # the default grid at N = 4096 has 337,536 nodes, above NODE_BUDGET
+    cfg = HoleConfig(w=(0.9,), N=4096)
+    with pytest.raises(ResourceBudgetError, match="337536"):
+        emergent_field_integral(cfg, 0)
 
 
 def test_field_call_factors_once(monkeypatch):
