@@ -97,11 +97,10 @@ def cmd_kernel(args) -> int:
     M = args.M if args.M is not None else args.N
     spec = KernelSpec(b=b, M=M)
     z, w = parse_complex(args.z), parse_complex(args.w)
-    k = kernel_eval(spec, z, w)
-    kinf = kernel_infty(spec, z, w)
+    # all three first, so a refused input prints no result lines
+    k, kinf, diff = kernel_eval(spec, z, w), kernel_infty(spec, z, w), kernel_diff_log(spec, z, w)
     print(f"K_M(z,w)   = {format_complex(k.to_complex())}  (log magnitude {fmt(k.log_mag)})")
     print(f"K_inf(z,w) = {format_complex(kinf.to_complex())}  (log magnitude {fmt(kinf.log_mag)})")
-    diff = kernel_diff_log(spec, z, w)
     print(f"|K_inf - K_M| = {fmt(0.0 if diff.is_zero else math.exp(diff.log_mag))}")
     if abs(z * w.conjugate()) < 1.0 and M >= b:
         print(f"certified tail bound = {fmt(kernel_tail_bound(spec, z, w))}")

@@ -10,14 +10,20 @@ derivatives are exact term-wise sums, never finite differences.  Differences
 K_inf - K_M are always computed from the explicit tail sum over j >= M, which
 is the only stable way once they fall many orders below the kernel scale.
 
-`kernel_log_stack` evaluates the truncated, tail or infinite series for B
-pairs (z_r, w_r) at once as (log-magnitude, phase) arrays, so b up to ~1024
-and M up to ~1100 stay representable; `kernel_eval`, `kernel_derivative` and
-`kernel_diff_log` are its B = 1 case, and a single value comes back as the
-record `LogComplex` (log-magnitude, phase in [-pi, pi]).  The series runs in
-chunks of terms: within a chunk the term magnitudes are a running product of
-the ratios b|x|/(j+1) and the partial sums a running sum whose exact rounding
-errors are kept as compensation.  Each row carries its own log scale,
+`kernel_log_orders` evaluates the truncated, tail or infinite series for B
+pairs (z_r, w_r) and a list of derivative orders at once as
+(log-magnitude, phase) arrays, so b up to ~1024 and M up to ~1100 stay
+representable.  Every order is a short combination of the range-shifted
+series S^(k)(z wbar), k <= 4: each S^(k) that some order needs is summed
+once, and each order is combined relative to top, the largest of its own
+series only, so it equals a one-order call bit for bit.  `kernel_log_stack`
+is its one-order case; `kernel_eval`, `kernel_derivative` and
+`kernel_diff_log` are the B = 1 case of that, and a single value comes back
+as the record `LogComplex` (log-magnitude, phase in [-pi, pi]).
+
+The series runs in chunks of terms: within a chunk the term magnitudes are a
+running product of the ratios b|x|/(j+1) and the partial sums a running sum
+whose exact rounding errors are kept as compensation.  Each row carries its own log scale,
 rescaled at a chunk start whenever the chunk's products could pass 1e250,
 and its own stop rule.  A sum is cancellation noise, reported as zero,
 below the rounding floor of its terms: 8 eps (2 + (j - j0) + j |arg x|)
@@ -230,31 +236,44 @@ def _check_points(b: float, z: np.ndarray, w: np.ndarray, tail: bool):
         raise ValueError(f"row {r}: kernel at z = {z[r]}, w = {w[r]} {why}")
 
 
-def kernel_log_stack(spec: KernelSpec, zs, ws, order: DerivOrder,
-                     which: str) -> tuple[np.ndarray, np.ndarray]:
+def kernel_log_orders(spec: KernelSpec, zs, ws, orders, which: str
+                      ) -> list[tuple[np.ndarray, np.ndarray]]:
     """d^order of K_M ("truncated"), K_inf ("infinite") or K_inf - K_M
-    ("tail", from the explicit tail sum) at each pair (zs[r], ws[r]).
+    ("tail", from the explicit tail sum) at each pair (zs[r], ws[r]), for
+    each order in orders.
 
-    Returns (log-magnitude, phase) arrays of shape (B,); a zero value,
-    including a sum of derivative terms that cancels below 8 eps of their
-    mass, has log-magnitude -inf and phase 0.  A pair with b(|z|^2 + |w|^2)
-    not finite, or a tail of over 2^20 terms, raises ValueError.
+    Returns one (log-magnitude, phase) pair of arrays of shape (B,) per
+    order; a zero value, including a sum of derivative terms that cancels
+    below 8 eps of their mass, has log-magnitude -inf and phase 0.  A pair
+    with b(|z|^2 + |w|^2) not finite, or a tail of over 2^20 terms, raises
+    ValueError, and a bad order anywhere in the list UnsupportedOrderError,
+    before any series is summed.  Each series S^(k) that some order needs
+    is summed once; every order is combined as if alone, so each result
+    equals kernel_log_stack for that order bit for bit.
     """
-    order = _check_order(order)
+    orders = [_check_order(order) for order in orders]
     if which not in ("truncated", "infinite", "tail"):
         raise ValueError(f"unknown kernel variant {which!r}")
     z = np.asarray(zs, dtype=complex).ravel()
     w = np.asarray(ws, dtype=complex).ravel()
     _check_points(spec.b, z, w, which == "tail")
-    terms = _deriv_terms(order)
+    order_terms = [_deriv_terms(order) for order in orders]
     x = z * w.conj()
-    series = {k: _series_deriv_stack(spec, x, k, which) for k in {key[4] for key, _ in terms}}
-    # sum c b^p z^pz zbar^pzb w^pw wbar^pwb S^(k) row by row, each S^(k)
-    # relative to the largest one
-    top = np.maximum.reduce([s_log for s_log, _ in series.values()])
+    series = {k: _series_deriv_stack(spec, x, k, which)
+              for k in sorted({key[4] for terms in order_terms for key, _ in terms})}
+    gauss = -0.5 * spec.b * (np.abs(z) ** 2 + np.abs(w) ** 2)
+    return [_combine(spec, z, w, terms, series, gauss) for terms in order_terms]
+
+
+def _combine(spec: KernelSpec, z: np.ndarray, w: np.ndarray, terms: tuple,
+             series: dict, gauss: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum c b^p z^pz zbar^pzb w^pw wbar^pwb S^(k) row by row, each S^(k)
+    relative to the largest of this order's own series."""
+    own = {key[4] for key, _ in terms}
+    top = np.maximum.reduce([series[k][0] for k in own])
     live = top > -np.inf
     top = np.where(live, top, 0.0)
-    unit = {k: np.exp((s_log - top) + 1j * s_phase) for k, (s_log, s_phase) in series.items()}
+    unit = {k: np.exp((series[k][0] - top) + 1j * series[k][1]) for k in own}
     acc = np.zeros(z.shape, dtype=complex)
     mass = np.zeros(z.shape)
     for (pz, pzb, pw, pwb, k, p), c in terms:
@@ -266,9 +285,14 @@ def kernel_log_stack(spec: KernelSpec, zs, ws, order: DerivOrder,
         mass += np.abs(term)
     size = np.abs(acc)
     ok = live & (size > _NOISE * mass)
-    gauss = -0.5 * spec.b * (np.abs(z) ** 2 + np.abs(w) ** 2)
     return (np.where(ok, gauss + top + np.log(np.where(ok, size, 1.0)), -np.inf),
             np.where(ok, np.angle(acc), 0.0))
+
+
+def kernel_log_stack(spec: KernelSpec, zs, ws, order: DerivOrder,
+                     which: str) -> tuple[np.ndarray, np.ndarray]:
+    """kernel_log_orders for the one order."""
+    return kernel_log_orders(spec, zs, ws, [order], which)[0]
 
 
 @dataclass(frozen=True)

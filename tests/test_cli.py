@@ -368,3 +368,4 @@ def test_bad_input_exits_2_with_one_error_line(argv):
     lines = proc.stderr.splitlines()
     assert proc.returncode == 2, proc.stderr
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert proc.stdout == "", proc.stdout   # refused before any result line

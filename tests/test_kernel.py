@@ -5,13 +5,14 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaincc, gammaln
 
 from qhflux.kernel import (_T_NEAR, KernelSpec, UnsupportedOrderError,
                            kernel_derivative, kernel_diff_log, kernel_eval, kernel_infty,
-                           kernel_log_stack, kernel_tail_bound, kernel_tail_bound_log,
+                           kernel_log_orders, kernel_log_stack, kernel_tail_bound,
+                           kernel_tail_bound_log,
                            phi_rate, reproducing_residual, tracer_tables,
                            weighted_orbitals)
 from qhflux.partition import HoleConfig, SingularMatrixError, log_upsilon, upsilon
@@ -344,15 +345,16 @@ def test_matrix_path_matches_scalar_path():
     zs = np.array([0.9, -0.5 + 0.3j, 0.95j, 0.6 - 0.7j, *gram])
     ws = np.array([0.9, 0.93 * np.exp(0.4j), -0.5 + 0.31j, *gram])
     z_pairs, w_pairs = (a.ravel() for a in np.meshgrid(zs, ws, indexing="ij"))
+    orders = list(itertools.product(range(2), repeat=4))
     for b in (24, 64, 256, 900, 1024):
         spec = KernelSpec(b=float(b), M=b + 2)
         z_side, w_side = orbital_tables(spec.b, spec.M, zs), orbital_tables(spec.b, spec.M, ws)
+        stacked = kernel_log_orders(spec, z_pairs, w_pairs, orders, "truncated")
         # d/dw and d/dwbar reach conj(phi_j(w)) as conj(dbar phi_j) and
         # conj(d phi_j), so the w side's table is (wbar, w)
-        for order in itertools.product(range(2), repeat=4):
+        for order, (log_mag, phase) in zip(orders, stacked):
             a_zbar, a_z, a_wbar, a_w = order
             mat = z_side[a_z, a_zbar] @ w_side[a_wbar, a_w].conj().T
-            log_mag, phase = kernel_log_stack(spec, z_pairs, w_pairs, order, "truncated")
             ref = (np.exp(log_mag) * np.exp(1j * phase)).reshape(mat.shape)
             # plain-double fast path: absolute roundoff ~ eps * M * (b/pi) * b^|a|
             tol = 100 * spec.M * 2.3e-16 * (spec.b / math.pi) * spec.b ** sum(order)
@@ -405,6 +407,70 @@ def test_stacked_rows_equal_single_calls(N, dM, order, which, points):
         one_mag, one_phase = kernel_log_stack(spec, [z], [w], order, which)
         assert one_mag[0].tobytes() == log_mag[r].tobytes(), (r, z, w)
         assert one_phase[0].tobytes() == phase[r].tobytes(), (r, z, w)
+
+
+ORDERS_UP_TO_4 = [o for o in itertools.product(range(5), repeat=4) if sum(o) <= 4]
+# x = z wbar = 0, and a row whose truncated sum at b = M = 1024 cancels below
+# its rounding floor
+_EDGE_ROWS = [(0j, 0.4 - 0.2j), (0.9 + 0.3j, -0.5 + 0.6j)]
+
+
+@st.composite
+def _specs(draw):
+    b = draw(st.floats(1.0, 1024.0))
+    return KernelSpec(b=b, M=draw(st.integers(1, int(b) + 4)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(spec=_specs(), which=st.sampled_from(["truncated", "infinite", "tail"]),
+       orders=st.lists(st.sampled_from(ORDERS_UP_TO_4), min_size=1, max_size=8),
+       points=st.lists(st.tuples(_POINT, _POINT), max_size=4))
+@example(spec=KernelSpec(b=1024.0, M=1024), which="truncated",
+         orders=[(0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 0), (1, 1, 1, 1)], points=[])
+def test_shared_series_equal_one_order_calls(spec, which, orders, points):
+    rows = _EDGE_ROWS + [(_disk_point(1.0, *p), _disk_point(1.0, *q)) for p, q in points]
+    zs, ws = [z for z, _ in rows], [w for _, w in rows]
+    shared = kernel_log_orders(spec, zs, ws, orders, which)
+    assert len(shared) == len(orders)
+    for order, (log_mag, phase) in zip(orders, shared):
+        one_mag, one_phase = kernel_log_stack(spec, zs, ws, order, which)
+        assert np.array_equal(log_mag, one_mag), order
+        assert np.array_equal(phase, one_phase), order
+
+
+def test_cancelling_edge_row_is_zero():
+    # the stacked property above sees a -inf row at its explicit example
+    log_mag, _ = kernel_log_stack(KernelSpec(b=1024.0, M=1024), *zip(*_EDGE_ROWS),
+                                  (0, 0, 0, 0), "truncated")
+    assert log_mag[1] == -np.inf
+
+
+@pytest.mark.parametrize("bad", [(2, 1, 1, 1), (0, -1, 0, 0), (1, 0, 0)])
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_bad_order_anywhere_is_refused_before_any_series(monkeypatch, bad, at):
+    from qhflux import kernel
+    summed = []
+    monkeypatch.setattr(kernel, "_series_deriv_stack", lambda *args: summed.append(args))
+    orders = [(0, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0)]
+    orders.insert(at, bad)
+    for which in ("truncated", "infinite", "tail"):
+        with pytest.raises(UnsupportedOrderError):
+            kernel_log_orders(KernelSpec(b=8.0, M=10), [0.1], [0.2], orders, which)
+    assert summed == []
+
+
+def test_refused_points_raise_as_one_order_calls_do():
+    spec = KernelSpec(b=64.0, M=66)
+    orders = [(0, 0, 0, 0), (1, 0, 0, 1)]
+    for which, zs, ws in (("truncated", [0.1, math.nan], [0.2, 0.3]),
+                          ("infinite", [0.1, 0.2j, 1e160], [0.1, 0.2, 0.3]),
+                          ("tail", [1e100], [1e100])):
+        with pytest.raises(ValueError) as one:
+            kernel_log_stack(spec, zs, ws, orders[0], which)
+        with pytest.raises(ValueError) as shared:
+            kernel_log_orders(spec, zs, ws, orders, which)
+        assert type(shared.value) is type(one.value)
+        assert str(shared.value) == str(one.value)
 
 
 def _mp_tail(N, M, z, w, d_z):
