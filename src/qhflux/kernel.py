@@ -159,13 +159,11 @@ def _series_stack(b: float, x: np.ndarray, j0: int, j1: float):
 
 
 def _series_deriv_stack(spec: KernelSpec, x: np.ndarray, k: int, which: str):
-    """k-th x-derivative of the coefficient series, by range shift."""
+    """k-th x-derivative of the truncated or tail coefficient series, by
+    range shift."""
     b, cut = spec.b, max(spec.M - k, 0)
-    if which == "infinite":
-        log_mag, phase = math.log(b / math.pi) + b * x.real, b * x.imag
-    else:
-        log_mag, phase = _series_stack(b, x, *((0, cut) if which == "truncated"
-                                               else (cut, math.inf)))
+    log_mag, phase = _series_stack(b, x, *((0, cut) if which == "truncated"
+                                           else (cut, math.inf)))
     return k * math.log(b) + log_mag, phase
 
 
@@ -259,9 +257,17 @@ def kernel_log_orders(spec: KernelSpec, zs, ws, orders, which: str
     _check_points(spec.b, z, w, which == "tail")
     order_terms = [_deriv_terms(order) for order in orders]
     x = z * w.conj()
-    series = {k: _series_deriv_stack(spec, x, k, which)
-              for k in sorted({key[4] for terms in order_terms for key, _ in terms})}
-    gauss = -0.5 * spec.b * (np.abs(z) ** 2 + np.abs(w) ** 2)
+    ks = sorted({key[4] for terms in order_terms for key, _ in terms})
+    if which == "infinite":
+        # S^(k) = b^k (b/pi) e^{b x}: its e^{b Re x} and b/pi go into the
+        # Gaussian as (b/pi) e^{-b|z - w|^2/2}, which cancels nothing, where
+        # -b(|z|^2 + |w|^2)/2 + b Re x loses all digits once b|z|^2 ~ 1e16
+        series = {k: (np.full(x.shape, k * math.log(spec.b)), spec.b * x.imag) for k in ks}
+        d = np.abs(z - w)
+        gauss = math.log(spec.b / math.pi) - 0.5 * spec.b * d * d
+    else:
+        series = {k: _series_deriv_stack(spec, x, k, which) for k in ks}
+        gauss = -0.5 * spec.b * (np.abs(z) ** 2 + np.abs(w) ** 2)
     return [_combine(spec, z, w, terms, series, gauss) for terms in order_terms]
 
 
@@ -328,12 +334,12 @@ def kernel_eval(spec: KernelSpec, z: complex, w: complex) -> LogComplex:
 
 
 def kernel_infty(spec: KernelSpec, z: complex, w: complex) -> LogComplex:
-    """Full-projection kernel (b/pi) exp(-b(|z|^2+|w|^2-2 z wbar)/2)."""
+    """Full-projection kernel (b/pi) exp(-b(|z|^2+|w|^2-2 z wbar)/2), as
+    log(b/pi) - b|z - w|^2/2 with phase b Im(z wbar)."""
     _check_points(spec.b, np.array([z], dtype=complex), np.array([w], dtype=complex), False)
-    x = z * w.conjugate()
-    return LogComplex(math.log(spec.b / math.pi)
-                      - 0.5 * spec.b * (abs(z) ** 2 + abs(w) ** 2) + spec.b * x.real,
-                      math.remainder(spec.b * x.imag, 2.0 * math.pi))
+    d = abs(z - w)
+    return LogComplex(math.log(spec.b / math.pi) - 0.5 * spec.b * d * d,
+                      math.remainder(spec.b * (z * w.conjugate()).imag, 2.0 * math.pi))
 
 
 def kernel_derivative(spec: KernelSpec, z: complex, w: complex,

@@ -132,6 +132,17 @@ def test_infty_formula_point():
     assert v.phase == 0.0
 
 
+@pytest.mark.parametrize("r", [1e6, 1e7, 1e8])
+def test_infty_log_magnitude_far_out_does_not_cancel(r):
+    # -b(|z|^2 + |w|^2)/2 + b Re(z wbar) cancels terms of size b r^2; the
+    # log magnitude at z = w is log(b/pi) exactly, on both routes
+    spec = KernelSpec(b=64.0, M=66)
+    exact = math.log(64.0 / math.pi)
+    assert abs(kernel_infty(spec, r, r).log_mag - exact) <= 1e-15
+    log_mag, phase = kernel_log_stack(spec, [r, 1j * r], [r, 1j * r], (0, 0, 0, 0), "infinite")
+    assert np.all(np.abs(log_mag - exact) <= 1e-15) and np.all(phase == 0.0)
+
+
 def test_hermiticity():
     spec = KernelSpec(b=9.0, M=12)
     a = kernel_eval(spec, 0.4 + 0.3j, -0.2 + 0.6j).to_complex()
