@@ -23,9 +23,9 @@ as the record `LogComplex` (log-magnitude, phase in [-pi, pi]).
 
 The series runs in chunks of terms: within a chunk the term magnitudes are a
 running product of the ratios b|x|/(j+1) and the partial sums a running sum
-whose exact rounding errors are kept as compensation.  Each row carries its own log scale,
-rescaled at a chunk start whenever the chunk's products could pass 1e250,
-and its own stop rule.  A sum is cancellation noise, reported as zero,
+whose exact rounding errors are kept as compensation.  Each row carries its
+own log scale, rescaled at a chunk start whenever the chunk's products could
+pass 1e250, and its own stop rule.  A sum is cancellation noise, reported as zero,
 below the rounding floor of its terms: 8 eps (2 + (j - j0) + j |arg x|)
 times their mass for terms j0..j, since term j carries the rounding of a
 running product over j - j0 steps and of its phase j arg x, besides that of
@@ -234,8 +234,8 @@ def _check_points(b: float, z: np.ndarray, w: np.ndarray, tail: bool):
         raise ValueError(f"row {r}: kernel at z = {z[r]}, w = {w[r]} {why}")
 
 
-def kernel_log_orders(spec: KernelSpec, zs, ws, orders, which: str
-                      ) -> list[tuple[np.ndarray, np.ndarray]]:
+def kernel_log_orders(spec: KernelSpec, zs, ws, orders: list[DerivOrder],
+                      which: str) -> list[tuple[np.ndarray, np.ndarray]]:
     """d^order of K_M ("truncated"), K_inf ("infinite") or K_inf - K_M
     ("tail", from the explicit tail sum) at each pair (zs[r], ws[r]), for
     each order in orders.

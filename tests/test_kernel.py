@@ -12,9 +12,8 @@ from scipy.special import gammaincc, gammaln
 from qhflux.kernel import (_T_NEAR, KernelSpec, UnsupportedOrderError,
                            kernel_derivative, kernel_diff_log, kernel_eval, kernel_infty,
                            kernel_log_orders, kernel_log_stack, kernel_tail_bound,
-                           kernel_tail_bound_log,
-                           phi_rate, reproducing_residual, tracer_tables,
-                           weighted_orbitals)
+                           kernel_tail_bound_log, phi_rate, reproducing_residual,
+                           tracer_tables, weighted_orbitals)
 from qhflux.partition import HoleConfig, SingularMatrixError, log_upsilon, upsilon
 from qhflux.quadrature import cartesian_grid
 
