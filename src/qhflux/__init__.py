@@ -10,7 +10,7 @@ from .partition import (HoleConfig, PartitionValue, SingularConfigurationError,
 from .potentials import (DegenerateConfigurationError, EmergentField,
                          asymptotic_prediction, correction_a, correction_v,
                          emergent_field_derivative, emergent_field_integral,
-                         emergent_fields, refined_fields)
+                         emergent_fields)
 from .quadrature import QuadratureGrid, cartesian_grid, polar_grid
 
 __version__ = "0.1.0"
@@ -26,6 +26,6 @@ __all__ = [
     "theta_polarized", "upsilon_prediction",
     "EmergentField", "DegenerateConfigurationError",
     "emergent_field_derivative", "emergent_field_integral", "emergent_fields",
-    "correction_a", "correction_v", "refined_fields", "asymptotic_prediction",
+    "correction_a", "correction_v", "asymptotic_prediction",
     "__version__",
 ]

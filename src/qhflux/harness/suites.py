@@ -18,7 +18,7 @@ from ..oracle.energy import GaussianPacket, energy_identity_check
 from ..oracle.monomial import partition_exact
 from ..oracle.plasma import PlasmaConfig
 from ..oracle.slater import slater_density, slater_density_brute
-from ..partition import (HoleConfig, log_partition, upsilon_derivative_stack,
+from ..partition import (HoleConfig, log_partition, log_upsilon_derivative_stack,
                          upsilon_stack)
 from ..potentials import (asymptotic_prediction, correction_a, correction_v,
                           emergent_fields)
@@ -165,9 +165,10 @@ def run_upsilon_suite(N_list=(128, 256), kappa: float = 2.0,
     for idx, N in enumerate(N_list):
         rng = case_rng(seed, idx)
         holes = [sample_no_merging(rng, N, n, classifier).w for _ in range(configs)]
-        ups, *derivs, _ = upsilon_derivative_stack(float(N), N + n, holes, 0)
+        ups, dlog, ddlog, _ = log_upsilon_derivative_stack(float(N), N + n, holes, 0)
         val = float(np.max(np.abs(ups - 1.0)))
-        d1, d2 = (float(np.max(np.abs(d))) for d in derivs)
+        # d Upsilon = Upsilon dlog and d dbar Upsilon = Upsilon (ddlog + |dlog|^2)
+        d1, d2 = (float(np.max(np.abs(ups * d))) for d in (dlog, ddlog + np.abs(dlog) ** 2))
         report.add(ReportRow(
             case_id=f"nomerge-N{N}", N=N, n=n, kappa=kappa, gamma=gamma,
             regime="no-merging", quantity="max |Upsilon - 1|", measured=val,

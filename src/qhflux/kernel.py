@@ -33,9 +33,11 @@ the additions.
 No row's value depends on the other rows.
 
 Kernel matrices on point sets take the other route: the weighted-orbital
-table phi_j(z), multiplied as U U^H, and one tracer's tables d phi, dbar phi
-and d dbar phi (tracer_tables), which its emergent fields need.  The series
-stays the independent reference that route is tested against.
+table phi_j(z), multiplied as U U^H, and one tracer's table d phi
+(orbital_derivative), which its emergent fields need.  dbar phi_j =
+-(b/2) z phi_j is a multiple of the orbital itself and d dbar phi_j =
+-(b/2) (phi_j + z d phi_j), so no other table is built.  The series stays
+the independent reference that route is tested against.
 """
 
 from __future__ import annotations
@@ -477,21 +479,19 @@ def _far_orbitals(b: float, M: int, z: np.ndarray, mode: np.ndarray,
     return up
 
 
-def tracer_tables(b: float, orbitals: np.ndarray, pts: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tables (d phi_j, dbar phi_j, d dbar phi_j) at pts[i] from the orbital
-    matrix weighted_orbitals(b, M, pts).
+def orbital_derivative(b: float, orbitals: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Table d phi_j(pts[i]) = sqrt(b j) phi_{j-1} - (b/2) zbar phi_j from the
+    orbital matrix weighted_orbitals(b, M, pts) (or any multiple of it).
 
-    d phi_j = sqrt(b j) phi_{j-1} - (b/2) zbar phi_j, dbar phi_j =
-    -(b/2) z phi_j and d dbar phi_j = -(b/2) (phi_j + z d phi_j): index
-    shifts of the orbitals times polynomial weights, so no entry leaves the
-    scale sqrt(b/pi) (b + b|z|)^2 and nothing underflows.
+    An index shift of the orbitals times polynomial weights, so no entry
+    leaves the scale sqrt(b/pi) (b + b|z|) and nothing underflows.  The other
+    two derivatives are the orbitals themselves and this table:
+    dbar phi_j = -(b/2) z phi_j and d dbar phi_j = -(b/2) (phi_j + z d phi_j).
     """
     z = np.asarray(pts, dtype=complex).reshape(-1, 1)
     shifted = np.zeros_like(orbitals)        # sqrt(b j) phi_{j-1}
     shifted[:, 1:] = orbitals[:, :-1] * np.sqrt(b * np.arange(1, orbitals.shape[1]))
-    d = -0.5 * b * z.conj() * orbitals + shifted
-    return d, -0.5 * b * (z * orbitals), -0.5 * b * (z * d + orbitals)
+    return -0.5 * b * z.conj() * orbitals + shifted
 
 
 def reproducing_residual(spec: KernelSpec, z: complex, w: complex,

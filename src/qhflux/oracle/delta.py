@@ -41,33 +41,47 @@ def _orbital(b: float, k: int):
     return u
 
 
+def bath_integral(b: float, x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """I[p, q] = sum_{a, c} f[a, c] K_inf(x_a + i x_c, x_p + i x_q) on the
+    tensor nodes of x, without the m^2 x m^2 kernel matrix.
+
+    K_inf(z, w) = (b/pi) e^{-b|z - w|^2/2 + i b Im(z wbar)} splits over the
+    coordinates: for z = x_a + i x_c and w = x_p + i x_q it is
+    (b/pi) G[a, p] G[c, q] e^{i b x_c x_p} e^{-i b x_a x_q}, with
+    G[a, p] = e^{-b (x_a - x_p)^2 / 2}.  So the sum is two contractions of
+    m x m factors: first over c, then over a.
+    """
+    x = np.asarray(x, dtype=float)
+    with np.errstate(under="ignore"):
+        g = np.exp(-0.5 * b * (x[:, None] - x[None, :]) ** 2)
+    e = np.exp(1j * b * np.outer(x, x))
+    inner = np.einsum("ac,cp,cq->apq", f, e, g, optimize=True)
+    return (b / math.pi) * np.einsum("ap,aq,apq->pq", g, e.conj(), inner, optimize=True)
+
+
 def delta_check(k: int, u, b: float, grid_order: int = 60,
                 rng_seed: int = 5) -> DeltaCheckResult:
     """Quadratic-form and projector residuals for a test function u.
 
     u is the tracer factor; the bath factor is the k-th orbital.  The
     quadratic form <u x phi_k| delta |u x phi_k> is integrated once through
-    the operator (a nested 2D quadrature) and compared against
-    int |u phi_k|^2; the projector residual is the sup of
-    |delta^2 F - (b/pi) delta F| over seeded points.
+    the operator (a nested 2D quadrature, its inner integral by
+    bath_integral) and compared against int |u phi_k|^2; the projector
+    residual is the sup of |delta^2 F - (b/pi) delta F| over seeded points.
     """
     phi = _orbital(b, k)
     radius = 1.0 + 8.0 / math.sqrt(b)
     grid = cartesian_grid(radius, order=grid_order)
 
     # inner bath integral I(w) = int conj(psi(z)) K_inf(z, w) dz, then the
-    # tracer integral of conj(u) u psi(w) I(w)
-    zs = grid.nodes
+    # tracer integral of conj(u) u psi(w) I(w); node a * order + c is x_a + i x_c
     ws = grid.nodes
-    x = zs[:, None] * ws[None, :].conj()
-    log_k = (-0.5 * b * (np.abs(zs) ** 2)[:, None]
-             - 0.5 * b * (np.abs(ws) ** 2)[None, :] + b * x)
-    with np.errstate(under="ignore"):
-        kmat = (b / math.pi) * np.exp(log_k)
-    inner = (grid.weights * phi(zs).conj()) @ kmat
+    psi = phi(ws)
+    weighted = (grid.weights * psi.conj()).reshape(grid_order, grid_order)
+    inner = bath_integral(b, ws[:grid_order].imag, weighted).ravel()
     uw = u(ws)
-    lhs = np.sum(grid.weights * np.abs(uw) ** 2 * phi(ws) * inner)
-    rhs = np.sum(grid.weights * np.abs(uw * phi(ws)) ** 2)
+    lhs = np.sum(grid.weights * np.abs(uw) ** 2 * psi * inner)
+    rhs = np.sum(grid.weights * np.abs(uw * psi) ** 2)
     quad_residual = float(abs(lhs - rhs))
 
     f = lambda w, z: u(w) * phi(z)

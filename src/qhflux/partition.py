@@ -1,5 +1,5 @@
 """Quasi-hole partition functions: Upsilon determinants, their exact
-derivatives, the closed-form normalization, and Schur-complement densities."""
+log-derivatives, the closed-form normalization, and Schur-complement densities."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import KernelSpec, tracer_tables, weighted_orbitals
+from .kernel import KernelSpec, orbital_derivative, weighted_orbitals
 
 PIVOT_FLOOR = 1e-300
 # per hole: the determinant of the kernel matrix scaled to unit diagonal,
@@ -111,28 +111,27 @@ def resolved_rows(kernel: np.ndarray, ups: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _kernel_stack(b: float, M: int, holes):
-    """Hole orbital tables orb = weighted_orbitals, shape (B, n, M), the same
-    scaled by sqrt(pi/b) as phi, the kernel matrices phi phi^H =
-    (pi/b) [K_M(w_a, w_c)] and their determinants Upsilon for a (B, n) stack
-    of holes.  A row whose determinant is below PIVOT_FLOOR, or not finite as
-    numpy's det can be for denormal kernel entries, is singular: Upsilon 0."""
+    """Hole orbital tables phi = sqrt(pi/b) weighted_orbitals, shape (B, n, M),
+    the kernel matrices phi phi^H = (pi/b) [K_M(w_a, w_c)] and their
+    determinants Upsilon for a (B, n) stack of holes.  A row whose
+    determinant is below PIVOT_FLOOR, or not finite as numpy's det can be
+    for denormal kernel entries, is singular: Upsilon 0."""
     w = np.asarray(holes, dtype=complex)
     if w.ndim != 2:
         raise ValueError("holes must have shape (B, n)")
     B, n = w.shape
-    orb = weighted_orbitals(b, M, w.ravel()).reshape(B, n, M)
-    phi = math.sqrt(math.pi / b) * orb
+    phi = math.sqrt(math.pi / b) * weighted_orbitals(b, M, w.ravel()).reshape(B, n, M)
     kernel = phi @ phi.conj().swapaxes(1, 2)
     with np.errstate(divide="ignore", invalid="ignore"):
         ups = np.linalg.det(kernel).real
     ups[~(np.abs(ups) >= PIVOT_FLOOR)] = 0.0    # NaN included
-    return orb, phi, kernel, ups
+    return phi, kernel, ups
 
 
 def upsilon_stack(b: float, M: int, holes) -> np.ndarray:
     """Upsilon for each row of a (B, n) hole stack, from one orbital table
     and one stacked determinant; 0 where the kernel matrix is singular."""
-    return _kernel_stack(b, M, holes)[3]
+    return _kernel_stack(b, M, holes)[2]
 
 
 def upsilon(cfg: HoleConfig) -> float:
@@ -148,7 +147,7 @@ def _resolved_upsilon(cfg: HoleConfig):
     SingularMatrixError where Upsilon is rounding noise."""
     cfg.require_distinct()
     holes = cfg.points()[None, :]
-    _, phi, kernel, ups = _kernel_stack(cfg.b, cfg.spec.M, holes)
+    phi, kernel, ups = _kernel_stack(cfg.b, cfg.spec.M, holes)
     if not resolved_rows(kernel, ups)[1][0]:
         raise SingularMatrixError(f"Upsilon = {ups[0]:.3e} is rounding noise: below "
                                   "PIVOT_FLOOR, or below UPSILON_FLOOR n times prod Q")
@@ -160,54 +159,49 @@ def log_upsilon(cfg: HoleConfig) -> float:
     return 0.0 if cfg.n == 0 else math.log(_resolved_upsilon(cfg)[2])
 
 
-def upsilon_derivative_stack(b: float, M: int, holes, j: int
-                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Upsilon, d_j Upsilon, d_j dbar_j Upsilon and the correlation ratio of
-    resolved_rows for a stack of configurations.
+def log_upsilon_derivative_stack(b: float, M: int, holes, j: int
+                                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Upsilon, d_j log Upsilon, d_j dbar_j log Upsilon and the correlation
+    ratio of resolved_rows for a (B, n) stack of holes, one configuration
+    per row, all with field strength b and M orbitals; j is the tracer.
 
-    holes has shape (B, n): one configuration of n holes per row,
-    all with field strength b and M orbitals; j is the tracer.  Only row j
-    and column j of the kernel matrix depend on w_j, so each derivative
-    matrix is built from hole j's first-order and mixed orbital tables,
-    derived from the orbital table the determinant already uses.  Its
-    (j, j) entry is a derivative of (pi/b) K_M(w, w) = Q(M, t), t = b|w|^2,
-    whose t-derivatives are single tail terms; it is set from those, since
-    the sum over orbitals would cancel O(b) terms down to ~eps b instead of
-    to the tail.  The (B, n, n) kernel matrices go through one stacked
-    determinant and one stacked inverse, and Jacobi's formula gives the
-    derivatives.  Returns four arrays of shape (B,); the derivatives are NaN
-    on exactly the rows that resolved_rows refuses, whose kernel matrices
-    are not inverted.
+    Only row and column j of the kernel matrix K depend on w_j.  Since
+    dbar phi_j = -(b/2) w_j phi_j and d dbar phi_j = -(b/2) (phi_j + w_j d phi_j),
+    hole j's one derivative table (orbital_derivative) gives them all: row j
+    of d_j K is r = d phi_j phi^H and column j is -(b/2) wbar_j K[:, j];
+    dbar_j K is (d_j K)^H; row j of d_j dbar_j K is -(b/2) (K[j, :] + w_j r)
+    and column j its conjugate.  The (j, j) entries are derivatives of
+    (pi/b) K_M(w, w) = Q(M, t), t = b|w|^2, set from its t-derivatives, which
+    are single tail terms: the sum over orbitals would cancel O(b) terms down
+    to ~eps b instead of to the tail.  One stacked determinant and one
+    stacked inverse give Jacobi's formula, d log Upsilon = tr(K^-1 dK) and
+    d dbar log Upsilon = Re tr(K^-1 d dbar K - K^-1 dbar K K^-1 dK).  Both
+    are NaN on exactly the rows that resolved_rows refuses, whose kernel
+    matrices are not inverted.
     """
-    orb, phi, kernel, ups = _kernel_stack(b, M, holes)
+    phi, kernel, ups = _kernel_stack(b, M, holes)
     n = phi.shape[1]
     w = np.asarray(holes, dtype=complex)[:, j]
-    t10, t01, t11 = (math.sqrt(math.pi / b) * t for t in tracer_tables(b, orb[:, j], w))
     # t^k e^{-t}/k! at k = M-1 and M-2; the latter is 0 at M = 1
     top = np.abs(phi[:, j, M - 1]) ** 2
     below = np.abs(phi[:, j, M - 2]) ** 2 if M > 1 else 0.0
     q1, q2 = -top, top - below                       # d/dt and d^2/dt^2 of Q(M, t)
-    phi_h = phi.conj().swapaxes(1, 2)
-
-    def tracer_matrix(row, col, diag):
-        # row j is row phi^H and column j is phi col^H
-        out = np.zeros_like(kernel)
-        out[:, j, :] = (row[:, None, :] @ phi_h)[:, 0]
-        out[:, :, j] = (phi @ col.conj()[:, :, None])[:, :, 0]
-        out[:, j, j] = diag
-        return out
+    r = (orbital_derivative(b, phi[:, j], w)[:, None, :] @ phi.conj().swapaxes(1, 2))[:, 0]
+    dk, ddk = np.zeros_like(kernel), np.zeros_like(kernel)
+    dk[:, j, :] = r
+    dk[:, :, j] = -0.5 * b * w.conj()[:, None] * kernel[:, :, j]
+    dk[:, j, j] = b * w.conj() * q1
+    ddk[:, j, :] = -0.5 * b * (kernel[:, j, :] + w[:, None] * r)
+    ddk[:, :, j] = ddk[:, j, :].conj()
+    ddk[:, j, j] = b ** 2 * w * w.conj() * q2 + b * q1
 
     corr, resolved = resolved_rows(kernel, ups)
     inverse = np.linalg.inv(np.where(resolved[:, None, None], kernel, np.eye(n)))
-    d = inverse @ tracer_matrix(t10, t01, b * w.conj() * q1)
-    dbar = inverse @ tracer_matrix(t01, t10, b * w * q1)
-    ddbar = inverse @ tracer_matrix(t11, t11, b ** 2 * w * w.conj() * q2 + b * q1)
-    first = np.trace(d, axis1=1, axis2=2)
-    second = (first * np.trace(dbar, axis1=1, axis2=2)
-              - np.trace(dbar @ d, axis1=1, axis2=2) + np.trace(ddbar, axis1=1, axis2=2))
-    d1, d11 = ups * first, ups * second
-    d1[~resolved] = d11[~resolved] = complex(np.nan, np.nan)
-    return ups, d1, d11, corr
+    d, dbar, dd = (inverse @ m for m in (dk, dk.conj().swapaxes(1, 2), ddk))
+    dlog = np.trace(d, axis1=1, axis2=2)
+    ddlog = np.trace(dd - dbar @ d, axis1=1, axis2=2).real
+    dlog[~resolved] = ddlog[~resolved] = np.nan
+    return ups, dlog, ddlog, corr
 
 
 def log_partition(cfg: HoleConfig) -> PartitionValue:

@@ -1,10 +1,11 @@
 """Emergent vector/scalar potentials at the tracer positions.
 
 Two independent routes compute the same fields: the derivative route
-assembles log-derivatives of the Upsilon determinant (production path), and
+takes the log-derivatives of the Upsilon determinant from partition and uses
+them as they are (production path), and
 the integral route evaluates the conditional-density integral formulas by
 singularity-centered quadrature (cross-validation path).  Correction fields
-a, v and the refined field models live here too.
+a, v and the asymptotic field prediction live here too.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .kernel import weighted_orbitals
 from .partition import (UPSILON_FLOOR, HoleConfig, SingularConfigurationError,
-                        coincident_rows, upsilon_derivative_stack)
+                        coincident_rows, log_upsilon_derivative_stack)
 from .quadrature import QuadratureGrid, polar_grid
 
 # emergent_field_stack estimates the rounding error of V as V_ERROR_SCALE
@@ -71,11 +72,12 @@ def ab_sum(cfg: HoleConfig, j: int) -> np.ndarray:
 def emergent_field_stack(N: int, holes, j: int) -> tuple[np.ndarray, np.ndarray, dict]:
     """A_j, V_j and the refused rows of a stack of hole configurations, b = N.
 
-    holes has shape (B, n); returns A (B, 2) and V (B,) from one
-    upsilon_derivative_stack call, and a dict from each refused row to its
-    error: rows with coincident holes first (SingularConfigurationError),
-    then in row order those with Upsilon rounding noise (resolved_rows) or a
-    V rounding error above FIELD_ERROR_BUDGET N (DegenerateConfigurationError).
+    holes has shape (B, n); returns A (B, 2) and V (B,) from the
+    log-derivatives of one log_upsilon_derivative_stack call, used as they
+    come, and a dict from each refused row to its error: rows with
+    coincident holes first (SingularConfigurationError), then in row order
+    those with Upsilon rounding noise (resolved_rows) or a V rounding error
+    above FIELD_ERROR_BUDGET N (DegenerateConfigurationError).
     A refused row has NaN fields and raises no numpy warning."""
     w = np.asarray(holes, dtype=complex)
     if w.ndim != 2:
@@ -89,17 +91,13 @@ def emergent_field_stack(N: int, holes, j: int) -> tuple[np.ndarray, np.ndarray,
         raise ValueError("hole positions must be finite")
 
     coincident = coincident_rows(w)
-    ups, d1, d11, corr = upsilon_derivative_stack(float(N), N + n, w, j)
-    # one rounding each: numpy's complex-by-real division multiplies by a
-    # rounded reciprocal, and np.hypot is correctly rounded where np.abs of
-    # a complex array often is not
-    dlog = d1.real / ups + 1j * (d1.imag / ups)
+    _, dlog, ddlog, corr = log_upsilon_derivative_stack(float(N), N + n, w, j)
+    # np.hypot is correctly rounded where np.abs of a complex array often is not
     dlog_sq = np.hypot(dlog.real, dlog.imag) ** 2
-    ddlog = d11.real / ups - dlog_sq
-    # ddlog cancels two terms of size |dlog|^2.  Their rounding grows with
-    # b|w_j|^2 and with the conditioning of the kernel matrix, corr
+    # ddlog is a difference of two traces of size |dlog|^2.  Their rounding
+    # grows with b|w_j|^2 and with the conditioning of the kernel matrix, corr
     v_error = V_ERROR_SCALE * (1.0 + N * np.abs(w[:, j]) ** 2) * dlog_sq / corr
-    noise = np.isnan(d1)    # exactly the rows resolved_rows refuses
+    noise = np.isnan(dlog)    # exactly the rows resolved_rows refuses
     ok = ~(coincident | noise | (v_error > FIELD_ERROR_BUDGET * N))
     refusals = {}
     for row in sorted(np.flatnonzero(~ok).tolist(), key=lambda r: not coincident[r]):
@@ -208,21 +206,28 @@ def double_integral_direct(cfg: HoleConfig, j: int, grid: QuadratureGrid) -> flo
 def correction_a(y: np.ndarray) -> np.ndarray:
     """a(y) = y^perp / (e^{|y|^2} - 1); singular at y = 0."""
     y = np.asarray(y, dtype=float)
-    t = float(y @ y)
-    if t == 0.0:
+    if not y.any():
         raise ValueError("correction_a is singular at y = 0")
+    t = float(y @ y)
+    if t < np.finfo(float).tiny:
+        # expm1(t) = t here, and y^perp / |y|^2 goes as 1 / conj(y) since
+        # |y|^2 is not a normal double
+        u = 1.0 / complex(y[0], -y[1])
+        return np.array([-u.imag, u.real])
     return perp(y) / math.expm1(t)
 
 
 def _v_of_t(t: float) -> float:
+    if t < 1e-150:
+        # v = 1 - t/3 + O(t^2) is 1 to double precision, and expm1(t)^2
+        # below would leave the normal range
+        return 1.0
     if t < 0.04:
         # 2 sum_{k>=2} ((k-1)/k!) t^k / expm1(t)^2, truncation ~ t^10
         num = 0.0
         for k in range(12, 1, -1):
             num += 2.0 * (k - 1) / math.factorial(k)
             num *= t
-        if t == 0.0:
-            return 1.0
         return num * t / math.expm1(t) ** 2
     # exp(-t)-scaled form stays finite for arbitrarily large t
     emt = math.exp(-t)
@@ -233,22 +238,6 @@ def correction_v(y: np.ndarray) -> float:
     """v(y) = 2(1-(1-|y|^2)e^{|y|^2})/(e^{|y|^2}-1)^2, with v(0) = 1."""
     y = np.asarray(y, dtype=float)
     return _v_of_t(float(y @ y))
-
-
-def refined_fields(cfg: HoleConfig, j: int) -> tuple[np.ndarray, float]:
-    """Model fields with pairwise a/v corrections attached to every partner."""
-    cfg.require_distinct()
-    N = cfg.N
-    rt = math.sqrt(N)
-    a_vec = N * perp(to_vec(cfg.w[j]))
-    v_val = 2.0 * N
-    for l in range(cfg.n):
-        if l == j:
-            continue
-        d = to_vec(cfg.w[j] - cfg.w[l])
-        a_vec -= perp(d) / float(d @ d) - rt * correction_a(rt * d)
-        v_val -= N * correction_v(rt * d)
-    return a_vec, float(v_val)
 
 
 def asymptotic_prediction(cfg: HoleConfig, j: int, regime: str,

@@ -13,7 +13,7 @@ from qhflux.kernel import (_T_NEAR, KernelSpec, UnsupportedOrderError,
                            kernel_derivative, kernel_diff_log, kernel_eval, kernel_infty,
                            kernel_log_orders, kernel_log_stack, kernel_tail_bound,
                            kernel_tail_bound_log, phi_rate, reproducing_residual,
-                           tracer_tables, weighted_orbitals)
+                           orbital_derivative, weighted_orbitals)
 from qhflux.partition import HoleConfig, SingularMatrixError, log_upsilon, upsilon
 from qhflux.quadrature import cartesian_grid
 
@@ -342,10 +342,14 @@ ORDERS_UP_TO_2 = [o for o in itertools.product(range(3), repeat=4) if sum(o) <= 
 
 
 def orbital_tables(b, M, pts):
-    """{(p, q): d^p dbar^q phi_j(pts[i])} for p, q <= 1, as production builds them."""
+    """{(p, q): d^p dbar^q phi_j(pts[i])} for p, q <= 1: production's orbital
+    and d phi tables, and dbar phi = -(b/2) z phi, d dbar phi =
+    -(b/2) (phi + z d phi) by the identities the field engine relies on."""
     orb = weighted_orbitals(b, M, pts)
-    d, dbar, d_dbar = tracer_tables(b, orb, pts)
-    return {(0, 0): orb, (1, 0): d, (0, 1): dbar, (1, 1): d_dbar}
+    d = orbital_derivative(b, orb, pts)
+    z = np.asarray(pts, dtype=complex)[:, None]
+    return {(0, 0): orb, (1, 0): d, (0, 1): -0.5 * b * z * orb,
+            (1, 1): -0.5 * b * (orb + z * d)}
 
 
 def test_matrix_path_matches_scalar_path():

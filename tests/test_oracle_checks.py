@@ -7,7 +7,7 @@ from qhflux.kernel import KernelSpec, kernel_eval
 from qhflux.oracle import charpoly
 from qhflux.oracle.charpoly import (PrecisionError, charpoly_moment_mc, exact_log_ratio,
                                     ginibre_samples)
-from qhflux.oracle.delta import delta_apply, delta_check
+from qhflux.oracle.delta import bath_integral, delta_apply, delta_check
 from qhflux.oracle.energy import GaussianPacket, energy_identity_check
 from qhflux.oracle.monomial import gaussian_pair_integral
 from qhflux.oracle.plasma import PlasmaConfig
@@ -147,6 +147,24 @@ def test_delta_gaussian_quadratic_form():
     res = delta_check(0, u, b=4.0)
     assert res.quadratic_form_residual < 1e-8
     assert res.projector_residual < 1e-10
+
+
+@pytest.mark.parametrize("b", [4.0, 16.0])
+def test_bath_integral_matches_dense_double_sum(b):
+    # the factored contraction against the plain sum over every node pair of
+    # an order-12 tensor grid, K_inf(z, w) = (b/pi) e^{-b|z-w|^2/2 + i b Im(z wbar)}
+    m = 12
+    x = np.polynomial.legendre.leggauss(m)[0] * 1.5
+    nodes = (x[:, None] + 1j * x[None, :]).ravel()
+    rng = np.random.default_rng(12)
+    f = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    dense = np.zeros(m * m, dtype=complex)
+    for zi, fz in zip(nodes, f.ravel()):
+        for wi, w in enumerate(nodes):
+            dense[wi] += fz * (b / math.pi) * np.exp(
+                -0.5 * b * abs(zi - w) ** 2 + 1j * b * (zi * w.conjugate()).imag)
+    got = bath_integral(b, x, f).ravel()
+    assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
 def test_delta_polynomial_times_gaussian():

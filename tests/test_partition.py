@@ -14,8 +14,8 @@ from qhflux.oracle.monomial import partition_exact
 from qhflux.partition import (UPSILON_FLOOR, HoleConfig, PartitionValue,
                               SingularConfigurationError, SingularMatrixError,
                               _kernel_stack, log_partition, log_upsilon,
-                              resolved_rows, theta, theta_polarized, upsilon,
-                              upsilon_derivative_stack, upsilon_prediction)
+                              log_upsilon_derivative_stack, resolved_rows, theta,
+                              theta_polarized, upsilon, upsilon_prediction)
 from qhflux.potentials import DegenerateConfigurationError, emergent_fields
 from qhflux.quadrature import cartesian_grid
 
@@ -67,9 +67,12 @@ def test_upsilon_rotation_invariant():
 
 
 def tracer_derivatives(cfg, j):
-    """Upsilon, d_j Upsilon and d_j dbar_j Upsilon of one configuration."""
-    ups, d1, d11, _ = upsilon_derivative_stack(cfg.b, cfg.spec.M, cfg.points()[None, :], j)
-    return float(ups[0]), complex(d1[0]), complex(d11[0])
+    """Upsilon, d_j Upsilon and d_j dbar_j Upsilon of one configuration, from
+    the log-derivatives: Upsilon dlog and Upsilon (ddlog + |dlog|^2)."""
+    ups, dlog, ddlog, _ = log_upsilon_derivative_stack(cfg.b, cfg.spec.M,
+                                                       cfg.points()[None, :], j)
+    ups, dlog, ddlog = float(ups[0]), complex(dlog[0]), float(ddlog[0])
+    return ups, ups * dlog, complex(ups * (ddlog + abs(dlog) ** 2))
 
 
 def wirtinger_fd_holes(f, cfg, i, anti=False, h=1e-5):
@@ -128,18 +131,18 @@ def test_upsilon_derivative_rejects_coincident():
     cfg = HoleConfig(w=(0.1, 0.1), N=8)
     ups, d1, d11 = tracer_derivatives(cfg, 0)
     assert ups == 0.0 and math.isnan(d1.real) and math.isnan(d11.real)
-    kernel = _kernel_stack(cfg.b, cfg.spec.M, cfg.points()[None, :])[2]
+    kernel = _kernel_stack(cfg.b, cfg.spec.M, cfg.points()[None, :])[1]
     assert not resolved_rows(kernel, np.array([ups]))[1][0]
 
 
 def test_upsilon_derivative_stack_with_one_orbital():
-    # M = 1: Upsilon = e^{-t}, d Upsilon = -b wbar e^{-t} and
-    # d dbar Upsilon = (b^2 |w|^2 - b) e^{-t}, with t = b|w|^2
+    # M = 1: Upsilon = e^{-t} with t = b|w|^2, so d log Upsilon = -b wbar
+    # and d dbar log Upsilon = -b
     b, w = 3.0, 0.3 + 0.2j
-    ups, d1, d11, _ = upsilon_derivative_stack(b, 1, [[w]], 0)
-    e = math.exp(-b * abs(w) ** 2)
-    assert ups[0] == e and d1[0] == -b * w.conjugate() * e
-    assert d11[0] == pytest.approx((b * b * abs(w) ** 2 - b) * e, rel=1e-15)
+    ups, dlog, ddlog, _ = log_upsilon_derivative_stack(b, 1, [[w]], 0)
+    assert ups[0] == math.exp(-b * abs(w) ** 2)
+    assert dlog[0] == pytest.approx(-b * w.conjugate(), rel=1e-15)
+    assert ddlog[0] == pytest.approx(-b, rel=1e-15)
 
 
 def test_upsilon_derivative_on_singular_matrix_raises():
@@ -324,7 +327,7 @@ hole = st.tuples(st.floats(0.0, 0.95), st.floats(0.0, 2 * math.pi)).map(
 @given(N=st.integers(1, 1024), holes=st.lists(hole, min_size=1, max_size=4, unique=True))
 def test_kernel_matrix_hermitian_and_upsilon_in_unit_interval(N, holes):
     cfg = HoleConfig(w=tuple(holes), N=N)
-    k = _kernel_stack(cfg.b, cfg.spec.M, cfg.points()[None, :])[2][0]
+    k = _kernel_stack(cfg.b, cfg.spec.M, cfg.points()[None, :])[1][0]
     assert np.max(np.abs(k - k.conj().T)) <= 1e-13
     diag = np.real(np.diag(k))
     assert np.all(np.abs(k) ** 2 <= np.outer(diag, diag) + 1e-13)  # Cauchy-Schwarz
@@ -429,7 +432,7 @@ def test_kernel_diagonal_is_regularized_gamma_and_refusals_match(b):
     rng = np.random.default_rng(int(b))
     for M in (int(b), int(b) + 1, int(b) + 3):
         w = np.linspace(0.0, 1.4, 57) * np.exp(2j * np.pi * rng.uniform(size=57))
-        q = _kernel_stack(b, M, w[:, None])[2][:, 0, 0].real
+        q = _kernel_stack(b, M, w[:, None])[1][:, 0, 0].real
         ref = gammaincc(M, b * np.abs(w) ** 2)
         live = ref > 1e-290
         assert np.all(np.abs(q[live] - ref[live]) <= 1e-11 * ref[live])
@@ -440,7 +443,7 @@ def test_kernel_diagonal_is_regularized_gamma_and_refusals_match(b):
                 2j * np.pi * rng.uniform(size=(40, n)))
             holes[:, 0] = centre[:, 0]
             holes[0] = [1e8] + [0.3] * (n - 1) + np.arange(n) * 0.1j    # far outside
-            _, _, kernel, ups = _kernel_stack(b, M, holes)
+            _, kernel, ups = _kernel_stack(b, M, holes)
             corr, resolved = resolved_rows(kernel, ups)
             q_old = np.prod(gammaincc(M, b * np.abs(holes) ** 2), axis=1)
             corr_old = np.divide(ups, q_old, out=np.zeros_like(ups), where=q_old > 0.0)

@@ -11,8 +11,7 @@ from qhflux.partition import HoleConfig, SingularConfigurationError
 from qhflux.potentials import (DegenerateConfigurationError, ResourceBudgetError, ab_sum, asymptotic_prediction,
                                correction_a, correction_v, double_integral_direct,
                                emergent_field_derivative, emergent_field_integral,
-                               emergent_field_stack, emergent_fields, perp,
-                               refined_fields, to_vec)
+                               emergent_field_stack, emergent_fields, perp, to_vec)
 from qhflux.quadrature import polar_grid
 
 
@@ -176,43 +175,41 @@ def test_correction_a_ab_difference_bounded_by_half():
     assert worst > 0.45  # the bound is close to sharp
 
 
-def test_refined_fields_single_hole():
-    cfg = HoleConfig(w=(0.4 + 0.2j,), N=64)
-    a, v = refined_fields(cfg, 0)
-    assert np.allclose(a, 64 * perp(to_vec(cfg.w[0])))
-    assert v == 2 * 64.0
+tiny_to_ten = st.tuples(st.floats(-300.0, 1.0), st.floats(0.0, 2 * math.pi)).map(
+    lambda ea: 10.0 ** ea[0] * np.array([math.cos(ea[1]), math.sin(ea[1])]))
 
 
-def test_refined_fields_wide_pair_matches_no_merging():
-    cfg = HoleConfig(w=(0.25, -0.25), N=256)
-    a, v = refined_fields(cfg, 0)
-    pred = asymptotic_prediction(cfg, 0, "no-merging")
-    assert np.linalg.norm(a - pred.A) < 1e-20
-    assert abs(v - pred.V) < 1e-20
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(y=tiny_to_ten)
+def test_pair_closed_forms_down_to_tiny_separation(y):
+    # v -> 1 and a -> y^perp / |y|^2 as y -> 0, without raising, down to
+    # |y| = 1e-300 where |y|^2 and expm1(|y|^2)^2 are no normal doubles
+    import mpmath
+    v = correction_v(y)
+    assert 0.0 < v <= 1.0
+    a = correction_a(y)
+    assert np.all(np.isfinite(a))
+    t = float(y @ y)
+    if t >= np.finfo(float).tiny:
+        ref = perp(y) / math.expm1(t)
+    else:    # no normal double |y|^2: the exact value at 40 digits
+        with mpmath.workdps(40):
+            ys = [mpmath.mpf(float(c)) for c in y]
+            den = mpmath.expm1(ys[0] ** 2 + ys[1] ** 2)
+            ref = np.array([float(-ys[1] / den), float(ys[0] / den)])
+    # math.hypot, since |a|^2 overflows once |y| < 1e-154
+    assert math.hypot(*(a - ref)) <= 1e-15 * math.hypot(*ref)
 
 
-def test_refined_fields_merging_pair_value():
-    n_val = 256
-    s = 1.0 / math.sqrt(n_val)
-    cfg = HoleConfig(w=(0.1, 0.1 + s), N=n_val)
-    _, v = refined_fields(cfg, 0)
-    expected = n_val * (2.0 - 2.0 / (math.e - 1.0) ** 2)
-    assert v == pytest.approx(expected, rel=1e-12)
-
-
-def test_refined_field_global_bounds():
-    rng = np.random.default_rng(51)
-    n_val = 64
-    for _ in range(50):
-        pts = [complex(*p) for p in rng.uniform(-0.7, 0.7, size=(3, 2))]
-        if any(abs(pts[i] - pts[j]) < 1e-6 for i in range(3) for j in range(i + 1, 3)):
-            continue
-        cfg = HoleConfig(w=tuple(pts), N=n_val)
-        for j in range(3):
-            a, v = refined_fields(cfg, j)
-            assert -1e-9 <= v <= 2 * n_val + 1e-9
-            assert np.linalg.norm(a - n_val * perp(to_vec(cfg.w[j]))) \
-                <= 3 * math.sqrt(n_val) / 2 + 1e-9
+def test_pair_closed_forms_keep_their_values_above_the_switch():
+    # the tiny-y branches start below t = 1e-150 (v) and below the normal
+    # range of |y|^2 (a); above, the formulas are as they were
+    assert correction_v(np.array([1e-75, 0.0])) == 1.0
+    assert correction_v(np.array([1e-81, 0.0])) == 1.0
+    a = correction_a(np.array([0.0, 1e-161]))
+    assert a == pytest.approx([-1e161, 0.0], rel=1e-15)
+    y = np.array([3e-100, -4e-100])
+    assert correction_a(y).tobytes() == (perp(y) / math.expm1(float(y @ y))).tobytes()
 
 
 def test_cross_method_field_agreement():
@@ -288,26 +285,35 @@ def test_field_grids_budget():
 
 
 def test_field_call_factors_once(monkeypatch):
-    # one stacked determinant and one stacked inverse per call, whatever B
+    # per call, whatever B: one orbital table (B n points), one derivative
+    # table (the tracer's B points), one stacked determinant and one
+    # stacked inverse
+    from qhflux import partition
     calls = []
 
-    def counting(name, fn):
-        def wrapper(a, *args, **kwargs):
-            calls.append((name, a.shape))
-            return fn(a, *args, **kwargs)
+    def counting(name, fn, arg=0):
+        def wrapper(*args, **kwargs):
+            calls.append((name, np.shape(args[arg])))
+            return fn(*args, **kwargs)
         return wrapper
 
+    monkeypatch.setattr(partition, "weighted_orbitals",
+                        counting("orbitals", partition.weighted_orbitals, arg=2))
+    monkeypatch.setattr(partition, "orbital_derivative",
+                        counting("derivative", partition.orbital_derivative, arg=2))
     monkeypatch.setattr(np.linalg, "det", counting("det", np.linalg.det))
     monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv))
     cfg = HoleConfig(w=(0.3, -0.2 + 0.4j, 0.1j), N=64)
     for j in range(cfg.n):
         calls.clear()
         emergent_field_derivative(cfg, j)
-        assert calls == [("det", (1, 3, 3)), ("inv", (1, 3, 3))]
+        assert calls == [("orbitals", (3,)), ("det", (1, 3, 3)), ("derivative", (1,)),
+                         ("inv", (1, 3, 3))]
     holes = np.array(cfg.w) + np.linspace(0.0, 0.2, 50)[:, None]
     calls.clear()
     emergent_fields(64, holes, 1)
-    assert calls == [("det", (50, 3, 3)), ("inv", (50, 3, 3))]
+    assert calls == [("orbitals", (150,)), ("det", (50, 3, 3)), ("derivative", (50,)),
+                     ("inv", (50, 3, 3))]
 
 
 def test_noise_level_upsilon_is_degenerate():
