@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -73,10 +74,10 @@ class KernelSpec:
     M: int
 
     def __post_init__(self):
-        if self.b <= 0:
-            raise ValueError("field strength b must be positive")
-        if self.M < 1:
-            raise ValueError("truncation order M must be at least 1")
+        if not (math.isfinite(self.b) and self.b > 0):
+            raise ValueError(f"field strength b must be finite and positive, got {self.b!r}")
+        if not (isinstance(self.M, numbers.Integral) and self.M >= 1):
+            raise ValueError(f"truncation order M must be an integer of at least 1, got {self.M!r}")
 
 
 def _series_stack(b: float, x: np.ndarray, j0: int, j1: float):

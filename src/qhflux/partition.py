@@ -1,11 +1,22 @@
 """Quasi-hole partition functions: Upsilon determinants, their exact
-log-derivatives, the closed-form normalization, and Schur-complement densities."""
+log-derivatives, the closed-form normalization, and Schur-complement densities.
+
+A memo keeps the factorisation of the most recent hole stack: its orbital
+table, kernel matrices and determinants, and, once a derivative asks, the
+refusal rule and the stacked inverse.  Its key is (b, M, holes.shape,
+holes.tobytes()) of the complex holes array, and it keeps one entry, dropped
+before the next stack is built.  So Upsilon and every tracer's
+log-derivatives on one stack share one table, determinant and inverse, with
+results bit-identical to building them per call; the cached arrays are
+read-only.  The oracles never read it."""
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,12 +50,12 @@ class HoleConfig:
         object.__setattr__(self, "w", tuple(complex(v) for v in self.w))
         if not all(cmath.isfinite(v) for v in self.w):
             raise ValueError("hole positions must be finite")
-        if self.N < 1:
-            raise ValueError("bath size N must be at least 1")
+        if not (isinstance(self.N, numbers.Integral) and self.N >= 1):
+            raise ValueError(f"bath size N must be an integer of at least 1, got {self.N!r}")
         if self.b is None:
             object.__setattr__(self, "b", float(self.N))
-        elif self.b <= 0:
-            raise ValueError("field strength b must be positive")
+        else:
+            KernelSpec(self.b, 1)    # b finite and positive
 
     @property
     def n(self) -> int:
@@ -110,28 +121,73 @@ def resolved_rows(kernel: np.ndarray, ups: np.ndarray) -> tuple[np.ndarray, np.n
     return corr, corr >= UPSILON_FLOOR * kernel.shape[1]
 
 
-def _kernel_stack(b: float, M: int, holes):
-    """Hole orbital tables phi = sqrt(pi/b) weighted_orbitals, shape (B, n, M),
-    the kernel matrices phi phi^H = (pi/b) [K_M(w_a, w_c)] and their
-    determinants Upsilon for a (B, n) stack of holes.  A row whose
-    determinant is below PIVOT_FLOOR, or not finite as numpy's det can be
-    for denormal kernel entries, is singular: Upsilon 0."""
+class _Factors:
+    """One (B, n) hole stack's orbital tables phi = sqrt(pi/b)
+    weighted_orbitals, shape (B, n, M), kernel matrices phi phi^H =
+    (pi/b) [K_M(w_a, w_c)] and determinants Upsilon, all read-only.  A row
+    whose determinant is below PIVOT_FLOOR, or not finite as numpy's det can
+    be for denormal kernel entries, is singular: Upsilon 0.  The refusal rule
+    and the stacked inverse are formed on first use, so Upsilon alone never
+    pays for an inverse."""
+
+    def __init__(self, b: float, M: int, w: np.ndarray):
+        B, n = w.shape
+        phi = math.sqrt(math.pi / b) * weighted_orbitals(b, M, w.ravel()).reshape(B, n, M)
+        kernel = phi @ phi.conj().swapaxes(1, 2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ups = np.linalg.det(kernel).real
+        ups[~(np.abs(ups) >= PIVOT_FLOOR)] = 0.0    # NaN included
+        self.phi, self.kernel, self.ups = _read_only(phi, kernel, ups)
+
+    @cached_property
+    def refusal(self) -> tuple[np.ndarray, np.ndarray]:
+        """(corr, resolved) of resolved_rows."""
+        return _read_only(*resolved_rows(self.kernel, self.ups))
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """K^-1 on the resolved rows, the identity on the others."""
+        n = self.kernel.shape[1]
+        resolved = self.refusal[1][:, None, None]
+        return _read_only(np.linalg.inv(np.where(resolved, self.kernel, np.eye(n))))[0]
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+# (key, _Factors) of the most recent hole stack
+_memo: tuple | None = None
+
+
+def _kernel_stack(b: float, M: int, holes, j: int | None = None) -> _Factors:
+    """The factorisation of a (B, n) hole stack, from the memo when the last
+    call had the same b, M and holes.  b and M follow KernelSpec's rules,
+    and the tracer j, if given, is one of 0..n-1 (ValueError otherwise);
+    all are checked before the memo is read."""
+    global _memo
+    KernelSpec(b, M)
     w = np.asarray(holes, dtype=complex)
     if w.ndim != 2:
         raise ValueError("holes must have shape (B, n)")
-    B, n = w.shape
-    phi = math.sqrt(math.pi / b) * weighted_orbitals(b, M, w.ravel()).reshape(B, n, M)
-    kernel = phi @ phi.conj().swapaxes(1, 2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ups = np.linalg.det(kernel).real
-    ups[~(np.abs(ups) >= PIVOT_FLOOR)] = 0.0    # NaN included
-    return phi, kernel, ups
+    if j is not None and not (isinstance(j, numbers.Integral) and 0 <= j < w.shape[1]):
+        raise ValueError(f"tracer index {j} outside 0..{w.shape[1] - 1}")
+    key = (b, M, w.shape, w.tobytes())
+    # read _memo once, so a concurrent call that replaces it cannot hand
+    # this call another stack's entry
+    entry = _memo
+    if entry is None or entry[0] != key:
+        entry = _memo = None    # release the old entry before building the new one
+        entry = _memo = key, _Factors(b, M, w)
+    return entry[1]
 
 
 def upsilon_stack(b: float, M: int, holes) -> np.ndarray:
     """Upsilon for each row of a (B, n) hole stack, from one orbital table
     and one stacked determinant; 0 where the kernel matrix is singular."""
-    return _kernel_stack(b, M, holes)[2]
+    return _kernel_stack(b, M, holes).ups
 
 
 def upsilon(cfg: HoleConfig) -> float:
@@ -146,12 +202,11 @@ def _resolved_upsilon(cfg: HoleConfig):
     """Orbital table, kernel matrix and Upsilon of one configuration, or
     SingularMatrixError where Upsilon is rounding noise."""
     cfg.require_distinct()
-    holes = cfg.points()[None, :]
-    phi, kernel, ups = _kernel_stack(cfg.b, cfg.spec.M, holes)
-    if not resolved_rows(kernel, ups)[1][0]:
-        raise SingularMatrixError(f"Upsilon = {ups[0]:.3e} is rounding noise: below "
+    f = _kernel_stack(cfg.b, cfg.spec.M, cfg.points()[None, :])
+    if not f.refusal[1][0]:
+        raise SingularMatrixError(f"Upsilon = {f.ups[0]:.3e} is rounding noise: below "
                                   "PIVOT_FLOOR, or below UPSILON_FLOOR n times prod Q")
-    return phi[0], kernel[0], float(ups[0])
+    return f.phi[0], f.kernel[0], float(f.ups[0])
 
 
 def log_upsilon(cfg: HoleConfig) -> float:
@@ -179,8 +234,8 @@ def log_upsilon_derivative_stack(b: float, M: int, holes, j: int
     are NaN on exactly the rows that resolved_rows refuses, whose kernel
     matrices are not inverted.
     """
-    phi, kernel, ups = _kernel_stack(b, M, holes)
-    n = phi.shape[1]
+    f = _kernel_stack(b, M, holes, j)
+    phi, kernel = f.phi, f.kernel
     w = np.asarray(holes, dtype=complex)[:, j]
     # t^k e^{-t}/k! at k = M-1 and M-2; the latter is 0 at M = 1
     top = np.abs(phi[:, j, M - 1]) ** 2
@@ -195,13 +250,12 @@ def log_upsilon_derivative_stack(b: float, M: int, holes, j: int
     ddk[:, :, j] = ddk[:, j, :].conj()
     ddk[:, j, j] = b ** 2 * w * w.conj() * q2 + b * q1
 
-    corr, resolved = resolved_rows(kernel, ups)
-    inverse = np.linalg.inv(np.where(resolved[:, None, None], kernel, np.eye(n)))
-    d, dbar, dd = (inverse @ m for m in (dk, dk.conj().swapaxes(1, 2), ddk))
+    corr, resolved = f.refusal
+    d, dbar, dd = (f.inverse @ m for m in (dk, dk.conj().swapaxes(1, 2), ddk))
     dlog = np.trace(d, axis1=1, axis2=2)
     ddlog = np.trace(dd - dbar @ d, axis1=1, axis2=2).real
     dlog[~resolved] = ddlog[~resolved] = np.nan
-    return ups, dlog, ddlog, corr
+    return f.ups, dlog, ddlog, corr
 
 
 def log_partition(cfg: HoleConfig) -> PartitionValue:

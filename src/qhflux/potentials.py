@@ -85,8 +85,6 @@ def emergent_field_stack(N: int, holes, j: int) -> tuple[np.ndarray, np.ndarray,
     n = w.shape[1]
     if N < 1:
         raise ValueError("bath size N must be at least 1")
-    if not 0 <= j < n:
-        raise ValueError(f"tracer index {j} outside 0..{n - 1}")
     if not np.isfinite(w).all():
         raise ValueError("hole positions must be finite")
 

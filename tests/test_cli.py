@@ -358,8 +358,12 @@ def test_infeasible_suite_parameters_exit_2(tmp_path, capsys):
     ["charpoly", "--N", "4", "--holes", ""],
     ["mcmc", "--N", "4", "--b", "0"],
     ["kernel", "--N", "4", "--M", "0", "--z", "0.1", "--w", "0.2"],
+    # a non-finite field strength once gave Upsilon = 0 and exit 3
+    ["upsilon", "--N", "64", "--b", "nan", "--holes", "0.1,0.3j"],
+    ["upsilon", "--N", "64", "--b", "inf", "--holes", "0.1,0.3j"],
+    ["kernel", "--N", "4", "--b", "nan", "--z", "0.1", "--w", "0.2"],
 ], ids=["kernel-nan", "kernel-overflow", "kernel-long-tail", "charpoly-no-holes",
-        "mcmc-b0", "kernel-M0"])
+        "mcmc-b0", "kernel-M0", "upsilon-b-nan", "upsilon-b-inf", "kernel-b-nan"])
 def test_bad_input_exits_2_with_one_error_line(argv):
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}

@@ -616,3 +616,11 @@ def test_orbital_edge_cases_are_finite_and_quiet():
         for M in (40, 1500):
             _assert_orbitals_match_mpmath(b, M, 1.0, weighted_orbitals(b, M, np.array([1.0]))[0])
     assert np.array_equal(weighted_orbitals(6.0, 1, np.array([0.0])), [[math.sqrt(6.0 / math.pi)]])
+
+
+@pytest.mark.parametrize("b, M", [(math.nan, 4), (math.inf, 4), (-math.inf, 4), (0.0, 4),
+                                  (-1.0, 4), (4.0, 0), (4.0, 4.0), (4.0, 2.5)])
+def test_kernel_spec_needs_finite_positive_b_and_integer_m(b, M):
+    with pytest.raises(ValueError):
+        KernelSpec(b, M)
+    KernelSpec(4.0, np.int64(4))

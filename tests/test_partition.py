@@ -1,5 +1,8 @@
 import math
+import sys
+import threading
 import warnings
+import weakref
 
 import mpmath
 import numpy as np
@@ -9,14 +12,16 @@ from hypothesis import strategies as st
 from scipy.special import gammaincc
 
 import qhflux
+from qhflux import partition
 from qhflux.kernel import kernel_eval
 from qhflux.oracle.monomial import partition_exact
 from qhflux.partition import (UPSILON_FLOOR, HoleConfig, PartitionValue,
                               SingularConfigurationError, SingularMatrixError,
                               _kernel_stack, log_partition, log_upsilon,
                               log_upsilon_derivative_stack, resolved_rows, theta,
-                              theta_polarized, upsilon, upsilon_prediction)
-from qhflux.potentials import DegenerateConfigurationError, emergent_fields
+                              theta_polarized, upsilon, upsilon_prediction, upsilon_stack)
+from qhflux.potentials import (DegenerateConfigurationError, emergent_field_derivative,
+                               emergent_field_stack, emergent_fields)
 from qhflux.quadrature import cartesian_grid
 
 
@@ -131,7 +136,7 @@ def test_upsilon_derivative_rejects_coincident():
     cfg = HoleConfig(w=(0.1, 0.1), N=8)
     ups, d1, d11 = tracer_derivatives(cfg, 0)
     assert ups == 0.0 and math.isnan(d1.real) and math.isnan(d11.real)
-    kernel = _kernel_stack(cfg.b, cfg.spec.M, cfg.points()[None, :])[1]
+    kernel = _kernel_stack(cfg.b, cfg.spec.M, cfg.points()[None, :]).kernel
     assert not resolved_rows(kernel, np.array([ups]))[1][0]
 
 
@@ -295,6 +300,173 @@ def test_coincident_rejections():
             fn(cfg)
 
 
+@pytest.mark.parametrize("kwargs", [dict(N=4.5), dict(N=0), dict(N=4, b=math.nan),
+                                    dict(N=4, b=math.inf), dict(N=4, b=-math.inf),
+                                    dict(N=4, b=0.0), dict(N=4, b=-2.0)])
+def test_hole_config_needs_integer_bath_and_finite_positive_b(kwargs):
+    with pytest.raises(ValueError):
+        HoleConfig(w=(0.1, 0.3j), **kwargs)
+    assert HoleConfig(w=(0.1,), N=np.int64(4)).b == 4.0
+
+
+@pytest.mark.parametrize("b, M, j", [(0.0, 66, 0), (-1.0, 66, 0), (math.nan, 66, 0),
+                                     (math.inf, 66, 0), (64.0, 0, 0), (64.0, 2.5, 0),
+                                     (64.0, 66, -1), (64.0, 66, 2), (64.0, 66, 0.5)])
+def test_engine_refuses_bad_input_before_any_table(monkeypatch, b, M, j):
+    # b and M follow KernelSpec and the tracer is one of 0..n-1: a ValueError
+    # before the memo is read or an orbital table built, also through the
+    # fields
+    def no_table(*args):
+        raise AssertionError("orbital table built for a bad input")
+
+    monkeypatch.setattr(partition, "weighted_orbitals", no_table)
+    holes = [[0.1, 0.3j]]
+    with pytest.raises(ValueError):
+        log_upsilon_derivative_stack(b, M, holes, j)
+    if j == 0:
+        with pytest.raises(ValueError):
+            upsilon_stack(b, M, holes)
+    else:
+        with pytest.raises(ValueError, match="tracer index"):
+            emergent_field_stack(64, holes, j)
+
+
+def _memo_pool():
+    """(N, b, M, holes) stacks that share holes across b, M and shape, with
+    rows that are coincident, refused as rounding noise or merged deeply."""
+    rng = np.random.default_rng(22)
+    base = 0.8 * rng.uniform(-1, 1, (6, 3)) + 0.8j * rng.uniform(-1, 1, (6, 3))
+    base[1, 1] = base[1, 0]                   # coincident
+    base[2, 1] = base[2, 0] + 1e-12           # Upsilon rounding noise
+    base[3, 1] = base[3, 0] + 1e-4j           # V rounding error over budget
+    wide = 0.6 * rng.uniform(-1, 1, (3, 4)) + 0.6j * rng.uniform(-1, 1, (3, 4))
+    # base[:4] and its (6, 2) reshape have the same bytes but not the same shape
+    return [(64, 64.0, 67, base), (64, 64.0 / 3, 69, base), (64, 64.0, 69, base),
+            (64, 64.0, 67, base[:4]), (64, 64.0, 67, base[:4].reshape(6, 2)),
+            (64, 64.0, 67, base[:1]), (16, 16.0, 17, base[:1, :1]), (256, 256.0, 260, wide)]
+
+
+def _memo_ops(entry):
+    """Every result the memo feeds for one pool entry, as (label, thunk)."""
+    N, b, M, holes = entry
+    n = holes.shape[1]
+    ops = [("ups", lambda: upsilon_stack(b, M, holes))]
+    ops += [(f"dlog{j}", lambda j=j: log_upsilon_derivative_stack(b, M, holes, j))
+            for j in range(n)]
+    if b == N and M == N + n:
+        ops += [(f"fields{j}", lambda j=j: emergent_field_stack(N, holes, j))
+                for j in range(n)]
+        cfg = HoleConfig(w=tuple(holes[0]), N=N)
+        ops += [("upsilon", lambda: upsilon(cfg))]
+        ops += [(f"field{j}", lambda j=j: emergent_field_derivative(cfg, j))
+                for j in range(n)]
+    return ops
+
+
+def _as_bytes(value):
+    """A result as comparable bytes: arrays bit for bit, refusals by type and text."""
+    if isinstance(value, Exception):
+        return type(value).__name__, str(value)
+    if isinstance(value, dict):
+        return tuple((k, _as_bytes(v)) for k, v in value.items())
+    if isinstance(value, tuple):
+        return tuple(_as_bytes(v) for v in value)
+    if hasattr(value, "A"):
+        return _as_bytes((value.A, value.V))
+    return np.asarray(value).tobytes()
+
+
+def _run(thunk):
+    try:
+        return _as_bytes(thunk())
+    except (SingularConfigurationError, DegenerateConfigurationError) as err:
+        return _as_bytes(err)
+
+
+_POOL = _memo_pool()
+_OPS = [_memo_ops(entry) for entry in _POOL]
+_COLD = {}
+
+
+def _cold(e, k):
+    """Result k of pool entry e, computed with the memo emptied first."""
+    if (e, k) not in _COLD:
+        partition._memo = None
+        _COLD[e, k] = _run(_OPS[e][k][1])
+    return _COLD[e, k]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, len(_POOL) - 1), st.integers(0, 99)),
+                min_size=1, max_size=25))
+def test_memo_results_equal_cold_results_bit_for_bit(calls):
+    # Upsilon, dlog, ddlog, corr, A, V and the refusal dicts, in any
+    # interleaving of b, M and holes, match a call on an empty memo
+    calls = [(e, k % len(_OPS[e])) for e, k in calls]
+    expected = [_cold(e, k) for e, k in calls]
+    partition._memo = None
+    for (e, k), want in zip(calls, expected):
+        assert _run(_OPS[e][k][1]) == want, _OPS[e][k][0]
+
+
+def test_memo_arrays_are_read_only():
+    holes = np.array([[0.3, -0.2 + 0.4j, 0.1j]])
+    ups, dlog, ddlog, corr = log_upsilon_derivative_stack(64.0, 67, holes, 1)
+    factors = _kernel_stack(64.0, 67, holes)
+    for cached in (ups, corr, upsilon_stack(64.0, 67, holes), factors.phi, factors.kernel,
+                   factors.ups, factors.inverse):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 0.0
+    dlog[0] = ddlog[0] = 0.0     # per-tracer results are the caller's own
+
+
+def test_memo_keeps_only_the_latest_stack(monkeypatch):
+    monkeypatch.setattr(partition, "_memo", None)
+    first, second = np.array([[0.3, 0.1j]]), np.array([[0.3, 0.2j]])
+    upsilon_stack(64.0, 66, first)
+    old = weakref.ref(partition._memo[1])
+    released = []
+    build = partition.weighted_orbitals
+
+    def building(*args):
+        released.append(old() is None)
+        return build(*args)
+
+    monkeypatch.setattr(partition, "weighted_orbitals", building)
+    log_upsilon_derivative_stack(64.0, 66, second, 0)
+    assert released == [True]     # the old entry went before the new table
+    key, _ = partition._memo
+    assert key == (64.0, 66, second.shape, second.tobytes())
+
+
+def test_memo_under_threads_returns_each_callers_own_stack(monkeypatch):
+    # threads that share the memo on different holes each get the
+    # factorisation of their own holes, never another thread's entry
+    monkeypatch.setattr(partition, "_memo", None)
+    stacks = [np.array([[0.3, 0.1j + 0.05 * k]]) for k in range(4)]
+    want = [upsilon_stack(64.0, 66, h).tobytes() for h in stacks]
+    wrong = []
+
+    def work(k):
+        for _ in range(150):
+            got = log_upsilon_derivative_stack(64.0, 66, stacks[k], 1)[0]
+            if got.tobytes() != want[k]:
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(stacks))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
 def mp_upsilon(ws, N):
     """det[(pi/b) K_{N+n}(w_i, w_l)] from 30-digit kernel sums, b = N."""
     with mpmath.workdps(30):
@@ -327,7 +499,7 @@ hole = st.tuples(st.floats(0.0, 0.95), st.floats(0.0, 2 * math.pi)).map(
 @given(N=st.integers(1, 1024), holes=st.lists(hole, min_size=1, max_size=4, unique=True))
 def test_kernel_matrix_hermitian_and_upsilon_in_unit_interval(N, holes):
     cfg = HoleConfig(w=tuple(holes), N=N)
-    k = _kernel_stack(cfg.b, cfg.spec.M, cfg.points()[None, :])[1][0]
+    k = _kernel_stack(cfg.b, cfg.spec.M, cfg.points()[None, :]).kernel[0]
     assert np.max(np.abs(k - k.conj().T)) <= 1e-13
     diag = np.real(np.diag(k))
     assert np.all(np.abs(k) ** 2 <= np.outer(diag, diag) + 1e-13)  # Cauchy-Schwarz
@@ -432,7 +604,7 @@ def test_kernel_diagonal_is_regularized_gamma_and_refusals_match(b):
     rng = np.random.default_rng(int(b))
     for M in (int(b), int(b) + 1, int(b) + 3):
         w = np.linspace(0.0, 1.4, 57) * np.exp(2j * np.pi * rng.uniform(size=57))
-        q = _kernel_stack(b, M, w[:, None])[1][:, 0, 0].real
+        q = _kernel_stack(b, M, w[:, None]).kernel[:, 0, 0].real
         ref = gammaincc(M, b * np.abs(w) ** 2)
         live = ref > 1e-290
         assert np.all(np.abs(q[live] - ref[live]) <= 1e-11 * ref[live])
@@ -443,7 +615,8 @@ def test_kernel_diagonal_is_regularized_gamma_and_refusals_match(b):
                 2j * np.pi * rng.uniform(size=(40, n)))
             holes[:, 0] = centre[:, 0]
             holes[0] = [1e8] + [0.3] * (n - 1) + np.arange(n) * 0.1j    # far outside
-            _, kernel, ups = _kernel_stack(b, M, holes)
+            factors = _kernel_stack(b, M, holes)
+            kernel, ups = factors.kernel, factors.ups
             corr, resolved = resolved_rows(kernel, ups)
             q_old = np.prod(gammaincc(M, b * np.abs(holes) ** 2), axis=1)
             corr_old = np.divide(ups, q_old, out=np.zeros_like(ups), where=q_old > 0.0)

@@ -285,9 +285,10 @@ def test_field_grids_budget():
 
 
 def test_field_call_factors_once(monkeypatch):
-    # per call, whatever B: one orbital table (B n points), one derivative
-    # table (the tracer's B points), one stacked determinant and one
-    # stacked inverse
+    # Upsilon and every tracer's fields on one configuration share one
+    # orbital table (its n points), one determinant and one inverse through
+    # the partition memo; each tracer adds its own derivative table.  A
+    # stacked call on new holes builds its own factorisation.
     from qhflux import partition
     calls = []
 
@@ -297,6 +298,7 @@ def test_field_call_factors_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    monkeypatch.setattr(partition, "_memo", None)
     monkeypatch.setattr(partition, "weighted_orbitals",
                         counting("orbitals", partition.weighted_orbitals, arg=2))
     monkeypatch.setattr(partition, "orbital_derivative",
@@ -304,11 +306,11 @@ def test_field_call_factors_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "det", counting("det", np.linalg.det))
     monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv))
     cfg = HoleConfig(w=(0.3, -0.2 + 0.4j, 0.1j), N=64)
+    partition.upsilon(cfg)
     for j in range(cfg.n):
-        calls.clear()
         emergent_field_derivative(cfg, j)
-        assert calls == [("orbitals", (3,)), ("det", (1, 3, 3)), ("derivative", (1,)),
-                         ("inv", (1, 3, 3))]
+    assert calls == [("orbitals", (3,)), ("det", (1, 3, 3)), ("derivative", (1,)),
+                     ("inv", (1, 3, 3)), ("derivative", (1,)), ("derivative", (1,))]
     holes = np.array(cfg.w) + np.linspace(0.0, 0.2, 50)[:, None]
     calls.clear()
     emergent_fields(64, holes, 1)
