@@ -165,13 +165,15 @@ _memo: tuple | None = None
 def _kernel_stack(b: float, M: int, holes, j: int | None = None) -> _Factors:
     """The factorisation of a (B, n) hole stack, from the memo when the last
     call had the same b, M and holes.  b and M follow KernelSpec's rules,
-    and the tracer j, if given, is one of 0..n-1 (ValueError otherwise);
-    all are checked before the memo is read."""
+    the holes are finite and the tracer j, if given, is one of 0..n-1
+    (ValueError otherwise); all are checked before the memo is read."""
     global _memo
     KernelSpec(b, M)
     w = np.asarray(holes, dtype=complex)
     if w.ndim != 2:
         raise ValueError("holes must have shape (B, n)")
+    if not np.isfinite(w).all():
+        raise ValueError("hole positions must be finite")
     if j is not None and not (isinstance(j, numbers.Integral) and 0 <= j < w.shape[1]):
         raise ValueError(f"tracer index {j} outside 0..{w.shape[1] - 1}")
     key = (b, M, w.shape, w.tobytes())

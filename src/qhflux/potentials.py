@@ -4,8 +4,9 @@ Two independent routes compute the same fields: the derivative route
 takes the log-derivatives of the Upsilon determinant from partition and uses
 them as they are (production path), and
 the integral route evaluates the conditional-density integral formulas by
-singularity-centered quadrature (cross-validation path).  Correction fields
-a, v and the asymptotic field prediction live here too.
+singularity-centered quadrature (cross-validation path), one cache-sized
+block of grid nodes at a time, so its memory does not grow with the grid.
+Correction fields a, v and the asymptotic field prediction live here too.
 """
 
 from __future__ import annotations
@@ -27,7 +28,10 @@ from .quadrature import QuadratureGrid, polar_grid
 # was 0.5 to 300 times the actual error wherever that exceeded 1e-9 N.
 V_ERROR_SCALE = 2 * np.finfo(float).eps
 FIELD_ERROR_BUDGET = 1e-6
-NODE_BUDGET = 200_000     # largest grid emergent_field_integral accepts
+# largest grid emergent_field_integral accepts: a bound on its time, which
+# grows with nodes x orbitals; its memory does not grow with the grid
+NODE_BUDGET = 200_000
+_BLOCK_BYTES = 1 << 20    # orbital table per node block of the integral route
 
 
 class DegenerateConfigurationError(Exception):
@@ -134,10 +138,25 @@ def emergent_field_derivative(cfg: HoleConfig, j: int) -> EmergentField:
 
 def _field_grid(cfg: HoleConfig, j: int) -> QuadratureGrid:
     """The integral route's grid: polar around w_j, out to 8 magnetic lengths
-    past the droplet edge."""
+    past the droplet edge, with 8 angles per unit of (|w_j| + 1) sqrt(b) and
+    at least 96.  The angular error falls exponentially in that ratio: its V
+    gap to the derivative route was ~1e-3 N at 4 and below 1e-9 N from 7.6
+    (N = 128, 256)."""
     r_max = abs(cfg.w[j]) + 1.0 + 8.0 / math.sqrt(cfg.b)
     width = min(0.45 / math.sqrt(cfg.b), r_max / 8.0)
-    return polar_grid(cfg.w[j], r_max, n_theta=96, nodes_per_panel=12, panel_width=width)
+    n_theta = max(96, math.ceil(8.0 * (abs(cfg.w[j]) + 1.0) * math.sqrt(cfg.b)))
+    return polar_grid(cfg.w[j], r_max, n_theta=n_theta, nodes_per_panel=12, panel_width=width)
+
+
+def _vanishing_basis(cfg: HoleConfig) -> np.ndarray:
+    """Orthonormal basis (M, K) of the coefficient vectors whose orbital
+    combinations vanish at every hole: the null space of the n x M
+    constraints, with scipy.linalg.null_space's rank rule (singular values
+    above max(n, M) eps s_max count)."""
+    constraints = weighted_orbitals(cfg.spec.b, cfg.spec.M, cfg.points())
+    _, s, vh = np.linalg.svd(constraints)
+    rank = np.count_nonzero(s > max(constraints.shape) * np.finfo(float).eps * s.max(initial=0.0))
+    return vh[rank:].conj().T
 
 
 def vanishing_subspace(cfg: HoleConfig, pts: np.ndarray):
@@ -147,15 +166,7 @@ def vanishing_subspace(cfg: HoleConfig, pts: np.ndarray):
     evaluated on pts; the conditioned kernel is Psi Psi^H and its diagonal is
     K_{N+n}(z,z) - Theta(z|w).
     """
-    spec = cfg.spec
-    constraints = weighted_orbitals(spec.b, spec.M, cfg.points())
-    # the null space of the n x M constraints, with scipy.linalg.null_space's
-    # rank rule: singular values above max(n, M) eps s_max count
-    _, s, vh = np.linalg.svd(constraints)
-    rank = np.count_nonzero(s > max(constraints.shape) * np.finfo(float).eps * s.max(initial=0.0))
-    basis = vh[rank:].conj().T
-    u = weighted_orbitals(spec.b, spec.M, pts)
-    return u @ basis
+    return weighted_orbitals(cfg.spec.b, cfg.spec.M, pts) @ _vanishing_basis(cfg)
 
 
 def emergent_field_integral(cfg: HoleConfig, j: int,
@@ -169,6 +180,10 @@ def emergent_field_integral(cfg: HoleConfig, j: int,
     / (w_j - z) dz over the orthonormal conditioned basis.  The Frobenius
     term is the exact factorization of the double integral of the
     conditioned-kernel square.
+
+    The nodes are taken in blocks of max(1, _BLOCK_BYTES // (16 M)) rows, so
+    that a block's orbital table stays in cache; each block adds its terms
+    to the three sums, and memory is O(rows M + M^2) whatever the grid size.
     """
     cfg.require_distinct()
     if cfg.n < 1:
@@ -177,14 +192,22 @@ def emergent_field_integral(cfg: HoleConfig, j: int,
         grid = _field_grid(cfg, j)
     if grid.size > NODE_BUDGET:
         raise ResourceBudgetError(f"grid size {grid.size} exceeds budget {NODE_BUDGET}")
-    psi = vanishing_subspace(cfg, grid.nodes)
-    p_diag = np.sum(np.abs(psi) ** 2, axis=1)
-    pole = cfg.w[j] - grid.nodes
-    i_val = complex(np.sum(grid.weights * p_diag / pole))
+    b, M = cfg.spec.b, cfg.spec.M
+    basis = _vanishing_basis(cfg)
+    rows = max(1, _BLOCK_BYTES // (16 * M))
+    i_val, single = 0j, 0.0
+    t_mat = np.zeros((basis.shape[1], basis.shape[1]), dtype=complex)
+    for start in range(0, grid.size, rows):
+        nodes = grid.nodes[start:start + rows]
+        weights = grid.weights[start:start + rows]
+        psi = weighted_orbitals(b, M, nodes) @ basis
+        p_diag = np.sum(np.abs(psi) ** 2, axis=1)
+        pole = cfg.w[j] - nodes
+        i_val += complex(np.sum(weights * p_diag / pole))
+        single += float(np.sum(weights * p_diag / np.abs(pole) ** 2))
+        t_mat += psi.conj().T @ (psi * (weights / pole)[:, None])
     a_vec = np.array([i_val.imag, i_val.real])
-    single = 2.0 * float(np.sum(grid.weights * p_diag / np.abs(pole) ** 2))
-    t_mat = psi.conj().T @ (psi * (grid.weights / pole)[:, None])
-    v_val = single - 2.0 * float(np.sum(np.abs(t_mat) ** 2))
+    v_val = 2.0 * single - 2.0 * float(np.sum(np.abs(t_mat) ** 2))
     return EmergentField(A=a_vec, V=v_val, j=j, method="integral")
 
 

@@ -439,6 +439,25 @@ def test_memo_keeps_only_the_latest_stack(monkeypatch):
     assert key == (64.0, 66, second.shape, second.tobytes())
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.2, -math.inf)])
+@pytest.mark.parametrize("tracer", [None, 0])
+def test_stack_engine_refuses_non_finite_holes(monkeypatch, bad, tracer):
+    # refused before the memo is read, with no numpy warning; the memo keeps
+    # its entry
+    monkeypatch.setattr(partition, "_memo", None)
+    upsilon_stack(64.0, 66, np.array([[0.3, 0.1j]]))
+    before = partition._memo
+    holes = np.array([[bad, 0.1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="hole positions must be finite"):
+            if tracer is None:
+                upsilon_stack(64.0, 66, holes)
+            else:
+                log_upsilon_derivative_stack(64.0, 66, holes, tracer)
+    assert partition._memo is before
+
+
 def test_memo_under_threads_returns_each_callers_own_stack(monkeypatch):
     # threads that share the memo on different holes each get the
     # factorisation of their own holes, never another thread's entry

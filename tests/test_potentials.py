@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +12,8 @@ from qhflux.partition import HoleConfig, SingularConfigurationError
 from qhflux.potentials import (DegenerateConfigurationError, ResourceBudgetError, ab_sum, asymptotic_prediction,
                                correction_a, correction_v, double_integral_direct,
                                emergent_field_derivative, emergent_field_integral,
-                               emergent_field_stack, emergent_fields, perp, to_vec)
+                               emergent_field_stack, emergent_fields, perp, to_vec,
+                               vanishing_subspace)
 from qhflux.quadrature import polar_grid
 
 
@@ -233,7 +235,6 @@ def test_double_integral_factorization_matches_direct():
     cfg = HoleConfig(w=(0.2, -0.3 + 0.1j), N=8)
     grid = polar_grid(cfg.w[0], 1.0 + 8.0 / math.sqrt(8), n_theta=32,
                       nodes_per_panel=6, panel_width=0.5)
-    from qhflux.potentials import vanishing_subspace
     psi = vanishing_subspace(cfg, grid.nodes)
     pole = cfg.w[0] - grid.nodes
     t_mat = psi.conj().T @ (psi * (grid.weights / pole)[:, None])
@@ -246,7 +247,6 @@ def test_double_integral_factorization_matches_direct():
 def test_vanishing_subspace_projector_matches_null_space(n):
     # the basis is an SVD's choice; the projector onto it is not
     from qhflux.kernel import weighted_orbitals
-    from qhflux.potentials import vanishing_subspace
     rng = np.random.default_rng(n)
     cfg = HoleConfig(w=tuple(rng.uniform(-0.6, 0.6, n) + 1j * rng.uniform(-0.6, 0.6, n)), N=16)
     pts = rng.uniform(-1.2, 1.2, 40) + 1j * rng.uniform(-1.2, 1.2, 40)
@@ -278,10 +278,69 @@ def test_double_integral_direct_budget():
 
 
 def test_field_grids_budget():
-    # the default grid at N = 4096 has 337,536 nodes, above NODE_BUDGET
+    # the default grid at N = 4096 has 3,421,068 nodes (973 angles), above
+    # NODE_BUDGET
     cfg = HoleConfig(w=(0.9,), N=4096)
-    with pytest.raises(ResourceBudgetError, match="337536"):
+    with pytest.raises(ResourceBudgetError, match="3421068"):
         emergent_field_integral(cfg, 0)
+
+
+def _one_shot_fields(cfg, j, grid):
+    """The integral-route formulas on the whole grid at once."""
+    psi = vanishing_subspace(cfg, grid.nodes)
+    p_diag = np.sum(np.abs(psi) ** 2, axis=1)
+    pole = cfg.w[j] - grid.nodes
+    i_val = complex(np.sum(grid.weights * p_diag / pole))
+    t_mat = psi.conj().T @ (psi * (grid.weights / pole)[:, None])
+    v_val = (2.0 * float(np.sum(grid.weights * p_diag / np.abs(pole) ** 2))
+             - 2.0 * float(np.sum(np.abs(t_mat) ** 2)))
+    return np.array([i_val.imag, i_val.real]), v_val
+
+
+@pytest.mark.parametrize("n_theta, blocks", [(24, 4), (6, 1)])
+def test_blocked_integral_route_matches_one_shot(monkeypatch, n_theta, blocks):
+    # several blocks ending in a partial one, and a grid smaller than one
+    # block; the route never reads the partition memo
+    from qhflux import partition
+    from qhflux.potentials import _BLOCK_BYTES
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the integral route read the partition memo")
+
+    monkeypatch.setattr(partition, "_kernel_stack", refused)
+    cfg = HoleConfig(w=(0.3 + 0.1j, -0.25 + 0.2j), N=16)
+    grid = polar_grid(cfg.w[1], 1.5 + 8.0 / math.sqrt(cfg.b), n_theta=n_theta,
+                      nodes_per_panel=12, panel_width=0.1)
+    rows = _BLOCK_BYTES // (16 * cfg.spec.M)
+    assert -(-grid.size // rows) == blocks and grid.size % rows
+    f = emergent_field_integral(cfg, 1, grid)
+    a_vec, v_val = _one_shot_fields(cfg, 1, grid)
+    assert np.max(np.abs(f.A - a_vec)) <= 1e-13 * cfg.N
+    assert abs(f.V - v_val) <= 1e-12 * cfg.N
+
+
+@pytest.mark.parametrize("N", [32, 64, 128])
+def test_integral_route_memory_does_not_grow_with_the_grid(N):
+    # one default-grid call holds O(rows M + M^2), not the grid's P x M
+    # orbital table and its temporaries (72 MB at N = 32, 162 MB at N = 64)
+    cfg = HoleConfig(w=(0.3 + 0.1j, -0.25 + 0.2j), N=N)
+    emergent_field_integral(HoleConfig(w=(0.3,), N=2), 0)    # warm caches
+    tracemalloc.start()
+    try:
+        emergent_field_integral(cfg, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20
+
+
+def test_default_grid_resolves_the_angle_at_n256():
+    # 96 angles, too few here, give a V gap of 3.2e-4 N
+    cfg = HoleConfig(w=(0.3 + 0.1j, -0.25 + 0.2j), N=256)
+    i = emergent_field_integral(cfg, 0)
+    d = emergent_field_derivative(cfg, 0)
+    assert np.linalg.norm(d.A - i.A) <= 1e-6 * cfg.N
+    assert abs(d.V - i.V) <= 1e-6 * cfg.N
 
 
 def test_field_call_factors_once(monkeypatch):
