@@ -242,6 +242,7 @@ def cmd_charpoly(args) -> int:
     print(f"log MC estimate = {fmt(est.log_estimate)} +- {fmt(est.log_std_error)}")
     print(f"log exact ratio = {fmt(est.log_exact)}")
     print(f"z-score = {fmt(est.z_score)}  samples = {est.n_samples}")
+    print(f"largest single-sample share of the mean = {fmt(est.max_share)}")
     return 0 if abs(est.z_score) <= 3.0 else 1
 
 

@@ -3,21 +3,24 @@
 The target log-density is
     L(z) = -b sum|z_k|^2 + 2 mu sum_{i<j} log|z_i-z_j| + 2 p sum_{k,j} log|z_k-w_j|,
 sampled with single-particle sweeps and isotropic Gaussian proposals.  No
-particle moves before its turn, so metropolis_sweep builds every distance a
-sweep can need with numpy before its first accept decision, and each move
-only sums entries of a precomputed row; log_density recomputes each kept
-sample from scratch with numpy, independently of the sweep.  Chains are
-bit-reproducible from the seed.
+particle moves before its turn, so a sweep builds every distance it can need
+with numpy before its first accept decision; each move then reads one entry
+of a running correction vector, which an accepted move updates with one
+column.  plasma_mcmc keeps one _Sweep (point buffer, index tables) per
+chain, and log_density recomputes the kept samples from scratch in one
+stacked numpy call, independently of the sweep.  Chains are bit-reproducible
+from the seed.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 import struct
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
 
 import numpy as np
 
@@ -37,16 +40,25 @@ class PlasmaConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "holes", tuple(complex(w) for w in self.holes))
-        if self.N < 1 or not self.b > 0 or self.thin < 1:
-            raise ValueError("need N >= 1, b > 0 and thin >= 1")
-        if self.p < 0 or self.mu < 1:
-            raise ValueError("need p >= 0 and mu >= 1")
+        for name, least in (("N", 1), ("sweeps", 1), ("thin", 1), ("burn_in", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= least):
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
         if self.sweeps <= self.burn_in:
             raise ValueError("sweeps must exceed burn_in")
+        if not all(cmath.isfinite(w) for w in self.holes):
+            raise ValueError("hole positions must be finite")
+        if not (math.isfinite(self.p) and self.p >= 0):
+            raise ValueError(f"p must be finite and at least 0, got {self.p!r}")
+        if not (math.isfinite(self.mu) and self.mu >= 1):
+            raise ValueError(f"mu must be finite and at least 1, got {self.mu!r}")
+        if not (math.isfinite(self.b) and self.b > 0):
+            raise ValueError(f"field strength b must be finite and positive, got {self.b!r}")
         if self.proposal_scale is None:
             object.__setattr__(self, "proposal_scale", 1.0 / math.sqrt(self.b))
-        elif self.proposal_scale <= 0:
-            raise ValueError("proposal_scale must be positive")
+        elif not (math.isfinite(self.proposal_scale) and self.proposal_scale > 0):
+            raise ValueError("proposal_scale must be finite and positive, "
+                             f"got {self.proposal_scale!r}")
 
 
 @dataclass(frozen=True)
@@ -97,17 +109,68 @@ def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def log_density(cfg: PlasmaConfig, z: np.ndarray) -> float:
-    val = -cfg.b * float(np.sum(np.abs(z) ** 2))
+def log_density(cfg: PlasmaConfig, z: np.ndarray):
+    """L(z) of one configuration z of shape (N,), as a float, or of each row
+    of a stack of shape (S, N), as an (S,) array."""
+    z = np.asarray(z)
+    val = -cfg.b * np.sum(np.abs(z) ** 2, axis=-1)
     if cfg.N > 1:
         i, j = _pair_indices(cfg.N)
         with np.errstate(divide="ignore"):
-            val += 2.0 * cfg.mu * float(np.sum(np.log(np.abs(z[i] - z[j]))))
+            val += 2.0 * cfg.mu * np.sum(np.log(np.abs(z[..., i] - z[..., j])), axis=-1)
     if cfg.holes and cfg.p:
         w = np.asarray(cfg.holes)
         with np.errstate(divide="ignore"):
-            val += 2.0 * cfg.p * float(np.sum(np.log(np.abs(z[:, None] - w[None, :]))))
-    return val
+            val += 2.0 * cfg.p * np.sum(np.log(np.abs(z[..., :, None] - w)), axis=(-2, -1))
+    return float(val) if z.ndim == 1 else val
+
+
+class _Sweep:
+    """One chain's sweep state: a buffer for the points (z, z', holes) with
+    the holes already in place, the flat index of particle k's own entry in
+    row k of the (N, 2N + holes) log-ratio block, and the identity site
+    table.  Calls need numpy's divide and invalid warnings off: log 0 = -inf
+    and inf - inf are expected."""
+
+    def __init__(self, cfg: PlasmaConfig):
+        n = cfg.N
+        holes = cfg.holes if cfg.p else ()
+        self.cfg, self.n, self.has_holes = cfg, n, bool(holes)
+        self.two_mu = 2.0 * cfg.mu
+        self.pts = np.empty(2 * n + len(holes), dtype=complex)
+        self.pts[2 * n:] = holes
+        self.diag = np.arange(n) * (self.pts.size + 1)
+        self.sites = list(range(n))
+
+    def __call__(self, z, steps, logu):
+        n, pts, two_mu = self.n, self.pts, self.two_mu
+        pts[:n] = z
+        np.add(z, steps, out=pts[n:2 * n])
+        sq = np.abs(pts[:2 * n]) ** 2
+        d = np.abs(pts[:2 * n, None] - pts)
+        r = np.log(d[n:] / d[:n])   # r[k, j] = log(|z'_k - pts_j| / |z_k - pts_j|)
+        r.ravel()[self.diag] = 0.0  # particle k's own entry
+        c = self.cfg.b * (sq[:n] - sq[n:])
+        if self.has_holes:
+            c += 2.0 * self.cfg.p * r[:, 2 * n:].sum(axis=1)
+        old = r[:, :n]
+        base = c + two_mu * old.sum(axis=1)
+        g = r[:, n:2 * n] - old
+        # moved[k] = sum of g[k, i] over the particles i accepted so far, in
+        # the order they were accepted
+        moved = np.zeros(n)
+        at = self.sites.copy()   # column of r at each particle's current site
+        accepted, ratios = [], []
+        for k, (bk, lu) in enumerate(zip(base.tolist(), logu.tolist())):
+            ratio = bk + two_mu * moved.item(k)
+            if ratio != ratio:   # -inf + inf: z'_k is a site vacated in this sweep
+                ratio = float(c[k] + two_mu * r[k, at].sum())
+            ratios.append(ratio)
+            accepted.append(lu < ratio)
+            if lu < ratio:
+                moved += g[:, k]
+                at[k] = n + k
+        return pts[at], accepted, ratios
 
 
 def metropolis_sweep(cfg: PlasmaConfig, z: np.ndarray, steps: np.ndarray,
@@ -119,41 +182,17 @@ def metropolis_sweep(cfg: PlasmaConfig, z: np.ndarray, steps: np.ndarray,
     or at z'_i once it has moved.  With R[k, i] = log(|z'_k - z_i| / |z_k - z_i|)
     the ratio of move k is the precomputed base
         b (|z_k|^2 - |z'_k|^2) + 2 p (hole terms) + 2 mu sum_{i != k} R[k, i]
-    plus 2 mu sum of G[k, i] = log(|z'_k - z'_i| / |z_k - z'_i|) - R[k, i] over
-    the particles i < k accepted earlier in the sweep.  A proposal onto a
-    current particle, or onto a hole when p > 0, meets log 0 = -inf and is
-    rejected.  One onto a site z_i vacated earlier in the sweep puts -inf in
-    the base and +inf in the correction; that NaN ratio is taken afresh from
-    the particles' current sites.  Returns the positions after the sweep,
-    the accept flags and the N log ratios.
+    plus 2 mu moved[k], where moved[k] sums G[k, i] = log(|z'_k - z'_i| /
+    |z_k - z'_i|) - R[k, i] over the particles i < k accepted earlier in the
+    sweep; each accepted move i adds column G[:, i] to the vector moved.  A
+    proposal onto a current particle, or onto a hole when p > 0, meets
+    log 0 = -inf and is rejected.  One onto a site z_i vacated earlier in the
+    sweep puts -inf in the base and +inf in the correction; that NaN ratio is
+    taken afresh from the particles' current sites.  Returns the positions
+    after the sweep (a new array), the accept flags and the N log ratios.
     """
-    n = cfg.N
-    holes = cfg.holes if cfg.p else ()
-    zp = z + steps
-    pts = np.concatenate((z, zp, holes))
-    sq = np.abs(pts[:2 * n]) ** 2
-    d = np.abs(pts[:2 * n, None] - pts)
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.log(d[n:] / d[:n])   # r[k, j] = log(|z'_k - pts_j| / |z_k - pts_j|)
-        r.ravel()[::r.shape[1] + 1] = 0.0   # particle k's own entry
-        c = cfg.b * (sq[:n] - sq[n:])
-        if holes:
-            c += 2.0 * cfg.p * r[:, 2 * n:].sum(axis=1)
-        old = r[:, :n]
-        two_mu = 2.0 * cfg.mu
-        base = c + two_mu * old.sum(axis=1)
-        g = r[:, n:2 * n] - old
-    at = list(range(n))   # column of r at each particle's current site
-    accepted, ratios = [], []
-    for k, (bk, gk, lu) in enumerate(zip(base.tolist(), g.tolist(), logu.tolist())):
-        ratio = bk + two_mu * sum(compress(gk, accepted))
-        if ratio != ratio:   # -inf + inf: z'_k is a site vacated in this sweep
-            ratio = float(c[k] + two_mu * r[k, at].sum())
-        ratios.append(ratio)
-        accepted.append(lu < ratio)
-        if lu < ratio:
-            at[k] = n + k
-    return pts[at], accepted, ratios
+        return _Sweep(cfg)(z, steps, logu)
 
 
 def initial_positions(cfg: PlasmaConfig, rng: np.random.Generator) -> np.ndarray:
@@ -168,16 +207,20 @@ def plasma_mcmc(cfg: PlasmaConfig) -> tuple[list[PlasmaSample], ChainDiagnostics
     rng = np.random.default_rng(np.random.PCG64(cfg.seed))
     z = initial_positions(cfg, rng)
     diag = ChainDiagnostics()
-    samples = []
-    for sweep in range(cfg.sweeps):
-        # an (N, 2) row-major draw viewed as complex is complex(x, y) per row
-        steps = rng.normal(0.0, cfg.proposal_scale, size=(cfg.N, 2)).view(complex)[:, 0]
-        logu = np.log(rng.uniform(size=cfg.N))
-        z, accepted, _ = metropolis_sweep(cfg, z, steps, logu)
-        diag.accepted += sum(accepted)
-        diag.proposals += cfg.N
-        if sweep >= cfg.burn_in and (sweep - cfg.burn_in) % cfg.thin == 0:
-            samples.append(PlasmaSample(positions=z, log_density=log_density(cfg, z)))
+    sweep_once = _Sweep(cfg)
+    kept = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for sweep in range(cfg.sweeps):
+            # an (N, 2) row-major draw viewed as complex is complex(x, y) per row
+            steps = rng.normal(0.0, cfg.proposal_scale, size=(cfg.N, 2)).view(complex)[:, 0]
+            logu = np.log(rng.uniform(size=cfg.N))
+            z, accepted, _ = sweep_once(z, steps, logu)
+            diag.accepted += sum(accepted)
+            if sweep >= cfg.burn_in and (sweep - cfg.burn_in) % cfg.thin == 0:
+                kept.append(z)
+    diag.proposals = cfg.N * cfg.sweeps
+    dens = log_density(cfg, np.array(kept)).tolist()
+    samples = [PlasmaSample(positions=pos, log_density=ld) for pos, ld in zip(kept, dens)]
     diag.acceptance_rate = diag.accepted / max(diag.proposals, 1)
     diag.tau_int = integrated_autocorrelation_time([s.log_density for s in samples])
     if not 0.05 <= diag.acceptance_rate <= 0.95:

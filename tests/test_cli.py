@@ -253,7 +253,8 @@ def test_mcmc_subcommand_with_dump(tmp_path, capsys):
 
 def test_mcmc_invalid_config_exits_2(capsys):
     base = ["mcmc", "--N", "4", "--sweeps", "20", "--burn-in", "5"]
-    for flags in (["--b", "0"], ["--thin", "0"], ["--N", "0"]):
+    for flags in (["--b", "0"], ["--thin", "0"], ["--N", "0"], ["--burn-in", "-50"],
+                  ["--b", "inf"], ["--proposal-scale", "nan"], ["--holes", "nan+0i"]):
         assert main(base + flags) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -269,6 +270,7 @@ def test_charpoly_subcommand(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "z-score" in out and "samples = 10000" in out
+    assert "largest single-sample share of the mean = " in out
 
 
 def test_field_map_flags_degenerate_row(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from qhflux.kernel import KernelSpec, kernel_eval
 from qhflux.oracle import charpoly
 from qhflux.oracle.charpoly import (PrecisionError, charpoly_moment_mc, exact_log_ratio,
-                                    ginibre_samples)
+                                    ginibre_matrices, ginibre_samples)
 from qhflux.oracle.delta import bath_integral, delta_apply, delta_check
 from qhflux.oracle.energy import GaussianPacket, energy_identity_check
 from qhflux.oracle.monomial import gaussian_pair_integral
@@ -50,6 +50,38 @@ def test_ginibre_draws_match_plasma_one_point_law():
     per_sample = np.mean(np.abs(z) ** 2, axis=1)
     se = per_sample.std(ddof=1) / math.sqrt(count)
     assert abs(per_sample.mean() - (N + 1) / (2 * b)) < 5 * se
+
+
+def test_determinant_weights_match_eigenvalue_products():
+    # prod_k |w - z_k|^2 = |det(w - A)|^2 for the eigenvalues z_k of A
+    N, b, count = 8, 8.0, 500
+    g = ginibre_matrices(N, b, count, seed=3)
+    z = ginibre_samples(N, b, count, seed=3)
+    assert np.array_equal(z, np.linalg.eigvals(g))
+    for w in (0.55 + 0.1j, -0.35 + 0.3j, 1.7):
+        from_eigs = 2.0 * np.sum(np.log(np.abs(w - z)), axis=1)
+        from_dets = 2.0 * np.linalg.slogdet(w * np.eye(N) - g)[1]
+        assert np.all(np.abs(from_dets - from_eigs) <= 1e-12 * np.maximum(1.0, np.abs(from_eigs)))
+
+
+def test_charpoly_takes_no_eigenvalues(monkeypatch):
+    def eigvals(a):
+        raise AssertionError("the estimator's weights come from determinants")
+
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    cfg = HoleConfig(w=(0.55 + 0.1j, -0.35 + 0.3j), N=8, b=8.0)
+    est = charpoly_moment_mc(cfg, PlasmaConfig(N=8, b=8.0, sweeps=5000, burn_in=1000,
+                                               thin=10, seed=1))
+    assert est.n_samples == 400 and math.isfinite(est.log_estimate)
+
+
+def test_max_share_is_the_largest_sample_share():
+    cfg = HoleConfig(w=(0.7,), N=1, b=1.0)
+    mcmc = PlasmaConfig(N=1, b=1.0, sweeps=2000, burn_in=0, thin=1, seed=4)
+    est = charpoly_moment_mc(cfg, mcmc)
+    y = np.abs(0.7 - ginibre_samples(1, 1.0, 2000, seed=4)[:, 0]) ** 2
+    assert est.max_share == pytest.approx(y.max() / y.sum(), rel=1e-12)
+    assert 1.0 / est.n_samples < est.max_share < 1.0
 
 
 def test_charpoly_same_seed_is_bit_identical():

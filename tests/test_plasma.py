@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
+from qhflux.oracle import plasma
 from qhflux.oracle.plasma import (PlasmaConfig, PlasmaSample, dump_samples, initial_positions,
                                   integrated_autocorrelation_time, load_samples,
                                   log_density, metropolis_sweep, plasma_mcmc,
@@ -15,6 +16,24 @@ from qhflux.oracle.plasma import (PlasmaConfig, PlasmaSample, dump_samples, init
 
 def stack(samples):
     return np.concatenate([s.positions for s in samples])
+
+
+@pytest.mark.parametrize("bad", [
+    dict(burn_in=-2000, sweeps=10), dict(burn_in=2.5), dict(sweeps=100.0), dict(thin=2.5),
+    dict(thin=0), dict(N=2.5), dict(N=0), dict(b=math.inf), dict(b=math.nan), dict(b=-1.0),
+    dict(proposal_scale=math.nan), dict(proposal_scale=math.inf), dict(proposal_scale=0.0),
+    dict(p=math.nan), dict(p=math.inf), dict(p=-1), dict(mu=math.nan), dict(mu=0.5),
+    dict(holes=(complex(math.nan, 0.0),)), dict(holes=(0.1, complex(0.0, math.inf))),
+    dict(sweeps=5, burn_in=5), dict(seed=None), dict(seed=-1), dict(seed=2.5),
+])
+def test_config_rejects_bad_input(bad):
+    with pytest.raises(ValueError):
+        PlasmaConfig(**{**dict(N=4, b=4.0, sweeps=20, burn_in=5), **bad})
+
+
+def test_config_keeps_real_exponents():
+    cfg = PlasmaConfig(N=np.int64(3), b=3, holes=(0.2,), p=0.5, mu=2.5, sweeps=20, burn_in=0)
+    assert cfg.proposal_scale == 1.0 / math.sqrt(3.0)
 
 
 def test_single_particle_gaussian_moment():
@@ -154,6 +173,53 @@ def test_sweep_ratios_match_density_differences(N, p, mu, holes, seed, sweeps):
                 cur = moved
         assert np.array_equal(after, cur)
         z = after
+
+
+def test_stacked_log_density_matches_rows():
+    rng = np.random.default_rng(8)
+    for cfg in (PlasmaConfig(N=1, b=1.0, sweeps=2, burn_in=1),
+                PlasmaConfig(N=7, b=7.0, holes=(0.3 + 0.1j, -0.4j), p=2, mu=3, sweeps=2, burn_in=1),
+                PlasmaConfig(N=16, b=16.0, sweeps=2, burn_in=1)):
+        z = rng.normal(size=(50, cfg.N)) + 1j * rng.normal(size=(50, cfg.N))
+        stacked = log_density(cfg, z)
+        assert stacked.shape == (50,)
+        rows = np.array([log_density(cfg, row) for row in z])
+        assert np.all(np.abs(stacked - rows) <= 1e-13 * np.abs(rows))
+
+
+def test_chain_is_a_loop_of_public_sweeps():
+    # plasma_mcmc keeps one sweep state for the whole chain; the public
+    # metropolis_sweep builds a fresh one per call, on the same draws
+    cfg = PlasmaConfig(N=6, b=6.0, holes=(0.2 - 0.1j,), p=1, mu=2,
+                       sweeps=400, burn_in=100, thin=7, seed=23)
+    samples, diag = plasma_mcmc(cfg)
+    rng = np.random.default_rng(np.random.PCG64(cfg.seed))
+    z = initial_positions(cfg, rng)
+    kept, accepted = [], 0
+    for sweep in range(cfg.sweeps):
+        steps = rng.normal(0.0, cfg.proposal_scale, size=(cfg.N, 2)).view(complex)[:, 0]
+        z, flags, _ = metropolis_sweep(cfg, z, steps, np.log(rng.uniform(size=cfg.N)))
+        accepted += sum(flags)
+        if sweep >= cfg.burn_in and (sweep - cfg.burn_in) % cfg.thin == 0:
+            kept.append(z)
+    assert diag.accepted == accepted and len(samples) == len(kept)
+    for s, k in zip(samples, kept):
+        assert np.array_equal(s.positions, k)
+
+
+def test_positions_are_not_views_of_the_sweep_buffer():
+    cfg = PlasmaConfig(N=5, b=5.0, holes=(0.3,), sweeps=60, burn_in=0, thin=1, seed=4)
+    sweep = plasma._Sweep(cfg)
+    z = np.linspace(-0.5, 0.5, cfg.N) + 0.1j
+    with np.errstate(divide="ignore", invalid="ignore"):
+        first = sweep(z, np.full(cfg.N, 0.01), np.full(cfg.N, -1e300))[0]
+        kept = first.copy()
+        second = sweep(first, np.full(cfg.N, 0.02j), np.full(cfg.N, -1e300))[0]
+    assert not np.shares_memory(first, sweep.pts) and not np.shares_memory(second, sweep.pts)
+    assert np.array_equal(first, kept) and not np.array_equal(first, second)
+    samples, _ = plasma_mcmc(cfg)
+    assert not any(np.shares_memory(a.positions, b.positions)
+                   for a, b in zip(samples, samples[1:]))
 
 
 def reference_chain(cfg):
