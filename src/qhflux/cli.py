@@ -355,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--b", type=float, default=None)
     p.add_argument("--holes", type=str, default="")
-    p.add_argument("--p", type=int, default=1)
-    p.add_argument("--mu", type=int, default=1)
+    p.add_argument("--p", type=float, default=1)
+    p.add_argument("--mu", type=float, default=1)
     p.add_argument("--sweeps", type=int, default=20000)
     p.add_argument("--burn-in", dest="burn_in", type=int, default=1000)
     p.add_argument("--thin", type=int, default=10)

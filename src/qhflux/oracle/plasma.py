@@ -30,8 +30,8 @@ class PlasmaConfig:
     N: int
     b: float
     holes: tuple[complex, ...] = ()
-    p: int = 1
-    mu: int = 1
+    p: float = 1
+    mu: float = 1
     sweeps: int = 2000
     burn_in: int = 1000
     thin: int = 10

@@ -259,6 +259,14 @@ def test_mcmc_invalid_config_exits_2(capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_mcmc_real_exponents(capsys):
+    base = ["mcmc", "--N", "4", "--sweeps", "100", "--burn-in", "10", "--holes", "0.3+0i"]
+    assert main(base + ["--p", "0.5"]) == 0
+    assert "acceptance" in capsys.readouterr().out
+    assert main(base + ["--mu", "0.5"]) == 2
+    assert capsys.readouterr().err.startswith("error: mu must be finite and at least 1")
+
+
 def test_upsilon_rounding_noise_exits_3(capsys):
     assert main(["upsilon", "--N", "64", "--holes", "0.1+0.05j,0.1000000001+0.05j"]) == 3
     assert capsys.readouterr().err.startswith("error: ")

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from scipy.linalg import null_space
 
 from qhflux.partition import HoleConfig, SingularConfigurationError
-from qhflux.potentials import (DegenerateConfigurationError, ResourceBudgetError, ab_sum, asymptotic_prediction,
+from qhflux.potentials import (NODE_BUDGET, DegenerateConfigurationError, ResourceBudgetError,
+                               _field_grid, ab_sum, asymptotic_prediction,
                                correction_a, correction_v, double_integral_direct,
                                emergent_field_derivative, emergent_field_integral,
                                emergent_field_stack, emergent_fields, perp, to_vec,
@@ -278,11 +279,33 @@ def test_double_integral_direct_budget():
 
 
 def test_field_grids_budget():
-    # the default grid at N = 4096 has 3,421,068 nodes (973 angles), above
+    # the default grid at N = 4096 has 1,190,952 nodes (973 angles), above
     # NODE_BUDGET
     cfg = HoleConfig(w=(0.9,), N=4096)
-    with pytest.raises(ResourceBudgetError, match="3421068"):
+    with pytest.raises(ResourceBudgetError, match="1190952"):
         emergent_field_integral(cfg, 0)
+
+
+def test_default_grid_reaches_n1024():
+    # the grid is built without a field call, which would take minutes here
+    assert _field_grid(HoleConfig(w=(0.3,), N=1024), 0).size <= NODE_BUDGET
+
+
+@pytest.mark.parametrize("N", [16, 32])
+@pytest.mark.parametrize("w", [(0.9j, -0.2 + 0.3j), (0.45 - 0.2j, -0.1 + 0.35j)])
+def test_default_radial_rule_is_converged(N, w):
+    # the default panels of 1.35 / sqrt(b) against panels three times
+    # narrower, with the same angles and nodes per panel
+    cfg = HoleConfig(w=w, N=N)
+    r_max = abs(cfg.w[0]) + 1.0 + 8.0 / math.sqrt(cfg.b)
+    default = _field_grid(cfg, 0)
+    n_theta = default.size // default.radii.size
+    narrow = polar_grid(cfg.w[0], r_max, n_theta=n_theta, nodes_per_panel=12,
+                        panel_width=min(0.45 / math.sqrt(cfg.b), r_max / 8.0))
+    assert narrow.size > 2 * default.size
+    f, g = emergent_field_integral(cfg, 0), emergent_field_integral(cfg, 0, narrow)
+    assert np.linalg.norm(f.A - g.A) <= 1e-12 * cfg.N
+    assert abs(f.V - g.V) <= 1e-12 * cfg.N
 
 
 def _one_shot_fields(cfg, j, grid):
