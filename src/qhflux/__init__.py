@@ -1,9 +1,8 @@
 """Determinantal quasi-hole numerics: stable kernels, exact partition
 functions, emergent gauge/scalar potentials, and independent oracles."""
 
-from .kernel import (DerivOrder, KernelSpec, LogComplex, kernel_derivative,
-                     kernel_eval, kernel_infty, kernel_tail_bound,
-                     reproducing_residual)
+from .kernel import (DerivOrder, KernelSpec, LogComplex, kernel_eval,
+                     kernel_infty, kernel_tail_bound, reproducing_residual)
 from .partition import (HoleConfig, PartitionValue, SingularConfigurationError,
                         SingularMatrixError, log_partition, theta,
                         theta_polarized, upsilon, upsilon_prediction)
@@ -20,7 +19,7 @@ __all__ = [
     "SingularMatrixError",
     "QuadratureGrid", "cartesian_grid", "polar_grid",
     "KernelSpec", "DerivOrder", "kernel_eval", "kernel_infty",
-    "kernel_derivative", "kernel_tail_bound", "reproducing_residual",
+    "kernel_tail_bound", "reproducing_residual",
     "HoleConfig", "PartitionValue", "SingularConfigurationError",
     "upsilon", "log_partition", "theta",
     "theta_polarized", "upsilon_prediction",

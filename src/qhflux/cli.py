@@ -115,8 +115,8 @@ def cmd_upsilon(args) -> int:
     val = upsilon(cfg)
     print(f"Upsilon = {fmt(val)}")
     print(f"regime  = {regime}")
-    if regime.kind in ("no-merging", "single-merging"):
-        pred = upsilon_prediction(cfg, regime.kind, pair=regime.pair)
+    if regime.has_prediction:
+        pred = upsilon_prediction(cfg, pair=regime.pair)
         print(f"prediction = {fmt(pred)}  deviation = {fmt(abs(val - pred))}")
     try:
         part = log_partition(cfg)
@@ -142,8 +142,8 @@ def cmd_potentials(args) -> int:
     print(f"A = ({fmt(field.A[0])}, {fmt(field.A[1])})")
     print(f"V = {fmt(field.V)}")
     print(f"regime = {regime}")
-    if regime.kind in ("no-merging", "single-merging"):
-        pred = asymptotic_prediction(cfg, j, regime.kind, pair=regime.pair)
+    if regime.has_prediction:
+        pred = asymptotic_prediction(cfg, j, pair=regime.pair)
         dev_a = float(np.linalg.norm(field.A - pred.A))
         print(f"predicted A = ({fmt(pred.A[0])}, {fmt(pred.A[1])})   |A - pred| = {fmt(dev_a)}")
         print(f"predicted V = {fmt(pred.V)}   |V - pred| = {fmt(abs(field.V - pred.V))}")
@@ -185,8 +185,8 @@ def cmd_field_map(args) -> int:
             cfg = HoleConfig(w=holes[k], N=args.N)
             regime = classifier.classify(cfg)
             pa, pv = np.array([math.nan, math.nan]), math.nan
-            if regime.kind in ("no-merging", "single-merging"):
-                pred = asymptotic_prediction(cfg, j, regime.kind, pair=regime.pair)
+            if regime.has_prediction:
+                pred = asymptotic_prediction(cfg, j, pair=regime.pair)
                 pa, pv = pred.A, pred.V
             rows.append([fmt(x), fmt(y), fmt(a_col[k, 0]), fmt(a_col[k, 1]), fmt(v_col[k]),
                          csv_field(str(regime)), fmt(pa[0]), fmt(pa[1]), fmt(pv)])

@@ -20,6 +20,12 @@ class Regime:
     kind: str                       # outside-droplet | no-merging | single-merging | remainder
     pair: tuple[int, int] | None = None
 
+    @property
+    def has_prediction(self) -> bool:
+        """Whether the leading-order predictions cover this kind; they take
+        self.pair, which is None away from merging."""
+        return self.kind in ("no-merging", "single-merging")
+
     def __str__(self):
         if self.kind == "single-merging" and self.pair is not None:
             return f"single-merging({self.pair[0]},{self.pair[1]})"

@@ -29,6 +29,14 @@ DERIVATIVE_NOISE_FLOOR = 1e-10
 # the kinetic identity holds node by node, so each node's weighted residual
 # is rounding of O(1) terms (measured ~4e-18 of |rhs| at the default grid)
 ENERGY_POINTWISE_BOUND = 1e-12
+# no-merging samples keep their pairs this factor beyond the merging scale
+NO_MERGING_MARGIN = 1.10
+# a merging pair's center is drawn uniform in [-PAIR_JITTER, PAIR_JITTER]^2
+PAIR_JITTER = 0.05
+# holes per kernel suite case: its kernels have M = N + KERNEL_HOLES orbitals
+KERNEL_HOLES = 2
+# Metropolis sweeps per charpoly case of the oracle suite
+ORACLE_MC_SWEEPS = 101_000
 
 
 def case_rng(seed: int, index: int) -> np.random.Generator:
@@ -47,22 +55,22 @@ class SamplingInfeasibleError(ValueError):
 
 
 def sample_no_merging(rng, N: int, n: int, classifier: RegimeClassifier,
-                      margin: float = 1.10, attempts: int = 20000) -> HoleConfig:
+                      attempts: int = 20000) -> HoleConfig:
     d = classifier.delta(N)
     for _ in range(attempts):
         pts = sample_points_in_disk(rng, n, (1.0 - d) * 0.98)
         seps = [abs(pts[i] - pts[j]) for i in range(n) for j in range(i + 1, n)]
-        if not seps or min(seps) >= 2.0 * d * margin:
+        if not seps or min(seps) >= 2.0 * d * NO_MERGING_MARGIN:
             return HoleConfig(w=tuple(pts), N=N)
     raise SamplingInfeasibleError(
         f"no-merging sampling failed at N={N}, n={n}, kappa={classifier.kappa}; "
         "the exclusion scale may exceed the droplet diameter")
 
 
-def pair_config(rng, N: int, separation: float, jitter: float = 0.05) -> HoleConfig:
+def pair_config(rng, N: int, separation: float) -> HoleConfig:
     """Two holes at the given separation, pair centered near the origin so
     both endpoints stay inside the shrunk droplet up to separation ~4 delta."""
-    c0 = complex(*rng.uniform(-jitter, jitter, 2))
+    c0 = complex(*rng.uniform(-PAIR_JITTER, PAIR_JITTER, 2))
     angle = rng.uniform(0.0, 2.0 * math.pi)
     u = 0.5 * separation * complex(math.cos(angle), math.sin(angle))
     return HoleConfig(w=(c0 - u, c0 + u), N=N)
@@ -79,8 +87,7 @@ _ORDERS = [order for orders in _ORDER_GROUPS.values() for order in orders]
 
 
 def run_kernel_suite(N_list=(64, 128, 256), kappa: float = 2.0,
-                     samples: int = 1000, seed: int = 0,
-                     n: int = 2) -> VerificationReport:
+                     samples: int = 1000, seed: int = 0) -> VerificationReport:
     """Tail decay of the truncated kernel against the full projection.
 
     Differences and their derivatives come from exact log-domain tail sums,
@@ -89,6 +96,7 @@ def run_kernel_suite(N_list=(64, 128, 256), kappa: float = 2.0,
     """
     if samples < 1:
         raise ValueError("the kernel suite needs at least one sample per N")
+    n = KERNEL_HOLES
     report = VerificationReport(
         suite="kernel", seed=seed,
         params={"N_list": list(N_list), "kappa": kappa, "samples": samples, "n": n})
@@ -153,9 +161,9 @@ def run_kernel_suite(N_list=(64, 128, 256), kappa: float = 2.0,
 
 def run_upsilon_suite(N_list=(128, 256), kappa: float = 2.0,
                       gamma: float = 1.0, configs: int = 10, seed: int = 0,
-                      n: int = 2, sweep_N: int | None = None,
-                      sweep_points: int = 12) -> VerificationReport:
-    """Upsilon against its regime predictions, plus a merging separation sweep."""
+                      n: int = 2, sweep_points: int = 12) -> VerificationReport:
+    """Upsilon against its regime predictions, plus a merging separation sweep
+    at the largest N of N_list."""
     classifier = RegimeClassifier(kappa=kappa, gamma=gamma)
     report = VerificationReport(
         suite="upsilon", seed=seed,
@@ -182,7 +190,7 @@ def run_upsilon_suite(N_list=(128, 256), kappa: float = 2.0,
             regime="no-merging", quantity="max |d dbar Upsilon|", measured=d2,
             bound=max(DERIVATIVE_NOISE_FLOOR * 64, 100.0 * N ** (2 - 2 * kappa ** 2))))
 
-    N = sweep_N or max(N_list)
+    N = max(N_list)
     delta = classifier.delta(N)
     s_values = np.geomspace(4.0 * delta, 1.000001 * N ** (-(1.0 + gamma) / 2.0),
                             sweep_points)
@@ -218,7 +226,7 @@ def run_potential_suite(N_list=(128, 256), kappa: float = 2.0, gamma: float = 1.
         wa = wv = 0.0
         for j in range(n):
             a_vec, v_val = emergent_fields(N, holes, j)
-            pred = np.array([asymptotic_prediction(cfg, j, "no-merging").A for cfg in cfgs])
+            pred = np.array([asymptotic_prediction(cfg, j).A for cfg in cfgs])
             wa = max(wa, float(np.max(np.linalg.norm(a_vec - pred, axis=1))) / N)
             wv = max(wv, float(np.max(np.abs(v_val - 2.0 * N))) / N)
         report.add(ReportRow(
@@ -240,7 +248,7 @@ def run_potential_suite(N_list=(128, 256), kappa: float = 2.0, gamma: float = 1.
     a_all, v_all = emergent_fields(N, np.array([cfg.w for cfg in cfgs]), 0)
     for k, (s, cfg, a_vec, v_val) in enumerate(zip(s_values, cfgs, a_all, v_all.tolist())):
         y = math.sqrt(N) * float(s)
-        base_pred = asymptotic_prediction(cfg, 0, "no-merging")
+        base_pred = asymptotic_prediction(cfg, 0)
         v_corr = correction_v(np.array([y, 0.0]))
         if y <= 3.0:
             a_corr = math.sqrt(N) * np.linalg.norm(correction_a(np.array([y, 0.0])))
@@ -325,10 +333,10 @@ def run_global_suite(N: int = 64, n: int = 4, count: int = 500, seed: int = 0,
 
 # ------------------------------------------------------------------ oracle
 
-def run_oracle_suite(seed: int = 0, mc_sweeps: int = 101_000) -> VerificationReport:
+def run_oracle_suite(seed: int = 0) -> VerificationReport:
     """Closed-form pipeline against every independent oracle."""
     report = VerificationReport(suite="oracle", seed=seed,
-                                params={"mc_sweeps": mc_sweeps})
+                                params={"mc_sweeps": ORACLE_MC_SWEEPS})
 
     cases = [(N, n, b) for N in (1, 2, 3) for n in (1, 2)
              for b in (1.0, float(N), 2.5)]
@@ -353,12 +361,12 @@ def run_oracle_suite(seed: int = 0, mc_sweeps: int = 101_000) -> VerificationRep
             measured=worst, bound=1e-10))
 
     # characteristic polynomial moments vs the exact ratio
-    for case_id, (N, holes, sweeps) in {
-        "charpoly-N1-n1": (1, (0.7,), mc_sweeps),
-        "charpoly-N8-n2": (8, (0.55 + 0.1j, -0.35 + 0.3j), mc_sweeps),
+    for case_id, (N, holes) in {
+        "charpoly-N1-n1": (1, (0.7,)),
+        "charpoly-N8-n2": (8, (0.55 + 0.1j, -0.35 + 0.3j)),
     }.items():
         cfg = HoleConfig(w=holes, N=N, b=float(N))
-        mcmc = PlasmaConfig(N=N, b=float(N), sweeps=sweeps, burn_in=1000,
+        mcmc = PlasmaConfig(N=N, b=float(N), sweeps=ORACLE_MC_SWEEPS, burn_in=1000,
                             thin=10, seed=seed + 97)
         est = charpoly_moment_mc(cfg, mcmc)
         report.add(ReportRow(

@@ -16,10 +16,9 @@ pairs (z_r, w_r) and a list of derivative orders at once as
 representable.  Every order is a short combination of the range-shifted
 series S^(k)(z wbar), k <= 4: each S^(k) that some order needs is summed
 once, and each order is combined relative to top, the largest of its own
-series only, so it equals a one-order call bit for bit.  `kernel_log_stack`
-is its one-order case; `kernel_eval`, `kernel_derivative` and
-`kernel_diff_log` are the B = 1 case of that, and a single value comes back
-as the record `LogComplex` (log-magnitude, phase in [-pi, pi]).
+series only, so it equals a one-order call bit for bit.  `kernel_eval` and
+`kernel_diff_log` are its one-pair, one-order case, and a single value comes
+back as the record `LogComplex` (log-magnitude, phase in [-pi, pi]).
 
 The series runs in chunks of terms: within a chunk the term magnitudes are a
 running product of the ratios b|x|/(j+1) and the partial sums a running sum
@@ -250,7 +249,7 @@ def kernel_log_orders(spec: KernelSpec, zs, ws, orders: list[DerivOrder],
     ValueError, and a bad order anywhere in the list UnsupportedOrderError,
     before any series is summed.  Each series S^(k) that some order needs
     is summed once; every order is combined as if alone, so each result
-    equals kernel_log_stack for that order bit for bit.
+    equals a call with that order alone bit for bit.
     """
     orders = [_check_order(order) for order in orders]
     if which not in ("truncated", "infinite", "tail"):
@@ -298,12 +297,6 @@ def _combine(spec: KernelSpec, z: np.ndarray, w: np.ndarray, terms: tuple,
             np.where(ok, np.angle(acc), 0.0))
 
 
-def kernel_log_stack(spec: KernelSpec, zs, ws, order: DerivOrder,
-                     which: str) -> tuple[np.ndarray, np.ndarray]:
-    """kernel_log_orders for the one order."""
-    return kernel_log_orders(spec, zs, ws, [order], which)[0]
-
-
 @dataclass(frozen=True)
 class LogComplex:
     """exp(log_mag) exp(i phase), phase in [-pi, pi]; log_mag = -inf is the
@@ -327,7 +320,7 @@ class LogComplex:
 
 def _kernel_log(spec: KernelSpec, z: complex, w: complex, order: DerivOrder,
                 which: str) -> LogComplex:
-    log_mag, phase = kernel_log_stack(spec, [z], [w], order, which)
+    log_mag, phase = kernel_log_orders(spec, [z], [w], [order], which)[0]
     return LogComplex(float(log_mag[0]), float(phase[0]))
 
 
@@ -343,14 +336,6 @@ def kernel_infty(spec: KernelSpec, z: complex, w: complex) -> LogComplex:
     d = abs(z - w)
     return LogComplex(math.log(spec.b / math.pi) - 0.5 * spec.b * d * d,
                       math.remainder(spec.b * (z * w.conjugate()).imag, 2.0 * math.pi))
-
-
-def kernel_derivative(spec: KernelSpec, z: complex, w: complex,
-                      order: DerivOrder, which: str = "truncated") -> complex:
-    """Mixed derivative of K_M or K_inf, exact term-wise differentiation."""
-    if which not in ("truncated", "infinite"):
-        raise ValueError("which must be 'truncated' or 'infinite'")
-    return _kernel_log(spec, z, w, order, which).to_complex()
 
 
 def kernel_diff_log(spec: KernelSpec, z: complex, w: complex,

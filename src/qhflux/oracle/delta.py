@@ -16,6 +16,11 @@ import numpy as np
 from ..kernel import KernelSpec, kernel_infty, weighted_orbitals
 from ..quadrature import cartesian_grid
 
+# Gauss-Legendre nodes per axis of the quadratic form's tensor grid
+GRID_ORDER = 60
+# seed of the 25 points at which the projector identity is checked
+PROJECTOR_SEED = 5
+
 
 @dataclass(frozen=True)
 class DeltaCheckResult:
@@ -59,8 +64,7 @@ def bath_integral(b: float, x: np.ndarray, f: np.ndarray) -> np.ndarray:
     return (b / math.pi) * np.einsum("ap,aq,apq->pq", g, e.conj(), inner, optimize=True)
 
 
-def delta_check(k: int, u, b: float, grid_order: int = 60,
-                rng_seed: int = 5) -> DeltaCheckResult:
+def delta_check(k: int, u, b: float) -> DeltaCheckResult:
     """Quadratic-form and projector residuals for a test function u.
 
     u is the tracer factor; the bath factor is the k-th orbital.  The
@@ -71,14 +75,14 @@ def delta_check(k: int, u, b: float, grid_order: int = 60,
     """
     phi = _orbital(b, k)
     radius = 1.0 + 8.0 / math.sqrt(b)
-    grid = cartesian_grid(radius, order=grid_order)
+    grid = cartesian_grid(radius, order=GRID_ORDER)
 
     # inner bath integral I(w) = int conj(psi(z)) K_inf(z, w) dz, then the
     # tracer integral of conj(u) u psi(w) I(w); node a * order + c is x_a + i x_c
     ws = grid.nodes
     psi = phi(ws)
-    weighted = (grid.weights * psi.conj()).reshape(grid_order, grid_order)
-    inner = bath_integral(b, ws[:grid_order].imag, weighted).ravel()
+    weighted = (grid.weights * psi.conj()).reshape(GRID_ORDER, GRID_ORDER)
+    inner = bath_integral(b, ws[:GRID_ORDER].imag, weighted).ravel()
     uw = u(ws)
     lhs = np.sum(grid.weights * np.abs(uw) ** 2 * psi * inner)
     rhs = np.sum(grid.weights * np.abs(uw * psi) ** 2)
@@ -87,7 +91,7 @@ def delta_check(k: int, u, b: float, grid_order: int = 60,
     f = lambda w, z: u(w) * phi(z)
     df = delta_apply(f, b)
     ddf = delta_apply(df, b)
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(PROJECTOR_SEED)
     worst = 0.0
     for _ in range(25):
         w, z = (complex(*p) for p in rng.uniform(-1.0, 1.0, size=(2, 2)))

@@ -78,6 +78,8 @@ class ChainDiagnostics:
 
 # Sokal's window: the smallest W with W >= SOKAL_WINDOW * tau_int(W)
 SOKAL_WINDOW = 5.0
+# radial_density_l1 compares the |z| histogram over this many bins
+RADIAL_BINS = 40
 
 
 def integrated_autocorrelation_time(series) -> float:
@@ -246,26 +248,26 @@ def load_samples(path) -> list[np.ndarray]:
     return list(raw.reshape(-1, n).astype(complex))
 
 
-def radial_density_l1(cfg: PlasmaConfig, samples: list[PlasmaSample],
-                      bins: int = 40) -> float:
+def radial_density_l1(cfg: PlasmaConfig, samples: list[PlasmaSample]) -> float:
     """L1 distance between the empirical |z| distribution and the exact
-    radial profile of the determinantal density (p = mu = 1, no holes)."""
+    radial profile of the determinantal density (p = mu = 1, no holes), over
+    RADIAL_BINS equal bins out to 1.5 sqrt(N/b)."""
     from ..kernel import weighted_orbitals
 
     if cfg.holes or cfg.mu != 1:
         raise ValueError("exact radial profile requires p*holes absent and mu = 1")
     radii = np.concatenate([np.abs(s.positions) for s in samples])
     r_max = 1.5 * math.sqrt(cfg.N / cfg.b)
-    edges = np.linspace(0.0, r_max, bins + 1)
+    edges = np.linspace(0.0, r_max, RADIAL_BINS + 1)
     counts, _ = np.histogram(radii, bins=edges)
     emp = counts / radii.size
     # exact bin masses: int_bin 2 pi r K_N(r, r) / N dr by fine midpoint rule
     sub = 32
-    rr = np.linspace(0.0, r_max, bins * sub + 1)
+    rr = np.linspace(0.0, r_max, RADIAL_BINS * sub + 1)
     mid = 0.5 * (rr[1:] + rr[:-1])
     u = weighted_orbitals(cfg.b, cfg.N, mid.astype(complex))
     dens = 2.0 * math.pi * mid * np.sum(np.abs(u) ** 2, axis=1) / cfg.N
     mass = dens * np.diff(rr)
-    exact = mass.reshape(bins, sub).sum(axis=1)
+    exact = mass.reshape(RADIAL_BINS, sub).sum(axis=1)
     tail_diff = abs((1.0 - float(emp.sum())) - (1.0 - float(exact.sum())))
     return float(np.sum(np.abs(emp - exact))) + tail_diff

@@ -303,16 +303,10 @@ def theta_polarized(cfg: HoleConfig, zeta: complex, z: complex) -> complex:
     return complex(np.conj(nu[0]) @ np.linalg.solve(kernel.T, nu[1]))
 
 
-def upsilon_prediction(cfg: HoleConfig, regime: str,
-                       pair: tuple[int, int] | None = None) -> float:
-    """Leading-order Upsilon: 1 away from merging, 1 - exp(-b s^2) for a
-    single merging pair at separation s."""
-    if regime == "no-merging":
+def upsilon_prediction(cfg: HoleConfig, *, pair: tuple[int, int] | None = None) -> float:
+    """Leading-order Upsilon: 1 away from merging (pair None), 1 - exp(-b s^2)
+    for the single merging pair at separation s."""
+    if pair is None:
         return 1.0
-    if regime == "single-merging":
-        if pair is None:
-            raise ValueError("single-merging prediction needs the merging pair")
-        i, j = pair
-        s2 = abs(cfg.w[i] - cfg.w[j]) ** 2
-        return -math.expm1(-cfg.b * s2)
-    raise ValueError(f"no Upsilon prediction for regime {regime!r}")
+    i, j = pair
+    return -math.expm1(-cfg.b * abs(cfg.w[i] - cfg.w[j]) ** 2)

@@ -28,8 +28,11 @@ from .quadrature import QuadratureGrid, polar_grid
 # was 0.5 to 300 times the actual error wherever that exceeded 1e-9 N.
 V_ERROR_SCALE = 2 * np.finfo(float).eps
 FIELD_ERROR_BUDGET = 1e-6
-# largest grid emergent_field_integral accepts: a bound on its time, which
-# grows with nodes x orbitals; its memory does not grow with the grid
+# largest grid emergent_field_integral accepts, in nodes.  Its memory does
+# not grow with the grid, and the budget does not bound its time: one
+# default-grid call took 1.48 s at N = 256 (56,112 nodes) and 25.99 s at
+# N = 512 (96,288 nodes), 17.6x the time for 1.7x the nodes.  N = 1024 fits
+# the budget but runs for minutes (ROADMAP item 12)
 NODE_BUDGET = 200_000
 _BLOCK_BYTES = 1 << 20    # orbital table per node block of the integral route
 
@@ -47,7 +50,6 @@ class EmergentField:
     A: np.ndarray          # vector potential, shape (2,)
     V: float               # scalar potential
     j: int                 # tracer index
-    method: str            # "derivative" | "integral" | "prediction"
 
 
 def to_vec(z: complex) -> np.ndarray:
@@ -133,7 +135,7 @@ def emergent_field_derivative(cfg: HoleConfig, j: int) -> EmergentField:
     if cfg.b != cfg.N:
         raise ValueError("derivative-route fields are defined in the b = N regime")
     a_vec, v_val = emergent_fields(cfg.N, [cfg.w], j)
-    return EmergentField(A=a_vec[0], V=float(v_val[0]), j=j, method="derivative")
+    return EmergentField(A=a_vec[0], V=float(v_val[0]), j=j)
 
 
 def _field_grid(cfg: HoleConfig, j: int) -> QuadratureGrid:
@@ -218,7 +220,7 @@ def emergent_field_integral(cfg: HoleConfig, j: int,
         t_mat += psi.conj().T @ (psi * (weights / pole)[:, None])
     a_vec = np.array([i_val.imag, i_val.real])
     v_val = 2.0 * single - 2.0 * float(np.sum(np.abs(t_mat) ** 2))
-    return EmergentField(A=a_vec, V=v_val, j=j, method="integral")
+    return EmergentField(A=a_vec, V=v_val, j=j)
 
 
 def double_integral_direct(cfg: HoleConfig, j: int, grid: QuadratureGrid) -> float:
@@ -271,22 +273,18 @@ def correction_v(y: np.ndarray) -> float:
     return _v_of_t(float(y @ y))
 
 
-def asymptotic_prediction(cfg: HoleConfig, j: int, regime: str,
+def asymptotic_prediction(cfg: HoleConfig, j: int, *,
                           pair: tuple[int, int] | None = None) -> EmergentField:
     """Leading-order fields: droplet term minus AB sum, plus the microscopic
-    a/v corrections when j belongs to the single merging pair."""
+    a/v corrections when j belongs to the single merging pair (pair None:
+    no merging)."""
     N = cfg.N
     a_vec = N * perp(to_vec(cfg.w[j])) - ab_sum(cfg, j)
     v_val = 2.0 * N
-    if regime == "single-merging":
-        if pair is None:
-            raise ValueError("single-merging prediction needs the merging pair")
-        if j in pair:
-            other = pair[1] if j == pair[0] else pair[0]
-            d = to_vec(cfg.w[j] - cfg.w[other])
-            rt = math.sqrt(N)
-            a_vec = a_vec + rt * correction_a(rt * d)
-            v_val = N * (2.0 - correction_v(rt * d))
-    elif regime != "no-merging":
-        raise ValueError(f"no field prediction for regime {regime!r}")
-    return EmergentField(A=a_vec, V=float(v_val), j=j, method="prediction")
+    if pair is not None and j in pair:
+        other = pair[1] if j == pair[0] else pair[0]
+        d = to_vec(cfg.w[j] - cfg.w[other])
+        rt = math.sqrt(N)
+        a_vec = a_vec + rt * correction_a(rt * d)
+        v_val = N * (2.0 - correction_v(rt * d))
+    return EmergentField(A=a_vec, V=float(v_val), j=j)

@@ -15,7 +15,7 @@ import numpy as np
 from qhflux.harness.suites import (case_rng, pair_config, run_global_suite,
                                    run_potential_suite, run_upsilon_suite,
                                    sample_points_in_disk)
-from qhflux.kernel import (KernelSpec, kernel_log_stack, kernel_tail_bound_log,
+from qhflux.kernel import (KernelSpec, kernel_log_orders, kernel_tail_bound_log,
                            reproducing_residual, weighted_orbitals)
 from qhflux.oracle.charpoly import charpoly_moment_mc
 from qhflux.oracle.energy import GaussianPacket, energy_identity_check
@@ -84,7 +84,7 @@ def test_criterion_3_kernel_asymptotics():
         spec = KernelSpec(b=float(N), M=N + n)
         pts = sample_points_in_disk(rng, 2000, 1.0 - delta)
         z, w = pts[:1000], pts[1000:]
-        d, _ = kernel_log_stack(spec, z, w, (0, 0, 0, 0), "tail")
+        d, _ = kernel_log_orders(spec, z, w, [(0, 0, 0, 0)], "tail")[0]
         sups[N] = float(d.max())
         cert_ok = cert_ok and not np.any(d > kernel_tail_bound_log(spec, z, w))
     slope = float(np.polyfit(np.log([64.0, 128.0, 256.0]),
@@ -96,7 +96,7 @@ def test_criterion_3_kernel_asymptotics():
 
 def test_criterion_4_upsilon_regimes():
     rep = run_upsilon_suite(N_list=(256,), kappa=2.0, gamma=1.0, configs=20,
-                            seed=SEED, sweep_N=256, sweep_points=12)
+                            seed=SEED, sweep_points=12)
     nomerge = [r for r in rep.rows if r.case_id.startswith("nomerge-N")]
     sweep = [r for r in rep.rows if r.case_id.startswith("merge-sweep")]
     worst_nm = max(r.measured for r in nomerge)
@@ -116,7 +116,7 @@ def test_criterion_5_potential_asymptotics():
     N = 512
     cfg = pair_config(rng, N, 1.0 / math.sqrt(N))
     field = emergent_field_derivative(cfg, 0)
-    base = asymptotic_prediction(cfg, 0, "no-merging")
+    base = asymptotic_prediction(cfg, 0)
     y = math.sqrt(N) * abs(cfg.w[0] - cfg.w[1])
     v_ratio = (2.0 * N - field.V) / (N * correction_v(np.array([y, 0.0])))
     a_ratio = float(np.linalg.norm(field.A - base.A)) \

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import itertools
@@ -87,6 +88,25 @@ def test_unknown_flag_exits_2():
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
+
+
+def test_readme_flag_table_matches_parser():
+    # the README's subcommand table lists exactly the flags each subcommand
+    # accepts, so a flag cannot be added or removed undocumented
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("| subcommand | flags |") + 2
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
+    documented = {}
+    for row in rows:
+        name, flags = (cell.strip().strip("`") for cell in row.strip("|").split("|"))
+        documented[name] = sorted(flags.split())
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    accepted = {name: sorted(opt for action in p._actions
+                             if not isinstance(action, argparse._HelpAction)
+                             for opt in action.option_strings)
+                for name, p in subparsers.choices.items()}
+    assert documented == accepted
 
 
 def test_potentials_degenerate_exits_3(capsys):

@@ -133,8 +133,7 @@ def test_pair_config_separation():
 
 
 def test_upsilon_suite_small_passes():
-    rep = run_upsilon_suite(N_list=(128,), configs=3, sweep_N=128,
-                            sweep_points=4, seed=2)
+    rep = run_upsilon_suite(N_list=(128,), configs=3, sweep_points=4, seed=2)
     assert rep.all_passed
 
 

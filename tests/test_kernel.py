@@ -9,9 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaincc, gammaln
 
-from qhflux.kernel import (_T_NEAR, KernelSpec, UnsupportedOrderError,
-                           kernel_derivative, kernel_diff_log, kernel_eval, kernel_infty,
-                           kernel_log_orders, kernel_log_stack, kernel_tail_bound,
+from qhflux.kernel import (_T_NEAR, KernelSpec, LogComplex, UnsupportedOrderError,
+                           kernel_diff_log, kernel_eval, kernel_infty,
+                           kernel_log_orders, kernel_tail_bound,
                            kernel_tail_bound_log, phi_rate, reproducing_residual,
                            orbital_derivative, weighted_orbitals)
 from qhflux.partition import HoleConfig, SingularMatrixError, log_upsilon, upsilon
@@ -28,6 +28,12 @@ def mp_kernel_log(b, M, z, w):
         logmag = mpmath.log(abs(s)) \
             - mpmath.mpf(b) * (abs(mpmath.mpc(z)) ** 2 + abs(mpmath.mpc(w)) ** 2) / 2
         return float(logmag), float(mpmath.arg(s))
+
+
+def kernel_value(spec, z, w, order, which="truncated"):
+    """d^order of K_M or K_inf at one pair, as a complex number."""
+    (log_mag, phase), = kernel_log_orders(spec, [z], [w], [order], which)
+    return LogComplex(float(log_mag[0]), float(phase[0])).to_complex()
 
 
 def mp_kernel(b, M, z, w):
@@ -138,8 +144,30 @@ def test_infty_log_magnitude_far_out_does_not_cancel(r):
     spec = KernelSpec(b=64.0, M=66)
     exact = math.log(64.0 / math.pi)
     assert abs(kernel_infty(spec, r, r).log_mag - exact) <= 1e-15
-    log_mag, phase = kernel_log_stack(spec, [r, 1j * r], [r, 1j * r], (0, 0, 0, 0), "infinite")
+    (log_mag, phase), = kernel_log_orders(spec, [r, 1j * r], [r, 1j * r], [(0, 0, 0, 0)],
+                                          "infinite")
     assert np.all(np.abs(log_mag - exact) <= 1e-15) and np.all(phase == 0.0)
+
+
+def test_scalar_and_stacked_infty_agree_to_rounding():
+    # kernel_infty and the "infinite" variant of kernel_log_orders are two
+    # implementations of K_inf that round differently (their worst gaps over
+    # these 3,000 pairs: 9 eps in log magnitude, 1.2 eps in phase, on the
+    # scales below); a truncated value formed as K_inf minus the tail would
+    # take the stacked one, so the two must agree to rounding
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(31)
+    for b in (1.0, 8.0, 64.0, 256.0, 1024.0):
+        spec = KernelSpec(b=b, M=1)    # K_inf does not read M
+        z, w = rng.uniform(-1.2, 1.2, (2, 600)) + 1j * rng.uniform(-1.2, 1.2, (2, 600))
+        (log_mag, phase), = kernel_log_orders(spec, z, w, [(0, 0, 0, 0)], "infinite")
+        one = [kernel_infty(spec, complex(zr), complex(wr)) for zr, wr in zip(z, w)]
+        one_mag = np.array([v.log_mag for v in one])
+        one_phase = np.array([v.phase for v in one])
+        turns = (one_phase - phase) / (2 * math.pi)
+        gap = np.abs(one_phase - phase - 2 * math.pi * np.rint(turns))   # wrapped
+        assert np.all(np.abs(one_mag - log_mag) <= 16 * eps * np.maximum(1.0, np.abs(one_mag)))
+        assert np.all(gap <= 4 * eps * np.maximum(1.0, b * np.abs(z) * np.abs(w)))
 
 
 def test_hermiticity():
@@ -184,7 +212,7 @@ def test_circular_law_density():
 def test_derivative_order_zero_equals_eval():
     spec = KernelSpec(b=20.0, M=25)
     z, w = 0.4 - 0.1j, 0.2 + 0.3j
-    a = kernel_derivative(spec, z, w, (0, 0, 0, 0))
+    a = kernel_value(spec, z, w, (0, 0, 0, 0))
     b_ = kernel_eval(spec, z, w).to_complex()
     assert a == pytest.approx(b_, rel=1e-13)
 
@@ -194,7 +222,7 @@ def test_derivative_order_zero_equals_eval():
 def test_derivative_vs_finite_differences_truncated(order):
     spec = KernelSpec(b=16.0, M=18)  # N = 16 regime
     z, w = 0.35 + 0.22j, -0.4 + 0.15j
-    exact = kernel_derivative(spec, z, w, order)
+    exact = kernel_value(spec, z, w, order)
     fd = wirtinger_fd(lambda zz, ww: kernel_eval(spec, zz, ww).to_complex(),
                       z, w, order, h=1e-4)
     assert abs(exact - fd) <= 1e-6 * max(abs(exact), 1.0)
@@ -209,7 +237,7 @@ def test_derivative_vs_finite_differences_at_n64():
         z = complex(*rng.uniform(-0.6, 0.6, 2))
         w = z + complex(*rng.uniform(-0.1, 0.1, 2))
         for order in [(0, 1, 0, 0), (0, 1, 0, 1)]:
-            exact = kernel_derivative(spec, z, w, order)
+            exact = kernel_value(spec, z, w, order)
             fd = wirtinger_fd(lambda zz, ww: kernel_eval(spec, zz, ww).to_complex(),
                               z, w, order, h=1e-4)
             assert abs(exact - fd) <= 1e-5 * abs(exact)
@@ -219,7 +247,7 @@ def test_derivative_vs_finite_differences_infinite():
     spec = KernelSpec(b=16.0, M=18)
     z, w = 0.3 + 0.1j, 0.25 - 0.2j
     for order in [(0, 1, 0, 0), (0, 1, 1, 0), (0, 0, 0, 2)]:
-        exact = kernel_derivative(spec, z, w, order, which="infinite")
+        exact = kernel_value(spec, z, w, order, which="infinite")
         fd = wirtinger_fd(lambda zz, ww: kernel_infty(spec, zz, ww).to_complex(),
                           z, w, order, h=1e-4)
         assert abs(exact - fd) <= 1e-6 * max(abs(exact), 1.0)
@@ -230,7 +258,7 @@ def test_diagonal_derivative_of_infty_vanishes():
     # (d_z + d_zbar + d_w + d_wbar) K_inf at z = w
     spec = KernelSpec(b=8.0, M=1)
     z = 0.37 + 0.41j
-    total = sum(kernel_derivative(spec, z, z, o, which="infinite")
+    total = sum(kernel_value(spec, z, z, o, which="infinite")
                 for o in [(0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)])
     assert abs(total) < 1e-9 * spec.b ** 2
 
@@ -238,9 +266,9 @@ def test_diagonal_derivative_of_infty_vanishes():
 def test_order_guard():
     spec = KernelSpec(b=4.0, M=6)
     with pytest.raises(UnsupportedOrderError):
-        kernel_derivative(spec, 0.1, 0.2, (2, 1, 1, 1))
+        kernel_log_orders(spec, [0.1], [0.2], [(2, 1, 1, 1)], "truncated")
     with pytest.raises(UnsupportedOrderError):
-        kernel_derivative(spec, 0.1, 0.2, (0, -1, 0, 0))
+        kernel_log_orders(spec, [0.1], [0.2], [(0, -1, 0, 0)], "truncated")
 
 
 def test_unevaluable_points_are_refused_by_row():
@@ -249,7 +277,7 @@ def test_unevaluable_points_are_refused_by_row():
     for which in ("truncated", "infinite", "tail"):
         for bad in (math.nan, complex(0.0, math.inf), 1e160):   # 1e160: b|z|^2 overflows
             with pytest.raises(ValueError, match="row 2: .* finite b"):
-                kernel_log_stack(spec, ok + [bad], ok + [0.3], (0, 0, 0, 0), which)
+                kernel_log_orders(spec, ok + [bad], ok + [0.3], [(0, 0, 0, 0)], which)
     with pytest.raises(ValueError, match="finite b"):
         kernel_infty(spec, 1e200, 0.1)
     # ~b|z wbar| = 6.4e201 terms: refused at once instead of summed
@@ -270,7 +298,7 @@ def test_tail_bound_certifies_difference():
         if abs(z) <= 1 - delta and abs(w) <= 1 - delta:
             pairs.append((z, w))
     z, w = np.array(pairs).T
-    diff, _ = kernel_log_stack(spec, z, w, (0, 0, 0, 0), "tail")
+    diff, _ = kernel_log_orders(spec, z, w, [(0, 0, 0, 0)], "tail")[0]
     assert np.all(diff <= kernel_tail_bound_log(spec, z, w) + 1e-9)
 
 
@@ -416,9 +444,9 @@ def test_stacked_rows_equal_single_calls(N, dM, order, which, points):
     zs = [_disk_point(radius, *p) for p, _ in points]
     ws = [_disk_point(radius, *q) for _, q in points]
     spec = KernelSpec(b=float(N), M=N + dM)
-    log_mag, phase = kernel_log_stack(spec, zs, ws, order, which)
+    log_mag, phase = kernel_log_orders(spec, zs, ws, [order], which)[0]
     for r, (z, w) in enumerate(zip(zs, ws)):
-        one_mag, one_phase = kernel_log_stack(spec, [z], [w], order, which)
+        one_mag, one_phase = kernel_log_orders(spec, [z], [w], [order], which)[0]
         assert one_mag[0].tobytes() == log_mag[r].tobytes(), (r, z, w)
         assert one_phase[0].tobytes() == phase[r].tobytes(), (r, z, w)
 
@@ -447,15 +475,15 @@ def test_shared_series_equal_one_order_calls(spec, which, orders, points):
     shared = kernel_log_orders(spec, zs, ws, orders, which)
     assert len(shared) == len(orders)
     for order, (log_mag, phase) in zip(orders, shared):
-        one_mag, one_phase = kernel_log_stack(spec, zs, ws, order, which)
+        one_mag, one_phase = kernel_log_orders(spec, zs, ws, [order], which)[0]
         assert np.array_equal(log_mag, one_mag), order
         assert np.array_equal(phase, one_phase), order
 
 
 def test_cancelling_edge_row_is_zero():
     # the stacked property above sees a -inf row at its explicit example
-    log_mag, _ = kernel_log_stack(KernelSpec(b=1024.0, M=1024), *zip(*_EDGE_ROWS),
-                                  (0, 0, 0, 0), "truncated")
+    log_mag, _ = kernel_log_orders(KernelSpec(b=1024.0, M=1024), *zip(*_EDGE_ROWS),
+                                   [(0, 0, 0, 0)], "truncated")[0]
     assert log_mag[1] == -np.inf
 
 
@@ -480,7 +508,7 @@ def test_refused_points_raise_as_one_order_calls_do():
                           ("infinite", [0.1, 0.2j, 1e160], [0.1, 0.2, 0.3]),
                           ("tail", [1e100], [1e100])):
         with pytest.raises(ValueError) as one:
-            kernel_log_stack(spec, zs, ws, orders[0], which)
+            kernel_log_orders(spec, zs, ws, orders[:1], which)
         with pytest.raises(ValueError) as shared:
             kernel_log_orders(spec, zs, ws, orders, which)
         assert type(shared.value) is type(one.value)

@@ -118,9 +118,13 @@ def test_upsilon_second_derivative_vs_finite_difference():
 
     # independent product-rule assembly over the 2x2 determinant
     s = (math.pi / cfg.b) ** 2
-    from qhflux.kernel import kernel_derivative
+    from qhflux.kernel import LogComplex, kernel_log_orders
     w1, w2 = cfg.w
-    K = lambda z, w, o=(0, 0, 0, 0): kernel_derivative(cfg.spec, z, w, o)
+
+    def K(z, w, o=(0, 0, 0, 0)):
+        (log_mag, phase), = kernel_log_orders(cfg.spec, [z], [w], [o], "truncated")
+        return LogComplex(float(log_mag[0]), float(phase[0])).to_complex()
+
     k11_dd = (K(w1, w1, (1, 1, 0, 0)) + K(w1, w1, (0, 1, 1, 0))
               + K(w1, w1, (1, 0, 0, 1)) + K(w1, w1, (0, 0, 1, 1)))
     direct = s * (k11_dd * K(w2, w2)
@@ -285,12 +289,12 @@ def test_vanishing_diag_matches_theta():
 
 def test_upsilon_prediction():
     cfg = HoleConfig(w=(0.2, 0.2 + 0.06250j), N=256)
-    assert upsilon_prediction(cfg, "no-merging") == 1.0
+    assert upsilon_prediction(cfg) == 1.0
     s2 = 0.0625 ** 2
-    pred = upsilon_prediction(cfg, "single-merging", pair=(0, 1))
+    pred = upsilon_prediction(cfg, pair=(0, 1))
     assert pred == pytest.approx(1 - math.exp(-256 * s2), rel=1e-12)
     far = HoleConfig(w=(0.0, 0.9), N=256)
-    assert upsilon_prediction(far, "single-merging", pair=(0, 1)) == pytest.approx(1.0)
+    assert upsilon_prediction(far, pair=(0, 1)) == pytest.approx(1.0)
 
 
 def test_coincident_rejections():
@@ -484,6 +488,39 @@ def test_memo_under_threads_returns_each_callers_own_stack(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+def test_memo_is_read_once_per_call(monkeypatch):
+    # a concurrent call may replace _memo between any two lines of
+    # _kernel_stack; a trace hook does so at every line, so a second read of
+    # _memo anywhere in the call would hand back another stack's entry
+    monkeypatch.setattr(partition, "_memo", None)
+    stacks = [np.array([[0.3, 0.1j + 0.05 * k]]) for k in range(3)]
+    want, entries = [], []
+    for h in stacks:
+        want.append(upsilon_stack(64.0, 66, h).tobytes())
+        entries.append(partition._memo)
+    code = partition._kernel_stack.__code__
+
+    def swap(frame, event, arg):
+        if event == "line":
+            partition._memo = other
+        return swap
+
+    def hook(frame, event, arg):
+        return swap if frame.f_code is code else None
+
+    got = []
+    previous = sys.gettrace()
+    sys.settrace(hook)
+    try:
+        for k, h in enumerate(stacks):
+            other = entries[(k + 1) % len(stacks)]
+            got.append((upsilon_stack(64.0, 66, h).tobytes(),
+                        log_upsilon_derivative_stack(64.0, 66, h, 1)[0].tobytes()))
+    finally:
+        sys.settrace(previous)
+    assert got == [(w, w) for w in want]
 
 
 def mp_upsilon(ws, N):

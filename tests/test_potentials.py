@@ -112,7 +112,7 @@ def test_no_merging_fields_match_prediction():
     cfg = HoleConfig(w=(0.3 + 0j, -0.3 + 0j), N=256)
     for j in (0, 1):
         field = emergent_field_derivative(cfg, j)
-        pred = asymptotic_prediction(cfg, j, "no-merging")
+        pred = asymptotic_prediction(cfg, j)
         assert np.linalg.norm(field.A - pred.A) < 1e-5 * 256
         assert abs(field.V - 2 * 256) < 1e-5 * 256
 
@@ -121,19 +121,19 @@ def test_prediction_arithmetic_example():
     # n = 2, y = ((0.3,0), (-0.3,0)), j = 1, N = 100:
     # A = (0, 30) - (0.6, 0)^perp / 0.36 = (0, 28.3333...)
     cfg = HoleConfig(w=(0.3, -0.3), N=100)
-    pred = asymptotic_prediction(cfg, 0, "no-merging")
+    pred = asymptotic_prediction(cfg, 0)
     assert np.allclose(pred.A, [0.0, 30.0 - 0.6 / 0.36], atol=1e-12)
     assert pred.V == 200.0
 
 
 def test_merging_prediction_spectator_and_decay():
     cfg = HoleConfig(w=(0.2, 0.2 + 1.0 / 16.0, -0.4), N=256)
-    spect = asymptotic_prediction(cfg, 2, "single-merging", pair=(0, 1))
+    spect = asymptotic_prediction(cfg, 2, pair=(0, 1))
     assert spect.V == 2 * 256.0
     # wide separation: merging prediction collapses onto the no-merging one
     far = HoleConfig(w=(0.5, -0.5), N=256)
-    a = asymptotic_prediction(far, 0, "single-merging", pair=(0, 1))
-    b = asymptotic_prediction(far, 0, "no-merging")
+    a = asymptotic_prediction(far, 0, pair=(0, 1))
+    b = asymptotic_prediction(far, 0)
     assert np.allclose(a.A, b.A, atol=1e-30)
     assert a.V == pytest.approx(b.V, abs=1e-20)
 
