@@ -20,7 +20,8 @@ from ..oracle.plasma import PlasmaConfig
 from ..oracle.slater import slater_density, slater_density_brute
 from ..partition import (HoleConfig, log_partition, log_upsilon_derivative_stack,
                          upsilon_stack)
-from ..potentials import (asymptotic_prediction, correction_a, correction_v,
+from ..potentials import (ResourceBudgetError, asymptotic_prediction, correction_a,
+                          correction_v, emergent_field_derivative, emergent_field_integral,
                           emergent_fields)
 from .classify import RegimeClassifier
 from .report import ReportRow, VerificationReport
@@ -37,6 +38,11 @@ PAIR_JITTER = 0.05
 KERNEL_HOLES = 2
 # Metropolis sweeps per charpoly case of the oracle suite
 ORACLE_MC_SWEEPS = 101_000
+# the potential suite's cross-route rows put its n holes on the ring
+# |w| = CROSS_RING at angles 0.1 + 2 pi k / n, tracer 0; the two field routes
+# must agree within CROSS_ROUTE_BOUND N
+CROSS_RING = 0.3
+CROSS_ROUTE_BOUND = 1e-9
 
 
 def case_rng(seed: int, index: int) -> np.random.Generator:
@@ -212,7 +218,8 @@ def run_potential_suite(N_list=(128, 256), kappa: float = 2.0, gamma: float = 1.
                         configs: int = 10, seed: int = 0, n: int = 2,
                         merging_N: int = 512,
                         sweep_points: int = 12) -> VerificationReport:
-    """Emergent fields against regime predictions and correction profiles."""
+    """Emergent fields against regime predictions and correction profiles,
+    and the integral route against the derivative route (cross rows)."""
     classifier = RegimeClassifier(kappa=kappa, gamma=gamma)
     report = VerificationReport(
         suite="potential", seed=seed,
@@ -237,6 +244,20 @@ def run_potential_suite(N_list=(128, 256), kappa: float = 2.0, gamma: float = 1.
             case_id=f"nomerge-V-N{N}", N=N, n=n, kappa=kappa, gamma=gamma,
             regime="no-merging", quantity="max |V - 2N|/N",
             measured=wv, bound=1e-5))
+        # the integral route against the derivative route on a fixed ring;
+        # above N = 1403 its grid exceeds NODE_BUDGET, and N has no such rows
+        ring = CROSS_RING * np.exp(1j * (0.1 + 2.0 * math.pi * np.arange(n) / n))
+        cfg = HoleConfig(w=tuple(ring), N=N)
+        try:
+            i = emergent_field_integral(cfg, 0)
+        except ResourceBudgetError:
+            continue
+        d = emergent_field_derivative(cfg, 0)
+        for name, gap in (("A", float(np.linalg.norm(d.A - i.A))), ("V", abs(d.V - i.V))):
+            report.add(ReportRow(
+                case_id=f"cross-{name}-N{N}", N=N, n=n, kappa=kappa, gamma=gamma,
+                regime="no-merging", quantity=f"|{name} integral - {name} derivative|/N",
+                measured=gap / N, bound=CROSS_ROUTE_BOUND))
 
     # merging sweep: corrections against the a/v profiles
     N = merging_N

@@ -3,20 +3,23 @@
 Two independent routes compute the same fields: the derivative route
 takes the log-derivatives of the Upsilon determinant from partition and uses
 them as they are (production path), and
-the integral route evaluates the conditional-density integral formulas by
-singularity-centered quadrature (cross-validation path), one cache-sized
-block of grid nodes at a time, so its memory does not grow with the grid.
+the integral route evaluates the conditional-density integral formulas
+(cross-validation path): its pole integral and Frobenius term are closed
+forms by angular orthogonality of the orbitals, and its single integral is
+a point-centered quadrature of a rank-n density, one cache-sized block of
+grid nodes at a time, so its memory does not grow with the grid.
 Correction fields a, v and the asymptotic field prediction live here too.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import weighted_orbitals
+from .kernel import _log_poisson, weighted_orbitals
 from .partition import (UPSILON_FLOOR, HoleConfig, SingularConfigurationError,
                         coincident_rows, log_upsilon_derivative_stack)
 from .quadrature import QuadratureGrid, polar_grid
@@ -30,9 +33,9 @@ V_ERROR_SCALE = 2 * np.finfo(float).eps
 FIELD_ERROR_BUDGET = 1e-6
 # largest grid emergent_field_integral accepts, in nodes.  Its memory does
 # not grow with the grid, and the budget does not bound its time: one
-# default-grid call took 1.48 s at N = 256 (56,112 nodes) and 25.99 s at
-# N = 512 (96,288 nodes), 17.6x the time for 1.7x the nodes.  N = 1024 fits
-# the budget but runs for minutes (ROADMAP item 12)
+# default-grid call for holes (0.3, -0.25+0.2i), tracer 0, took 0.7-1.0 s
+# at N = 512 (79,296 nodes) and 4.0-5.9 s at N = 1024 (147,852 nodes) on a
+# 2-vCPU box
 NODE_BUDGET = 200_000
 _BLOCK_BYTES = 1 << 20    # orbital table per node block of the integral route
 
@@ -139,36 +142,39 @@ def emergent_field_derivative(cfg: HoleConfig, j: int) -> EmergentField:
 
 
 def _field_grid(cfg: HoleConfig, j: int) -> QuadratureGrid:
-    """The integral route's grid: polar around w_j, out to 8 magnetic lengths
-    past the droplet edge, with 8 angles per unit of (|w_j| + 1) sqrt(b) and
-    at least 96.  The angular error falls exponentially in that ratio: its V
-    gap to the derivative route was ~1e-3 N at 4 and below 1e-9 N from 7.6
-    (N = 128, 256).
+    """The integral route's grid for its single integral: polar around w_j,
+    out to 8 magnetic lengths past the droplet edge, with 8 angles per unit
+    of (|w_j| + 1) sqrt(b) and at least 96.  The angular error falls
+    exponentially in that ratio: its V gap to the derivative route was
+    ~1e-3 N at 4 and below 1e-9 N from 7.6 (N = 128, 256).
 
     Radially, 12 Gauss-Legendre nodes per panel of 1.35 / sqrt(b) (about
-    1.35 magnetic lengths; at most r_max / 8).  Panels three times narrower
-    give the same fields to rounding (|dA| <= 1.1e-15 N, |dV| <= 2.5e-14 N
-    over N = 16 to 256, |w_j| up to 0.9), so the angle rule, not the
-    radius, limits the accuracy.  Panels twice as wide as the default start
-    to lose it: their A gap to the derivative route was 1.6e-14 N at N = 32
-    and 2.7e-13 N at N = 256, against ~1e-16 N.
-    Within NODE_BUDGET the grid reaches N = 2047 at w_j = 0, 1211 at
-    |w_j| = 0.3 and 567 at |w_j| = 0.9."""
+    1.35 magnetic lengths; at most r_max / 8), uniform from r = 0: the
+    integrand P / |w_j - z|^2 is bounded and smooth at w_j, where the
+    conditioned density P vanishes quadratically.  Panels three times
+    narrower give the same V to rounding (within 1e-12 N over N = 16 and
+    32, |w_j| up to 0.9), so the angle rule, not the radius, limits the
+    accuracy.
+    Within NODE_BUDGET the grid reaches N = 2371 at w_j = 0, 1403 at
+    |w_j| = 0.3 and 656 at |w_j| = 0.9."""
     r_max = abs(cfg.w[j]) + 1.0 + 8.0 / math.sqrt(cfg.b)
     width = min(1.35 / math.sqrt(cfg.b), r_max / 8.0)
     n_theta = max(96, math.ceil(8.0 * (abs(cfg.w[j]) + 1.0) * math.sqrt(cfg.b)))
     return polar_grid(cfg.w[j], r_max, n_theta=n_theta, nodes_per_panel=12, panel_width=width)
 
 
-def _vanishing_basis(cfg: HoleConfig) -> np.ndarray:
-    """Orthonormal basis (M, K) of the coefficient vectors whose orbital
-    combinations vanish at every hole: the null space of the n x M
-    constraints, with scipy.linalg.null_space's rank rule (singular values
-    above max(n, M) eps s_max count)."""
+def _hole_spaces(cfg: HoleConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases (M, rank) of the row space and (M, M - rank) of the
+    null space of the n x M hole constraints phi_k(w_i), from one SVD with
+    scipy.linalg.null_space's rank rule (singular values above
+    max(n, M) eps s_max count).  The null space holds the coefficient
+    vectors whose orbital combinations vanish at every hole; the projector
+    onto it is I - row row^H."""
     constraints = weighted_orbitals(cfg.spec.b, cfg.spec.M, cfg.points())
     _, s, vh = np.linalg.svd(constraints)
     rank = np.count_nonzero(s > max(constraints.shape) * np.finfo(float).eps * s.max(initial=0.0))
-    return vh[rank:].conj().T
+    basis = vh.conj().T
+    return basis[:, :rank], basis[:, rank:]
 
 
 def vanishing_subspace(cfg: HoleConfig, pts: np.ndarray):
@@ -178,13 +184,64 @@ def vanishing_subspace(cfg: HoleConfig, pts: np.ndarray):
     evaluated on pts; the conditioned kernel is Psi Psi^H and its diagonal is
     K_{N+n}(z,z) - Theta(z|w).
     """
-    return weighted_orbitals(cfg.spec.b, cfg.spec.M, pts) @ _vanishing_basis(cfg)
+    return weighted_orbitals(cfg.spec.b, cfg.spec.M, pts) @ _hole_spaces(cfg)[1]
+
+
+def _pole_matrix(b: float, M: int, w: complex) -> np.ndarray:
+    """S[k, l] = int phi_k(z) conj(phi_l(z)) / (w - z) d^2z for k, l < M.
+
+    The angles keep one term of the pole's Laurent series on each side of
+    |z| = |w|, and the radii give incomplete gamma functions of t = b|w|^2:
+    with d = l - k,
+        S_kl =  b^{-d/2} sqrt(l!/k!) w^{-d-1} P(l+1, t)   (l >= k),
+        S_kl = -b^{-d/2} sqrt(l!/k!) w^{-d-1} Q(l+1, t)   (k > l),
+    whose prefactor is sqrt(pi_k / pi_l) / |w| in the Poisson weights
+    pi_i = t^i e^{-t} / i!.  It is formed from their logarithms, as it
+    overflows for small |w| exactly where P underflows.  Q(l+1, t) and
+    P(l+1, t) are the sums of pi_i over i <= l and i > l: for each l the
+    smaller one is summed in the log domain from its small end (P, where
+    t < M, from i = M + 40 sqrt(M) + 60 down; the terms past that add less
+    than 1e-150 of it) and the other is its complement.
+    Where t is no normal double (w = 0), the exact limit: only
+    S_{l+1,l} = -sqrt(b/(l+1)) survives, and the other terms are
+    O(sqrt(t)) < 1e-154."""
+    t = b * abs(w) ** 2
+    if t < np.finfo(float).tiny:
+        s_mat = np.zeros((M, M), dtype=complex)
+        s_mat[np.arange(1, M), np.arange(M - 1)] = -np.sqrt(b / np.arange(1.0, M))
+        return s_mat
+    top = M if t >= M else M + math.ceil(40.0 * math.sqrt(M)) + 60
+    log_pi = _log_poisson(np.arange(float(top)), t)
+    split = min(M, math.floor(t))           # Q(l+1, t) is the smaller for l < split
+    log_q = np.logaddexp.accumulate(log_pi[:split])
+    log_p = np.logaddexp.accumulate(log_pi[:split:-1])[::-1][:M - split]
+    log_p, log_q = (np.concatenate([np.log1p(-np.exp(log_q)), log_p]),
+                    np.concatenate([log_q, np.log1p(-np.exp(log_p))]))
+    # lam[k, l] = log sqrt(pi_k / pi_l) - log sqrt(t), summed outward from
+    # the diagonal in steps log sqrt(pi_i / pi_{i-1}) = log sqrt(t / i),
+    # which are small wherever S is not; the first step below the diagonal
+    # is log sqrt(1 / (l + 1)), so S_{l+1,l} carries no log t
+    step = np.append(0.0, 0.5 * (math.log(t) - np.log(np.arange(1.0, M))))
+    idx = np.arange(M)
+    lam = np.tril(np.broadcast_to(step[:, None], (M, M)), -2)
+    lam[idx[1:], idx[:-1]] = -0.5 * np.log(idx[1:])
+    np.cumsum(lam, axis=0, out=lam)
+    lam -= np.cumsum(np.triu(np.broadcast_to(step, (M, M)), 1), axis=1)
+    upper = idx[:, None] <= idx
+    lam += np.where(upper, log_p - 0.5 * math.log(t), log_q) + 0.5 * math.log(b)
+    s_mat = np.empty((M, M), dtype=complex)
+    s_mat.real = lam
+    s_mat.imag = np.subtract.outer(idx, idx + 1.0) * cmath.phase(w)    # arg w^{-d-1}
+    np.exp(s_mat, out=s_mat)
+    np.negative(s_mat, where=~upper, out=s_mat)
+    return s_mat
 
 
 def emergent_field_integral(cfg: HoleConfig, j: int,
                             grid: QuadratureGrid | None = None) -> EmergentField:
-    """A_j, V_j from the conditional-density integral formulas on grid
-    (default _field_grid), refused above NODE_BUDGET nodes.
+    """A_j, V_j from the conditional-density integral formulas, with the
+    single integral on grid (default _field_grid), refused above
+    NODE_BUDGET nodes.
 
     A_j = Im((1,i)^T int P(z)/(w_j-z) dz) and
     V_j = 2 int P(z)/|w_j-z|^2 dz - 2 ||T||_F^2, where P is the diagonal of
@@ -193,9 +250,15 @@ def emergent_field_integral(cfg: HoleConfig, j: int,
     term is the exact factorization of the double integral of the
     conditioned-kernel square.
 
-    The nodes are taken in blocks of max(1, _BLOCK_BYTES // (16 M)) rows, so
-    that a block's orbital table stays in cache; each block adds its terms
-    to the three sums, and memory is O(rows M + M^2) whatever the grid size.
+    With the projector Pi = I - U U^H onto the conditioned coefficients (U
+    the row space of _hole_spaces, rank n), both pole terms are closed
+    forms in _pole_matrix's S: int P/(w_j - z) = sum_kl Pi_kl S_kl and
+    ||T||_F^2 = ||Pi S^T Pi||_F^2, each taken through U in O(M^2 n).
+
+    The single integral takes P(z) = sum_k |phi_k(z)|^2 - ||phi(z) U||^2,
+    O(M n) per node, over blocks of max(1, _BLOCK_BYTES // (16 M)) nodes so
+    that a block's orbital table stays in cache; memory is O(rows M + M^2)
+    whatever the grid size.
     """
     cfg.require_distinct()
     if cfg.n < 1:
@@ -205,22 +268,29 @@ def emergent_field_integral(cfg: HoleConfig, j: int,
     if grid.size > NODE_BUDGET:
         raise ResourceBudgetError(f"grid size {grid.size} exceeds budget {NODE_BUDGET}")
     b, M = cfg.spec.b, cfg.spec.M
-    basis = _vanishing_basis(cfg)
+    row = _hole_spaces(cfg)[0]
     rows = max(1, _BLOCK_BYTES // (16 * M))
-    i_val, single = 0j, 0.0
-    t_mat = np.zeros((basis.shape[1], basis.shape[1]), dtype=complex)
+    single = 0.0
     for start in range(0, grid.size, rows):
         nodes = grid.nodes[start:start + rows]
-        weights = grid.weights[start:start + rows]
-        psi = weighted_orbitals(b, M, nodes) @ basis
-        p_diag = np.sum(np.abs(psi) ** 2, axis=1)
-        pole = cfg.w[j] - nodes
-        i_val += complex(np.sum(weights * p_diag / pole))
-        single += float(np.sum(weights * p_diag / np.abs(pole) ** 2))
-        t_mat += psi.conj().T @ (psi * (weights / pole)[:, None])
-    a_vec = np.array([i_val.imag, i_val.real])
-    v_val = 2.0 * single - 2.0 * float(np.sum(np.abs(t_mat) ** 2))
-    return EmergentField(A=a_vec, V=v_val, j=j)
+        table = weighted_orbitals(b, M, nodes)
+        p_diag = _row_norms(table) - _row_norms(table @ row)
+        single += float(np.sum(grid.weights[start:start + rows] * p_diag
+                               / np.abs(cfg.w[j] - nodes) ** 2))
+    s_mat = _pole_matrix(b, M, cfg.w[j])
+    s_row = s_mat.T @ row                     # S^T U
+    inner = row.conj().T @ s_row              # U^H S^T U
+    i_val = complex(np.trace(s_mat) - np.trace(inner))
+    # ||Pi X Pi||^2 = ||X||^2 - ||X U||^2 - ||U^H X Pi||^2 for X = S^T
+    outer = (s_mat @ row.conj()).T - inner @ row.conj().T
+    frob = (np.vdot(s_mat, s_mat) - np.vdot(s_row, s_row) - np.vdot(outer, outer)).real
+    return EmergentField(A=np.array([i_val.imag, i_val.real]), V=2.0 * single - 2.0 * frob, j=j)
+
+
+def _row_norms(mat: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row of a C-contiguous complex matrix."""
+    flat = mat.view(float)
+    return np.einsum("ij,ij->i", flat, flat)
 
 
 def double_integral_direct(cfg: HoleConfig, j: int, grid: QuadratureGrid) -> float:

@@ -1,13 +1,12 @@
-"""2D quadrature grids (tensor Gauss-Legendre and singularity-centered polar)."""
+"""2D quadrature grids (tensor Gauss-Legendre and point-centered polar)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-
-R_MIN = 1e-8    # first panel edge of every polar grid
 
 
 @dataclass
@@ -55,22 +54,17 @@ def cartesian_grid(radius: float, order: int = 64) -> QuadratureGrid:
 
 def polar_grid(center: complex, r_max: float, *, n_theta: int = 64,
                nodes_per_panel: int = 10, panel_width: float | None = None) -> QuadratureGrid:
-    """Polar grid centered at a (possibly singular) point.
-
-    Rings are grouped into radial Gauss-Legendre panels whose edges grow
-    geometrically from R_MIN; once panels reach panel_width the spacing
-    switches to uniform so the outer region stays resolved.
+    """Polar grid centered at a point: rings grouped into radial
+    Gauss-Legendre panels of panel_width (default r_max / 4) from r = 0,
+    the last one ending at r_max.  No node lies on the center, and the
+    weights carry the Jacobian r, so an integrand that is bounded there
+    (or goes as 1/r) is smooth in the radial rule.
     """
-    if r_max <= R_MIN:
-        raise ValueError(f"r_max must exceed {R_MIN:g}")
+    if not r_max > 0.0:
+        raise ValueError("r_max must be positive")
     if panel_width is None:
         panel_width = r_max / 4.0
-    edges = [R_MIN]
-    while edges[-1] * 10.0 < min(panel_width, r_max):
-        edges.append(edges[-1] * 10.0)
-    while edges[-1] < r_max:
-        edges.append(min(edges[-1] + panel_width, r_max))
-    edges = np.asarray(edges)
+    edges = np.append(panel_width * np.arange(math.ceil(r_max / panel_width)), r_max)
     r, wr = _panel_gl(edges, nodes_per_panel)
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
     wtheta = 2.0 * np.pi / n_theta

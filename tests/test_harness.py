@@ -137,6 +137,26 @@ def test_upsilon_suite_small_passes():
     assert rep.all_passed
 
 
+def test_potential_suite_cross_rows(monkeypatch):
+    # a cross-A and a cross-V row per N whose integral-route grid fits
+    # NODE_BUDGET (not N = 2048), after that N's other rows, which are the
+    # same without them
+    from qhflux.harness import suites
+    from qhflux.potentials import ResourceBudgetError
+    rep = run_potential_suite(N_list=(128, 2048), configs=1, sweep_points=3)
+    cross = [r for r in rep.rows if r.case_id.startswith("cross")]
+    assert [r.case_id for r in cross] == ["cross-A-N128", "cross-V-N128"]
+    assert all(r.passed and r.measured <= 1e-12 for r in cross)
+
+    def refused(cfg, j):
+        raise ResourceBudgetError("refused")
+
+    monkeypatch.setattr(suites, "emergent_field_integral", refused)
+    plain = run_potential_suite(N_list=(128, 2048), configs=1, sweep_points=3)
+    assert plain.to_csv() == VerificationReport(
+        "potential", 0, rows=[r for r in rep.rows if r not in cross]).to_csv()
+
+
 def test_merging_rows_record_pair_hole_count():
     # the merging sweeps run on two-hole pair configurations whatever n is
     rows = (run_upsilon_suite(N_list=(512,), n=3, configs=1, sweep_points=3).rows

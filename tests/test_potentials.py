@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 
+from qhflux.kernel import weighted_orbitals
 from qhflux.partition import HoleConfig, SingularConfigurationError
 from qhflux.potentials import (NODE_BUDGET, DegenerateConfigurationError, ResourceBudgetError,
-                               _field_grid, ab_sum, asymptotic_prediction,
+                               _field_grid, _hole_spaces, _pole_matrix, ab_sum,
+                               asymptotic_prediction,
                                correction_a, correction_v, double_integral_direct,
                                emergent_field_derivative, emergent_field_integral,
                                emergent_field_stack, emergent_fields, perp, to_vec,
@@ -260,7 +262,8 @@ def test_vanishing_subspace_projector_matches_null_space(n):
 
 def test_integral_route_polar_refinement_converges():
     # the conditioned density vanishes quadratically at the hole, so the
-    # singular integrands are integrable and refinement converges fast
+    # single integral's integrand is bounded there and refinement converges
+    # fast; A comes from closed forms and does not depend on the grid
     cfg = HoleConfig(w=(0.2 + 0.1j, -0.35), N=16)
     r_max = abs(cfg.w[0]) + 1.0 + 8.0 / math.sqrt(cfg.b)
     width = min(0.45 / math.sqrt(cfg.b), r_max / 8.0)
@@ -271,6 +274,50 @@ def test_integral_route_polar_refinement_converges():
     assert abs(coarse.V - fine.V) < 1e-5 * cfg.N
 
 
+def _fine_pole_terms(cfg, j):
+    """S_kl = int phi_k conj(phi_l) / (w_j - z) and, for the row psi of the
+    conditioned basis, T = int psi^H psi / (w_j - z) on a fine polar grid around w_j (16
+    nodes per panel of 0.5 magnetic lengths, 256 angles), 12 magnetic
+    lengths past the droplet and the hole."""
+    w = cfg.w[j]
+    grid = polar_grid(w, abs(w) + 1.0 + 12.0 / math.sqrt(cfg.b), n_theta=256,
+                      nodes_per_panel=16, panel_width=0.5 / math.sqrt(cfg.b))
+    null = _hole_spaces(cfg)[1]
+    s_mat = np.zeros((cfg.spec.M, cfg.spec.M), dtype=complex)
+    for start in range(0, grid.size, 8192):
+        nodes = grid.nodes[start:start + 8192]
+        table = weighted_orbitals(cfg.b, cfg.spec.M, nodes)
+        pole = grid.weights[start:start + 8192] / (w - nodes)
+        s_mat += table.T @ (table.conj() * pole[:, None])
+    return s_mat, null.conj().T @ s_mat.T @ null
+
+
+@pytest.mark.parametrize("N", [8, 64])
+@pytest.mark.parametrize("w", [0j, 1e-12, 0.3 + 0.2j, 0.9, 1.2])
+def test_pole_closed_forms_match_quadrature(N, w):
+    # the incomplete-gamma forms of S, w = 0 by its limit and w = 1.2
+    # outside the droplet, and ||Pi S^T Pi||_F^2 against the basis form of
+    # the Frobenius term ||T||_F^2 on the same grid
+    cfg = HoleConfig(w=(w, -0.25 + 0.2j), N=N)
+    fine, t_mat = _fine_pole_terms(cfg, 0)
+    s_mat = _pole_matrix(cfg.b, cfg.spec.M, cfg.w[0])
+    assert np.max(np.abs(s_mat - fine)) <= 1e-12 * np.max(np.abs(s_mat))
+    null = _hole_spaces(cfg)[1]
+    proj = null @ null.conj().T
+    frob = np.linalg.norm(proj @ s_mat.T @ proj) ** 2
+    assert frob == pytest.approx(np.linalg.norm(t_mat) ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [64, 1024])
+def test_pole_matrix_of_a_tiny_hole_is_its_limit(N):
+    # S at |w| = 1e-100 differs from its w = 0 limit by O(sqrt(b)|w|), so
+    # the log-domain prefactor may add no rounding of log t (about -460)
+    b, M = float(N), N + 2
+    limit = _pole_matrix(b, M, 0j)
+    for w in (1e-100, -1e-100j, 3e-150 + 4e-150j):
+        assert np.max(np.abs(_pole_matrix(b, M, w) - limit)) <= 1e-15 * np.max(np.abs(limit))
+
+
 def test_double_integral_direct_budget():
     cfg = HoleConfig(w=(0.2,), N=8)
     grid = polar_grid(0.2, 2.0, n_theta=128, nodes_per_panel=16, panel_width=0.05)
@@ -279,15 +326,15 @@ def test_double_integral_direct_budget():
 
 
 def test_field_grids_budget():
-    # the default grid at N = 4096 has 1,190,952 nodes (973 angles), above
-    # NODE_BUDGET
+    # the default grid at N = 4096 has 1,120,896 nodes (96 panels of 12
+    # radii, 973 angles), above NODE_BUDGET
     cfg = HoleConfig(w=(0.9,), N=4096)
-    with pytest.raises(ResourceBudgetError, match="1190952"):
+    with pytest.raises(ResourceBudgetError, match="1120896"):
         emergent_field_integral(cfg, 0)
 
 
 def test_default_grid_reaches_n1024():
-    # the grid is built without a field call, which would take minutes here
+    # the grid is built without a field call, which takes seconds here
     assert _field_grid(HoleConfig(w=(0.3,), N=1024), 0).size <= NODE_BUDGET
 
 
@@ -309,28 +356,35 @@ def test_default_radial_rule_is_converged(N, w):
 
 
 def _one_shot_fields(cfg, j, grid):
-    """The integral-route formulas on the whole grid at once."""
-    psi = vanishing_subspace(cfg, grid.nodes)
-    p_diag = np.sum(np.abs(psi) ** 2, axis=1)
-    pole = cfg.w[j] - grid.nodes
-    i_val = complex(np.sum(grid.weights * p_diag / pole))
-    t_mat = psi.conj().T @ (psi * (grid.weights / pole)[:, None])
-    v_val = (2.0 * float(np.sum(grid.weights * p_diag / np.abs(pole) ** 2))
-             - 2.0 * float(np.sum(np.abs(t_mat) ** 2)))
-    return np.array([i_val.imag, i_val.real]), v_val
+    """The integral-route formulas with the dense projector onto the
+    conditioned basis: the pole terms from their closed forms, the single
+    integral on the whole grid at once."""
+    null = _hole_spaces(cfg)[1]
+    proj = null @ null.conj().T
+    s_mat = _pole_matrix(cfg.b, cfg.spec.M, cfg.w[j])
+    i_val = complex(np.sum(proj * s_mat))
+    frob = np.linalg.norm(proj @ s_mat.T @ proj) ** 2
+    p_diag = np.sum(np.abs(vanishing_subspace(cfg, grid.nodes)) ** 2, axis=1)
+    single = float(np.sum(grid.weights * p_diag / np.abs(cfg.w[j] - grid.nodes) ** 2))
+    return np.array([i_val.imag, i_val.real]), 2.0 * single - 2.0 * frob
 
 
-@pytest.mark.parametrize("n_theta, blocks", [(24, 4), (6, 1)])
+@pytest.mark.parametrize("n_theta, blocks", [(24, 3), (6, 1)])
 def test_blocked_integral_route_matches_one_shot(monkeypatch, n_theta, blocks):
     # several blocks ending in a partial one, and a grid smaller than one
-    # block; the route never reads the partition memo
-    from qhflux import partition
+    # block; the route never reads the partition memo, the derivative
+    # route's log-derivatives or an orbital derivative table
+    from qhflux import kernel, partition, potentials
     from qhflux.potentials import _BLOCK_BYTES
 
     def refused(*args, **kwargs):
-        raise AssertionError("the integral route read the partition memo")
+        raise AssertionError("the integral route called into the derivative route")
 
-    monkeypatch.setattr(partition, "_kernel_stack", refused)
+    for module, name in ((partition, "_kernel_stack"),
+                         (partition, "log_upsilon_derivative_stack"),
+                         (potentials, "log_upsilon_derivative_stack"),
+                         (kernel, "orbital_derivative"), (partition, "orbital_derivative")):
+        monkeypatch.setattr(module, name, refused)
     cfg = HoleConfig(w=(0.3 + 0.1j, -0.25 + 0.2j), N=16)
     grid = polar_grid(cfg.w[1], 1.5 + 8.0 / math.sqrt(cfg.b), n_theta=n_theta,
                       nodes_per_panel=12, panel_width=0.1)
@@ -364,6 +418,16 @@ def test_default_grid_resolves_the_angle_at_n256():
     d = emergent_field_derivative(cfg, 0)
     assert np.linalg.norm(d.A - i.A) <= 1e-6 * cfg.N
     assert abs(d.V - i.V) <= 1e-6 * cfg.N
+
+
+def test_integral_route_reaches_n512():
+    # the README's range: one default-grid call at N = 512 against the
+    # derivative route
+    cfg = HoleConfig(w=(0.3, -0.25 + 0.2j), N=512)
+    i = emergent_field_integral(cfg, 0)
+    d = emergent_field_derivative(cfg, 0)
+    assert np.linalg.norm(d.A - i.A) <= 1e-10 * cfg.N
+    assert abs(d.V - i.V) <= 1e-10 * cfg.N
 
 
 def test_field_call_factors_once(monkeypatch):
