@@ -82,6 +82,13 @@ def pair_config(rng, N: int, separation: float) -> HoleConfig:
     return HoleConfig(w=(c0 - u, c0 + u), N=N)
 
 
+def _merge_separations(classifier: RegimeClassifier, N: int, points: int) -> np.ndarray:
+    """Pair separations of a merging sweep at N: geometric from 4 delta_N
+    down to just above N^{-(1+gamma)/2}, the single-merging limit."""
+    return np.geomspace(4.0 * classifier.delta(N),
+                        1.000001 * N ** (-(1.0 + classifier.gamma) / 2.0), points)
+
+
 # ----------------------------------------------------------------- kernel
 
 _ORDER_GROUPS = {
@@ -110,7 +117,7 @@ def run_kernel_suite(N_list=(64, 128, 256), kappa: float = 2.0,
     # fixed sampling geometry across N (shrunk disk of the smallest N), so
     # the log-log regression measures decay at comparable points; the
     # theoretical exponents are upper bounds on that decay
-    delta = kappa * math.sqrt(math.log(min(N_list)) / min(N_list))
+    delta = RegimeClassifier(kappa=kappa).delta(min(N_list))
 
     sups = []  # per N in N_list: {total order: sup log |d(K_inf - K_M)|}
     for idx, N in enumerate(N_list):
@@ -197,9 +204,7 @@ def run_upsilon_suite(N_list=(128, 256), kappa: float = 2.0,
             bound=max(DERIVATIVE_NOISE_FLOOR * 64, 100.0 * N ** (2 - 2 * kappa ** 2))))
 
     N = max(N_list)
-    delta = classifier.delta(N)
-    s_values = np.geomspace(4.0 * delta, 1.000001 * N ** (-(1.0 + gamma) / 2.0),
-                            sweep_points)
+    s_values = _merge_separations(classifier, N, sweep_points)
     rng = case_rng(seed, 10_000)
     holes = [pair_config(rng, N, float(s)).w for s in s_values]
     sweep = upsilon_stack(float(N), N + 2, holes)
@@ -261,10 +266,8 @@ def run_potential_suite(N_list=(128, 256), kappa: float = 2.0, gamma: float = 1.
 
     # merging sweep: corrections against the a/v profiles
     N = merging_N
-    delta = classifier.delta(N)
     rng = case_rng(seed, 30_000)
-    s_values = np.geomspace(4.0 * delta, 1.000001 * N ** (-(1.0 + gamma) / 2.0),
-                            sweep_points)
+    s_values = _merge_separations(classifier, N, sweep_points)
     cfgs = [pair_config(rng, N, float(s)) for s in s_values]
     a_all, v_all = emergent_fields(N, np.array([cfg.w for cfg in cfgs]), 0)
     for k, (s, cfg, a_vec, v_val) in enumerate(zip(s_values, cfgs, a_all, v_all.tolist())):

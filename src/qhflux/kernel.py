@@ -16,9 +16,10 @@ pairs (z_r, w_r) and a list of derivative orders at once as
 representable.  Every order is a short combination of the range-shifted
 series S^(k)(z wbar), k <= 4: each S^(k) that some order needs is summed
 once, and each order is combined relative to top, the largest of its own
-series only, so it equals a one-order call bit for bit.  `kernel_eval` and
-`kernel_diff_log` are its one-pair, one-order case, and a single value comes
-back as the record `LogComplex` (log-magnitude, phase in [-pi, pi]).
+series only, so it equals a one-order call bit for bit.  `kernel_eval`,
+`kernel_infty` and `kernel_diff_log` are its one-pair, one-order case, and a
+single value comes back as the record `LogComplex` (log-magnitude, phase in
+[-pi, pi]).
 
 The series runs in chunks of terms: within a chunk the term magnitudes are a
 running product of the ratios b|x|/(j+1) and the partial sums a running sum
@@ -330,12 +331,9 @@ def kernel_eval(spec: KernelSpec, z: complex, w: complex) -> LogComplex:
 
 
 def kernel_infty(spec: KernelSpec, z: complex, w: complex) -> LogComplex:
-    """Full-projection kernel (b/pi) exp(-b(|z|^2+|w|^2-2 z wbar)/2), as
-    log(b/pi) - b|z - w|^2/2 with phase b Im(z wbar)."""
-    _check_points(spec.b, np.array([z], dtype=complex), np.array([w], dtype=complex), False)
-    d = abs(z - w)
-    return LogComplex(math.log(spec.b / math.pi) - 0.5 * spec.b * d * d,
-                      math.remainder(spec.b * (z * w.conjugate()).imag, 2.0 * math.pi))
+    """Full-projection kernel K_inf(z, w) = (b/pi) exp(-b(|z|^2+|w|^2-2 z wbar)/2):
+    the one-pair call of the "infinite" variant of kernel_log_orders."""
+    return _kernel_log(spec, z, w, (0, 0, 0, 0), "infinite")
 
 
 def kernel_diff_log(spec: KernelSpec, z: complex, w: complex,

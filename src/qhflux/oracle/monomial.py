@@ -18,7 +18,7 @@ from itertools import permutations
 
 import numpy as np
 
-from ..partition import HoleConfig
+from ..partition import HoleConfig, _check_tracer
 
 MAX_BATH = 4
 MAX_HOLES = 2
@@ -29,20 +29,17 @@ class ExpansionSizeError(Exception):
 
 
 def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    """+1 or -1 by the parity of the permutation's inversions."""
+    inversions = sum(perm[i] > perm[k] for i in range(len(perm)) for k in range(i + 1, len(perm)))
+    return -1 if inversions % 2 else 1
+
+
+def _moment_weight(exponents, b: float) -> float:
+    """prod_a pi a! / b^(a+1): int |z^a|^2 e^{-b|z|^2} dz for each exponent a."""
+    weight = 1.0
+    for a in exponents:
+        weight *= math.pi * math.factorial(a) / b ** (a + 1)
+    return weight
 
 
 class MonomialPolynomial:
@@ -135,6 +132,7 @@ def quasi_hole_poly(N: int, ws) -> MonomialPolynomial:
 def quasi_hole_poly_dw(N: int, ws, j: int) -> MonomialPolynomial:
     """Holomorphic w_j-derivative of the quasi-hole polynomial."""
     _check_size(N, ws)
+    _check_tracer(j, len(ws))
     others = [w for i, w in enumerate(ws) if i != j]
     partner = _hole_factor_coeffs(others)
     full = _hole_factor_coeffs(ws)
@@ -161,10 +159,7 @@ def gaussian_pair_integral(pa: MonomialPolynomial, pb: MonomialPolynomial,
         cb = pb.terms.get(e)
         if cb is None:
             continue
-        weight = 1.0
-        for a in e:
-            weight *= math.pi * math.factorial(a) / b ** (a + 1)
-        out += ca.conjugate() * cb * weight
+        out += ca.conjugate() * cb * _moment_weight(e, b)
     return out
 
 
@@ -189,9 +184,7 @@ def marginal_squared(poly: MonomialPolynomial, b: float, m: int, points) -> floa
         for f, cf in poly.terms.items():
             if e[m:] != f[m:]:
                 continue
-            weight = 1.0
-            for a in e[m:]:
-                weight *= math.pi * math.factorial(a) / b ** (a + 1)
+            weight = _moment_weight(e[m:], b)
             mono = 1.0 + 0j
             for i in range(m):
                 mono *= pts[i].conjugate() ** e[i] * pts[i] ** f[i]

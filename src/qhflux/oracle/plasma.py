@@ -20,9 +20,10 @@ import numbers
 import struct
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
+
+from ..kernel import KernelSpec, weighted_orbitals
 
 
 @dataclass(frozen=True)
@@ -52,8 +53,7 @@ class PlasmaConfig:
             raise ValueError(f"p must be finite and at least 0, got {self.p!r}")
         if not (math.isfinite(self.mu) and self.mu >= 1):
             raise ValueError(f"mu must be finite and at least 1, got {self.mu!r}")
-        if not (math.isfinite(self.b) and self.b > 0):
-            raise ValueError(f"field strength b must be finite and positive, got {self.b!r}")
+        KernelSpec(self.b, 1)    # b finite and positive
         if self.proposal_scale is None:
             object.__setattr__(self, "proposal_scale", 1.0 / math.sqrt(self.b))
         elif not (math.isfinite(self.proposal_scale) and self.proposal_scale > 0):
@@ -103,21 +103,13 @@ def integrated_autocorrelation_time(series) -> float:
     return float(tau[np.argmax(cut)] if cut.any() else tau[-1])
 
 
-@lru_cache(maxsize=16)
-def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(n, 1) as read-only arrays."""
-    i, j = np.triu_indices(n, 1)
-    i.flags.writeable = j.flags.writeable = False
-    return i, j
-
-
 def log_density(cfg: PlasmaConfig, z: np.ndarray):
     """L(z) of one configuration z of shape (N,), as a float, or of each row
     of a stack of shape (S, N), as an (S,) array."""
     z = np.asarray(z)
     val = -cfg.b * np.sum(np.abs(z) ** 2, axis=-1)
     if cfg.N > 1:
-        i, j = _pair_indices(cfg.N)
+        i, j = np.triu_indices(cfg.N, 1)
         with np.errstate(divide="ignore"):
             val += 2.0 * cfg.mu * np.sum(np.log(np.abs(z[..., i] - z[..., j])), axis=-1)
     if cfg.holes and cfg.p:
@@ -252,8 +244,6 @@ def radial_density_l1(cfg: PlasmaConfig, samples: list[PlasmaSample]) -> float:
     """L1 distance between the empirical |z| distribution and the exact
     radial profile of the determinantal density (p = mu = 1, no holes), over
     RADIAL_BINS equal bins out to 1.5 sqrt(N/b)."""
-    from ..kernel import weighted_orbitals
-
     if cfg.holes or cfg.mu != 1:
         raise ValueError("exact radial profile requires p*holes absent and mu = 1")
     radii = np.concatenate([np.abs(s.positions) for s in samples])

@@ -2,13 +2,13 @@
 log-derivatives, the closed-form normalization, and Schur-complement densities.
 
 A memo keeps the factorisation of the most recent hole stack: its orbital
-table, kernel matrices and determinants, and, once a derivative asks, the
-refusal rule and the stacked inverse.  Its key is (b, M, holes.shape,
-holes.tobytes()) of the complex holes array, and it keeps one entry, dropped
-before the next stack is built.  So Upsilon and every tracer's
-log-derivatives on one stack share one table, determinant and inverse, with
-results bit-identical to building them per call; the cached arrays are
-read-only.  The oracles never read it."""
+table, kernel matrices and determinants, and, once a derivative or the Schur
+density asks, the refusal rule and the stacked inverse.  Its key is (b, M,
+holes.shape, holes.tobytes()) of the complex holes array, and it keeps one
+entry, dropped before the next stack is built.  So Upsilon, theta and every
+tracer's log-derivatives on one stack share one table, determinant and
+inverse, with results bit-identical to building them per call; the cached
+arrays are read-only.  The oracles never read it."""
 
 from __future__ import annotations
 
@@ -84,16 +84,9 @@ class PartitionValue:
     log_upsilon: float
 
 
-_LOGFACT_CUM = np.zeros(1)
-
-
 def cumulative_log_factorials(m: int) -> float:
-    """sum_{k=1}^{m} log k!, from a cached cumulative table."""
-    global _LOGFACT_CUM
-    if m >= _LOGFACT_CUM.size:
-        size = max(m + 1, 1101)
-        _LOGFACT_CUM = np.cumsum([0.0] + [math.lgamma(k + 1) for k in range(1, size)])
-    return float(_LOGFACT_CUM[m])
+    """sum_{k=1}^{m} log k!, added in order from k = 1 (0 for m = 0)."""
+    return float(np.cumsum([0.0] + [math.lgamma(k + 1) for k in range(1, m + 1)])[-1])
 
 
 def coincident_rows(holes) -> np.ndarray:
@@ -158,15 +151,22 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
+def _check_tracer(j, n: int):
+    """Refuse (ValueError) a tracer index that is not an int in 0..n-1; a
+    bool is no tracer index."""
+    if isinstance(j, bool) or not (isinstance(j, numbers.Integral) and 0 <= j < n):
+        raise ValueError(f"tracer index {j} outside 0..{n - 1}")
+
+
 # (key, _Factors) of the most recent hole stack
 _memo: tuple | None = None
 
 
-def _kernel_stack(b: float, M: int, holes, j: int | None = None) -> _Factors:
+def _kernel_stack(b: float, M: int, holes, *tracer: int) -> _Factors:
     """The factorisation of a (B, n) hole stack, from the memo when the last
     call had the same b, M and holes.  b and M follow KernelSpec's rules,
-    the holes are finite and the tracer j, if given, is one of 0..n-1
-    (ValueError otherwise); all are checked before the memo is read."""
+    the holes are finite and a tracer index, if one is given, is an int in
+    0..n-1 (ValueError otherwise); all are checked before the memo is read."""
     global _memo
     KernelSpec(b, M)
     w = np.asarray(holes, dtype=complex)
@@ -174,8 +174,8 @@ def _kernel_stack(b: float, M: int, holes, j: int | None = None) -> _Factors:
         raise ValueError("holes must have shape (B, n)")
     if not np.isfinite(w).all():
         raise ValueError("hole positions must be finite")
-    if j is not None and not (isinstance(j, numbers.Integral) and 0 <= j < w.shape[1]):
-        raise ValueError(f"tracer index {j} outside 0..{w.shape[1] - 1}")
+    for j in tracer:
+        _check_tracer(j, w.shape[1])
     key = (b, M, w.shape, w.tobytes())
     # read _memo once, so a concurrent call that replaces it cannot hand
     # this call another stack's entry
@@ -200,20 +200,20 @@ def upsilon(cfg: HoleConfig) -> float:
     return float(upsilon_stack(cfg.b, cfg.spec.M, holes)[0])
 
 
-def _resolved_upsilon(cfg: HoleConfig):
-    """Orbital table, kernel matrix and Upsilon of one configuration, or
-    SingularMatrixError where Upsilon is rounding noise."""
+def _resolved_upsilon(cfg: HoleConfig) -> _Factors:
+    """The factorisation of one configuration, a stack of one row, or
+    SingularMatrixError where its Upsilon is rounding noise."""
     cfg.require_distinct()
     f = _kernel_stack(cfg.b, cfg.spec.M, cfg.points()[None, :])
     if not f.refusal[1][0]:
         raise SingularMatrixError(f"Upsilon = {f.ups[0]:.3e} is rounding noise: below "
                                   "PIVOT_FLOOR, or below UPSILON_FLOOR n times prod Q")
-    return f.phi[0], f.kernel[0], float(f.ups[0])
+    return f
 
 
 def log_upsilon(cfg: HoleConfig) -> float:
     """log Upsilon, refused (SingularMatrixError) where Upsilon is rounding noise."""
-    return 0.0 if cfg.n == 0 else math.log(_resolved_upsilon(cfg)[2])
+    return 0.0 if cfg.n == 0 else math.log(_resolved_upsilon(cfg).ups[0])
 
 
 def log_upsilon_derivative_stack(b: float, M: int, holes, j: int
@@ -297,10 +297,10 @@ def theta_polarized(cfg: HoleConfig, zeta: complex, z: complex) -> complex:
         raise ValueError("the Schur density needs at least one hole")
     if not (cmath.isfinite(z) and cmath.isfinite(zeta)):
         raise ValueError(f"Schur density needs finite points, got z = {z}, zeta = {zeta}")
-    phi, kernel, _ = _resolved_upsilon(cfg)
-    # phi and kernel carry sqrt(pi/b) and pi/b, which cancel in nu* M^{-1} nu
-    nu = weighted_orbitals(cfg.b, cfg.spec.M, np.array([z, zeta])) @ phi.conj().T
-    return complex(np.conj(nu[0]) @ np.linalg.solve(kernel.T, nu[1]))
+    f = _resolved_upsilon(cfg)
+    # M = K^T; phi and K carry sqrt(pi/b) and pi/b, which cancel in nu* M^{-1} nu
+    nu = weighted_orbitals(cfg.b, cfg.spec.M, np.array([z, zeta])) @ f.phi[0].conj().T
+    return complex(nu[1] @ f.inverse[0] @ np.conj(nu[0]))
 
 
 def upsilon_prediction(cfg: HoleConfig, *, pair: tuple[int, int] | None = None) -> float:

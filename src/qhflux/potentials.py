@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import _log_poisson, weighted_orbitals
-from .partition import (UPSILON_FLOOR, HoleConfig, SingularConfigurationError,
+from .partition import (UPSILON_FLOOR, HoleConfig, SingularConfigurationError, _check_tracer,
                         coincident_rows, log_upsilon_derivative_stack)
 from .quadrature import QuadratureGrid, polar_grid
 
@@ -74,6 +74,7 @@ def _ab_rows(w: np.ndarray, j: int) -> np.ndarray:
 
 def ab_sum(cfg: HoleConfig, j: int) -> np.ndarray:
     """Aharonov-Bohm sum over the other tracers, (y_j-y_l)^perp/|y_j-y_l|^2."""
+    _check_tracer(j, cfg.n)
     cfg.require_distinct()
     return _ab_rows(cfg.points()[None, :], j)[0]
 
@@ -94,8 +95,6 @@ def emergent_field_stack(N: int, holes, j: int) -> tuple[np.ndarray, np.ndarray,
     n = w.shape[1]
     if N < 1:
         raise ValueError("bath size N must be at least 1")
-    if not np.isfinite(w).all():
-        raise ValueError("hole positions must be finite")
 
     coincident = coincident_rows(w)
     _, dlog, ddlog, corr = log_upsilon_derivative_stack(float(N), N + n, w, j)
@@ -115,10 +114,9 @@ def emergent_field_stack(N: int, holes, j: int) -> tuple[np.ndarray, np.ndarray,
                 f"V rounding error ~{v_error[row]:.2e} exceeds {FIELD_ERROR_BUDGET:g} N "
                 "(merging too deep)")))
 
-    rows = ok if refusals else slice(None)    # a view where no row is refused
     a_vec = np.full((len(w), 2), np.nan)
-    a_vec[rows] = (N * np.stack([-w[rows, j].imag, w[rows, j].real], axis=-1)
-                   - _ab_rows(w[rows], j) + np.stack([dlog[rows].imag, dlog[rows].real], axis=-1))
+    a_vec[ok] = (N * np.stack([-w[ok, j].imag, w[ok, j].real], axis=-1)
+                 - _ab_rows(w[ok], j) + np.stack([dlog[ok].imag, dlog[ok].real], axis=-1))
     return a_vec, np.where(ok, 2.0 * N + 2.0 * ddlog, np.nan), refusals
 
 
@@ -220,18 +218,25 @@ def _pole_matrix(b: float, M: int, w: complex) -> np.ndarray:
     # lam[k, l] = log sqrt(pi_k / pi_l) - log sqrt(t), summed outward from
     # the diagonal in steps log sqrt(pi_i / pi_{i-1}) = log sqrt(t / i),
     # which are small wherever S is not; the first step below the diagonal
-    # is log sqrt(1 / (l + 1)), so S_{l+1,l} carries no log t
+    # is log sqrt(1 / (l + 1)), so S_{l+1,l} carries no log t.  lam is the
+    # real part of S; buf holds the upper sums, the P/Q term and the phase
     step = np.append(0.0, 0.5 * (math.log(t) - np.log(np.arange(1.0, M))))
     idx = np.arange(M)
-    lam = np.tril(np.broadcast_to(step[:, None], (M, M)), -2)
+    s_mat = np.zeros((M, M), dtype=complex)
+    lam = s_mat.real
+    np.copyto(lam, step[:, None], where=np.tri(M, k=-2, dtype=bool))
     lam[idx[1:], idx[:-1]] = -0.5 * np.log(idx[1:])
     np.cumsum(lam, axis=0, out=lam)
-    lam -= np.cumsum(np.triu(np.broadcast_to(step, (M, M)), 1), axis=1)
+    buf = np.triu(np.broadcast_to(step, (M, M)), 1)
+    lam -= np.cumsum(buf, axis=1, out=buf)
     upper = idx[:, None] <= idx
-    lam += np.where(upper, log_p - 0.5 * math.log(t), log_q) + 0.5 * math.log(b)
-    s_mat = np.empty((M, M), dtype=complex)
-    s_mat.real = lam
-    s_mat.imag = np.subtract.outer(idx, idx + 1.0) * cmath.phase(w)    # arg w^{-d-1}
+    np.copyto(buf, log_q)
+    np.copyto(buf, log_p - 0.5 * math.log(t), where=upper)
+    buf += 0.5 * math.log(b)
+    lam += buf
+    np.subtract.outer(idx, idx + 1.0, out=buf)
+    buf *= cmath.phase(w)                         # arg w^{-d-1}
+    s_mat.imag = buf
     np.exp(s_mat, out=s_mat)
     np.negative(s_mat, where=~upper, out=s_mat)
     return s_mat
@@ -260,9 +265,8 @@ def emergent_field_integral(cfg: HoleConfig, j: int,
     that a block's orbital table stays in cache; memory is O(rows M + M^2)
     whatever the grid size.
     """
+    _check_tracer(j, cfg.n)
     cfg.require_distinct()
-    if cfg.n < 1:
-        raise ValueError("integral-route fields need at least one hole")
     if grid is None:
         grid = _field_grid(cfg, j)
     if grid.size > NODE_BUDGET:
@@ -297,6 +301,7 @@ def double_integral_direct(cfg: HoleConfig, j: int, grid: QuadratureGrid) -> flo
     """Direct product-form evaluation of the conditioned-square double
     integral; O(grid^2), capped, kept as a cross-check of the factorized
     Frobenius form."""
+    _check_tracer(j, cfg.n)
     if grid.size > 4096:
         raise ResourceBudgetError("direct double integral capped at 4096 nodes per factor")
     psi = vanishing_subspace(cfg, grid.nodes)
@@ -348,6 +353,7 @@ def asymptotic_prediction(cfg: HoleConfig, j: int, *,
     """Leading-order fields: droplet term minus AB sum, plus the microscopic
     a/v corrections when j belongs to the single merging pair (pair None:
     no merging)."""
+    _check_tracer(j, cfg.n)
     N = cfg.N
     a_vec = N * perp(to_vec(cfg.w[j])) - ab_sum(cfg, j)
     v_val = 2.0 * N

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -17,6 +18,8 @@ class QuadratureGrid:
     radial_weights: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        if self.nodes.size == 0:
+            raise ValueError("a quadrature grid needs at least one node")
         if np.any(self.weights <= 0):
             raise ValueError("quadrature weights must be positive")
 
@@ -60,10 +63,14 @@ def polar_grid(center: complex, r_max: float, *, n_theta: int = 64,
     weights carry the Jacobian r, so an integrand that is bounded there
     (or goes as 1/r) is smooth in the radial rule.
     """
-    if not r_max > 0.0:
-        raise ValueError("r_max must be positive")
     if panel_width is None:
         panel_width = r_max / 4.0
+    for name, value in (("r_max", r_max), ("panel_width", panel_width)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    for name, value in (("n_theta", n_theta), ("nodes_per_panel", nodes_per_panel)):
+        if not (isinstance(value, numbers.Integral) and value >= 1):
+            raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
     edges = np.append(panel_width * np.arange(math.ceil(r_max / panel_width)), r_max)
     r, wr = _panel_gl(edges, nodes_per_panel)
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta

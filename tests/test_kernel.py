@@ -149,27 +149,6 @@ def test_infty_log_magnitude_far_out_does_not_cancel(r):
     assert np.all(np.abs(log_mag - exact) <= 1e-15) and np.all(phase == 0.0)
 
 
-def test_scalar_and_stacked_infty_agree_to_rounding():
-    # kernel_infty and the "infinite" variant of kernel_log_orders are two
-    # implementations of K_inf that round differently (their worst gaps over
-    # these 3,000 pairs: 9 eps in log magnitude, 1.2 eps in phase, on the
-    # scales below); a truncated value formed as K_inf minus the tail would
-    # take the stacked one, so the two must agree to rounding
-    eps = np.finfo(float).eps
-    rng = np.random.default_rng(31)
-    for b in (1.0, 8.0, 64.0, 256.0, 1024.0):
-        spec = KernelSpec(b=b, M=1)    # K_inf does not read M
-        z, w = rng.uniform(-1.2, 1.2, (2, 600)) + 1j * rng.uniform(-1.2, 1.2, (2, 600))
-        (log_mag, phase), = kernel_log_orders(spec, z, w, [(0, 0, 0, 0)], "infinite")
-        one = [kernel_infty(spec, complex(zr), complex(wr)) for zr, wr in zip(z, w)]
-        one_mag = np.array([v.log_mag for v in one])
-        one_phase = np.array([v.phase for v in one])
-        turns = (one_phase - phase) / (2 * math.pi)
-        gap = np.abs(one_phase - phase - 2 * math.pi * np.rint(turns))   # wrapped
-        assert np.all(np.abs(one_mag - log_mag) <= 16 * eps * np.maximum(1.0, np.abs(one_mag)))
-        assert np.all(gap <= 4 * eps * np.maximum(1.0, b * np.abs(z) * np.abs(w)))
-
-
 def test_hermiticity():
     spec = KernelSpec(b=9.0, M=12)
     a = kernel_eval(spec, 0.4 + 0.3j, -0.2 + 0.6j).to_complex()

@@ -57,6 +57,13 @@ def test_quasi_hole_poly_dw_matches_fd():
     assert eval_poly(dpoly, zs) == pytest.approx(fd, rel=1e-8)
 
 
+@pytest.mark.parametrize("j", [-1, 2, True])
+def test_quasi_hole_poly_dw_refuses_a_bad_tracer_index(j):
+    # -1 used to differentiate by no hole at all and return a wrong polynomial
+    with pytest.raises(ValueError, match="tracer index"):
+        quasi_hole_poly_dw(2, (0.4 + 0.2j, -0.3), j)
+
+
 def test_gaussian_pair_integral_single_variable():
     from qhflux.oracle.monomial import MonomialPolynomial
     # |c0 + c1 z|^2 against e^{-b|z|^2}: pi(|c0|^2/b + |c1|^2/b^2)

@@ -17,7 +17,8 @@ from qhflux.kernel import kernel_eval
 from qhflux.oracle.monomial import partition_exact
 from qhflux.partition import (UPSILON_FLOOR, HoleConfig, PartitionValue,
                               SingularConfigurationError, SingularMatrixError,
-                              _kernel_stack, log_partition, log_upsilon,
+                              _kernel_stack, cumulative_log_factorials, log_partition,
+                              log_upsilon,
                               log_upsilon_derivative_stack, resolved_rows, theta,
                               theta_polarized, upsilon, upsilon_prediction, upsilon_stack)
 from qhflux.potentials import (DegenerateConfigurationError, emergent_field_derivative,
@@ -32,6 +33,13 @@ def seeded_config(rng, N, n, b=None, radius=0.7, min_sep=0.15):
                  for i in range(n) for j in range(i + 1, n))
         if ok and all(abs(p) <= radius for p in pts):
             return HoleConfig(w=tuple(pts), N=N, b=b)
+
+
+@pytest.mark.parametrize("m", [0, 1, 5, 100, 1100])
+def test_cumulative_log_factorials_match_mpmath(m):
+    with mpmath.workdps(40):
+        ref = float(mpmath.fsum(mpmath.loggamma(k + 1) for k in range(1, m + 1)))
+    assert abs(cumulative_log_factorials(m) - ref) <= 1e-13 * abs(ref)
 
 
 def test_upsilon_single_hole_at_origin():
@@ -315,7 +323,8 @@ def test_hole_config_needs_integer_bath_and_finite_positive_b(kwargs):
 
 @pytest.mark.parametrize("b, M, j", [(0.0, 66, 0), (-1.0, 66, 0), (math.nan, 66, 0),
                                      (math.inf, 66, 0), (64.0, 0, 0), (64.0, 2.5, 0),
-                                     (64.0, 66, -1), (64.0, 66, 2), (64.0, 66, 0.5)])
+                                     (64.0, 66, -1), (64.0, 66, 2), (64.0, 66, 0.5),
+                                     (64.0, 66, True)])
 def test_engine_refuses_bad_input_before_any_table(monkeypatch, b, M, j):
     # b and M follow KernelSpec and the tracer is one of 0..n-1: a ValueError
     # before the memo is read or an orbital table built, also through the

@@ -81,6 +81,28 @@ def test_ab_curl_reproduces_point_fluxes():
         assert abs(total - 2 * math.pi * enclosed) < 1e-8
 
 
+@pytest.mark.parametrize("j", [-1, 2, True, False, 1.0, None])
+def test_every_field_function_refuses_a_bad_tracer_index(j):
+    # one rule: a non-bool int in 0..n-1; -1 would silently name the last
+    # hole and a bool would index numpy arrays as a mask
+    cfg = HoleConfig((0.3, -0.2j), 16)
+    grid = polar_grid(cfg.w[0], 1.0, n_theta=8, nodes_per_panel=4)
+    calls = [lambda: emergent_field_integral(cfg, j), lambda: emergent_field_derivative(cfg, j),
+             lambda: emergent_fields(16, [cfg.w], j), lambda: emergent_field_stack(16, [cfg.w], j),
+             lambda: asymptotic_prediction(cfg, j), lambda: ab_sum(cfg, j),
+             lambda: double_integral_direct(cfg, j, grid)]
+    for call in calls:
+        with pytest.raises(ValueError, match="tracer index"):
+            call()
+
+
+def test_a_numpy_integer_is_a_tracer_index():
+    cfg = HoleConfig((0.3, -0.2j), 16)
+    for j in (np.int64(1), np.int32(1)):
+        assert emergent_field_derivative(cfg, j).V == emergent_field_derivative(cfg, 1).V
+        assert np.array_equal(ab_sum(cfg, j), ab_sum(cfg, 1))
+
+
 def test_single_hole_at_origin_fields():
     field = emergent_field_derivative(HoleConfig(w=(0j,), N=24), 0)
     assert np.allclose(field.A, 0.0, atol=1e-10 * 24)

@@ -4,7 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from qhflux.quadrature import cartesian_grid, gauss_legendre, integrate_radial, polar_grid
+from qhflux.quadrature import (QuadratureGrid, cartesian_grid, gauss_legendre, integrate_radial,
+                               polar_grid)
 
 
 def integrate(grid, f):
@@ -104,3 +105,32 @@ def test_gauss_legendre_is_cached_and_read_only():
     assert gauss_legendre(48)[0] is x
     with pytest.raises(ValueError):
         w[0] = 1.0
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"panel_width": -1.0}, "panel_width"), ({"panel_width": 0.0}, "panel_width"),
+    ({"panel_width": math.inf}, "panel_width"), ({"panel_width": math.nan}, "panel_width"),
+    ({"n_theta": -4}, "n_theta"), ({"n_theta": 0}, "n_theta"), ({"n_theta": 2.5}, "n_theta"),
+    ({"nodes_per_panel": 0}, "nodes_per_panel"), ({"nodes_per_panel": -3}, "nodes_per_panel"),
+])
+def test_polar_grid_refuses_an_empty_or_malformed_rule(kwargs, name):
+    # panel_width -1 or inf used to give a grid of 0 nodes, on which the
+    # integral route reports V from its closed-form terms alone
+    with pytest.raises(ValueError, match=name):
+        polar_grid(0.3, 2.0, **kwargs)
+
+
+@pytest.mark.parametrize("r_max", [0.0, -1.0, math.inf, math.nan])
+def test_polar_grid_refuses_a_bad_radius(r_max):
+    with pytest.raises(ValueError, match="r_max"):
+        polar_grid(0j, r_max)
+
+
+def test_an_empty_grid_is_refused():
+    with pytest.raises(ValueError, match="at least one node"):
+        QuadratureGrid(nodes=np.zeros(0, dtype=complex), weights=np.zeros(0))
+
+
+def test_a_panel_wider_than_the_radius_is_one_panel():
+    g = polar_grid(0j, 2.0, n_theta=4, nodes_per_panel=5, panel_width=10.0)
+    assert g.size == 20 and np.sum(g.weights) == pytest.approx(4.0 * math.pi, rel=1e-12)
