@@ -38,8 +38,9 @@ class RegimeClassifier:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if self.kappa <= 0 or self.gamma <= 0:
-            raise ValueError("kappa and gamma must be positive")
+        if not all(0 < v < math.inf for v in (self.kappa, self.gamma)):
+            raise ValueError(f"kappa and gamma must be finite and positive, got "
+                             f"kappa={self.kappa}, gamma={self.gamma}")
 
     def delta(self, N: int) -> float:
         return self.kappa * math.sqrt(math.log(N) / N)

@@ -20,9 +20,8 @@ from ..oracle.plasma import PlasmaConfig
 from ..oracle.slater import slater_density, slater_density_brute
 from ..partition import (HoleConfig, log_partition, log_upsilon_derivative_stack,
                          upsilon_stack)
-from ..potentials import (ResourceBudgetError, asymptotic_prediction, correction_a,
-                          correction_v, emergent_field_derivative, emergent_field_integral,
-                          emergent_fields)
+from ..potentials import (asymptotic_prediction, correction_a, correction_v,
+                          emergent_field_derivative, emergent_field_integral, emergent_fields)
 from .classify import RegimeClassifier
 from .report import ReportRow, VerificationReport
 
@@ -73,6 +72,13 @@ def sample_no_merging(rng, N: int, n: int, classifier: RegimeClassifier,
         "the exclusion scale may exceed the droplet diameter")
 
 
+def _require_sizes(suite: str, **sizes: int) -> None:
+    """Refuse, by name, a size parameter of a suite below 1."""
+    for name, value in sizes.items():
+        if value < 1:
+            raise ValueError(f"the {suite} suite needs {name} >= 1, got {value}")
+
+
 def pair_config(rng, N: int, separation: float) -> HoleConfig:
     """Two holes at the given separation, pair centered near the origin so
     both endpoints stay inside the shrunk droplet up to separation ~4 delta."""
@@ -107,8 +113,7 @@ def run_kernel_suite(N_list=(64, 128, 256), kappa: float = 2.0,
     one stacked call over all sampled pairs and derivative orders per N;
     bounds are the certified tail estimate and the predicted log-log slopes.
     """
-    if samples < 1:
-        raise ValueError("the kernel suite needs at least one sample per N")
+    _require_sizes("kernel", samples=samples)
     n = KERNEL_HOLES
     report = VerificationReport(
         suite="kernel", seed=seed,
@@ -177,6 +182,7 @@ def run_upsilon_suite(N_list=(128, 256), kappa: float = 2.0,
                       n: int = 2, sweep_points: int = 12) -> VerificationReport:
     """Upsilon against its regime predictions, plus a merging separation sweep
     at the largest N of N_list."""
+    _require_sizes("upsilon", configs=configs, sweep_points=sweep_points)
     classifier = RegimeClassifier(kappa=kappa, gamma=gamma)
     report = VerificationReport(
         suite="upsilon", seed=seed,
@@ -225,6 +231,7 @@ def run_potential_suite(N_list=(128, 256), kappa: float = 2.0, gamma: float = 1.
                         sweep_points: int = 12) -> VerificationReport:
     """Emergent fields against regime predictions and correction profiles,
     and the integral route against the derivative route (cross rows)."""
+    _require_sizes("potential", configs=configs, sweep_points=sweep_points)
     classifier = RegimeClassifier(kappa=kappa, gamma=gamma)
     report = VerificationReport(
         suite="potential", seed=seed,
@@ -249,15 +256,10 @@ def run_potential_suite(N_list=(128, 256), kappa: float = 2.0, gamma: float = 1.
             case_id=f"nomerge-V-N{N}", N=N, n=n, kappa=kappa, gamma=gamma,
             regime="no-merging", quantity="max |V - 2N|/N",
             measured=wv, bound=1e-5))
-        # the integral route against the derivative route on a fixed ring;
-        # above N = 1403 its grid exceeds NODE_BUDGET, and N has no such rows
+        # the integral route against the derivative route on a fixed ring
         ring = CROSS_RING * np.exp(1j * (0.1 + 2.0 * math.pi * np.arange(n) / n))
         cfg = HoleConfig(w=tuple(ring), N=N)
-        try:
-            i = emergent_field_integral(cfg, 0)
-        except ResourceBudgetError:
-            continue
-        d = emergent_field_derivative(cfg, 0)
+        i, d = emergent_field_integral(cfg, 0), emergent_field_derivative(cfg, 0)
         for name, gap in (("A", float(np.linalg.norm(d.A - i.A))), ("V", abs(d.V - i.V))):
             report.add(ReportRow(
                 case_id=f"cross-{name}-N{N}", N=N, n=n, kappa=kappa, gamma=gamma,
@@ -302,6 +304,7 @@ def run_global_suite(N: int = 64, n: int = 4, count: int = 500, seed: int = 0,
     """Uniform bounds on the fields over all regimes, incl. deep mergers."""
     if n < 2:
         raise ValueError("the global suite places merging pairs: n must be at least 2")
+    _require_sizes("global", count=count)
     classifier = RegimeClassifier(kappa=kappa, gamma=gamma)
     report = VerificationReport(
         suite="global", seed=seed,

@@ -4,25 +4,23 @@ Two independent routes compute the same fields: the derivative route
 takes the log-derivatives of the Upsilon determinant from partition and uses
 them as they are (production path), and
 the integral route evaluates the conditional-density integral formulas
-(cross-validation path): its pole integral and Frobenius term are closed
-forms by angular orthogonality of the orbitals, and its single integral is
-a point-centered quadrature of a rank-n density, one cache-sized block of
-grid nodes at a time, so its memory does not grow with the grid.
+(cross-validation path) in closed form: every conditioned function vanishes
+at the tracer, so its quotient by z - w_j is a finite orbital combination
+(polynomial division), and each integral is a Fock-space inner product.
 Correction fields a, v and the asymptotic field prediction live here too.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import _log_poisson, weighted_orbitals
+from .kernel import weighted_orbitals
 from .partition import (UPSILON_FLOOR, HoleConfig, SingularConfigurationError, _check_tracer,
                         coincident_rows, log_upsilon_derivative_stack)
-from .quadrature import QuadratureGrid, polar_grid
+from .quadrature import QuadratureGrid
 
 # emergent_field_stack estimates the rounding error of V as V_ERROR_SCALE
 # (1 + b|w_j|^2) |dlog|^2 / (Upsilon / prod_i (pi/b) K_M(w_i, w_i)) and
@@ -31,13 +29,6 @@ from .quadrature import QuadratureGrid, polar_grid
 # was 0.5 to 300 times the actual error wherever that exceeded 1e-9 N.
 V_ERROR_SCALE = 2 * np.finfo(float).eps
 FIELD_ERROR_BUDGET = 1e-6
-# largest grid emergent_field_integral accepts, in nodes.  Its memory does
-# not grow with the grid, and the budget does not bound its time: one
-# default-grid call for holes (0.3, -0.25+0.2i), tracer 0, took 0.7-1.0 s
-# at N = 512 (79,296 nodes) and 4.0-5.9 s at N = 1024 (147,852 nodes) on a
-# 2-vCPU box
-NODE_BUDGET = 200_000
-_BLOCK_BYTES = 1 << 20    # orbital table per node block of the integral route
 
 
 class DegenerateConfigurationError(Exception):
@@ -139,114 +130,72 @@ def emergent_field_derivative(cfg: HoleConfig, j: int) -> EmergentField:
     return EmergentField(A=a_vec[0], V=float(v_val[0]), j=j)
 
 
-def _field_grid(cfg: HoleConfig, j: int) -> QuadratureGrid:
-    """The integral route's grid for its single integral: polar around w_j,
-    out to 8 magnetic lengths past the droplet edge, with 8 angles per unit
-    of (|w_j| + 1) sqrt(b) and at least 96.  The angular error falls
-    exponentially in that ratio: its V gap to the derivative route was
-    ~1e-3 N at 4 and below 1e-9 N from 7.6 (N = 128, 256).
-
-    Radially, 12 Gauss-Legendre nodes per panel of 1.35 / sqrt(b) (about
-    1.35 magnetic lengths; at most r_max / 8), uniform from r = 0: the
-    integrand P / |w_j - z|^2 is bounded and smooth at w_j, where the
-    conditioned density P vanishes quadratically.  Panels three times
-    narrower give the same V to rounding (within 1e-12 N over N = 16 and
-    32, |w_j| up to 0.9), so the angle rule, not the radius, limits the
-    accuracy.
-    Within NODE_BUDGET the grid reaches N = 2371 at w_j = 0, 1403 at
-    |w_j| = 0.3 and 656 at |w_j| = 0.9."""
-    r_max = abs(cfg.w[j]) + 1.0 + 8.0 / math.sqrt(cfg.b)
-    width = min(1.35 / math.sqrt(cfg.b), r_max / 8.0)
-    n_theta = max(96, math.ceil(8.0 * (abs(cfg.w[j]) + 1.0) * math.sqrt(cfg.b)))
-    return polar_grid(cfg.w[j], r_max, n_theta=n_theta, nodes_per_panel=12, panel_width=width)
-
-
-def _hole_spaces(cfg: HoleConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases (M, rank) of the row space and (M, M - rank) of the
-    null space of the n x M hole constraints phi_k(w_i), from one SVD with
-    scipy.linalg.null_space's rank rule (singular values above
-    max(n, M) eps s_max count).  The null space holds the coefficient
-    vectors whose orbital combinations vanish at every hole; the projector
-    onto it is I - row row^H."""
+def _row_space(cfg: HoleConfig) -> np.ndarray:
+    """Orthonormal basis U (M, rank) of the row space of the n x M hole
+    constraints phi_k(w_i), from one thin SVD with scipy.linalg.null_space's
+    rank rule (singular values above max(n, M) eps s_max count).  Its
+    complement holds the coefficient vectors whose orbital combinations
+    vanish at every hole; the projector onto that is Pi = I - U U^H."""
     constraints = weighted_orbitals(cfg.spec.b, cfg.spec.M, cfg.points())
-    _, s, vh = np.linalg.svd(constraints)
+    _, s, vh = np.linalg.svd(constraints, full_matrices=False)
     rank = np.count_nonzero(s > max(constraints.shape) * np.finfo(float).eps * s.max(initial=0.0))
-    basis = vh.conj().T
-    return basis[:, :rank], basis[:, rank:]
+    return vh[:rank].conj().T
 
 
 def vanishing_subspace(cfg: HoleConfig, pts: np.ndarray):
     """Weighted orbital values restricted to functions vanishing at every hole.
 
     Returns the matrix Psi[i, mu] of an orthonormal basis of that subspace
-    evaluated on pts; the conditioned kernel is Psi Psi^H and its diagonal is
-    K_{N+n}(z,z) - Theta(z|w).
+    (the complement of _row_space, from a complete QR) evaluated on pts; the
+    conditioned kernel is Psi Psi^H and its diagonal is K_{N+n}(z,z) - Theta(z|w).
     """
-    return weighted_orbitals(cfg.spec.b, cfg.spec.M, pts) @ _hole_spaces(cfg)[1]
+    row = _row_space(cfg)
+    null = np.linalg.qr(row, mode="complete")[0][:, row.shape[1]:]
+    return weighted_orbitals(cfg.spec.b, cfg.spec.M, pts) @ null
 
 
-def _pole_matrix(b: float, M: int, w: complex) -> np.ndarray:
-    """S[k, l] = int phi_k(z) conj(phi_l(z)) / (w - z) d^2z for k, l < M.
-
-    The angles keep one term of the pole's Laurent series on each side of
-    |z| = |w|, and the radii give incomplete gamma functions of t = b|w|^2:
-    with d = l - k,
-        S_kl =  b^{-d/2} sqrt(l!/k!) w^{-d-1} P(l+1, t)   (l >= k),
-        S_kl = -b^{-d/2} sqrt(l!/k!) w^{-d-1} Q(l+1, t)   (k > l),
-    whose prefactor is sqrt(pi_k / pi_l) / |w| in the Poisson weights
-    pi_i = t^i e^{-t} / i!.  It is formed from their logarithms, as it
-    overflows for small |w| exactly where P underflows.  Q(l+1, t) and
-    P(l+1, t) are the sums of pi_i over i <= l and i > l: for each l the
-    smaller one is summed in the log domain from its small end (P, where
-    t < M, from i = M + 40 sqrt(M) + 60 down; the terms past that add less
-    than 1e-150 of it) and the other is its complement.
-    Where t is no normal double (w = 0), the exact limit: only
-    S_{l+1,l} = -sqrt(b/(l+1)) survives, and the other terms are
-    O(sqrt(t)) < 1e-154."""
-    t = b * abs(w) ** 2
-    if t < np.finfo(float).tiny:
-        s_mat = np.zeros((M, M), dtype=complex)
-        s_mat[np.arange(1, M), np.arange(M - 1)] = -np.sqrt(b / np.arange(1.0, M))
-        return s_mat
-    top = M if t >= M else M + math.ceil(40.0 * math.sqrt(M)) + 60
-    log_pi = _log_poisson(np.arange(float(top)), t)
-    split = min(M, math.floor(t))           # Q(l+1, t) is the smaller for l < split
-    log_q = np.logaddexp.accumulate(log_pi[:split])
-    log_p = np.logaddexp.accumulate(log_pi[:split:-1])[::-1][:M - split]
-    log_p, log_q = (np.concatenate([np.log1p(-np.exp(log_q)), log_p]),
-                    np.concatenate([log_q, np.log1p(-np.exp(log_p))]))
-    # lam[k, l] = log sqrt(pi_k / pi_l) - log sqrt(t), summed outward from
-    # the diagonal in steps log sqrt(pi_i / pi_{i-1}) = log sqrt(t / i),
-    # which are small wherever S is not; the first step below the diagonal
-    # is log sqrt(1 / (l + 1)), so S_{l+1,l} carries no log t.  lam is the
-    # real part of S; buf holds the upper sums, the P/Q term and the phase
-    step = np.append(0.0, 0.5 * (math.log(t) - np.log(np.arange(1.0, M))))
-    idx = np.arange(M)
-    s_mat = np.zeros((M, M), dtype=complex)
-    lam = s_mat.real
-    np.copyto(lam, step[:, None], where=np.tri(M, k=-2, dtype=bool))
-    lam[idx[1:], idx[:-1]] = -0.5 * np.log(idx[1:])
-    np.cumsum(lam, axis=0, out=lam)
-    buf = np.triu(np.broadcast_to(step, (M, M)), 1)
-    lam -= np.cumsum(buf, axis=1, out=buf)
-    upper = idx[:, None] <= idx
-    np.copyto(buf, log_q)
-    np.copyto(buf, log_p - 0.5 * math.log(t), where=upper)
-    buf += 0.5 * math.log(b)
-    lam += buf
-    np.subtract.outer(idx, idx + 1.0, out=buf)
-    buf *= cmath.phase(w)                         # arg w^{-d-1}
-    s_mat.imag = buf
-    np.exp(s_mat, out=s_mat)
-    np.negative(s_mat, where=~upper, out=s_mat)
-    return s_mat
+def _running_products(block: np.ndarray, first: np.ndarray, ratios: np.ndarray) -> None:
+    """Fill a square block with L[m, k] = first[k] prod_{k < i <= m} ratios[i]
+    on and below its diagonal and 0 above it, in place."""
+    upper = ~np.tri(len(first), dtype=bool)
+    np.copyto(block, ratios[:, None])
+    np.copyto(block, 1.0, where=upper)
+    idx = np.arange(len(first))
+    block[idx, idx] = first
+    np.multiply.accumulate(block, axis=0, out=block)
+    np.copyto(block, 0.0, where=upper)
 
 
-def emergent_field_integral(cfg: HoleConfig, j: int,
-                            grid: QuadratureGrid | None = None) -> EmergentField:
-    """A_j, V_j from the conditional-density integral formulas, with the
-    single integral on grid (default _field_grid), refused above
-    NODE_BUDGET nodes.
+def _division_matrix(b: float, M: int, w: complex) -> np.ndarray:
+    """D (M x M) with psi(z) / (z - w) = sum_m (D a)_m phi_m(z) for every
+    coefficient vector a whose orbital combination psi = sum_k a_k phi_k
+    vanishes at w: synthetic division of its polynomial by z - w, in the
+    orbital normalisation.
+
+    Row m divides from the bottom, D_mk = -phi_k(w) / (w phi_m(w)) for
+    k <= m, when m < s = min(M, floor(b|w|^2)), and from the top,
+    D_mk = phi_k(w) / (w phi_m(w)) for k > m, otherwise; both sides agree
+    wherever psi(w) = 0.  Each row takes the side whose orbital ratios have
+    modulus at most 1, so D is block diagonal, and each block is a running
+    product out from its diagonal of the steps sqrt(m/b) / w (bottom; the
+    diagonal is -1/w, with |w|^2 >= 1/b there) and w sqrt(b/k) (top; the
+    first entry D_{m,m+1} is sqrt(b/(m+1))).  No step exceeds 1, so nothing
+    overflows, and w = 0 needs no case of its own."""
+    s = min(M, math.floor(b * abs(w) ** 2))
+    d_mat = np.zeros((M, M), dtype=complex)
+    i = np.arange(float(M))
+    if s:
+        _running_products(d_mat[:s, :s], np.full(s, -1.0 / w), np.sqrt(i[:s] / b) / w)
+    if s < M - 1:
+        # transposed, the top rows' entries k > m are a lower-triangular
+        # block whose column m runs down from D_{m,m+1}
+        _running_products(d_mat[s:-1, s + 1:].T, np.sqrt(b / i[s + 1:]),
+                          w * np.sqrt(b / i[s + 1:]))
+    return d_mat
+
+
+def emergent_field_integral(cfg: HoleConfig, j: int) -> EmergentField:
+    """A_j, V_j from the conditional-density integral formulas, in closed form.
 
     A_j = Im((1,i)^T int P(z)/(w_j-z) dz) and
     V_j = 2 int P(z)/|w_j-z|^2 dz - 2 ||T||_F^2, where P is the diagonal of
@@ -255,46 +204,24 @@ def emergent_field_integral(cfg: HoleConfig, j: int,
     term is the exact factorization of the double integral of the
     conditioned-kernel square.
 
+    Every conditioned function vanishes at w_j, so _division_matrix's D
+    maps it to its quotient by z - w_j, and the orbitals are orthonormal.
     With the projector Pi = I - U U^H onto the conditioned coefficients (U
-    the row space of _hole_spaces, rank n), both pole terms are closed
-    forms in _pole_matrix's S: int P/(w_j - z) = sum_kl Pi_kl S_kl and
-    ||T||_F^2 = ||Pi S^T Pi||_F^2, each taken through U in O(M^2 n).
-
-    The single integral takes P(z) = sum_k |phi_k(z)|^2 - ||phi(z) U||^2,
-    O(M n) per node, over blocks of max(1, _BLOCK_BYTES // (16 M)) nodes so
-    that a block's orbital table stays in cache; memory is O(rows M + M^2)
-    whatever the grid size.
+    from _row_space, rank n) that gives int P/(w_j - z) = -tr(D Pi),
+    int P/|w_j - z|^2 = ||D Pi||_F^2 and ||T||_F^2 = ||Pi D Pi||_F^2, so
+    V_j = 2 ||U^H D Pi||_F^2, a sum of squares; each is taken through U in
+    O(M^2 n), and D is the one M x M array.
     """
     _check_tracer(j, cfg.n)
     cfg.require_distinct()
-    if grid is None:
-        grid = _field_grid(cfg, j)
-    if grid.size > NODE_BUDGET:
-        raise ResourceBudgetError(f"grid size {grid.size} exceeds budget {NODE_BUDGET}")
-    b, M = cfg.spec.b, cfg.spec.M
-    row = _hole_spaces(cfg)[0]
-    rows = max(1, _BLOCK_BYTES // (16 * M))
-    single = 0.0
-    for start in range(0, grid.size, rows):
-        nodes = grid.nodes[start:start + rows]
-        table = weighted_orbitals(b, M, nodes)
-        p_diag = _row_norms(table) - _row_norms(table @ row)
-        single += float(np.sum(grid.weights[start:start + rows] * p_diag
-                               / np.abs(cfg.w[j] - nodes) ** 2))
-    s_mat = _pole_matrix(b, M, cfg.w[j])
-    s_row = s_mat.T @ row                     # S^T U
-    inner = row.conj().T @ s_row              # U^H S^T U
-    i_val = complex(np.trace(s_mat) - np.trace(inner))
-    # ||Pi X Pi||^2 = ||X||^2 - ||X U||^2 - ||U^H X Pi||^2 for X = S^T
-    outer = (s_mat @ row.conj()).T - inner @ row.conj().T
-    frob = (np.vdot(s_mat, s_mat) - np.vdot(s_row, s_row) - np.vdot(outer, outer)).real
-    return EmergentField(A=np.array([i_val.imag, i_val.real]), V=2.0 * single - 2.0 * frob, j=j)
-
-
-def _row_norms(mat: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norm of each row of a C-contiguous complex matrix."""
-    flat = mat.view(float)
-    return np.einsum("ij,ij->i", flat, flat)
+    row = _row_space(cfg)
+    d_mat = _division_matrix(cfg.spec.b, cfg.spec.M, cfg.w[j])
+    left = row.conj().T @ d_mat               # U^H D
+    inner = left @ row                        # U^H D U
+    i_val = complex(np.trace(inner) - np.trace(d_mat))
+    outer = left - inner @ row.conj().T       # U^H D Pi
+    return EmergentField(A=np.array([i_val.imag, i_val.real]),
+                         V=2.0 * np.vdot(outer, outer).real, j=j)
 
 
 def double_integral_direct(cfg: HoleConfig, j: int, grid: QuadratureGrid) -> float:

@@ -392,8 +392,11 @@ def test_infeasible_suite_parameters_exit_2(tmp_path, capsys):
     ["upsilon", "--N", "64", "--b", "nan", "--holes", "0.1,0.3j"],
     ["upsilon", "--N", "64", "--b", "inf", "--holes", "0.1,0.3j"],
     ["kernel", "--N", "4", "--b", "nan", "--z", "0.1", "--w", "0.2"],
+    # a non-finite kappa once classified the holes as no-merging, exit 0
+    ["upsilon", "--N", "64", "--holes", "0.1,0.3i", "--kappa", "nan"],
 ], ids=["kernel-nan", "kernel-overflow", "kernel-long-tail", "charpoly-no-holes",
-        "mcmc-b0", "kernel-M0", "upsilon-b-nan", "upsilon-b-inf", "kernel-b-nan"])
+        "mcmc-b0", "kernel-M0", "upsilon-b-nan", "upsilon-b-inf", "kernel-b-nan",
+        "upsilon-kappa-nan"])
 def test_bad_input_exits_2_with_one_error_line(argv):
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}

@@ -6,7 +6,7 @@ import pytest
 from qhflux.harness.classify import RegimeClassifier
 from qhflux.harness.report import CSV_HEADER, ReportRow, VerificationReport
 from qhflux.harness.suites import (SamplingInfeasibleError, case_rng,
-                                   pair_config, run_kernel_suite,
+                                   pair_config, run_global_suite, run_kernel_suite,
                                    run_potential_suite, run_upsilon_suite,
                                    sample_no_merging)
 from qhflux.partition import HoleConfig
@@ -137,24 +137,36 @@ def test_upsilon_suite_small_passes():
     assert rep.all_passed
 
 
-def test_potential_suite_cross_rows(monkeypatch):
-    # a cross-A and a cross-V row per N whose integral-route grid fits
-    # NODE_BUDGET (not N = 2048), after that N's other rows, which are the
-    # same without them
-    from qhflux.harness import suites
-    from qhflux.potentials import ResourceBudgetError
+def test_potential_suite_cross_rows():
+    # a cross-A and a cross-V row after each N's other rows, at every N,
+    # including N = 2048, whose quadrature grid the integral route once refused
     rep = run_potential_suite(N_list=(128, 2048), configs=1, sweep_points=3)
     cross = [r for r in rep.rows if r.case_id.startswith("cross")]
-    assert [r.case_id for r in cross] == ["cross-A-N128", "cross-V-N128"]
+    assert [r.case_id for r in cross] == ["cross-A-N128", "cross-V-N128",
+                                          "cross-A-N2048", "cross-V-N2048"]
     assert all(r.passed and r.measured <= 1e-12 for r in cross)
+    ids = [r.case_id for r in rep.rows]
+    assert ids.index("nomerge-V-N2048") == ids.index("cross-A-N2048") - 1
 
-    def refused(cfg, j):
-        raise ResourceBudgetError("refused")
 
-    monkeypatch.setattr(suites, "emergent_field_integral", refused)
-    plain = run_potential_suite(N_list=(128, 2048), configs=1, sweep_points=3)
-    assert plain.to_csv() == VerificationReport(
-        "potential", 0, rows=[r for r in rep.rows if r not in cross]).to_csv()
+@pytest.mark.parametrize("run, sizes", [
+    (run_upsilon_suite, {"configs": 0}), (run_upsilon_suite, {"sweep_points": 0}),
+    (run_potential_suite, {"configs": 0}), (run_potential_suite, {"sweep_points": -1}),
+    (run_global_suite, {"count": -3}), (run_kernel_suite, {"samples": 0})])
+def test_suites_refuse_a_size_below_one_by_name(run, sizes):
+    # each once failed deep inside with "holes must have shape (B, n)"
+    (name, value), = sizes.items()
+    with pytest.raises(ValueError, match=f"needs {name} >= 1, got {value}"):
+        run(**sizes)
+
+
+@pytest.mark.parametrize("kwargs", [{"kappa": math.nan}, {"kappa": math.inf},
+                                    {"gamma": math.nan}, {"gamma": -math.inf},
+                                    {"kappa": 0.0}, {"gamma": -1.0}])
+def test_classifier_refuses_a_non_finite_or_non_positive_scale(kwargs):
+    # kappa = nan once classified every configuration as no-merging
+    with pytest.raises(ValueError, match="finite and positive"):
+        RegimeClassifier(**kwargs)
 
 
 def test_merging_rows_record_pair_hole_count():

@@ -10,9 +10,8 @@ from scipy.linalg import null_space
 
 from qhflux.kernel import weighted_orbitals
 from qhflux.partition import HoleConfig, SingularConfigurationError
-from qhflux.potentials import (NODE_BUDGET, DegenerateConfigurationError, ResourceBudgetError,
-                               _field_grid, _hole_spaces, _pole_matrix, ab_sum,
-                               asymptotic_prediction,
+from qhflux.potentials import (DegenerateConfigurationError, ResourceBudgetError,
+                               _division_matrix, _row_space, ab_sum, asymptotic_prediction,
                                correction_a, correction_v, double_integral_direct,
                                emergent_field_derivative, emergent_field_integral,
                                emergent_field_stack, emergent_fields, perp, to_vec,
@@ -282,122 +281,83 @@ def test_vanishing_subspace_projector_matches_null_space(n):
     assert np.max(np.abs(psi @ psi.conj().T - old @ old.conj().T)) <= 1e-12
 
 
-def test_integral_route_polar_refinement_converges():
-    # the conditioned density vanishes quadratically at the hole, so the
-    # single integral's integrand is bounded there and refinement converges
-    # fast; A comes from closed forms and does not depend on the grid
-    cfg = HoleConfig(w=(0.2 + 0.1j, -0.35), N=16)
-    r_max = abs(cfg.w[0]) + 1.0 + 8.0 / math.sqrt(cfg.b)
-    width = min(0.45 / math.sqrt(cfg.b), r_max / 8.0)
-    coarse, fine = (emergent_field_integral(cfg, 0, polar_grid(
-        cfg.w[0], r_max, n_theta=n_theta, nodes_per_panel=per_panel, panel_width=width))
-        for n_theta, per_panel in ((48, 8), (128, 16)))
-    assert np.linalg.norm(coarse.A - fine.A) < 1e-7 * cfg.N
-    assert abs(coarse.V - fine.V) < 1e-5 * cfg.N
-
-
-def _fine_pole_terms(cfg, j):
-    """S_kl = int phi_k conj(phi_l) / (w_j - z) and, for the row psi of the
-    conditioned basis, T = int psi^H psi / (w_j - z) on a fine polar grid around w_j (16
-    nodes per panel of 0.5 magnetic lengths, 256 angles), 12 magnetic
-    lengths past the droplet and the hole."""
+def _fine_integrals(cfg, j):
+    """int P/(w_j - z), int P/|w_j - z|^2 and ||T||_F^2 on a fine polar grid
+    around w_j (16 nodes per panel of 0.5 magnetic lengths, 256 angles), 12
+    magnetic lengths past the droplet and the hole, with P and T from a
+    scipy null-space basis of the hole constraints."""
     w = cfg.w[j]
     grid = polar_grid(w, abs(w) + 1.0 + 12.0 / math.sqrt(cfg.b), n_theta=256,
                       nodes_per_panel=16, panel_width=0.5 / math.sqrt(cfg.b))
-    null = _hole_spaces(cfg)[1]
-    s_mat = np.zeros((cfg.spec.M, cfg.spec.M), dtype=complex)
+    null = null_space(weighted_orbitals(cfg.b, cfg.spec.M, cfg.points()))
+    pole_int, square_int, t_mat = 0j, 0.0, 0j
     for start in range(0, grid.size, 8192):
         nodes = grid.nodes[start:start + 8192]
-        table = weighted_orbitals(cfg.b, cfg.spec.M, nodes)
-        pole = grid.weights[start:start + 8192] / (w - nodes)
-        s_mat += table.T @ (table.conj() * pole[:, None])
-    return s_mat, null.conj().T @ s_mat.T @ null
+        psi = weighted_orbitals(cfg.b, cfg.spec.M, nodes) @ null
+        weights = grid.weights[start:start + 8192]
+        p_diag = np.sum(np.abs(psi) ** 2, axis=1)
+        pole_int += np.sum(weights * p_diag / (w - nodes))
+        square_int += float(np.sum(weights * p_diag / np.abs(w - nodes) ** 2))
+        t_mat = t_mat + psi.conj().T @ (psi * (weights / (w - nodes))[:, None])
+    return pole_int, square_int, np.linalg.norm(t_mat) ** 2
 
 
 @pytest.mark.parametrize("N", [8, 64])
 @pytest.mark.parametrize("w", [0j, 1e-12, 0.3 + 0.2j, 0.9, 1.2])
 def test_pole_closed_forms_match_quadrature(N, w):
-    # the incomplete-gamma forms of S, w = 0 by its limit and w = 1.2
-    # outside the droplet, and ||Pi S^T Pi||_F^2 against the basis form of
-    # the Frobenius term ||T||_F^2 on the same grid
+    # -tr(D Pi), ||D Pi||_F^2 and ||Pi D Pi||_F^2 against the three integrals
+    # of the conditioned density, w = 0 and 1e-12 on the top side of the
+    # division and w = 1.2 outside the droplet on the bottom side alone
     cfg = HoleConfig(w=(w, -0.25 + 0.2j), N=N)
-    fine, t_mat = _fine_pole_terms(cfg, 0)
-    s_mat = _pole_matrix(cfg.b, cfg.spec.M, cfg.w[0])
-    assert np.max(np.abs(s_mat - fine)) <= 1e-12 * np.max(np.abs(s_mat))
-    null = _hole_spaces(cfg)[1]
-    proj = null @ null.conj().T
-    frob = np.linalg.norm(proj @ s_mat.T @ proj) ** 2
-    assert frob == pytest.approx(np.linalg.norm(t_mat) ** 2, rel=1e-12)
+    pole_int, square_int, frob = _fine_integrals(cfg, 0)
+    row = _row_space(cfg)
+    proj = np.eye(cfg.spec.M) - row @ row.conj().T
+    d_pi = _division_matrix(cfg.b, cfg.spec.M, cfg.w[0]) @ proj
+    assert abs(-np.trace(d_pi) - pole_int) <= 1e-12 * cfg.N
+    assert np.linalg.norm(d_pi) ** 2 == pytest.approx(square_int, rel=1e-12)
+    assert np.linalg.norm(proj @ d_pi) ** 2 == pytest.approx(frob, rel=1e-12)
 
 
-@pytest.mark.parametrize("N", [64, 1024])
-def test_pole_matrix_of_a_tiny_hole_is_its_limit(N):
-    # S at |w| = 1e-100 differs from its w = 0 limit by O(sqrt(b)|w|), so
-    # the log-domain prefactor may add no rounding of log t (about -460)
+@pytest.mark.parametrize("N", [8, 64, 1024])
+@pytest.mark.parametrize("w", [0j, 1e-100, -3e-150j, 0.3 + 0.2j, -0.6j, 0.9, 1.2, 1.5])
+def test_division_matrix_matches_polynomial_division(N, w):
+    # psi(z) / (z - w) at random points for psi vanishing at w, against the
+    # orbital combination D a; |w| = 1.5 puts every row on the bottom side
+    rng = np.random.default_rng(N)
     b, M = float(N), N + 2
-    limit = _pole_matrix(b, M, 0j)
-    for w in (1e-100, -1e-100j, 3e-150 + 4e-150j):
-        assert np.max(np.abs(_pole_matrix(b, M, w) - limit)) <= 1e-15 * np.max(np.abs(limit))
+    at_w = weighted_orbitals(b, M, [w])
+    a = null_space(at_w) @ (rng.normal(size=M - 1) + 1j * rng.normal(size=M - 1))
+    zs = w + rng.uniform(0.2, 1.0, 16) * np.exp(2j * math.pi * rng.uniform(size=16))
+    table = weighted_orbitals(b, M, zs)
+    quotient = table @ a / (zs - w)
+    got = table @ (_division_matrix(b, M, w) @ a)
+    assert np.max(np.abs(got - quotient)) <= 1e-12 * math.sqrt(b) * np.linalg.norm(a)
 
 
-def test_double_integral_direct_budget():
-    cfg = HoleConfig(w=(0.2,), N=8)
-    grid = polar_grid(0.2, 2.0, n_theta=128, nodes_per_panel=16, panel_width=0.05)
-    with pytest.raises(ResourceBudgetError):
-        double_integral_direct(cfg, 0, grid)
+hole = st.tuples(st.floats(0.0, 0.95), st.floats(0.0, 2 * math.pi)).map(
+    lambda rt: complex(rt[0] * math.cos(rt[1]), rt[0] * math.sin(rt[1])))
 
 
-def test_field_grids_budget():
-    # the default grid at N = 4096 has 1,120,896 nodes (96 panels of 12
-    # radii, 973 angles), above NODE_BUDGET
-    cfg = HoleConfig(w=(0.9,), N=4096)
-    with pytest.raises(ResourceBudgetError, match="1120896"):
-        emergent_field_integral(cfg, 0)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(N=st.sampled_from([16, 32, 64, 256, 1024, 2048]), data=st.data())
+def test_integral_route_matches_derivative_route(N, data):
+    # away from merging (pairs at least 4 magnetic lengths apart), inside
+    # |w| <= 0.95, every tracer
+    w = data.draw(st.lists(hole, min_size=1, max_size=4).filter(lambda w: all(
+        abs(p - q) >= 4.0 / math.sqrt(N) for k, p in enumerate(w) for q in w[k + 1:])))
+    cfg = HoleConfig(w=tuple(w), N=N)
+    j = data.draw(st.integers(0, cfg.n - 1))
+    i, d = emergent_field_integral(cfg, j), emergent_field_derivative(cfg, j)
+    assert np.linalg.norm(d.A - i.A) <= 1e-12 * N
+    assert abs(d.V - i.V) <= 1e-12 * N
 
 
-def test_default_grid_reaches_n1024():
-    # the grid is built without a field call, which takes seconds here
-    assert _field_grid(HoleConfig(w=(0.3,), N=1024), 0).size <= NODE_BUDGET
-
-
-@pytest.mark.parametrize("N", [16, 32])
-@pytest.mark.parametrize("w", [(0.9j, -0.2 + 0.3j), (0.45 - 0.2j, -0.1 + 0.35j)])
-def test_default_radial_rule_is_converged(N, w):
-    # the default panels of 1.35 / sqrt(b) against panels three times
-    # narrower, with the same angles and nodes per panel
-    cfg = HoleConfig(w=w, N=N)
-    r_max = abs(cfg.w[0]) + 1.0 + 8.0 / math.sqrt(cfg.b)
-    default = _field_grid(cfg, 0)
-    n_theta = default.size // default.radii.size
-    narrow = polar_grid(cfg.w[0], r_max, n_theta=n_theta, nodes_per_panel=12,
-                        panel_width=min(0.45 / math.sqrt(cfg.b), r_max / 8.0))
-    assert narrow.size > 2 * default.size
-    f, g = emergent_field_integral(cfg, 0), emergent_field_integral(cfg, 0, narrow)
-    assert np.linalg.norm(f.A - g.A) <= 1e-12 * cfg.N
-    assert abs(f.V - g.V) <= 1e-12 * cfg.N
-
-
-def _one_shot_fields(cfg, j, grid):
-    """The integral-route formulas with the dense projector onto the
-    conditioned basis: the pole terms from their closed forms, the single
-    integral on the whole grid at once."""
-    null = _hole_spaces(cfg)[1]
-    proj = null @ null.conj().T
-    s_mat = _pole_matrix(cfg.b, cfg.spec.M, cfg.w[j])
-    i_val = complex(np.sum(proj * s_mat))
-    frob = np.linalg.norm(proj @ s_mat.T @ proj) ** 2
-    p_diag = np.sum(np.abs(vanishing_subspace(cfg, grid.nodes)) ** 2, axis=1)
-    single = float(np.sum(grid.weights * p_diag / np.abs(cfg.w[j] - grid.nodes) ** 2))
-    return np.array([i_val.imag, i_val.real]), 2.0 * single - 2.0 * frob
-
-
-@pytest.mark.parametrize("n_theta, blocks", [(24, 3), (6, 1)])
-def test_blocked_integral_route_matches_one_shot(monkeypatch, n_theta, blocks):
-    # several blocks ending in a partial one, and a grid smaller than one
-    # block; the route never reads the partition memo, the derivative
-    # route's log-derivatives or an orbital derivative table
+def test_integral_route_never_calls_the_derivative_route(monkeypatch):
+    # the route never reads the partition memo, the derivative route's
+    # log-derivatives or an orbital derivative table
     from qhflux import kernel, partition, potentials
-    from qhflux.potentials import _BLOCK_BYTES
+    cfg = HoleConfig(w=(0.3 + 0.1j, -0.25 + 0.2j), N=16)
+    d = emergent_field_derivative(cfg, 1)
 
     def refused(*args, **kwargs):
         raise AssertionError("the integral route called into the derivative route")
@@ -407,21 +367,21 @@ def test_blocked_integral_route_matches_one_shot(monkeypatch, n_theta, blocks):
                          (potentials, "log_upsilon_derivative_stack"),
                          (kernel, "orbital_derivative"), (partition, "orbital_derivative")):
         monkeypatch.setattr(module, name, refused)
-    cfg = HoleConfig(w=(0.3 + 0.1j, -0.25 + 0.2j), N=16)
-    grid = polar_grid(cfg.w[1], 1.5 + 8.0 / math.sqrt(cfg.b), n_theta=n_theta,
-                      nodes_per_panel=12, panel_width=0.1)
-    rows = _BLOCK_BYTES // (16 * cfg.spec.M)
-    assert -(-grid.size // rows) == blocks and grid.size % rows
-    f = emergent_field_integral(cfg, 1, grid)
-    a_vec, v_val = _one_shot_fields(cfg, 1, grid)
-    assert np.max(np.abs(f.A - a_vec)) <= 1e-13 * cfg.N
-    assert abs(f.V - v_val) <= 1e-12 * cfg.N
+    i = emergent_field_integral(cfg, 1)
+    assert np.linalg.norm(d.A - i.A) <= 1e-13 * cfg.N
+    assert abs(d.V - i.V) <= 1e-13 * cfg.N
 
 
-@pytest.mark.parametrize("N", [32, 64, 128])
-def test_integral_route_memory_does_not_grow_with_the_grid(N):
-    # one default-grid call holds O(rows M + M^2), not the grid's P x M
-    # orbital table and its temporaries (72 MB at N = 32, 162 MB at N = 64)
+def test_double_integral_direct_budget():
+    cfg = HoleConfig(w=(0.2,), N=8)
+    grid = polar_grid(0.2, 2.0, n_theta=128, nodes_per_panel=16, panel_width=0.05)
+    with pytest.raises(ResourceBudgetError):
+        double_integral_direct(cfg, 0, grid)
+
+
+@pytest.mark.parametrize("N", [32, 64, 128, 1024])
+def test_integral_route_memory_is_one_division_matrix(N):
+    # one call holds the M x M complex D and O(M n) besides it
     cfg = HoleConfig(w=(0.3 + 0.1j, -0.25 + 0.2j), N=N)
     emergent_field_integral(HoleConfig(w=(0.3,), N=2), 0)    # warm caches
     tracemalloc.start()
@@ -430,21 +390,11 @@ def test_integral_route_memory_does_not_grow_with_the_grid(N):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * 2 ** 20
-
-
-def test_default_grid_resolves_the_angle_at_n256():
-    # 96 angles, too few here, give a V gap of 3.2e-4 N
-    cfg = HoleConfig(w=(0.3 + 0.1j, -0.25 + 0.2j), N=256)
-    i = emergent_field_integral(cfg, 0)
-    d = emergent_field_derivative(cfg, 0)
-    assert np.linalg.norm(d.A - i.A) <= 1e-6 * cfg.N
-    assert abs(d.V - i.V) <= 1e-6 * cfg.N
+    assert peak <= 1.1 * 16 * cfg.spec.M ** 2 + 2 ** 20
 
 
 def test_integral_route_reaches_n512():
-    # the README's range: one default-grid call at N = 512 against the
-    # derivative route
+    # the README's range: one call at N = 512 against the derivative route
     cfg = HoleConfig(w=(0.3, -0.25 + 0.2j), N=512)
     i = emergent_field_integral(cfg, 0)
     d = emergent_field_derivative(cfg, 0)
@@ -571,10 +521,6 @@ def test_batch_error_names_the_row():
     assert np.array_equal(a_vec[[0, 2, 4]], a_good) and np.array_equal(v_val[[0, 2, 4]], v_good)
     with pytest.raises(SingularConfigurationError, match="row 3"):
         emergent_fields(256, mixed, 0)
-
-
-hole = st.tuples(st.floats(0.0, 0.95), st.floats(0.0, 2 * math.pi)).map(
-    lambda rt: complex(rt[0] * math.cos(rt[1]), rt[0] * math.sin(rt[1])))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
