@@ -372,6 +372,28 @@ def test_integral_route_never_calls_the_derivative_route(monkeypatch):
     assert abs(d.V - i.V) <= 1e-13 * cfg.N
 
 
+@pytest.mark.parametrize("N, blocks", [(24, 3), (6, 1)])
+def test_blocked_integral_route_matches_one_shot(N, blocks):
+    # D splits into a bottom block of s = floor(b |w_j|^2) rows and a top
+    # block; the route, taken through U in O(M^2 n), matches the one-shot
+    # dense form with the explicit projector Pi and V as the difference
+    # 2 ||D Pi||^2 - 2 ||Pi D Pi||^2 of the two integrals
+    cfg = HoleConfig(w=(0.45 + 0.1j,) if N == 6 else (0.3 + 0.1j, -0.3 + 0.2j), N=N)
+    j = cfg.n - 1
+    d_mat = _division_matrix(cfg.b, cfg.spec.M, cfg.w[j])
+    s = math.floor(cfg.b * abs(cfg.w[j]) ** 2)
+    assert s == blocks
+    assert not d_mat[:s, s:].any() and not d_mat[s:, :s].any()
+    row = _row_space(cfg)
+    proj = np.eye(cfg.spec.M) - row @ row.conj().T
+    d_pi = d_mat @ proj
+    i_val = complex(-np.trace(d_pi))
+    v_val = 2.0 * np.linalg.norm(d_pi) ** 2 - 2.0 * np.linalg.norm(proj @ d_pi) ** 2
+    f = emergent_field_integral(cfg, j)
+    assert np.max(np.abs(f.A - np.array([i_val.imag, i_val.real]))) <= 1e-13 * cfg.N
+    assert abs(f.V - v_val) <= 1e-12 * cfg.N
+
+
 def test_double_integral_direct_budget():
     cfg = HoleConfig(w=(0.2,), N=8)
     grid = polar_grid(0.2, 2.0, n_theta=128, nodes_per_panel=16, panel_width=0.05)
