@@ -4,8 +4,10 @@ Differentiating the log-normalization gives the gauge field A_j and scalar
 potential V_j exactly (Jacobi's formula on the Upsilon determinant); the
 same fields also come out of conditional-density integrals, each in closed
 form: a conditioned orbital combination divided by z - w_j is again a finite
-combination, and the integrals are its inner products.  Away from mergings, A_j tracks N y^perp minus one
-Aharonov-Bohm flux tube per partner hole, and V_j flattens to 2N.
+combination, whose coefficients two recurrences over the orbitals give in
+O(M n) time and memory, and the integrals are its inner products.  Away from
+mergings, A_j tracks N y^perp minus one Aharonov-Bohm flux tube per partner
+hole, and V_j flattens to 2N.
 """
 
 import numpy as np

@@ -402,10 +402,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (SingularConfigurationError, ValueError) as err:
+    except (UsageError, SingularConfigurationError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (DegenerateConfigurationError, SingularMatrixError, PrecisionError) as err:

@@ -72,11 +72,18 @@ def sample_no_merging(rng, N: int, n: int, classifier: RegimeClassifier,
         "the exclusion scale may exceed the droplet diameter")
 
 
-def _require_sizes(suite: str, **sizes: int) -> None:
-    """Refuse, by name, a size parameter of a suite below 1."""
+def _require_sizes(suite: str, least: int = 1, **sizes: int) -> None:
+    """Refuse, by name, a size parameter of a suite below least: 2 for an N
+    whose delta_N must be positive (a merging sweep, the global suite) and
+    for the global suite's n, which places merging pairs."""
     for name, value in sizes.items():
-        if value < 1:
-            raise ValueError(f"the {suite} suite needs {name} >= 1, got {value}")
+        if value < least:
+            raise ValueError(f"the {suite} suite needs {name} >= {least}, got {value}")
+
+
+def _n_list_sizes(N_list) -> dict:
+    """The length and least N of N_list, named for _require_sizes."""
+    return {"len(N_list)": len(N_list), "min(N_list)": min(N_list, default=1)}
 
 
 def pair_config(rng, N: int, separation: float) -> HoleConfig:
@@ -113,7 +120,7 @@ def run_kernel_suite(N_list=(64, 128, 256), kappa: float = 2.0,
     one stacked call over all sampled pairs and derivative orders per N;
     bounds are the certified tail estimate and the predicted log-log slopes.
     """
-    _require_sizes("kernel", samples=samples)
+    _require_sizes("kernel", samples=samples, **_n_list_sizes(N_list))
     n = KERNEL_HOLES
     report = VerificationReport(
         suite="kernel", seed=seed,
@@ -182,7 +189,9 @@ def run_upsilon_suite(N_list=(128, 256), kappa: float = 2.0,
                       n: int = 2, sweep_points: int = 12) -> VerificationReport:
     """Upsilon against its regime predictions, plus a merging separation sweep
     at the largest N of N_list."""
-    _require_sizes("upsilon", configs=configs, sweep_points=sweep_points)
+    _require_sizes("upsilon", configs=configs, sweep_points=sweep_points,
+                   **_n_list_sizes(N_list))
+    _require_sizes("upsilon", 2, **{"max(N_list)": max(N_list)})
     classifier = RegimeClassifier(kappa=kappa, gamma=gamma)
     report = VerificationReport(
         suite="upsilon", seed=seed,
@@ -231,7 +240,9 @@ def run_potential_suite(N_list=(128, 256), kappa: float = 2.0, gamma: float = 1.
                         sweep_points: int = 12) -> VerificationReport:
     """Emergent fields against regime predictions and correction profiles,
     and the integral route against the derivative route (cross rows)."""
-    _require_sizes("potential", configs=configs, sweep_points=sweep_points)
+    _require_sizes("potential", configs=configs, sweep_points=sweep_points,
+                   **_n_list_sizes(N_list))
+    _require_sizes("potential", 2, merging_N=merging_N)
     classifier = RegimeClassifier(kappa=kappa, gamma=gamma)
     report = VerificationReport(
         suite="potential", seed=seed,
@@ -302,8 +313,7 @@ def run_potential_suite(N_list=(128, 256), kappa: float = 2.0, gamma: float = 1.
 def run_global_suite(N: int = 64, n: int = 4, count: int = 500, seed: int = 0,
                      kappa: float = 2.0, gamma: float = 1.0) -> VerificationReport:
     """Uniform bounds on the fields over all regimes, incl. deep mergers."""
-    if n < 2:
-        raise ValueError("the global suite places merging pairs: n must be at least 2")
+    _require_sizes("global", 2, n=n, N=N)
     _require_sizes("global", count=count)
     classifier = RegimeClassifier(kappa=kappa, gamma=gamma)
     report = VerificationReport(

@@ -401,6 +401,13 @@ def _log_poisson(j: np.ndarray, t: np.ndarray) -> np.ndarray:
 _T_NEAR = -2.0 * math.log(np.finfo(float).tiny)
 
 
+def poisson_mean(b: float, pts) -> np.ndarray:
+    """t = b|z|^2 at each point, the Poisson mean of its orbital weights; an
+    overflowed t counts as the largest double, where every orbital is 0."""
+    with np.errstate(over="ignore"):
+        return np.minimum(b * np.abs(pts) ** 2, np.finfo(float).max)
+
+
 def weighted_orbitals(b: float, M: int, pts: np.ndarray) -> np.ndarray:
     """Matrix U[i, j] = phi_j(pts[i]) including the Gaussian weight.
 
@@ -424,9 +431,7 @@ def weighted_orbitals(b: float, M: int, pts: np.ndarray) -> np.ndarray:
     No row's value depends on the other rows.
     """
     pts = np.asarray(pts, dtype=complex).ravel()
-    # an overflowed t counts as the largest double, where every orbital is 0
-    with np.errstate(over="ignore"):
-        t = np.minimum(b * np.abs(pts) ** 2, np.finfo(float).max)
+    t = poisson_mean(b, pts)
     mode = np.fmin(np.floor(t), M - 1)      # a NaN point gives a NaN row
     anchor = (math.sqrt(b / math.pi) * np.exp(0.5 * _log_poisson(mode, t))
               * np.exp(1j * mode * np.angle(pts)))

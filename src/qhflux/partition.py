@@ -238,7 +238,11 @@ def log_upsilon_derivative_stack(b: float, M: int, holes, j: int
     """
     f = _kernel_stack(b, M, holes, j)
     phi, kernel = f.phi, f.kernel
-    w = np.asarray(holes, dtype=complex)[:, j]
+    corr, resolved = f.refusal
+    # a refused row's derivatives are NaN whatever w_j is, so w_j reads as
+    # 0 there: a hole beyond the double range, with every orbital 0, is
+    # refused, and its b^2 |w_j|^2 would overflow into inf * 0
+    w = np.where(resolved, np.asarray(holes, dtype=complex)[:, j], 0.0)
     # t^k e^{-t}/k! at k = M-1 and M-2; the latter is 0 at M = 1
     top = np.abs(phi[:, j, M - 1]) ** 2
     below = np.abs(phi[:, j, M - 2]) ** 2 if M > 1 else 0.0
@@ -252,7 +256,6 @@ def log_upsilon_derivative_stack(b: float, M: int, holes, j: int
     ddk[:, :, j] = ddk[:, j, :].conj()
     ddk[:, j, j] = b ** 2 * w * w.conj() * q2 + b * q1
 
-    corr, resolved = f.refusal
     d, dbar, dd = (f.inverse @ m for m in (dk, dk.conj().swapaxes(1, 2), ddk))
     dlog = np.trace(d, axis1=1, axis2=2)
     ddlog = np.trace(dd - dbar @ d, axis1=1, axis2=2).real

@@ -6,7 +6,7 @@ them as they are (production path), and
 the integral route evaluates the conditional-density integral formulas
 (cross-validation path) in closed form: every conditioned function vanishes
 at the tracer, so its quotient by z - w_j is a finite orbital combination
-(polynomial division), and each integral is a Fock-space inner product.
+(polynomial division by recurrence), and each integral is an inner product.
 Correction fields a, v and the asymptotic field prediction live here too.
 """
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import weighted_orbitals
+from .kernel import poisson_mean, weighted_orbitals
 from .partition import (UPSILON_FLOOR, HoleConfig, SingularConfigurationError, _check_tracer,
                         coincident_rows, log_upsilon_derivative_stack)
 from .quadrature import QuadratureGrid
@@ -93,7 +93,7 @@ def emergent_field_stack(N: int, holes, j: int) -> tuple[np.ndarray, np.ndarray,
     dlog_sq = np.hypot(dlog.real, dlog.imag) ** 2
     # ddlog is a difference of two traces of size |dlog|^2.  Their rounding
     # grows with b|w_j|^2 and with the conditioning of the kernel matrix, corr
-    v_error = V_ERROR_SCALE * (1.0 + N * np.abs(w[:, j]) ** 2) * dlog_sq / corr
+    v_error = V_ERROR_SCALE * (1.0 + poisson_mean(N, w[:, j])) * dlog_sq / corr
     noise = np.isnan(dlog)    # exactly the rows resolved_rows refuses
     ok = ~(coincident | noise | (v_error > FIELD_ERROR_BUDGET * N))
     refusals = {}
@@ -154,44 +154,30 @@ def vanishing_subspace(cfg: HoleConfig, pts: np.ndarray):
     return weighted_orbitals(cfg.spec.b, cfg.spec.M, pts) @ null
 
 
-def _running_products(block: np.ndarray, first: np.ndarray, ratios: np.ndarray) -> None:
-    """Fill a square block with L[m, k] = first[k] prod_{k < i <= m} ratios[i]
-    on and below its diagonal and 0 above it, in place."""
-    upper = ~np.tri(len(first), dtype=bool)
-    np.copyto(block, ratios[:, None])
-    np.copyto(block, 1.0, where=upper)
-    idx = np.arange(len(first))
-    block[idx, idx] = first
-    np.multiply.accumulate(block, axis=0, out=block)
-    np.copyto(block, 0.0, where=upper)
-
-
-def _division_matrix(b: float, M: int, w: complex) -> np.ndarray:
-    """D (M x M) with psi(z) / (z - w) = sum_m (D a)_m phi_m(z) for every
-    coefficient vector a whose orbital combination psi = sum_k a_k phi_k
-    vanishes at w: synthetic division of its polynomial by z - w, in the
-    orbital normalisation.
-
-    Row m divides from the bottom, D_mk = -phi_k(w) / (w phi_m(w)) for
-    k <= m, when m < s = min(M, floor(b|w|^2)), and from the top,
-    D_mk = phi_k(w) / (w phi_m(w)) for k > m, otherwise; both sides agree
-    wherever psi(w) = 0.  Each row takes the side whose orbital ratios have
-    modulus at most 1, so D is block diagonal, and each block is a running
-    product out from its diagonal of the steps sqrt(m/b) / w (bottom; the
-    diagonal is -1/w, with |w|^2 >= 1/b there) and w sqrt(b/k) (top; the
-    first entry D_{m,m+1} is sqrt(b/(m+1))).  No step exceeds 1, so nothing
-    overflows, and w = 0 needs no case of its own."""
-    s = min(M, math.floor(b * abs(w) ** 2))
-    d_mat = np.zeros((M, M), dtype=complex)
-    i = np.arange(float(M))
-    if s:
-        _running_products(d_mat[:s, :s], np.full(s, -1.0 / w), np.sqrt(i[:s] / b) / w)
-    if s < M - 1:
-        # transposed, the top rows' entries k > m are a lower-triangular
-        # block whose column m runs down from D_{m,m+1}
-        _running_products(d_mat[s:-1, s + 1:].T, np.sqrt(b / i[s + 1:]),
-                          w * np.sqrt(b / i[s + 1:]))
-    return d_mat
+def _divided(b: float, M: int, w: complex, U: np.ndarray) -> tuple[np.ndarray, complex]:
+    """U^H D (n x M) and tr D of the division matrix D (M x M), never formed
+    (U = I gives D): psi(z) / (z - w) = sum_m (D a)_m phi_m(z) for every a
+    whose orbital combination psi = sum_k a_k phi_k vanishes at w, which is
+    synthetic division by z - w in the orbital normalisation.  Rows
+    m < s = min(M, floor(b|w|^2)) divide from the bottom,
+    D_mk = -phi_k(w) / (w phi_m(w)) for k <= m, the others from the top,
+    D_mk = phi_k(w) / (w phi_m(w)) for k > m; both agree wherever psi(w) = 0.
+    So, with U_k row k of U, column k < s of U^H D is -B_k / w, where
+    B_{s-1} = conj(U_{s-1}) and B_k = conj(U_k) + sqrt((k+1)/b) / w B_{k+1},
+    and column k >= s is T_k, where T_s = 0 and
+    T_{k+1} = sqrt(b/(k+1)) (w T_k + conj(U_k)).  Every orbital ratio there
+    has modulus at most 1, so nothing overflows and w = 0 needs no case of
+    its own; tr D = -s / w is the bottom rows' diagonal."""
+    s = min(M, math.floor(poisson_mean(b, w)))
+    u = U.conj()
+    # one zero row past the last orbital: B_{s-1} reads it, or T_s at s < M
+    out = np.zeros((M + 1, u.shape[1]), dtype=complex)
+    for k in range(s - 1, -1, -1):
+        out[k] = u[k] + math.sqrt((k + 1) / b) / w * out[k + 1]
+    out[:s] /= -w
+    for k in range(s, M - 1):
+        out[k + 1] = math.sqrt(b / (k + 1)) * (w * out[k] + u[k])
+    return out[:M].T, -s / w if s else 0j
 
 
 def emergent_field_integral(cfg: HoleConfig, j: int) -> EmergentField:
@@ -204,21 +190,19 @@ def emergent_field_integral(cfg: HoleConfig, j: int) -> EmergentField:
     term is the exact factorization of the double integral of the
     conditioned-kernel square.
 
-    Every conditioned function vanishes at w_j, so _division_matrix's D
-    maps it to its quotient by z - w_j, and the orbitals are orthonormal.
-    With the projector Pi = I - U U^H onto the conditioned coefficients (U
-    from _row_space, rank n) that gives int P/(w_j - z) = -tr(D Pi),
-    int P/|w_j - z|^2 = ||D Pi||_F^2 and ||T||_F^2 = ||Pi D Pi||_F^2, so
-    V_j = 2 ||U^H D Pi||_F^2, a sum of squares; each is taken through U in
-    O(M^2 n), and D is the one M x M array.
+    Every conditioned function vanishes at w_j, so the division matrix D
+    of _divided maps it to its quotient by z - w_j.  The orbitals are
+    orthonormal, so with Pi = I - U U^H (U from _row_space, rank n)
+    int P/(w_j - z) = -tr(D Pi), int P/|w_j - z|^2 = ||D Pi||_F^2 and
+    ||T||_F^2 = ||Pi D Pi||_F^2: V_j = 2 ||U^H D Pi||_F^2, a sum of squares,
+    all from U^H D and tr D in O(M n) time and memory.
     """
     _check_tracer(j, cfg.n)
     cfg.require_distinct()
     row = _row_space(cfg)
-    d_mat = _division_matrix(cfg.spec.b, cfg.spec.M, cfg.w[j])
-    left = row.conj().T @ d_mat               # U^H D
+    left, trace = _divided(cfg.spec.b, cfg.spec.M, cfg.w[j], row)    # U^H D, tr D
     inner = left @ row                        # U^H D U
-    i_val = complex(np.trace(inner) - np.trace(d_mat))
+    i_val = complex(np.trace(inner) - trace)
     outer = left - inner @ row.conj().T       # U^H D Pi
     return EmergentField(A=np.array([i_val.imag, i_val.real]),
                          V=2.0 * np.vdot(outer, outer).real, j=j)

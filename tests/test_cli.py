@@ -122,6 +122,15 @@ def test_far_outside_hole_refused_with_zero_ratio(capsys):
     assert "Upsilon / prod Q = 0.0 below" in err and "nan" not in err
 
 
+def test_hole_beyond_the_double_range_exits_3_quietly(capsys):
+    # b |w|^2 overflows at 1e200; a numpy warning on the way to the refusal
+    # would raise here (error::RuntimeWarning) or print before the error line
+    assert main(["potentials", "--N", "4", "--holes", "1e200+0i,0.3+0i"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Upsilon / prod Q = 0.0 below" in err
+
+
 def test_charpoly_precision_error_exits_3(capsys):
     assert main(["charpoly", "--N", "1", "--holes", "0.7+0i", "--samples", "100"]) == 3
     assert capsys.readouterr().err.startswith("error: ")
@@ -394,9 +403,20 @@ def test_infeasible_suite_parameters_exit_2(tmp_path, capsys):
     ["kernel", "--N", "4", "--b", "nan", "--z", "0.1", "--w", "0.2"],
     # a non-finite kappa once classified the holes as no-merging, exit 0
     ["upsilon", "--N", "64", "--holes", "0.1,0.3i", "--kappa", "nan"],
+    # each size below once failed with an unrelated message, and the empty
+    # potential N_list passed with no per-N row
+    ["verify", "--suite", "kernel", "--N-list="],
+    ["verify", "--suite", "upsilon", "--N-list="],
+    ["verify", "--suite", "potential", "--N-list="],
+    ["verify", "--suite", "kernel", "--N-list", "0"],
+    ["verify", "--suite", "global", "--N", "0"],
+    ["verify", "--suite", "potential", "--merging-N", "0"],
+    ["verify", "--suite", "upsilon", "--N-list", "1"],
 ], ids=["kernel-nan", "kernel-overflow", "kernel-long-tail", "charpoly-no-holes",
         "mcmc-b0", "kernel-M0", "upsilon-b-nan", "upsilon-b-inf", "kernel-b-nan",
-        "upsilon-kappa-nan"])
+        "upsilon-kappa-nan", "verify-kernel-no-N", "verify-upsilon-no-N",
+        "verify-potential-no-N", "verify-kernel-N0", "verify-global-N0",
+        "verify-merging-N0", "verify-upsilon-N1"])
 def test_bad_input_exits_2_with_one_error_line(argv):
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}

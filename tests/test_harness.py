@@ -160,6 +160,28 @@ def test_suites_refuse_a_size_below_one_by_name(run, sizes):
         run(**sizes)
 
 
+@pytest.mark.parametrize("run, kwargs, message", [
+    (run_kernel_suite, {"N_list": ()}, "needs len.N_list. >= 1, got 0"),
+    (run_upsilon_suite, {"N_list": []}, "needs len.N_list. >= 1, got 0"),
+    (run_potential_suite, {"N_list": ()}, "needs len.N_list. >= 1, got 0"),
+    (run_kernel_suite, {"N_list": (64, 0)}, "needs min.N_list. >= 1, got 0"),
+    (run_potential_suite, {"N_list": (-2,)}, "needs min.N_list. >= 1, got -2"),
+    (run_upsilon_suite, {"N_list": (1,)}, "needs max.N_list. >= 2, got 1"),
+    (run_potential_suite, {"merging_N": 1}, "needs merging_N >= 2, got 1"),
+    (run_global_suite, {"N": 0}, "needs N >= 2, got 0")])
+def test_suites_refuse_a_bad_n_by_name(run, kwargs, message):
+    # each once failed with an unrelated message (min() or max() of an empty
+    # sequence, math domain error, a geometric sequence with a zero) or, for
+    # the potential suite's empty N_list, passed without a per-N row
+    with pytest.raises(ValueError, match=message):
+        run(**kwargs)
+
+
+def test_kernel_suite_runs_at_n1():
+    # delta_1 = 0 is a fixed sampling disk of radius 1, not an error
+    assert run_kernel_suite(N_list=(1,), samples=20).all_passed
+
+
 @pytest.mark.parametrize("kwargs", [{"kappa": math.nan}, {"kappa": math.inf},
                                     {"gamma": math.nan}, {"gamma": -math.inf},
                                     {"kappa": 0.0}, {"gamma": -1.0}])

@@ -11,7 +11,7 @@ from scipy.linalg import null_space
 from qhflux.kernel import weighted_orbitals
 from qhflux.partition import HoleConfig, SingularConfigurationError
 from qhflux.potentials import (DegenerateConfigurationError, ResourceBudgetError,
-                               _division_matrix, _row_space, ab_sum, asymptotic_prediction,
+                               _divided, _row_space, ab_sum, asymptotic_prediction,
                                correction_a, correction_v, double_integral_direct,
                                emergent_field_derivative, emergent_field_integral,
                                emergent_field_stack, emergent_fields, perp, to_vec,
@@ -281,6 +281,11 @@ def test_vanishing_subspace_projector_matches_null_space(n):
     assert np.max(np.abs(psi @ psi.conj().T - old @ old.conj().T)) <= 1e-12
 
 
+def _division_matrix(b, M, w):
+    """D itself, as _divided gives it for U = I."""
+    return _divided(b, M, w, np.eye(M, dtype=complex))[0]
+
+
 def _fine_integrals(cfg, j):
     """int P/(w_j - z), int P/|w_j - z|^2 and ||T||_F^2 on a fine polar grid
     around w_j (16 nodes per panel of 0.5 magnetic lengths, 256 angles), 12
@@ -375,8 +380,8 @@ def test_integral_route_never_calls_the_derivative_route(monkeypatch):
 @pytest.mark.parametrize("N, blocks", [(24, 3), (6, 1)])
 def test_blocked_integral_route_matches_one_shot(N, blocks):
     # D splits into a bottom block of s = floor(b |w_j|^2) rows and a top
-    # block; the route, taken through U in O(M^2 n), matches the one-shot
-    # dense form with the explicit projector Pi and V as the difference
+    # block; the route, which never forms D, matches the one-shot dense form
+    # with the explicit projector Pi and V as the difference
     # 2 ||D Pi||^2 - 2 ||Pi D Pi||^2 of the two integrals
     cfg = HoleConfig(w=(0.45 + 0.1j,) if N == 6 else (0.3 + 0.1j, -0.3 + 0.2j), N=N)
     j = cfg.n - 1
@@ -401,9 +406,9 @@ def test_double_integral_direct_budget():
         double_integral_direct(cfg, 0, grid)
 
 
-@pytest.mark.parametrize("N", [32, 64, 128, 1024])
-def test_integral_route_memory_is_one_division_matrix(N):
-    # one call holds the M x M complex D and O(M n) besides it
+@pytest.mark.parametrize("N", [32, 64, 128, 1024, 4096])
+def test_integral_route_memory_is_linear_in_m(N):
+    # one call holds a few n x M arrays and never the M x M D
     cfg = HoleConfig(w=(0.3 + 0.1j, -0.25 + 0.2j), N=N)
     emergent_field_integral(HoleConfig(w=(0.3,), N=2), 0)    # warm caches
     tracemalloc.start()
@@ -412,7 +417,7 @@ def test_integral_route_memory_is_one_division_matrix(N):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * 16 * cfg.spec.M ** 2 + 2 ** 20
+    assert peak <= 8 * 16 * cfg.spec.M * cfg.n + 2 ** 16
 
 
 def test_integral_route_reaches_n512():
@@ -422,6 +427,36 @@ def test_integral_route_reaches_n512():
     d = emergent_field_derivative(cfg, 0)
     assert np.linalg.norm(d.A - i.A) <= 1e-10 * cfg.N
     assert abs(d.V - i.V) <= 1e-10 * cfg.N
+
+
+def test_integral_route_reaches_n4096():
+    cfg = HoleConfig(w=(0.3, -0.25 + 0.2j), N=4096)
+    i = emergent_field_integral(cfg, 0)
+    d = emergent_field_derivative(cfg, 0)
+    assert np.linalg.norm(d.A - i.A) <= 1e-12 * cfg.N
+    assert abs(d.V - i.V) <= 1e-12 * cfg.N
+
+
+@pytest.mark.parametrize("far", [1e200, -1.7e308j])
+def test_tracer_beyond_the_double_range(far):
+    # b |w|^2 overflows: every orbital of the far hole is 0, so the integral
+    # route gives the finite fields of a hole that constrains nothing, and
+    # the derivative route refuses the row (Upsilon = 0) without a warning,
+    # with either hole as the tracer
+    cfg = HoleConfig(w=(far, 0.3), N=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far_field = emergent_field_integral(cfg, 0)
+        near_field = emergent_field_integral(cfg, 1)
+        refused = [emergent_field_stack(cfg.N, [cfg.w], j) for j in range(2)]
+    assert np.isfinite(far_field.A).all() and np.isfinite(far_field.V)
+    # the same b and M with the near hole alone
+    alone = emergent_field_integral(HoleConfig(w=(0.3,), N=5, b=4.0), 0)
+    assert np.allclose(near_field.A, alone.A, rtol=0, atol=1e-14 * cfg.N)
+    assert abs(near_field.V - alone.V) <= 1e-14 * cfg.N
+    for a_vec, v_val, refusals in refused:
+        assert np.isnan(a_vec).all() and np.isnan(v_val).all()
+        assert isinstance(refusals[0], DegenerateConfigurationError)
 
 
 def test_field_call_factors_once(monkeypatch):
