@@ -2,7 +2,7 @@
 functions, emergent gauge/scalar potentials, and independent oracles."""
 
 from .kernel import (DerivOrder, KernelSpec, LogComplex, kernel_eval,
-                     kernel_infty, kernel_tail_bound, reproducing_residual)
+                     kernel_infty, kernel_tail_bound)
 from .partition import (HoleConfig, PartitionValue, SingularConfigurationError,
                         SingularMatrixError, log_partition, theta,
                         theta_polarized, upsilon, upsilon_prediction)
@@ -10,16 +10,16 @@ from .potentials import (DegenerateConfigurationError, EmergentField,
                          asymptotic_prediction, correction_a, correction_v,
                          emergent_field_derivative, emergent_field_integral,
                          emergent_fields)
-from .quadrature import QuadratureGrid, cartesian_grid, polar_grid
+from .quadrature import QuadratureGrid, cartesian_grid
 
 __version__ = "0.1.0"
 
 __all__ = [
     "LogComplex",
     "SingularMatrixError",
-    "QuadratureGrid", "cartesian_grid", "polar_grid",
+    "QuadratureGrid", "cartesian_grid",
     "KernelSpec", "DerivOrder", "kernel_eval", "kernel_infty",
-    "kernel_tail_bound", "reproducing_residual",
+    "kernel_tail_bound",
     "HoleConfig", "PartitionValue", "SingularConfigurationError",
     "upsilon", "log_partition", "theta",
     "theta_polarized", "upsilon_prediction",

@@ -35,7 +35,9 @@ NO_MERGING_MARGIN = 1.10
 PAIR_JITTER = 0.05
 # holes per kernel suite case: its kernels have M = N + KERNEL_HOLES orbitals
 KERNEL_HOLES = 2
-# Metropolis sweeps per charpoly case of the oracle suite
+# the oracle suite's charpoly cases read their sample count from a chain of
+# this many sweeps (burn-in 1000, thin 10: 10,000 i.i.d. Ginibre samples);
+# the summary JSON reports it as mc_sweeps
 ORACLE_MC_SWEEPS = 101_000
 # the potential suite's cross-route rows put its n holes on the ring
 # |w| = CROSS_RING at angles 0.1 + 2 pi k / n, tracer 0; the two field routes
@@ -74,8 +76,9 @@ def sample_no_merging(rng, N: int, n: int, classifier: RegimeClassifier,
 
 def _require_sizes(suite: str, least: int = 1, **sizes: int) -> None:
     """Refuse, by name, a size parameter of a suite below least: 2 for an N
-    whose delta_N must be positive (a merging sweep, the global suite) and
-    for the global suite's n, which places merging pairs."""
+    whose delta_N must be positive (a merging sweep, the potential suite's
+    no-merging rows, the global suite) and for the global suite's n, which
+    places merging pairs."""
     for name, value in sizes.items():
         if value < least:
             raise ValueError(f"the {suite} suite needs {name} >= {least}, got {value}")
@@ -242,7 +245,8 @@ def run_potential_suite(N_list=(128, 256), kappa: float = 2.0, gamma: float = 1.
     and the integral route against the derivative route (cross rows)."""
     _require_sizes("potential", configs=configs, sweep_points=sweep_points,
                    **_n_list_sizes(N_list))
-    _require_sizes("potential", 2, merging_N=merging_N)
+    # delta_1 = 0: the no-merging prediction says nothing at N = 1
+    _require_sizes("potential", 2, merging_N=merging_N, **{"min(N_list)": min(N_list)})
     classifier = RegimeClassifier(kappa=kappa, gamma=gamma)
     report = VerificationReport(
         suite="potential", seed=seed,

@@ -50,8 +50,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import QuadratureGrid
-
 DerivOrder = tuple[int, int, int, int]
 
 _LOG_RESCALE = math.log(1e250)
@@ -481,15 +479,3 @@ def orbital_derivative(b: float, orbitals: np.ndarray, pts: np.ndarray) -> np.nd
     shifted = np.zeros_like(orbitals)        # sqrt(b j) phi_{j-1}
     shifted[:, 1:] = orbitals[:, :-1] * np.sqrt(b * np.arange(1, orbitals.shape[1]))
     return -0.5 * b * z.conj() * orbitals + shifted
-
-
-def reproducing_residual(spec: KernelSpec, z: complex, w: complex,
-                         grid: QuadratureGrid) -> float:
-    """Relative residual of int K_M(z,x) K_M(x,w) dx = K_M(z,w)."""
-    u = weighted_orbitals(spec.b, spec.M, np.array([z, w]))
-    U = weighted_orbitals(spec.b, spec.M, grid.nodes)
-    k_zx = u[0] @ U.conj().T
-    k_xw = U @ u[1].conj()
-    integral = np.sum(grid.weights * k_zx * k_xw)
-    k_zw = u[0] @ u[1].conj()
-    return float(abs(integral - k_zw) / abs(k_zw))

@@ -56,12 +56,6 @@ def ginibre_matrices(N: int, b: float, count: int, seed: int) -> np.ndarray:
     return g
 
 
-def ginibre_samples(N: int, b: float, count: int, seed: int) -> np.ndarray:
-    """(count, N) exact draws from the no-hole mu = 1 plasma at field b: the
-    eigenvalues of ginibre_matrices(N, b, count, seed)."""
-    return np.linalg.eigvals(ginibre_matrices(N, b, count, seed))
-
-
 def charpoly_moment_mc(cfg: HoleConfig, mcmc: PlasmaConfig) -> CharpolyEstimate:
     """Estimate E[prod |Q(w_j)|^2] from i.i.d. Ginibre samples.
 

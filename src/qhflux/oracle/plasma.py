@@ -137,6 +137,24 @@ class _Sweep:
         self.sites = list(range(n))
 
     def __call__(self, z, steps, logu):
+        """Move particles k = 0, ..., N-1 in turn to z'_k = z_k + steps[k],
+        each when logu[k] is below the move's log density ratio.
+
+        No particle moves before its turn, so every other particle i sits at
+        z_i, or at z'_i once it has moved.  With
+        R[k, i] = log(|z'_k - z_i| / |z_k - z_i|) the ratio of move k is the
+        precomputed base
+            b (|z_k|^2 - |z'_k|^2) + 2 p (hole terms) + 2 mu sum_{i != k} R[k, i]
+        plus 2 mu moved[k], where moved[k] sums G[k, i] = log(|z'_k - z'_i| /
+        |z_k - z'_i|) - R[k, i] over the particles i < k accepted earlier in
+        the sweep; each accepted move i adds column G[:, i] to the vector
+        moved.  A proposal onto a current particle, or onto a hole when
+        p > 0, meets log 0 = -inf and is rejected.  One onto a site z_i
+        vacated earlier in the sweep puts -inf in the base and +inf in the
+        correction; that NaN ratio is taken afresh from the particles'
+        current sites.  Returns the positions after the sweep (a new array),
+        the accept flags and the N log ratios.
+        """
         n, pts, two_mu = self.n, self.pts, self.two_mu
         pts[:n] = z
         np.add(z, steps, out=pts[n:2 * n])
@@ -165,28 +183,6 @@ class _Sweep:
                 moved += g[:, k]
                 at[k] = n + k
         return pts[at], accepted, ratios
-
-
-def metropolis_sweep(cfg: PlasmaConfig, z: np.ndarray, steps: np.ndarray,
-                     logu: np.ndarray) -> tuple[np.ndarray, list[bool], list[float]]:
-    """Move particles k = 0, ..., N-1 in turn to z'_k = z_k + steps[k], each
-    when logu[k] is below the move's log density ratio.
-
-    No particle moves before its turn, so every other particle i sits at z_i,
-    or at z'_i once it has moved.  With R[k, i] = log(|z'_k - z_i| / |z_k - z_i|)
-    the ratio of move k is the precomputed base
-        b (|z_k|^2 - |z'_k|^2) + 2 p (hole terms) + 2 mu sum_{i != k} R[k, i]
-    plus 2 mu moved[k], where moved[k] sums G[k, i] = log(|z'_k - z'_i| /
-    |z_k - z'_i|) - R[k, i] over the particles i < k accepted earlier in the
-    sweep; each accepted move i adds column G[:, i] to the vector moved.  A
-    proposal onto a current particle, or onto a hole when p > 0, meets
-    log 0 = -inf and is rejected.  One onto a site z_i vacated earlier in the
-    sweep puts -inf in the base and +inf in the correction; that NaN ratio is
-    taken afresh from the particles' current sites.  Returns the positions
-    after the sweep (a new array), the accept flags and the N log ratios.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _Sweep(cfg)(z, steps, logu)
 
 
 def initial_positions(cfg: PlasmaConfig, rng: np.random.Generator) -> np.ndarray:

@@ -20,7 +20,6 @@ import numpy as np
 from .kernel import poisson_mean, weighted_orbitals
 from .partition import (UPSILON_FLOOR, HoleConfig, SingularConfigurationError, _check_tracer,
                         coincident_rows, log_upsilon_derivative_stack)
-from .quadrature import QuadratureGrid
 
 # emergent_field_stack estimates the rounding error of V as V_ERROR_SCALE
 # (1 + b|w_j|^2) |dlog|^2 / (Upsilon / prod_i (pi/b) K_M(w_i, w_i)) and
@@ -33,10 +32,6 @@ FIELD_ERROR_BUDGET = 1e-6
 
 class DegenerateConfigurationError(Exception):
     """Merging too deep for double-precision log-derivative assembly."""
-
-
-class ResourceBudgetError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -135,10 +130,22 @@ def _row_space(cfg: HoleConfig) -> np.ndarray:
     constraints phi_k(w_i), from one thin SVD with scipy.linalg.null_space's
     rank rule (singular values above max(n, M) eps s_max count).  Its
     complement holds the coefficient vectors whose orbital combinations
-    vanish at every hole; the projector onto that is Pi = I - U U^H."""
+    vanish at every hole; the projector onto that is Pi = I - U U^H.
+
+    A row that underflows to zero (a hole beyond the double range)
+    constrains nothing.  Distinct holes give independent rows, so a rank
+    below the count of the others means that merging holes made their rows
+    parallel to rounding, or that a hole outside the droplet has a row
+    below the rank floor, and the route would answer for fewer holes than
+    it was given: DegenerateConfigurationError."""
     constraints = weighted_orbitals(cfg.spec.b, cfg.spec.M, cfg.points())
     _, s, vh = np.linalg.svd(constraints, full_matrices=False)
     rank = np.count_nonzero(s > max(constraints.shape) * np.finfo(float).eps * s.max(initial=0.0))
+    rows = np.count_nonzero(constraints.any(axis=1))
+    if rank < rows:
+        raise DegenerateConfigurationError(
+            f"the hole constraints have numerical rank {rank} below their {rows} nonzero rows "
+            "(holes merging, or a hole far outside the droplet)")
     return vh[:rank].conj().T
 
 
@@ -206,20 +213,6 @@ def emergent_field_integral(cfg: HoleConfig, j: int) -> EmergentField:
     outer = left - inner @ row.conj().T       # U^H D Pi
     return EmergentField(A=np.array([i_val.imag, i_val.real]),
                          V=2.0 * np.vdot(outer, outer).real, j=j)
-
-
-def double_integral_direct(cfg: HoleConfig, j: int, grid: QuadratureGrid) -> float:
-    """Direct product-form evaluation of the conditioned-square double
-    integral; O(grid^2), capped, kept as a cross-check of the factorized
-    Frobenius form."""
-    _check_tracer(j, cfg.n)
-    if grid.size > 4096:
-        raise ResourceBudgetError("direct double integral capped at 4096 nodes per factor")
-    psi = vanishing_subspace(cfg, grid.nodes)
-    ktilde = psi @ psi.conj().T
-    f = grid.weights / (cfg.w[j] - grid.nodes)
-    val = np.einsum("a,ab,b->", f, np.abs(ktilde) ** 2, f.conj())
-    return float(np.real(val))
 
 
 def correction_a(y: np.ndarray) -> np.ndarray:

@@ -12,11 +12,11 @@ import time
 
 import numpy as np
 
+from helpers import integrate_radial, polar_grid, reproducing_residual
 from qhflux.harness.suites import (case_rng, pair_config, run_global_suite,
                                    run_potential_suite, run_upsilon_suite,
                                    sample_points_in_disk)
-from qhflux.kernel import (KernelSpec, kernel_log_orders, kernel_tail_bound_log,
-                           reproducing_residual, weighted_orbitals)
+from qhflux.kernel import KernelSpec, kernel_log_orders, kernel_tail_bound_log, weighted_orbitals
 from qhflux.oracle.charpoly import charpoly_moment_mc
 from qhflux.oracle.energy import GaussianPacket, energy_identity_check
 from qhflux.oracle.monomial import partition_exact
@@ -26,7 +26,7 @@ from qhflux.partition import HoleConfig, log_partition
 from qhflux.potentials import (asymptotic_prediction, correction_a, correction_v,
                                emergent_field_derivative, emergent_field_integral,
                                perp)
-from qhflux.quadrature import cartesian_grid, integrate_radial, polar_grid
+from qhflux.quadrature import cartesian_grid
 
 SEED = 20260810
 

@@ -412,11 +412,13 @@ def test_infeasible_suite_parameters_exit_2(tmp_path, capsys):
     ["verify", "--suite", "global", "--N", "0"],
     ["verify", "--suite", "potential", "--merging-N", "0"],
     ["verify", "--suite", "upsilon", "--N-list", "1"],
+    # the no-merging rows at N = 1 failed by construction (delta_1 = 0), exit 1
+    ["verify", "--suite", "potential", "--N-list", "1"],
 ], ids=["kernel-nan", "kernel-overflow", "kernel-long-tail", "charpoly-no-holes",
         "mcmc-b0", "kernel-M0", "upsilon-b-nan", "upsilon-b-inf", "kernel-b-nan",
         "upsilon-kappa-nan", "verify-kernel-no-N", "verify-upsilon-no-N",
         "verify-potential-no-N", "verify-kernel-N0", "verify-global-N0",
-        "verify-merging-N0", "verify-upsilon-N1"])
+        "verify-merging-N0", "verify-upsilon-N1", "verify-potential-N1"])
 def test_bad_input_exits_2_with_one_error_line(argv):
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}

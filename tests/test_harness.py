@@ -168,7 +168,8 @@ def test_suites_refuse_a_size_below_one_by_name(run, sizes):
     (run_potential_suite, {"N_list": (-2,)}, "needs min.N_list. >= 1, got -2"),
     (run_upsilon_suite, {"N_list": (1,)}, "needs max.N_list. >= 2, got 1"),
     (run_potential_suite, {"merging_N": 1}, "needs merging_N >= 2, got 1"),
-    (run_global_suite, {"N": 0}, "needs N >= 2, got 0")])
+    (run_global_suite, {"N": 0}, "needs N >= 2, got 0"),
+    (run_potential_suite, {"N_list": (64, 1)}, "needs min.N_list. >= 2, got 1")])
 def test_suites_refuse_a_bad_n_by_name(run, kwargs, message):
     # each once failed with an unrelated message (min() or max() of an empty
     # sequence, math domain error, a geometric sequence with a zero) or, for

@@ -9,10 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaincc, gammaln
 
+from helpers import reproducing_residual
 from qhflux.kernel import (_T_NEAR, KernelSpec, LogComplex, UnsupportedOrderError,
                            kernel_diff_log, kernel_eval, kernel_infty,
                            kernel_log_orders, kernel_tail_bound,
-                           kernel_tail_bound_log, phi_rate, reproducing_residual,
+                           kernel_tail_bound_log, phi_rate,
                            orbital_derivative, weighted_orbitals)
 from qhflux.partition import HoleConfig, SingularMatrixError, log_upsilon, upsilon
 from qhflux.quadrature import cartesian_grid

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from helpers import ginibre_samples
 from qhflux.kernel import KernelSpec, kernel_eval
 from qhflux.oracle import charpoly
 from qhflux.oracle.charpoly import (PrecisionError, charpoly_moment_mc, exact_log_ratio,
-                                    ginibre_matrices, ginibre_samples)
+                                    ginibre_matrices)
 from qhflux.oracle.delta import bath_integral, delta_apply, delta_check
 from qhflux.oracle.energy import GaussianPacket, energy_identity_check
 from qhflux.oracle.monomial import gaussian_pair_integral

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
+from helpers import metropolis_sweep
 from qhflux.oracle import plasma
 from qhflux.oracle.plasma import (PlasmaConfig, PlasmaSample, dump_samples, initial_positions,
                                   integrated_autocorrelation_time, load_samples,
-                                  log_density, metropolis_sweep, plasma_mcmc,
+                                  log_density, plasma_mcmc,
                                   radial_density_l1)
 
 
@@ -188,8 +189,8 @@ def test_stacked_log_density_matches_rows():
 
 
 def test_chain_is_a_loop_of_public_sweeps():
-    # plasma_mcmc keeps one sweep state for the whole chain; the public
-    # metropolis_sweep builds a fresh one per call, on the same draws
+    # plasma_mcmc keeps one sweep state for the whole chain; the test
+    # helper metropolis_sweep builds a fresh one per call, on the same draws
     cfg = PlasmaConfig(N=6, b=6.0, holes=(0.2 - 0.1j,), p=1, mu=2,
                        sweeps=400, burn_in=100, thin=7, seed=23)
     samples, diag = plasma_mcmc(cfg)

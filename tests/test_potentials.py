@@ -8,15 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 
+from helpers import double_integral_direct, integrate_radial, polar_grid
 from qhflux.kernel import weighted_orbitals
 from qhflux.partition import HoleConfig, SingularConfigurationError
-from qhflux.potentials import (DegenerateConfigurationError, ResourceBudgetError,
-                               _divided, _row_space, ab_sum, asymptotic_prediction,
-                               correction_a, correction_v, double_integral_direct,
+from qhflux.potentials import (DegenerateConfigurationError, _divided, _row_space, ab_sum,
+                               asymptotic_prediction, correction_a, correction_v,
                                emergent_field_derivative, emergent_field_integral,
                                emergent_field_stack, emergent_fields, perp, to_vec,
                                vanishing_subspace)
-from qhflux.quadrature import polar_grid
 
 
 def test_perp_convention():
@@ -85,11 +84,9 @@ def test_every_field_function_refuses_a_bad_tracer_index(j):
     # one rule: a non-bool int in 0..n-1; -1 would silently name the last
     # hole and a bool would index numpy arrays as a mask
     cfg = HoleConfig((0.3, -0.2j), 16)
-    grid = polar_grid(cfg.w[0], 1.0, n_theta=8, nodes_per_panel=4)
     calls = [lambda: emergent_field_integral(cfg, j), lambda: emergent_field_derivative(cfg, j),
              lambda: emergent_fields(16, [cfg.w], j), lambda: emergent_field_stack(16, [cfg.w], j),
-             lambda: asymptotic_prediction(cfg, j), lambda: ab_sum(cfg, j),
-             lambda: double_integral_direct(cfg, j, grid)]
+             lambda: asymptotic_prediction(cfg, j), lambda: ab_sum(cfg, j)]
     for call in calls:
         with pytest.raises(ValueError, match="tracer index"):
             call()
@@ -186,7 +183,6 @@ def test_correction_v_mass_is_two():
     # exact antiderivative of v in t = |y|^2 is -2t/(e^t - 1), so the
     # radial mass integral int v dy / pi equals exactly 2
     grid = polar_grid(0j, 40.0, n_theta=8, nodes_per_panel=16, panel_width=0.5)
-    from qhflux.quadrature import integrate_radial
     mass = integrate_radial(grid, lambda r: correction_v(np.array([r, 0.0]))).real / math.pi
     assert mass == pytest.approx(2.0, abs=1e-10)
 
@@ -296,7 +292,7 @@ def _fine_integrals(cfg, j):
                       nodes_per_panel=16, panel_width=0.5 / math.sqrt(cfg.b))
     null = null_space(weighted_orbitals(cfg.b, cfg.spec.M, cfg.points()))
     pole_int, square_int, t_mat = 0j, 0.0, 0j
-    for start in range(0, grid.size, 8192):
+    for start in range(0, grid.nodes.size, 8192):
         nodes = grid.nodes[start:start + 8192]
         psi = weighted_orbitals(cfg.b, cfg.spec.M, nodes) @ null
         weights = grid.weights[start:start + 8192]
@@ -399,13 +395,6 @@ def test_blocked_integral_route_matches_one_shot(N, blocks):
     assert abs(f.V - v_val) <= 1e-12 * cfg.N
 
 
-def test_double_integral_direct_budget():
-    cfg = HoleConfig(w=(0.2,), N=8)
-    grid = polar_grid(0.2, 2.0, n_theta=128, nodes_per_panel=16, panel_width=0.05)
-    with pytest.raises(ResourceBudgetError):
-        double_integral_direct(cfg, 0, grid)
-
-
 @pytest.mark.parametrize("N", [32, 64, 128, 1024, 4096])
 def test_integral_route_memory_is_linear_in_m(N):
     # one call holds a few n x M arrays and never the M x M D
@@ -457,6 +446,37 @@ def test_tracer_beyond_the_double_range(far):
     for a_vec, v_val, refusals in refused:
         assert np.isnan(a_vec).all() and np.isnan(v_val).all()
         assert isinstance(refusals[0], DegenerateConfigurationError)
+
+
+def _cluster(s, n):
+    """A pair c, c + s or a triple c, c + s, c + s (0.3 + 0.6i) at c = 0.05 + 0.02i."""
+    c = 0.05 + 0.02j
+    return (c, c + s, c + s * (0.3 + 0.6j))[:n]
+
+
+@pytest.mark.parametrize("N, holes", [
+    *[(N, _cluster(s, n)) for N in (256, 1024) for s, n in ((1e-8, 3), (1e-10, 3), (1e-16, 2))],
+    (4, (5.0, 0.1)), (256, (1.5, 0.3)), (1024, (1.3, 0.3))],
+    ids=[f"{kind}-N{N}" for kind in ("triple-1e-8", "triple-1e-10", "pair-1e-16")
+         for N in (256, 1024)] + ["far-5-N4", "far-1.5-N256", "far-1.3-N1024"])
+def test_integral_route_refuses_a_lost_rank(N, holes):
+    # the SVD found fewer independent hole rows than nonzero rows, and the
+    # route once answered for that many holes without an error: V = N for
+    # the triples, where the answer is 2N/3, V = 2N for the pair, and at
+    # |w_0| = 5, N = 4 A_y = 1.19996 of tracer 1, where the derivative route
+    # (and the row space of the normalised rows) gives 1.40974
+    cfg = HoleConfig(w=holes, N=N)
+    for j in range(cfg.n):
+        with pytest.raises(DegenerateConfigurationError, match=f"rank {cfg.n - 1} below"):
+            emergent_field_integral(cfg, j)
+
+
+@pytest.mark.parametrize("N", [256, 1024])
+def test_integral_route_answers_a_resolved_triple(N):
+    # at s = 1e-6 the three rows keep rank 3; a merged k-cluster has V -> 2N/k
+    cfg = HoleConfig(w=_cluster(1e-6, 3), N=N)
+    assert _row_space(cfg).shape[1] == 3
+    assert emergent_field_integral(cfg, 0).V == pytest.approx(2.0 * N / 3.0, rel=1e-6)
 
 
 def test_field_call_factors_once(monkeypatch):

@@ -4,8 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from qhflux.quadrature import (QuadratureGrid, cartesian_grid, gauss_legendre, integrate_radial,
-                               polar_grid)
+from helpers import integrate_radial, polar_grid
+from qhflux.quadrature import QuadratureGrid, cartesian_grid, gauss_legendre
 
 
 def integrate(grid, f):
@@ -133,4 +133,4 @@ def test_an_empty_grid_is_refused():
 
 def test_a_panel_wider_than_the_radius_is_one_panel():
     g = polar_grid(0j, 2.0, n_theta=4, nodes_per_panel=5, panel_width=10.0)
-    assert g.size == 20 and np.sum(g.weights) == pytest.approx(4.0 * math.pi, rel=1e-12)
+    assert g.nodes.size == 20 and np.sum(g.weights) == pytest.approx(4.0 * math.pi, rel=1e-12)
