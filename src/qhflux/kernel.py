@@ -33,11 +33,9 @@ the additions.
 No row's value depends on the other rows.
 
 Kernel matrices on point sets take the other route: the weighted-orbital
-table phi_j(z), multiplied as U U^H, and one tracer's table d phi
-(orbital_derivative), which its emergent fields need.  dbar phi_j =
--(b/2) z phi_j is a multiple of the orbital itself and d dbar phi_j =
--(b/2) (phi_j + z d phi_j), so no other table is built.  The series stays
-the independent reference that route is tested against.
+table phi_j(z), multiplied as U U^H, the only table the emergent fields need
+(partition turns their orbital derivatives into kernel entries).  The series
+stays the independent reference that route is tested against.
 """
 
 from __future__ import annotations
@@ -465,17 +463,3 @@ def _far_orbitals(b: float, M: int, z: np.ndarray, mode: np.ndarray,
     up *= anchor[:, None]
     return up
 
-
-def orbital_derivative(b: float, orbitals: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Table d phi_j(pts[i]) = sqrt(b j) phi_{j-1} - (b/2) zbar phi_j from the
-    orbital matrix weighted_orbitals(b, M, pts) (or any multiple of it).
-
-    An index shift of the orbitals times polynomial weights, so no entry
-    leaves the scale sqrt(b/pi) (b + b|z|) and nothing underflows.  The other
-    two derivatives are the orbitals themselves and this table:
-    dbar phi_j = -(b/2) z phi_j and d dbar phi_j = -(b/2) (phi_j + z d phi_j).
-    """
-    z = np.asarray(pts, dtype=complex).reshape(-1, 1)
-    shifted = np.zeros_like(orbitals)        # sqrt(b j) phi_{j-1}
-    shifted[:, 1:] = orbitals[:, :-1] * np.sqrt(b * np.arange(1, orbitals.shape[1]))
-    return -0.5 * b * z.conj() * orbitals + shifted

@@ -1,14 +1,17 @@
 """Quasi-hole partition functions: Upsilon determinants, their exact
 log-derivatives, the closed-form normalization, and Schur-complement densities.
 
-A memo keeps the factorisation of the most recent hole stack: its orbital
-table, kernel matrices and determinants, and, once a derivative or the Schur
-density asks, the refusal rule and the stacked inverse.  Its key is (b, M,
-holes.shape, holes.tobytes()) of the complex holes array, and it keeps one
-entry, dropped before the next stack is built.  So Upsilon, theta and every
-tracer's log-derivatives on one stack share one table, determinant and
-inverse, with results bit-identical to building them per call; the cached
-arrays are read-only.  The oracles never read it."""
+A memo keeps the most recent hole stack's factorisation: its orbital table,
+kernel matrices and determinants, and, once asked for, the refusal rule, the
+stacked inverse and one Jacobi pass for every tracer.  Its key is (b, M,
+holes.shape, holes.tobytes()) of the complex holes; its one entry goes before
+the next stack is built.  All results on one stack share it, bit-identical to
+building them per call; its arrays are read-only; the oracles never read it.
+
+The pass needs no orbital-derivative table: phi_k(w) = phi_{k-1}(w) w sqrt(b/k)
+turns d phi_k = sqrt(b k) phi_{k-1} - (b/2) zbar phi_k into
+sum_{k<M} d phi_k(z) conj phi_k(w) = b wbar (K_M(z, w) - phi_{M-1}(z)
+conj phi_{M-1}(w)) - (b/2) zbar K_M(z, w): kernel entries and the last orbital."""
 
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernel import KernelSpec, orbital_derivative, weighted_orbitals
+from .kernel import KernelSpec, weighted_orbitals
 
 PIVOT_FLOOR = 1e-300
 # per hole: the determinant of the kernel matrix scaled to unit diagonal,
@@ -50,8 +53,7 @@ class HoleConfig:
         object.__setattr__(self, "w", tuple(complex(v) for v in self.w))
         if not all(cmath.isfinite(v) for v in self.w):
             raise ValueError("hole positions must be finite")
-        if not (isinstance(self.N, numbers.Integral) and self.N >= 1):
-            raise ValueError(f"bath size N must be an integer of at least 1, got {self.N!r}")
+        _check_bath_size(self.N)
         if self.b is None:
             object.__setattr__(self, "b", float(self.N))
         else:
@@ -119,18 +121,16 @@ class _Factors:
     weighted_orbitals, shape (B, n, M), kernel matrices phi phi^H =
     (pi/b) [K_M(w_a, w_c)] and determinants Upsilon, all read-only.  A row
     whose determinant is below PIVOT_FLOOR, or not finite as numpy's det can
-    be for denormal kernel entries, is singular: Upsilon 0.  The refusal rule
-    and the stacked inverse are formed on first use, so Upsilon alone never
-    pays for an inverse."""
+    be for denormal kernel entries, is singular: Upsilon 0.  The refusal rule,
+    inverse and Jacobi pass come on first use: Upsilon alone inverts nothing."""
 
     def __init__(self, b: float, M: int, w: np.ndarray):
-        B, n = w.shape
-        phi = math.sqrt(math.pi / b) * weighted_orbitals(b, M, w.ravel()).reshape(B, n, M)
+        phi = math.sqrt(math.pi / b) * weighted_orbitals(b, M, w.ravel()).reshape(*w.shape, M)
         kernel = phi @ phi.conj().swapaxes(1, 2)
         with np.errstate(divide="ignore", invalid="ignore"):
             ups = np.linalg.det(kernel).real
         ups[~(np.abs(ups) >= PIVOT_FLOOR)] = 0.0    # NaN included
-        self.phi, self.kernel, self.ups = _read_only(phi, kernel, ups)
+        self.b, self.w, self.phi, self.kernel, self.ups = b, *_read_only(w.copy(), phi, kernel, ups)
 
     @cached_property
     def refusal(self) -> tuple[np.ndarray, np.ndarray]:
@@ -144,11 +144,46 @@ class _Factors:
         resolved = self.refusal[1][:, None, None]
         return _read_only(np.linalg.inv(np.where(resolved, self.kernel, np.eye(n))))[0]
 
+    @cached_property
+    def jacobi(self) -> tuple[np.ndarray, np.ndarray]:
+        """(dlog, ddlog), (B, n): column j is tracer j's of log_upsilon_derivative_stack."""
+        b, phi, kernel, g, resolved = self.b, self.phi, self.kernel, self.inverse, self.refusal[1]
+        M, diag = phi.shape[2], np.arange(phi.shape[1])
+        # refused rows read their holes as 0: b^2 |w|^2 of one far out would overflow
+        w = np.where(resolved[:, None], self.w, 0.0)
+        # d/dt and d^2/dt^2 of Q(M, t) from t^k e^{-t}/k! at k = M-1 and M-2 (0 at M = 1)
+        q1 = -np.abs(phi[:, :, M - 1]) ** 2
+        q2 = -q1 - (np.abs(phi[:, :, M - 2]) ** 2 if M > 1 else 0.0)
+        # d_j K = e_j rho^T + kappa e_j^T, rho = rows[j] and kappa = cols[:, j],
+        # and d_j dbar_j K = e_j sigma^T + conj(sigma) e_j^T, sigma = sigma[j]
+        rows = _derivative_rows(b, w, phi, kernel)
+        rows[:, diag, diag] = 0.0
+        cols = -0.5 * b * w.conj()[:, None, :] * kernel
+        cols[:, diag, diag] = b * w.conj() * q1
+        sigma = -0.5 * b * (kernel + w[:, :, None] * rows)
+        sigma[:, diag, diag] = 0.5 * (b ** 2 * w * w.conj() * q2 + b * q1)
+        rg, gk = rows @ g, g @ cols
+        g_jj, rho_g, g_kappa = g[:, diag, diag], rg[:, diag, diag], gk[:, diag, diag]
+        # with G = K^-1, tr(G dbar_j K G d_j K) = (rho^T G)_j (kappa^H G)_j
+        # + (G conj(rho))_j (G kappa)_j + G_jj (rho^T G conj(rho) + kappa^H G kappa)
+        cross = (rho_g * (cols.conj() * g).sum(axis=1) + (g * rows.conj()).sum(axis=2) * g_kappa
+                 + g_jj * ((rg * rows.conj()).sum(axis=2) + (cols.conj() * gk).sum(axis=1)))
+        ddlog = ((sigma * g.swapaxes(1, 2) + g * sigma.conj()).sum(axis=2) - cross).real
+        dlog = rho_g + g_kappa
+        dlog[~resolved] = ddlog[~resolved] = np.nan
+        return _read_only(dlog, ddlog)
+
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.flags.writeable = False
     return arrays
+
+
+def _check_bath_size(N):
+    """Refuse (ValueError, naming N) anything but an int N >= 1; a bool is none."""
+    if isinstance(N, bool) or not (isinstance(N, numbers.Integral) and N >= 1):
+        raise ValueError(f"bath size N must be an integer of at least 1, got {N!r}")
 
 
 def _check_tracer(j, n: int):
@@ -216,51 +251,33 @@ def log_upsilon(cfg: HoleConfig) -> float:
     return 0.0 if cfg.n == 0 else math.log(_resolved_upsilon(cfg).ups[0])
 
 
+def _derivative_rows(b: float, w: np.ndarray, phi: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """(B, n, n): row j is row j of d_j K, in the closed form of the module docstring."""
+    last, wbar = phi[:, :, -1], w.conj()
+    return (b * wbar[:, None, :] * (kernel - last[:, :, None] * last.conj()[:, None, :])
+            - 0.5 * b * wbar[:, :, None] * kernel)
+
+
 def log_upsilon_derivative_stack(b: float, M: int, holes, j: int
                                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Upsilon, d_j log Upsilon, d_j dbar_j log Upsilon and the correlation
     ratio of resolved_rows for a (B, n) stack of holes, one configuration
     per row, all with field strength b and M orbitals; j is the tracer.
 
-    Only row and column j of the kernel matrix K depend on w_j.  Since
-    dbar phi_j = -(b/2) w_j phi_j and d dbar phi_j = -(b/2) (phi_j + w_j d phi_j),
-    hole j's one derivative table (orbital_derivative) gives them all: row j
-    of d_j K is r = d phi_j phi^H and column j is -(b/2) wbar_j K[:, j];
-    dbar_j K is (d_j K)^H; row j of d_j dbar_j K is -(b/2) (K[j, :] + w_j r)
-    and column j its conjugate.  The (j, j) entries are derivatives of
-    (pi/b) K_M(w, w) = Q(M, t), t = b|w|^2, set from its t-derivatives, which
-    are single tail terms: the sum over orbitals would cancel O(b) terms down
-    to ~eps b instead of to the tail.  One stacked determinant and one
-    stacked inverse give Jacobi's formula, d log Upsilon = tr(K^-1 dK) and
-    d dbar log Upsilon = Re tr(K^-1 d dbar K - K^-1 dbar K K^-1 dK).  Both
-    are NaN on exactly the rows that resolved_rows refuses, whose kernel
-    matrices are not inverted.
+    Only row and column j of the kernel matrix K depend on w_j.  Row j of
+    d_j K is r_c = b wbar_c (K_jc - phi_{j,M-1} conj phi_{c,M-1})
+    - (b/2) wbar_j K_jc (module docstring), column j is -(b/2) wbar_j K[:, j]
+    and dbar_j K = (d_j K)^H; row j of d_j dbar_j K is -(b/2) (K[j, :] + w_j r)
+    and column j its conjugate.  The (j, j) entries are t-derivatives of
+    (pi/b) K_M(w, w) = Q(M, t), t = b|w|^2: single tail terms, where an
+    orbital sum would cancel O(b) terms to ~eps b.  By Jacobi's formula
+    d log Upsilon = tr(K^-1 dK), d dbar log Upsilon = Re tr(K^-1 d dbar K -
+    K^-1 dbar K K^-1 dK); d_j K has rank two, so one pass of (B, n, n)
+    contractions (_Factors.jacobi) gives every tracer; this returns copies of
+    column j.  Both are NaN on exactly the rows resolved_rows refuses.
     """
     f = _kernel_stack(b, M, holes, j)
-    phi, kernel = f.phi, f.kernel
-    corr, resolved = f.refusal
-    # a refused row's derivatives are NaN whatever w_j is, so w_j reads as
-    # 0 there: a hole beyond the double range, with every orbital 0, is
-    # refused, and its b^2 |w_j|^2 would overflow into inf * 0
-    w = np.where(resolved, np.asarray(holes, dtype=complex)[:, j], 0.0)
-    # t^k e^{-t}/k! at k = M-1 and M-2; the latter is 0 at M = 1
-    top = np.abs(phi[:, j, M - 1]) ** 2
-    below = np.abs(phi[:, j, M - 2]) ** 2 if M > 1 else 0.0
-    q1, q2 = -top, top - below                       # d/dt and d^2/dt^2 of Q(M, t)
-    r = (orbital_derivative(b, phi[:, j], w)[:, None, :] @ phi.conj().swapaxes(1, 2))[:, 0]
-    dk, ddk = np.zeros_like(kernel), np.zeros_like(kernel)
-    dk[:, j, :] = r
-    dk[:, :, j] = -0.5 * b * w.conj()[:, None] * kernel[:, :, j]
-    dk[:, j, j] = b * w.conj() * q1
-    ddk[:, j, :] = -0.5 * b * (kernel[:, j, :] + w[:, None] * r)
-    ddk[:, :, j] = ddk[:, j, :].conj()
-    ddk[:, j, j] = b ** 2 * w * w.conj() * q2 + b * q1
-
-    d, dbar, dd = (f.inverse @ m for m in (dk, dk.conj().swapaxes(1, 2), ddk))
-    dlog = np.trace(d, axis1=1, axis2=2)
-    ddlog = np.trace(dd - dbar @ d, axis1=1, axis2=2).real
-    dlog[~resolved] = ddlog[~resolved] = np.nan
-    return f.ups, dlog, ddlog, corr
+    return f.ups, *(a[:, j].copy() for a in f.jacobi), f.refusal[0]
 
 
 def log_partition(cfg: HoleConfig) -> PartitionValue:

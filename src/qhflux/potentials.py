@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import poisson_mean, weighted_orbitals
-from .partition import (UPSILON_FLOOR, HoleConfig, SingularConfigurationError, _check_tracer,
-                        coincident_rows, log_upsilon_derivative_stack)
+from .partition import (UPSILON_FLOOR, HoleConfig, SingularConfigurationError, _check_bath_size,
+                        _check_tracer, coincident_rows, log_upsilon_derivative_stack)
 
 # emergent_field_stack estimates the rounding error of V as V_ERROR_SCALE
 # (1 + b|w_j|^2) |dlog|^2 / (Upsilon / prod_i (pi/b) K_M(w_i, w_i)) and
@@ -51,36 +51,35 @@ def perp(v: np.ndarray) -> np.ndarray:
 
 
 def _ab_rows(w: np.ndarray, j: int) -> np.ndarray:
-    """Aharonov-Bohm sum of tracer j for each row of a (B, n) hole stack."""
-    d = w[:, [j]] - np.delete(w, j, axis=1)
-    # d / |d|^2 as 1 / conj(d): |d|^2 itself underflows once |d| < ~1.5e-154
-    u = 1.0 / d.conj()
-    return np.sum(np.stack([-u.imag, u.real], axis=-1), axis=1)
+    """Aharonov-Bohm sum of tracer j for each row of a (B, n) hole stack, as x + iy."""
+    d = (w[:, [j]] - w).conj()
+    # y / |y|^2 as 1 / conj(y), y = w_j - w_l: |y|^2 underflows once |y| < ~1.5e-154
+    others = np.arange(w.shape[1]) != j
+    return 1j * np.sum(np.divide(1.0, d, out=np.zeros_like(d), where=others), axis=1)
 
 
 def ab_sum(cfg: HoleConfig, j: int) -> np.ndarray:
     """Aharonov-Bohm sum over the other tracers, (y_j-y_l)^perp/|y_j-y_l|^2."""
     _check_tracer(j, cfg.n)
     cfg.require_distinct()
-    return _ab_rows(cfg.points()[None, :], j)[0]
+    return to_vec(_ab_rows(cfg.points()[None, :], j)[0])
 
 
 def emergent_field_stack(N: int, holes, j: int) -> tuple[np.ndarray, np.ndarray, dict]:
     """A_j, V_j and the refused rows of a stack of hole configurations, b = N.
 
-    holes has shape (B, n); returns A (B, 2) and V (B,) from the
-    log-derivatives of one log_upsilon_derivative_stack call, used as they
-    come, and a dict from each refused row to its error: rows with
+    holes has shape (B, n) and N is an int >= 1; returns A (B, 2) and V (B,)
+    from the log-derivatives of one log_upsilon_derivative_stack call, used
+    as they come, and a dict from each refused row to its error: rows with
     coincident holes first (SingularConfigurationError), then in row order
     those with Upsilon rounding noise (resolved_rows) or a V rounding error
     above FIELD_ERROR_BUDGET N (DegenerateConfigurationError).
     A refused row has NaN fields and raises no numpy warning."""
+    _check_bath_size(N)
     w = np.asarray(holes, dtype=complex)
     if w.ndim != 2:
         raise ValueError("holes must have shape (B, n)")
     n = w.shape[1]
-    if N < 1:
-        raise ValueError("bath size N must be at least 1")
 
     coincident = coincident_rows(w)
     _, dlog, ddlog, corr = log_upsilon_derivative_stack(float(N), N + n, w, j)
@@ -100,10 +99,10 @@ def emergent_field_stack(N: int, holes, j: int) -> tuple[np.ndarray, np.ndarray,
                 f"V rounding error ~{v_error[row]:.2e} exceeds {FIELD_ERROR_BUDGET:g} N "
                 "(merging too deep)")))
 
-    a_vec = np.full((len(w), 2), np.nan)
-    a_vec[ok] = (N * np.stack([-w[ok, j].imag, w[ok, j].real], axis=-1)
-                 - _ab_rows(w[ok], j) + np.stack([dlog[ok].imag, dlog[ok].real], axis=-1))
-    return a_vec, np.where(ok, 2.0 * N + 2.0 * ddlog, np.nan), refusals
+    # A as A_x + i A_y: y^perp is i y and (Im d, Re d) is i conj(d)
+    a_vec = np.full(len(w), complex(np.nan, np.nan))
+    a_vec[ok] = 1j * (N * w[ok, j]) - _ab_rows(w[ok], j) + 1j * dlog[ok].conj()
+    return a_vec.view(float).reshape(-1, 2), np.where(ok, 2.0 * N + 2.0 * ddlog, np.nan), refusals
 
 
 def emergent_fields(N: int, holes, j: int) -> tuple[np.ndarray, np.ndarray]:

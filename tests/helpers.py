@@ -1,7 +1,8 @@
 """Reference computations that only the tests run: a point-centered polar
 grid with its 1D radial rule, the direct O(grid^2) double integral of the
 conditioned-kernel square, the reproducing residual of K_M, Ginibre
-eigenvalues, and one Metropolis sweep on a fresh sweep state."""
+eigenvalues, one Metropolis sweep on a fresh sweep state, the orbital
+derivative table and the one-tracer Jacobi derivatives built from it."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import numpy as np
 from qhflux.kernel import KernelSpec, weighted_orbitals
 from qhflux.oracle.charpoly import ginibre_matrices
 from qhflux.oracle.plasma import PlasmaConfig, _Sweep
-from qhflux.partition import HoleConfig
+from qhflux.partition import HoleConfig, _kernel_stack
 from qhflux.potentials import vanishing_subspace
 from qhflux.quadrature import QuadratureGrid, gauss_legendre
 
@@ -93,3 +94,62 @@ def metropolis_sweep(cfg: PlasmaConfig, z: np.ndarray, steps: np.ndarray,
     plasma_mcmc sets for its chain."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return _Sweep(cfg)(z, steps, logu)
+
+
+def orbital_derivative(b: float, orbitals: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Table d phi_j(pts[i]) = sqrt(b j) phi_{j-1} - (b/2) zbar phi_j from the
+    orbital matrix weighted_orbitals(b, M, pts) (or any multiple of it).
+
+    An index shift of the orbitals times polynomial weights, so no entry
+    leaves the scale sqrt(b/pi) (b + b|z|) and nothing underflows.  The other
+    two derivatives are the orbitals themselves and this table:
+    dbar phi_j = -(b/2) z phi_j and d dbar phi_j = -(b/2) (phi_j + z d phi_j).
+    """
+    z = np.asarray(pts, dtype=complex).reshape(-1, 1)
+    shifted = np.zeros_like(orbitals)        # sqrt(b j) phi_{j-1}
+    shifted[:, 1:] = orbitals[:, :-1] * np.sqrt(b * np.arange(1, orbitals.shape[1]))
+    return -0.5 * b * z.conj() * orbitals + shifted
+
+
+def log_upsilon_derivative_one_tracer(b: float, M: int, holes, j: int
+                                      ) -> tuple[np.ndarray, ...]:
+    """d_j log Upsilon and d_j dbar_j log Upsilon of one tracer for a (B, n)
+    hole stack, from hole j's orbital derivative table and the explicit
+    matrices d_j K, dbar_j K = (d_j K)^H and d_j dbar_j K: row j of d_j K
+    is the orbital sum d phi_j phi^H, column j is -(b/2) wbar_j K[:, j], and
+    the (j, j) entries are the tail terms of Q(M, b|w_j|^2).  NaN on the
+    rows that resolved_rows refuses.  Also returns the mass of each, the
+    sum of the moduli of the products in its traces, with every entry of
+    row and column j of d_j K widened by b (1 + 2 max |w|) and of
+    d_j dbar_j K by its square, the scales of their rounding noise: mass
+    times a few eps bounds the rounding of any way to sum them."""
+    holes = np.asarray(holes, dtype=complex)
+    f = _kernel_stack(b, M, holes, j)
+    phi, kernel = f.phi, f.kernel
+    resolved = f.refusal[1]
+    w = np.where(resolved, holes[:, j], 0.0)
+    top = np.abs(phi[:, j, M - 1]) ** 2
+    below = np.abs(phi[:, j, M - 2]) ** 2 if M > 1 else 0.0
+    q1, q2 = -top, top - below
+    r = (orbital_derivative(b, phi[:, j], w)[:, None, :] @ phi.conj().swapaxes(1, 2))[:, 0]
+    dk, ddk = np.zeros_like(kernel), np.zeros_like(kernel)
+    dk[:, j, :] = r
+    dk[:, :, j] = -0.5 * b * w.conj()[:, None] * kernel[:, :, j]
+    dk[:, j, j] = b * w.conj() * q1
+    ddk[:, j, :] = -0.5 * b * (kernel[:, j, :] + w[:, None] * r)
+    ddk[:, :, j] = ddk[:, j, :].conj()
+    ddk[:, j, j] = b ** 2 * w * w.conj() * q2 + b * q1
+    d, dbar, dd = (f.inverse @ m for m in (dk, dk.conj().swapaxes(1, 2), ddk))
+    dlog = np.trace(d, axis1=1, axis2=2)
+    ddlog = np.trace(dd - dbar @ d, axis1=1, axis2=2).real
+    dlog[~resolved] = ddlog[~resolved] = np.nan
+    n = kernel.shape[1]
+    cross = np.zeros((n, n))
+    cross[j, :] = cross[:, j] = 1.0
+    noise = b * (1.0 + 2.0 * np.abs(np.where(resolved[:, None], holes, 0.0)).max(axis=1))
+    g = np.abs(f.inverse)
+    a_dk = np.abs(dk) + noise[:, None, None] * cross
+    a_ddk = np.abs(ddk) + noise[:, None, None] ** 2 * cross
+    mass = np.trace(g @ a_dk, axis1=1, axis2=2)
+    mass2 = np.trace(g @ a_ddk + g @ a_dk.swapaxes(1, 2) @ g @ a_dk, axis1=1, axis2=2)
+    return dlog, ddlog, mass, mass2

@@ -9,12 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaincc, gammaln
 
-from helpers import reproducing_residual
+from helpers import orbital_derivative, reproducing_residual
 from qhflux.kernel import (_T_NEAR, KernelSpec, LogComplex, UnsupportedOrderError,
                            kernel_diff_log, kernel_eval, kernel_infty,
                            kernel_log_orders, kernel_tail_bound,
-                           kernel_tail_bound_log, phi_rate,
-                           orbital_derivative, weighted_orbitals)
+                           kernel_tail_bound_log, phi_rate, weighted_orbitals)
 from qhflux.partition import HoleConfig, SingularMatrixError, log_upsilon, upsilon
 from qhflux.quadrature import cartesian_grid
 
@@ -351,8 +350,9 @@ ORDERS_UP_TO_2 = [o for o in itertools.product(range(3), repeat=4) if sum(o) <= 
 
 def orbital_tables(b, M, pts):
     """{(p, q): d^p dbar^q phi_j(pts[i])} for p, q <= 1: production's orbital
-    and d phi tables, and dbar phi = -(b/2) z phi, d dbar phi =
-    -(b/2) (phi + z d phi) by the identities the field engine relies on."""
+    table, the d phi table of helpers.orbital_derivative, and dbar phi =
+    -(b/2) z phi, d dbar phi = -(b/2) (phi + z d phi) by the identities the
+    field engine relies on."""
     orb = weighted_orbitals(b, M, pts)
     d = orbital_derivative(b, orb, pts)
     z = np.asarray(pts, dtype=complex)[:, None]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaincc
 
 import qhflux
+from helpers import log_upsilon_derivative_one_tracer, orbital_derivative
 from qhflux import partition
 from qhflux.kernel import kernel_eval
 from qhflux.oracle.monomial import partition_exact
@@ -314,7 +315,7 @@ def test_coincident_rejections():
 
 @pytest.mark.parametrize("kwargs", [dict(N=4.5), dict(N=0), dict(N=4, b=math.nan),
                                     dict(N=4, b=math.inf), dict(N=4, b=-math.inf),
-                                    dict(N=4, b=0.0), dict(N=4, b=-2.0)])
+                                    dict(N=4, b=0.0), dict(N=4, b=-2.0), dict(N=True)])
 def test_hole_config_needs_integer_bath_and_finite_positive_b(kwargs):
     with pytest.raises(ValueError):
         HoleConfig(w=(0.1, 0.3j), **kwargs)
@@ -422,12 +423,65 @@ def test_memo_results_equal_cold_results_bit_for_bit(calls):
         assert _run(_OPS[e][k][1]) == want, _OPS[e][k][0]
 
 
+_POINT = st.complex_numbers(max_magnitude=1.4, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(N=st.sampled_from([1, 2, 8, 64, 256, 1024]), w=st.lists(_POINT, min_size=1, max_size=4))
+@example(N=1024, w=[1.3, 0.2j, -1.1 + 0.5j])    # t = b|w|^2 past _T_NEAR: far rows
+@example(N=64, w=[0.3, 0.3 + 1e-9, 0.3 + 1e-9j])
+def test_derivative_rows_match_the_orbital_sum(N, w):
+    # row j of d_j K in closed form from the kernel and the last orbital,
+    # b wbar_c (K_jc - phi_{j,M-1} conj phi_{c,M-1}) - (b/2) wbar_j K_jc,
+    # against the orbital sum d phi_j phi^H over an explicit d phi table
+    b, M = float(N), N + len(w)
+    holes = np.array([w], dtype=complex)
+    f = _kernel_stack(b, M, holes)
+    rows = partition._derivative_rows(b, holes, f.phi, f.kernel)[0]
+    phi = f.phi[0]
+    want = orbital_derivative(b, phi, holes[0]) @ phi.conj().T
+    a = np.abs(holes[0])
+    assert np.all(np.abs(rows - want) <= 1e-14 * b * (1.0 + a[:, None] + a[None, :]))
+
+
+_STACK = st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(_POINT, min_size=n, max_size=n), min_size=1, max_size=4))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(N=st.sampled_from([1, 2, 8, 64, 256, 1024]), holes=_STACK,
+       moves=st.lists(st.integers(0, 14), min_size=4, max_size=4))
+@example(N=64, holes=[[0.3, 0.3]], moves=[0] * 4)                  # coincident: refused
+@example(N=64, holes=[[0.1, 0.1 + 1e-10, 0.5j]], moves=[0] * 4)    # Upsilon rounding noise
+@example(N=1024, holes=[[1.3, 0.2j], [0.05, 0.05 + 1e-4j]], moves=[0] * 4)
+def test_every_tracer_in_one_pass_matches_the_one_tracer_formula(N, holes, moves):
+    # the rank-two contractions of the all-tracer pass against the explicit
+    # d_j K, dbar_j K and d_j dbar_j K of one tracer at a time, within the
+    # rounding of their traces, with NaN on the same (refused) rows
+    holes = np.array(holes, dtype=complex)
+    n = holes.shape[1]
+    if n > 1:
+        # row r moves hole 1 to 10^-moves[r] from hole 0; 0 keeps it
+        for r, e in enumerate(moves[:len(holes)]):
+            if e:
+                holes[r, 1] = holes[r, 0] + 10.0 ** -e * (0.6 + 0.8j)
+    b, M = float(N), N + n
+    dlog, ddlog = _kernel_stack(b, M, holes).jacobi
+    for j in range(n):
+        d_ref, dd_ref, mass, mass2 = log_upsilon_derivative_one_tracer(b, M, holes, j)
+        assert np.array_equal(np.isnan(dlog[:, j]), np.isnan(d_ref))
+        assert np.array_equal(np.isnan(ddlog[:, j]), np.isnan(dd_ref))
+        ok = ~np.isnan(d_ref)
+        assert np.all(np.abs(dlog[ok, j] - d_ref[ok]) <= 1e-14 * mass[ok])
+        assert np.all(np.abs(ddlog[ok, j] - dd_ref[ok]) <= 1e-14 * mass2[ok])
+
+
 def test_memo_arrays_are_read_only():
     holes = np.array([[0.3, -0.2 + 0.4j, 0.1j]])
     ups, dlog, ddlog, corr = log_upsilon_derivative_stack(64.0, 67, holes, 1)
     factors = _kernel_stack(64.0, 67, holes)
-    for cached in (ups, corr, upsilon_stack(64.0, 67, holes), factors.phi, factors.kernel,
-                   factors.ups, factors.inverse):
+    for cached in (ups, corr, upsilon_stack(64.0, 67, holes), factors.w, factors.phi,
+                   factors.kernel, factors.ups, factors.inverse, *factors.jacobi):
         with pytest.raises(ValueError, match="read-only"):
             cached[0] = 0.0
     dlog[0] = ddlog[0] = 0.0     # per-tracer results are the caller's own

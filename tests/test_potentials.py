@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -44,7 +45,7 @@ def test_ab_sum_below_the_square_root_of_the_smallest_double():
 def test_ab_sum_agrees_with_the_squared_modulus_form():
     # perp(d) / hypot(d)^2 term by term, on ordinary separations; with three
     # or more holes the terms can cancel, so the error is taken against the
-    # term mass sum_l 1/|d_l|
+    # term mass sum_l 1/|d_l|; _ab_rows gives each vector as x + iy
     from qhflux.potentials import _ab_rows
     rng = np.random.default_rng(5)
     for n in (2, 3, 4):
@@ -53,7 +54,7 @@ def test_ab_sum_agrees_with_the_squared_modulus_form():
             d = w[:, [j]] - np.delete(w, j, axis=1)
             squared = np.hypot(d.real, d.imag)[..., None] ** 2
             old = np.sum(np.stack([-d.imag, d.real], axis=-1) / squared, axis=1)
-            err = np.linalg.norm(_ab_rows(w, j) - old, axis=1)
+            err = np.abs(_ab_rows(w, j) - (old[:, 0] + 1j * old[:, 1]))
             assert np.all(err <= 1e-15 * np.sum(1 / np.abs(d), axis=1))
 
 
@@ -90,6 +91,30 @@ def test_every_field_function_refuses_a_bad_tracer_index(j):
     for call in calls:
         with pytest.raises(ValueError, match="tracer index"):
             call()
+
+
+@pytest.mark.parametrize("N", [16.5, 0, -3, True, False, np.float64(16.0), "16"])
+@pytest.mark.parametrize("call", [emergent_field_stack, emergent_fields])
+def test_stacked_fields_refuse_a_bad_bath_size_by_name(monkeypatch, call, N):
+    # a ValueError that names N, before any orbital table is built: N = 16.5
+    # once failed on "truncation order M ... got 18.5", a value the caller
+    # never passed, and N = True ran as N = 1
+    from qhflux import partition
+
+    def no_table(*args):
+        raise AssertionError("orbital table built for a bad N")
+
+    monkeypatch.setattr(partition, "weighted_orbitals", no_table)
+    with pytest.raises(ValueError, match=f"bath size N must be an integer of at least 1, "
+                                         f"got {re.escape(repr(N))}$"):
+        call(N, [[0.3, -0.2j]], 0)
+
+
+def test_a_numpy_integer_is_a_bath_size():
+    want = emergent_fields(16, [[0.3, -0.2j]], 1)
+    for N in (np.int64(16), np.int32(16)):
+        got = emergent_fields(N, [[0.3, -0.2j]], 1)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_a_numpy_integer_is_a_tracer_index():
@@ -355,8 +380,8 @@ def test_integral_route_matches_derivative_route(N, data):
 
 def test_integral_route_never_calls_the_derivative_route(monkeypatch):
     # the route never reads the partition memo, the derivative route's
-    # log-derivatives or an orbital derivative table
-    from qhflux import kernel, partition, potentials
+    # log-derivatives, its all-tracer Jacobi pass or its derivative rows
+    from qhflux import partition, potentials
     cfg = HoleConfig(w=(0.3 + 0.1j, -0.25 + 0.2j), N=16)
     d = emergent_field_derivative(cfg, 1)
 
@@ -366,8 +391,9 @@ def test_integral_route_never_calls_the_derivative_route(monkeypatch):
     for module, name in ((partition, "_kernel_stack"),
                          (partition, "log_upsilon_derivative_stack"),
                          (potentials, "log_upsilon_derivative_stack"),
-                         (kernel, "orbital_derivative"), (partition, "orbital_derivative")):
+                         (partition, "_derivative_rows")):
         monkeypatch.setattr(module, name, refused)
+    monkeypatch.setattr(partition._Factors, "jacobi", property(refused))
     i = emergent_field_integral(cfg, 1)
     assert np.linalg.norm(d.A - i.A) <= 1e-13 * cfg.N
     assert abs(d.V - i.V) <= 1e-13 * cfg.N
@@ -481,10 +507,11 @@ def test_integral_route_answers_a_resolved_triple(N):
 
 def test_field_call_factors_once(monkeypatch):
     # Upsilon and every tracer's fields on one configuration share one
-    # orbital table (its n points), one determinant and one inverse through
-    # the partition memo; each tracer adds its own derivative table.  A
-    # stacked call on new holes builds its own factorisation.
-    from qhflux import partition
+    # orbital table (its n points), one determinant, one inverse and one
+    # all-tracer Jacobi pass through the partition memo; no tracer builds a
+    # derivative table, the pass takes its rows from the (B, n, n) kernel
+    # matrices.  A stacked call on new holes builds its own factorisation.
+    from qhflux import kernel, partition
     calls = []
 
     def counting(name, fn, arg=0):
@@ -493,24 +520,25 @@ def test_field_call_factors_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    assert not hasattr(kernel, "orbital_derivative")
     monkeypatch.setattr(partition, "_memo", None)
     monkeypatch.setattr(partition, "weighted_orbitals",
                         counting("orbitals", partition.weighted_orbitals, arg=2))
-    monkeypatch.setattr(partition, "orbital_derivative",
-                        counting("derivative", partition.orbital_derivative, arg=2))
+    monkeypatch.setattr(partition, "_derivative_rows",
+                        counting("rows", partition._derivative_rows, arg=3))
     monkeypatch.setattr(np.linalg, "det", counting("det", np.linalg.det))
     monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv))
     cfg = HoleConfig(w=(0.3, -0.2 + 0.4j, 0.1j), N=64)
     partition.upsilon(cfg)
     for j in range(cfg.n):
         emergent_field_derivative(cfg, j)
-    assert calls == [("orbitals", (3,)), ("det", (1, 3, 3)), ("derivative", (1,)),
-                     ("inv", (1, 3, 3)), ("derivative", (1,)), ("derivative", (1,))]
+    assert calls == [("orbitals", (3,)), ("det", (1, 3, 3)), ("inv", (1, 3, 3)),
+                     ("rows", (1, 3, 3))]
     holes = np.array(cfg.w) + np.linspace(0.0, 0.2, 50)[:, None]
     calls.clear()
     emergent_fields(64, holes, 1)
-    assert calls == [("orbitals", (150,)), ("det", (50, 3, 3)), ("derivative", (50,)),
-                     ("inv", (50, 3, 3))]
+    assert calls == [("orbitals", (150,)), ("det", (50, 3, 3)), ("inv", (50, 3, 3)),
+                     ("rows", (50, 3, 3))]
 
 
 def test_noise_level_upsilon_is_degenerate():
