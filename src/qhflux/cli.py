@@ -175,10 +175,10 @@ def cmd_field_map(args) -> int:
     rows = []
     for x in xs:  # one field call per grid column
         holes = np.array([fixed + (complex(x, y),) for y in ys]).reshape(len(ys), j + 1)
-        a_col, v_col, refusals = emergent_field_stack(args.N, holes, j)
+        a_col, v_col, refusals = emergent_field_stack(args.N, holes)
         for k, y in enumerate(ys):
-            if k in refusals:
-                coincident = isinstance(refusals[k], SingularConfigurationError)
+            if (k, j) in refusals:
+                coincident = isinstance(refusals[k, j], SingularConfigurationError)
                 rows.append([fmt(x), fmt(y), *["nan"] * 3,
                              "coincident" if coincident else "degenerate", *["nan"] * 3])
                 continue
@@ -188,7 +188,7 @@ def cmd_field_map(args) -> int:
             if regime.has_prediction:
                 pred = asymptotic_prediction(cfg, j, pair=regime.pair)
                 pa, pv = pred.A, pred.V
-            rows.append([fmt(x), fmt(y), fmt(a_col[k, 0]), fmt(a_col[k, 1]), fmt(v_col[k]),
+            rows.append([fmt(x), fmt(y), fmt(a_col[k, j, 0]), fmt(a_col[k, j, 1]), fmt(v_col[k, j]),
                          csv_field(str(regime)), fmt(pa[0]), fmt(pa[1]), fmt(pv)])
     if args.format == "json":
         text = json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"

@@ -204,10 +204,10 @@ def run_upsilon_suite(N_list=(128, 256), kappa: float = 2.0,
     for idx, N in enumerate(N_list):
         rng = case_rng(seed, idx)
         holes = [sample_no_merging(rng, N, n, classifier).w for _ in range(configs)]
-        ups, dlog, ddlog, _ = log_upsilon_derivative_stack(float(N), N + n, holes, 0)
+        ups, dlog, ddlog, _ = log_upsilon_derivative_stack(float(N), N + n, holes)
         val = float(np.max(np.abs(ups - 1.0)))
-        # d Upsilon = Upsilon dlog and d dbar Upsilon = Upsilon (ddlog + |dlog|^2)
-        d1, d2 = (float(np.max(np.abs(ups * d))) for d in (dlog, ddlog + np.abs(dlog) ** 2))
+        # tracer 0's d Upsilon = Upsilon dlog and d dbar Upsilon = Upsilon (ddlog + |dlog|^2)
+        d1, d2 = (float(np.max(np.abs(ups * d[:, 0]))) for d in (dlog, ddlog + np.abs(dlog) ** 2))
         report.add(ReportRow(
             case_id=f"nomerge-N{N}", N=N, n=n, kappa=kappa, gamma=gamma,
             regime="no-merging", quantity="max |Upsilon - 1|", measured=val,
@@ -257,12 +257,10 @@ def run_potential_suite(N_list=(128, 256), kappa: float = 2.0, gamma: float = 1.
         rng = case_rng(seed, 20_000 + idx)
         cfgs = [sample_no_merging(rng, N, n, classifier) for _ in range(configs)]
         holes = np.array([cfg.w for cfg in cfgs])
-        wa = wv = 0.0
-        for j in range(n):
-            a_vec, v_val = emergent_fields(N, holes, j)
-            pred = np.array([asymptotic_prediction(cfg, j).A for cfg in cfgs])
-            wa = max(wa, float(np.max(np.linalg.norm(a_vec - pred, axis=1))) / N)
-            wv = max(wv, float(np.max(np.abs(v_val - 2.0 * N))) / N)
+        a_vec, v_val = emergent_fields(N, holes)
+        pred = np.array([[asymptotic_prediction(cfg, j).A for j in range(n)] for cfg in cfgs])
+        wa = float(np.max(np.linalg.norm(a_vec - pred, axis=2))) / N
+        wv = float(np.max(np.abs(v_val - 2.0 * N))) / N
         report.add(ReportRow(
             case_id=f"nomerge-A-N{N}", N=N, n=n, kappa=kappa, gamma=gamma,
             regime="no-merging", quantity="max |A - prediction|/N",
@@ -286,7 +284,7 @@ def run_potential_suite(N_list=(128, 256), kappa: float = 2.0, gamma: float = 1.
     rng = case_rng(seed, 30_000)
     s_values = _merge_separations(classifier, N, sweep_points)
     cfgs = [pair_config(rng, N, float(s)) for s in s_values]
-    a_all, v_all = emergent_fields(N, np.array([cfg.w for cfg in cfgs]), 0)
+    a_all, v_all = (f[:, 0] for f in emergent_fields(N, np.array([cfg.w for cfg in cfgs])))
     for k, (s, cfg, a_vec, v_val) in enumerate(zip(s_values, cfgs, a_all, v_all.tolist())):
         y = math.sqrt(N) * float(s)
         base_pred = asymptotic_prediction(cfg, 0)
@@ -344,18 +342,12 @@ def run_global_suite(N: int = 64, n: int = 4, count: int = 500, seed: int = 0,
     configs = [build(idx) for idx in range(count)]
     regimes = sorted({classifier.classify(cfg).kind for cfg in configs})
     holes = np.array([cfg.w for cfg in configs])
-    a_norm, v_all, a_drop = [], [], []
-    for j in range(n):
-        a_vec, v_val = emergent_fields(N, holes, j)
-        y = holes[:, j]
-        a_norm.append(np.linalg.norm(a_vec, axis=1))
-        v_all.append(v_val)
-        a_cent = np.linalg.norm(a_vec - N * np.stack([-y.imag, y.real], axis=-1), axis=1)
-        a_drop.append(a_cent[np.abs(y) <= 0.8])
-    max_a = float(np.max(a_norm)) / N
+    a_vec, v_all = emergent_fields(N, holes)
+    a_cent = np.linalg.norm(a_vec - N * np.stack([-holes.imag, holes.real], axis=-1), axis=2)
+    max_a = float(np.max(np.linalg.norm(a_vec, axis=2))) / N
     max_v = float(np.max(v_all)) / N ** 1.5
     min_v = float(np.min(v_all))
-    max_drop = float(np.max(np.concatenate(a_drop))) / math.sqrt(N)
+    max_drop = float(np.max(a_cent[np.abs(holes) <= 0.8])) / math.sqrt(N)
 
     report.add(ReportRow(case_id="global-A", N=N, n=n, kappa=kappa, gamma=gamma,
                          regime="+".join(regimes), quantity="max |A_j|/N",

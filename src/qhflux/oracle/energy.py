@@ -96,7 +96,7 @@ def energy_identity_check(N: int, q: float, packet: GaussianPacket,
     nodes = base.nodes + packet.center
     weights = base.weights
 
-    field_a, field_v = emergent_fields(N, nodes[:, None], 0)
+    field_a, field_v = (f[:, 0] for f in emergent_fields(N, nodes[:, None]))
     # per-node arrays; vectors carry a trailing (x, y) axis
     i0, j1, i22 = _bath_integrals(N, nodes)
 

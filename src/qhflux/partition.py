@@ -146,7 +146,7 @@ class _Factors:
 
     @cached_property
     def jacobi(self) -> tuple[np.ndarray, np.ndarray]:
-        """(dlog, ddlog), (B, n): column j is tracer j's of log_upsilon_derivative_stack."""
+        """(dlog, ddlog), (B, n), of log_upsilon_derivative_stack: column j is tracer j's."""
         b, phi, kernel, g, resolved = self.b, self.phi, self.kernel, self.inverse, self.refusal[1]
         M, diag = phi.shape[2], np.arange(phi.shape[1])
         # refused rows read their holes as 0: b^2 |w|^2 of one far out would overflow
@@ -197,11 +197,11 @@ def _check_tracer(j, n: int):
 _memo: tuple | None = None
 
 
-def _kernel_stack(b: float, M: int, holes, *tracer: int) -> _Factors:
+def _kernel_stack(b: float, M: int, holes) -> _Factors:
     """The factorisation of a (B, n) hole stack, from the memo when the last
-    call had the same b, M and holes.  b and M follow KernelSpec's rules,
-    the holes are finite and a tracer index, if one is given, is an int in
-    0..n-1 (ValueError otherwise); all are checked before the memo is read."""
+    call had the same b, M and holes.  b and M follow KernelSpec's rules and
+    the holes are finite (ValueError otherwise), both checked before the
+    memo is read."""
     global _memo
     KernelSpec(b, M)
     w = np.asarray(holes, dtype=complex)
@@ -209,8 +209,6 @@ def _kernel_stack(b: float, M: int, holes, *tracer: int) -> _Factors:
         raise ValueError("holes must have shape (B, n)")
     if not np.isfinite(w).all():
         raise ValueError("hole positions must be finite")
-    for j in tracer:
-        _check_tracer(j, w.shape[1])
     key = (b, M, w.shape, w.tobytes())
     # read _memo once, so a concurrent call that replaces it cannot hand
     # this call another stack's entry
@@ -258,11 +256,11 @@ def _derivative_rows(b: float, w: np.ndarray, phi: np.ndarray, kernel: np.ndarra
             - 0.5 * b * wbar[:, :, None] * kernel)
 
 
-def log_upsilon_derivative_stack(b: float, M: int, holes, j: int
+def log_upsilon_derivative_stack(b: float, M: int, holes
                                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Upsilon, d_j log Upsilon, d_j dbar_j log Upsilon and the correlation
-    ratio of resolved_rows for a (B, n) stack of holes, one configuration
-    per row, all with field strength b and M orbitals; j is the tracer.
+    """Upsilon (B,), d_j log Upsilon and d_j dbar_j log Upsilon (B, n) of every
+    tracer j and the correlation ratio of resolved_rows (B,) for a (B, n) hole
+    stack, field strength b and M orbitals: the memo's read-only arrays.
 
     Only row and column j of the kernel matrix K depend on w_j.  Row j of
     d_j K is r_c = b wbar_c (K_jc - phi_{j,M-1} conj phi_{c,M-1})
@@ -273,11 +271,11 @@ def log_upsilon_derivative_stack(b: float, M: int, holes, j: int
     orbital sum would cancel O(b) terms to ~eps b.  By Jacobi's formula
     d log Upsilon = tr(K^-1 dK), d dbar log Upsilon = Re tr(K^-1 d dbar K -
     K^-1 dbar K K^-1 dK); d_j K has rank two, so one pass of (B, n, n)
-    contractions (_Factors.jacobi) gives every tracer; this returns copies of
-    column j.  Both are NaN on exactly the rows resolved_rows refuses.
+    contractions (_Factors.jacobi) gives every tracer.  Both are NaN on
+    exactly the rows resolved_rows refuses.
     """
-    f = _kernel_stack(b, M, holes, j)
-    return f.ups, *(a[:, j].copy() for a in f.jacobi), f.refusal[0]
+    f = _kernel_stack(b, M, holes)
+    return f.ups, *f.jacobi, f.refusal[0]
 
 
 def log_partition(cfg: HoleConfig) -> PartitionValue:

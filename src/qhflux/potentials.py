@@ -50,31 +50,33 @@ def perp(v: np.ndarray) -> np.ndarray:
     return np.array([-v[1], v[0]])
 
 
-def _ab_rows(w: np.ndarray, j: int) -> np.ndarray:
-    """Aharonov-Bohm sum of tracer j for each row of a (B, n) hole stack, as x + iy."""
-    d = (w[:, [j]] - w).conj()
+def _ab_rows(w: np.ndarray) -> np.ndarray:
+    """Aharonov-Bohm sum of every tracer of each row of a (B, n) hole stack, as x + iy."""
+    d = (w[:, :, None] - w[:, None, :]).conj()
     # y / |y|^2 as 1 / conj(y), y = w_j - w_l: |y|^2 underflows once |y| < ~1.5e-154
-    others = np.arange(w.shape[1]) != j
-    return 1j * np.sum(np.divide(1.0, d, out=np.zeros_like(d), where=others), axis=1)
+    others = ~np.eye(w.shape[1], dtype=bool)
+    return 1j * np.sum(np.divide(1.0, d, out=np.zeros_like(d), where=others), axis=2)
 
 
 def ab_sum(cfg: HoleConfig, j: int) -> np.ndarray:
     """Aharonov-Bohm sum over the other tracers, (y_j-y_l)^perp/|y_j-y_l|^2."""
     _check_tracer(j, cfg.n)
     cfg.require_distinct()
-    return to_vec(_ab_rows(cfg.points()[None, :], j)[0])
+    return to_vec(_ab_rows(cfg.points()[None, :])[0, j])
 
 
-def emergent_field_stack(N: int, holes, j: int) -> tuple[np.ndarray, np.ndarray, dict]:
-    """A_j, V_j and the refused rows of a stack of hole configurations, b = N.
+def emergent_field_stack(N: int, holes) -> tuple[np.ndarray, np.ndarray, dict]:
+    """A_j, V_j of every tracer j and the refused entries of a stack of hole
+    configurations, b = N.
 
-    holes has shape (B, n) and N is an int >= 1; returns A (B, 2) and V (B,)
-    from the log-derivatives of one log_upsilon_derivative_stack call, used
-    as they come, and a dict from each refused row to its error: rows with
-    coincident holes first (SingularConfigurationError), then in row order
-    those with Upsilon rounding noise (resolved_rows) or a V rounding error
-    above FIELD_ERROR_BUDGET N (DegenerateConfigurationError).
-    A refused row has NaN fields and raises no numpy warning."""
+    holes has shape (B, n) and N is an int >= 1; returns A (B, n, 2) and
+    V (B, n) from the log-derivatives of one log_upsilon_derivative_stack
+    call, used as they come, and a dict from each refused (row, j) to its
+    error: entries of rows with coincident holes first
+    (SingularConfigurationError), then in row-major order those with Upsilon
+    rounding noise (resolved_rows) or a V rounding error above
+    FIELD_ERROR_BUDGET N (DegenerateConfigurationError): a deep pair refuses
+    its own tracers, not a far one.  A refused entry is NaN, with no numpy warning."""
     _check_bath_size(N)
     w = np.asarray(holes, dtype=complex)
     if w.ndim != 2:
@@ -82,46 +84,52 @@ def emergent_field_stack(N: int, holes, j: int) -> tuple[np.ndarray, np.ndarray,
     n = w.shape[1]
 
     coincident = coincident_rows(w)
-    _, dlog, ddlog, corr = log_upsilon_derivative_stack(float(N), N + n, w, j)
+    _, dlog, ddlog, corr = log_upsilon_derivative_stack(float(N), N + n, w)
     # np.hypot is correctly rounded where np.abs of a complex array often is not
     dlog_sq = np.hypot(dlog.real, dlog.imag) ** 2
     # ddlog is a difference of two traces of size |dlog|^2.  Their rounding
     # grows with b|w_j|^2 and with the conditioning of the kernel matrix, corr
-    v_error = V_ERROR_SCALE * (1.0 + poisson_mean(N, w[:, j])) * dlog_sq / corr
+    v_error = V_ERROR_SCALE * (1.0 + poisson_mean(N, w)) * dlog_sq / corr[:, None]
     noise = np.isnan(dlog)    # exactly the rows resolved_rows refuses
-    ok = ~(coincident | noise | (v_error > FIELD_ERROR_BUDGET * N))
+    ok = ~(coincident[:, None] | noise | (v_error > FIELD_ERROR_BUDGET * N))
     refusals = {}
-    for row in sorted(np.flatnonzero(~ok).tolist(), key=lambda r: not coincident[r]):
-        refusals[row] = (
+    for row, j in sorted(np.argwhere(~ok).tolist(), key=lambda e: not coincident[e[0]]):
+        refusals[row, j] = (
             SingularConfigurationError(f"row {row}: hole positions must be pairwise distinct")
             if coincident[row] else DegenerateConfigurationError(f"row {row}: " + (
-                f"Upsilon / prod Q = {corr[row]} below {UPSILON_FLOOR * n}" if noise[row] else
-                f"V rounding error ~{v_error[row]:.2e} exceeds {FIELD_ERROR_BUDGET:g} N "
+                f"Upsilon / prod Q = {corr[row]} below {UPSILON_FLOOR * n}" if noise[row, j] else
+                f"V rounding error ~{v_error[row, j]:.2e} exceeds {FIELD_ERROR_BUDGET:g} N "
                 "(merging too deep)")))
 
-    # A as A_x + i A_y: y^perp is i y and (Im d, Re d) is i conj(d)
-    a_vec = np.full(len(w), complex(np.nan, np.nan))
-    a_vec[ok] = 1j * (N * w[ok, j]) - _ab_rows(w[ok], j) + 1j * dlog[ok].conj()
-    return a_vec.view(float).reshape(-1, 2), np.where(ok, 2.0 * N + 2.0 * ddlog, np.nan), refusals
+    # A as A_x + i A_y: y^perp is i y and (Im d, Re d) is i conj(d); the AB
+    # sums only on rows with an accepted tracer, as a coincident row divides by 0
+    live = ok.any(axis=1)
+    a_vec = np.full(w.shape, complex(np.nan, np.nan))
+    a_vec[ok] = 1j * (N * w[ok]) - _ab_rows(w[live])[ok[live]] + 1j * dlog[ok].conj()
+    v_val = np.where(ok, 2.0 * N + 2.0 * ddlog, np.nan)
+    return a_vec.view(float).reshape(*w.shape, 2), v_val, refusals
 
 
-def emergent_fields(N: int, holes, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """A_j (B, 2) and V_j (B,) of emergent_field_stack where it refuses no
-    row; otherwise it raises the error of the first row in its dict, which
-    puts coincident holes before rounding noise and names the row."""
-    a_vec, v_val, refusals = emergent_field_stack(N, holes, j)
+def emergent_fields(N: int, holes) -> tuple[np.ndarray, np.ndarray]:
+    """A (B, n, 2) and V (B, n) of emergent_field_stack where it refuses no
+    entry; otherwise it raises the error of the first entry in its dict,
+    which puts coincident holes before rounding noise and names the row."""
+    a_vec, v_val, refusals = emergent_field_stack(N, holes)
     if refusals:
         raise next(iter(refusals.values()))
     return a_vec, v_val
 
 
 def emergent_field_derivative(cfg: HoleConfig, j: int) -> EmergentField:
-    """A_j, V_j from exact Upsilon log-derivatives (b = N regime): the B = 1
-    case of emergent_fields."""
+    """A_j, V_j from exact Upsilon log-derivatives (b = N regime): entry
+    (0, j) of emergent_field_stack on one row, refused by that entry's error."""
     if cfg.b != cfg.N:
         raise ValueError("derivative-route fields are defined in the b = N regime")
-    a_vec, v_val = emergent_fields(cfg.N, [cfg.w], j)
-    return EmergentField(A=a_vec[0], V=float(v_val[0]), j=j)
+    _check_tracer(j, cfg.n)
+    a_vec, v_val, refusals = emergent_field_stack(cfg.N, [cfg.w])
+    if (0, j) in refusals:
+        raise refusals[0, j]
+    return EmergentField(A=a_vec[0, j], V=float(v_val[0, j]), j=j)
 
 
 def _row_space(cfg: HoleConfig) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 from qhflux.kernel import KernelSpec, weighted_orbitals
 from qhflux.oracle.charpoly import ginibre_matrices
 from qhflux.oracle.plasma import PlasmaConfig, _Sweep
-from qhflux.partition import HoleConfig, _kernel_stack
+from qhflux.partition import HoleConfig, _check_tracer, _kernel_stack
 from qhflux.potentials import vanishing_subspace
 from qhflux.quadrature import QuadratureGrid, gauss_legendre
 
@@ -124,7 +124,8 @@ def log_upsilon_derivative_one_tracer(b: float, M: int, holes, j: int
     d_j dbar_j K by its square, the scales of their rounding noise: mass
     times a few eps bounds the rounding of any way to sum them."""
     holes = np.asarray(holes, dtype=complex)
-    f = _kernel_stack(b, M, holes, j)
+    _check_tracer(j, holes.shape[1])
+    f = _kernel_stack(b, M, holes)
     phi, kernel = f.phi, f.kernel
     resolved = f.refusal[1]
     w = np.where(resolved, holes[:, j], 0.0)

@@ -318,8 +318,21 @@ def test_field_map_flags_degenerate_row(tmp_path):
     assert lines[1].split(",")[2:6] == ["nan", "nan", "nan", "degenerate"]
 
 
+def test_field_map_answers_the_mover_beside_a_deep_fixed_pair(tmp_path):
+    # the fixed pair 1e-5 apart at N = 64 merges too deep for its own V;
+    # refusals are per tracer, so every mover row is answered
+    assert main(["field-map", "--N", "64", "--holes", "0.3+0i,0.30001+0i",
+                 "--grid=-0.5:0:3,-0.4:0.4:3", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "field_map.csv").read_text().strip().split("\n")
+    assert len(lines) == 10
+    for line in lines[1:]:
+        cells = line.split(",")
+        assert cells[5] not in ("degenerate", "coincident")
+        assert all(math.isfinite(float(cell)) for cell in cells[2:5])
+
+
 def test_field_map_propagates_unexpected_errors(tmp_path, monkeypatch):
-    def broken(N, holes, j):
+    def broken(N, holes):
         raise RuntimeError("not a numerical degeneracy")
 
     monkeypatch.setattr(cli, "emergent_field_stack", broken)

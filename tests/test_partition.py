@@ -83,9 +83,8 @@ def test_upsilon_rotation_invariant():
 def tracer_derivatives(cfg, j):
     """Upsilon, d_j Upsilon and d_j dbar_j Upsilon of one configuration, from
     the log-derivatives: Upsilon dlog and Upsilon (ddlog + |dlog|^2)."""
-    ups, dlog, ddlog, _ = log_upsilon_derivative_stack(cfg.b, cfg.spec.M,
-                                                       cfg.points()[None, :], j)
-    ups, dlog, ddlog = float(ups[0]), complex(dlog[0]), float(ddlog[0])
+    ups, dlog, ddlog, _ = log_upsilon_derivative_stack(cfg.b, cfg.spec.M, cfg.points()[None, :])
+    ups, dlog, ddlog = float(ups[0]), complex(dlog[0, j]), float(ddlog[0, j])
     return ups, ups * dlog, complex(ups * (ddlog + abs(dlog) ** 2))
 
 
@@ -157,10 +156,10 @@ def test_upsilon_derivative_stack_with_one_orbital():
     # M = 1: Upsilon = e^{-t} with t = b|w|^2, so d log Upsilon = -b wbar
     # and d dbar log Upsilon = -b
     b, w = 3.0, 0.3 + 0.2j
-    ups, dlog, ddlog, _ = log_upsilon_derivative_stack(b, 1, [[w]], 0)
+    ups, dlog, ddlog, _ = log_upsilon_derivative_stack(b, 1, [[w]])
     assert ups[0] == math.exp(-b * abs(w) ** 2)
-    assert dlog[0] == pytest.approx(-b * w.conjugate(), rel=1e-15)
-    assert ddlog[0] == pytest.approx(-b, rel=1e-15)
+    assert dlog[0, 0] == pytest.approx(-b * w.conjugate(), rel=1e-15)
+    assert ddlog[0, 0] == pytest.approx(-b, rel=1e-15)
 
 
 def test_upsilon_derivative_on_singular_matrix_raises():
@@ -172,7 +171,7 @@ def test_upsilon_derivative_on_singular_matrix_raises():
     with pytest.raises(SingularMatrixError):
         log_upsilon(cfg)
     with pytest.raises(DegenerateConfigurationError, match="Upsilon / prod Q"):
-        emergent_fields(cfg.N, [cfg.w], 0)
+        emergent_fields(cfg.N, [cfg.w])
 
 
 def test_holes_far_outside_droplet_are_singular():
@@ -327,22 +326,21 @@ def test_hole_config_needs_integer_bath_and_finite_positive_b(kwargs):
                                      (64.0, 66, -1), (64.0, 66, 2), (64.0, 66, 0.5),
                                      (64.0, 66, True)])
 def test_engine_refuses_bad_input_before_any_table(monkeypatch, b, M, j):
-    # b and M follow KernelSpec and the tracer is one of 0..n-1: a ValueError
-    # before the memo is read or an orbital table built, also through the
-    # fields
+    # b and M follow KernelSpec, and the tracer of a per-tracer field is one
+    # of 0..n-1: a ValueError before the memo is read or an orbital table
+    # built
     def no_table(*args):
         raise AssertionError("orbital table built for a bad input")
 
     monkeypatch.setattr(partition, "weighted_orbitals", no_table)
     holes = [[0.1, 0.3j]]
-    with pytest.raises(ValueError):
-        log_upsilon_derivative_stack(b, M, holes, j)
     if j == 0:
-        with pytest.raises(ValueError):
-            upsilon_stack(b, M, holes)
+        for call in (log_upsilon_derivative_stack, upsilon_stack):
+            with pytest.raises(ValueError):
+                call(b, M, holes)
     else:
         with pytest.raises(ValueError, match="tracer index"):
-            emergent_field_stack(64, holes, j)
+            emergent_field_derivative(HoleConfig(w=tuple(holes[0]), N=64), j)
 
 
 def _memo_pool():
@@ -364,12 +362,10 @@ def _memo_ops(entry):
     """Every result the memo feeds for one pool entry, as (label, thunk)."""
     N, b, M, holes = entry
     n = holes.shape[1]
-    ops = [("ups", lambda: upsilon_stack(b, M, holes))]
-    ops += [(f"dlog{j}", lambda j=j: log_upsilon_derivative_stack(b, M, holes, j))
-            for j in range(n)]
+    ops = [("ups", lambda: upsilon_stack(b, M, holes)),
+           ("dlog", lambda: log_upsilon_derivative_stack(b, M, holes))]
     if b == N and M == N + n:
-        ops += [(f"fields{j}", lambda j=j: emergent_field_stack(N, holes, j))
-                for j in range(n)]
+        ops += [("fields", lambda: emergent_field_stack(N, holes))]
         cfg = HoleConfig(w=tuple(holes[0]), N=N)
         ops += [("upsilon", lambda: upsilon(cfg))]
         ops += [(f"field{j}", lambda j=j: emergent_field_derivative(cfg, j))
@@ -478,13 +474,14 @@ def test_every_tracer_in_one_pass_matches_the_one_tracer_formula(N, holes, moves
 
 def test_memo_arrays_are_read_only():
     holes = np.array([[0.3, -0.2 + 0.4j, 0.1j]])
-    ups, dlog, ddlog, corr = log_upsilon_derivative_stack(64.0, 67, holes, 1)
+    ups, dlog, ddlog, corr = log_upsilon_derivative_stack(64.0, 67, holes)
     factors = _kernel_stack(64.0, 67, holes)
-    for cached in (ups, corr, upsilon_stack(64.0, 67, holes), factors.w, factors.phi,
-                   factors.kernel, factors.ups, factors.inverse, *factors.jacobi):
+    # every tracer's log-derivatives are the memo's own arrays, not copies
+    assert dlog is factors.jacobi[0] and ddlog is factors.jacobi[1]
+    for cached in (ups, dlog, ddlog, corr, upsilon_stack(64.0, 67, holes), factors.w,
+                   factors.phi, factors.kernel, factors.ups, factors.inverse):
         with pytest.raises(ValueError, match="read-only"):
             cached[0] = 0.0
-    dlog[0] = ddlog[0] = 0.0     # per-tracer results are the caller's own
 
 
 def test_memo_keeps_only_the_latest_stack(monkeypatch):
@@ -500,7 +497,7 @@ def test_memo_keeps_only_the_latest_stack(monkeypatch):
         return build(*args)
 
     monkeypatch.setattr(partition, "weighted_orbitals", building)
-    log_upsilon_derivative_stack(64.0, 66, second, 0)
+    log_upsilon_derivative_stack(64.0, 66, second)
     assert released == [True]     # the old entry went before the new table
     key, _ = partition._memo
     assert key == (64.0, 66, second.shape, second.tobytes())
@@ -521,7 +518,7 @@ def test_stack_engine_refuses_non_finite_holes(monkeypatch, bad, tracer):
             if tracer is None:
                 upsilon_stack(64.0, 66, holes)
             else:
-                log_upsilon_derivative_stack(64.0, 66, holes, tracer)
+                log_upsilon_derivative_stack(64.0, 66, holes)[1][:, tracer]
     assert partition._memo is before
 
 
@@ -535,7 +532,7 @@ def test_memo_under_threads_returns_each_callers_own_stack(monkeypatch):
 
     def work(k):
         for _ in range(150):
-            got = log_upsilon_derivative_stack(64.0, 66, stacks[k], 1)[0]
+            got = log_upsilon_derivative_stack(64.0, 66, stacks[k])[0]
             if got.tobytes() != want[k]:
                 wrong.append(k)
 
@@ -580,7 +577,7 @@ def test_memo_is_read_once_per_call(monkeypatch):
         for k, h in enumerate(stacks):
             other = entries[(k + 1) % len(stacks)]
             got.append((upsilon_stack(64.0, 66, h).tobytes(),
-                        log_upsilon_derivative_stack(64.0, 66, h, 1)[0].tobytes()))
+                        log_upsilon_derivative_stack(64.0, 66, h)[0].tobytes()))
     finally:
         sys.settrace(previous)
     assert got == [(w, w) for w in want]
@@ -634,9 +631,11 @@ def test_log_upsilon_refuses_rounding_noise():
         for fn in (log_upsilon, log_partition):
             with pytest.raises(SingularMatrixError):
                 fn(cfg)
-        for j in (0, 1):
-            with pytest.raises(DegenerateConfigurationError, match="Upsilon / prod Q"):
-                emergent_fields(64, [cfg.w], j)
+        refusals = emergent_field_stack(64, [cfg.w])[2]
+        assert list(refusals) == [(0, 0), (0, 1)]
+        for err in refusals.values():
+            assert isinstance(err, DegenerateConfigurationError)
+            assert "Upsilon / prod Q" in str(err)
     cfg = HoleConfig(w=(c, c + 1e-4), N=64)
     assert log_upsilon(cfg) == pytest.approx(math.log(mp_upsilon(cfg.w, 64)), abs=1e-8)
 
@@ -660,7 +659,7 @@ def test_log_upsilon_and_fields_refuse_the_same_rows(N, holes, offset):
     except SingularMatrixError:
         refused = True
     try:
-        emergent_fields(N, [cfg.w], 0)
+        emergent_fields(N, [cfg.w])
         degenerate = False
     except DegenerateConfigurationError as err:
         degenerate = "Upsilon / prod Q" in str(err)
@@ -691,12 +690,13 @@ def test_upsilon_and_fields_stay_in_range_without_warnings(N, holes, offset):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert -1e-12 <= upsilon(cfg) <= 1.0 + 1e-12
-        for j in range(cfg.n):
-            try:
-                a_vec, v_val = emergent_fields(N, [cfg.w], j)
-            except (DegenerateConfigurationError, SingularConfigurationError):
-                continue
-            assert np.all(np.isfinite(a_vec)) and np.all(np.isfinite(v_val))
+        a_vec, v_val, refusals = emergent_field_stack(N, [cfg.w])
+    for j in range(cfg.n):
+        if (0, j) in refusals:
+            assert isinstance(refusals[0, j],
+                              (DegenerateConfigurationError, SingularConfigurationError))
+        else:
+            assert np.all(np.isfinite(a_vec[0, j])) and math.isfinite(v_val[0, j])
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

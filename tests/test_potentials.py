@@ -54,7 +54,7 @@ def test_ab_sum_agrees_with_the_squared_modulus_form():
             d = w[:, [j]] - np.delete(w, j, axis=1)
             squared = np.hypot(d.real, d.imag)[..., None] ** 2
             old = np.sum(np.stack([-d.imag, d.real], axis=-1) / squared, axis=1)
-            err = np.abs(_ab_rows(w, j) - (old[:, 0] + 1j * old[:, 1]))
+            err = np.abs(_ab_rows(w)[:, j] - (old[:, 0] + 1j * old[:, 1]))
             assert np.all(err <= 1e-15 * np.sum(1 / np.abs(d), axis=1))
 
 
@@ -86,7 +86,6 @@ def test_every_field_function_refuses_a_bad_tracer_index(j):
     # hole and a bool would index numpy arrays as a mask
     cfg = HoleConfig((0.3, -0.2j), 16)
     calls = [lambda: emergent_field_integral(cfg, j), lambda: emergent_field_derivative(cfg, j),
-             lambda: emergent_fields(16, [cfg.w], j), lambda: emergent_field_stack(16, [cfg.w], j),
              lambda: asymptotic_prediction(cfg, j), lambda: ab_sum(cfg, j)]
     for call in calls:
         with pytest.raises(ValueError, match="tracer index"):
@@ -107,13 +106,13 @@ def test_stacked_fields_refuse_a_bad_bath_size_by_name(monkeypatch, call, N):
     monkeypatch.setattr(partition, "weighted_orbitals", no_table)
     with pytest.raises(ValueError, match=f"bath size N must be an integer of at least 1, "
                                          f"got {re.escape(repr(N))}$"):
-        call(N, [[0.3, -0.2j]], 0)
+        call(N, [[0.3, -0.2j]])
 
 
 def test_a_numpy_integer_is_a_bath_size():
-    want = emergent_fields(16, [[0.3, -0.2j]], 1)
+    want = emergent_fields(16, [[0.3, -0.2j]])
     for N in (np.int64(16), np.int32(16)):
-        got = emergent_fields(N, [[0.3, -0.2j]], 1)
+        got = emergent_fields(N, [[0.3, -0.2j]])
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
@@ -463,15 +462,15 @@ def test_tracer_beyond_the_double_range(far):
         warnings.simplefilter("error")
         far_field = emergent_field_integral(cfg, 0)
         near_field = emergent_field_integral(cfg, 1)
-        refused = [emergent_field_stack(cfg.N, [cfg.w], j) for j in range(2)]
+        a_vec, v_val, refusals = emergent_field_stack(cfg.N, [cfg.w])
     assert np.isfinite(far_field.A).all() and np.isfinite(far_field.V)
     # the same b and M with the near hole alone
     alone = emergent_field_integral(HoleConfig(w=(0.3,), N=5, b=4.0), 0)
     assert np.allclose(near_field.A, alone.A, rtol=0, atol=1e-14 * cfg.N)
     assert abs(near_field.V - alone.V) <= 1e-14 * cfg.N
-    for a_vec, v_val, refusals in refused:
-        assert np.isnan(a_vec).all() and np.isnan(v_val).all()
-        assert isinstance(refusals[0], DegenerateConfigurationError)
+    assert np.isnan(a_vec).all() and np.isnan(v_val).all()
+    assert list(refusals) == [(0, 0), (0, 1)]
+    assert all(isinstance(err, DegenerateConfigurationError) for err in refusals.values())
 
 
 def _cluster(s, n):
@@ -536,7 +535,7 @@ def test_field_call_factors_once(monkeypatch):
                      ("rows", (1, 3, 3))]
     holes = np.array(cfg.w) + np.linspace(0.0, 0.2, 50)[:, None]
     calls.clear()
-    emergent_fields(64, holes, 1)
+    emergent_fields(64, holes)
     assert calls == [("orbitals", (150,)), ("det", (50, 3, 3)), ("inv", (50, 3, 3)),
                      ("rows", (50, 3, 3))]
 
@@ -612,20 +611,41 @@ def test_batch_error_names_the_row():
     c = 0.05 + 0.02j
     deep = (c - 5e-7, c + 5e-7)
     with pytest.raises(DegenerateConfigurationError, match="row 2"):
-        emergent_fields(256, good[:2] + [deep] + good[2:], 0)
+        emergent_fields(256, good[:2] + [deep] + good[2:])
     with pytest.raises(SingularConfigurationError, match="row 1"):
-        emergent_fields(256, good[:1] + [(0.2j, 0.2j)] + good[1:], 1)
-    # the stack keeps the other rows: refused rows are NaN, coincident first
+        emergent_fields(256, good[:1] + [(0.2j, 0.2j)] + good[1:])
+    # the stack keeps the other rows: refused entries are NaN, coincident
+    # rows first
     mixed = [good[0], deep, good[1], (0.2j, 0.2j), good[2]]
-    a_vec, v_val, refusals = emergent_field_stack(256, mixed, 0)
-    assert list(refusals) == [3, 1]
-    assert isinstance(refusals[3], SingularConfigurationError)
-    assert isinstance(refusals[1], DegenerateConfigurationError)
+    a_vec, v_val, refusals = emergent_field_stack(256, mixed)
+    assert list(refusals) == [(3, 0), (3, 1), (1, 0), (1, 1)]
+    assert all(isinstance(refusals[3, j], SingularConfigurationError) for j in (0, 1))
+    assert all(isinstance(refusals[1, j], DegenerateConfigurationError) for j in (0, 1))
     assert np.isnan(a_vec[[1, 3]]).all() and np.isnan(v_val[[1, 3]]).all()
-    a_good, v_good = emergent_fields(256, good, 0)
+    a_good, v_good = emergent_fields(256, good)
     assert np.array_equal(a_vec[[0, 2, 4]], a_good) and np.array_equal(v_val[[0, 2, 4]], v_good)
     with pytest.raises(SingularConfigurationError, match="row 3"):
-        emergent_fields(256, mixed, 0)
+        emergent_fields(256, mixed)
+
+
+@pytest.mark.parametrize("N", [64, 256])
+def test_refusals_are_per_tracer(N):
+    # a pair 1e-5 apart merges too deep for its own two tracers' V, while
+    # the far tracer of the same row is answered, as it is on its own
+    c = 0.05 + 0.02j
+    cfg = HoleConfig(w=(c, c + 1e-5, 0.5 - 0.3j), N=N)
+    a_vec, v_val, refusals = emergent_field_stack(N, [cfg.w])
+    assert list(refusals) == [(0, 0), (0, 1)]
+    for j in (0, 1):
+        assert isinstance(refusals[0, j], DegenerateConfigurationError)
+        assert "V rounding error" in str(refusals[0, j])
+        assert np.isnan(a_vec[0, j]).all() and np.isnan(v_val[0, j])
+        with pytest.raises(DegenerateConfigurationError, match="V rounding error"):
+            emergent_field_derivative(cfg, j)
+    far = emergent_field_derivative(cfg, 2)
+    assert np.array_equal(a_vec[0, 2], far.A) and v_val[0, 2] == far.V
+    with pytest.raises(DegenerateConfigurationError, match="V rounding error"):
+        emergent_fields(N, [cfg.w])
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -633,16 +653,13 @@ def test_batch_error_names_the_row():
 def test_stacked_fields_match_one_config_at_a_time(N, n, data):
     rows = data.draw(st.lists(st.lists(hole, min_size=n, max_size=n, unique=True),
                               min_size=1, max_size=32))
-    j = data.draw(st.integers(0, n - 1))
-    looped = []
-    for w in rows:  # rows the one-config route refuses are left out
-        try:
-            looped.append((w, emergent_field_derivative(HoleConfig(w=tuple(w), N=N), j)))
-        except (DegenerateConfigurationError, SingularConfigurationError):
-            pass
-    if not looped:
-        return
-    a_vec, v_val = emergent_fields(N, [w for w, _ in looped], j)
-    for (_, f), a, v in zip(looped, a_vec, v_val):
-        assert np.allclose(a, f.A, rtol=1e-12, atol=1e-12 * N)
-        assert v == pytest.approx(f.V, rel=1e-12, abs=1e-12 * N)
+    a_vec, v_val, refusals = emergent_field_stack(N, rows)
+    for r, w in enumerate(rows):
+        for j in range(n):
+            try:
+                f = emergent_field_derivative(HoleConfig(w=tuple(w), N=N), j)
+            except (DegenerateConfigurationError, SingularConfigurationError):
+                continue  # entries the one-config route refuses are left out
+            assert (r, j) not in refusals
+            assert np.allclose(a_vec[r, j], f.A, rtol=1e-12, atol=1e-12 * N)
+            assert v_val[r, j] == pytest.approx(f.V, rel=1e-12, abs=1e-12 * N)
