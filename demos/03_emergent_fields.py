@@ -36,7 +36,7 @@ for r in (0.1, 0.3, 0.5, 0.7):
 print("\n== Aharonov-Bohm flux of the partner hole ==")
 pair = HoleConfig(w=(0.35, -0.35), N=256)
 f = emergent_field_derivative(pair, 0)
-pred = asymptotic_prediction(pair, 0)
+pred = asymptotic_prediction(pair)[0][0]
 print(f"  measured A  = ({f.A[0]:+.6f}, {f.A[1]:+.6f})")
-print(f"  N y^perp - (y_0-y_1)^perp/|y_0-y_1|^2 = ({pred.A[0]:+.6f}, {pred.A[1]:+.6f})")
-print(f"  gap = {np.linalg.norm(f.A - pred.A):.2e}")
+print(f"  N y^perp - (y_0-y_1)^perp/|y_0-y_1|^2 = ({pred[0]:+.6f}, {pred[1]:+.6f})")
+print(f"  gap = {np.linalg.norm(f.A - pred):.2e}")

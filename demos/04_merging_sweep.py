@@ -28,10 +28,10 @@ for s in np.geomspace(4 * delta, N ** -1.0, 12):
     ups = upsilon(cfg)
     pred = -math.expm1(-N * s * s)
     field = emergent_field_derivative(cfg, 0)
-    base = asymptotic_prediction(cfg, 0)
+    base = asymptotic_prediction(cfg)[0][0]
     if y <= 4.0:
         v_ratio = (2 * N - field.V) / (N * correction_v(np.array([y, 0.0])))
-        a_ratio = np.linalg.norm(field.A - base.A) / \
+        a_ratio = np.linalg.norm(field.A - base) / \
             (math.sqrt(N) * np.linalg.norm(correction_a(np.array([y, 0.0]))))
         tail = f"{v_ratio:11.6f} {a_ratio:14.6f}"
     else:

@@ -3,11 +3,10 @@ functions, emergent gauge/scalar potentials, and independent oracles."""
 
 from .kernel import (DerivOrder, KernelSpec, LogComplex, kernel_eval,
                      kernel_infty, kernel_tail_bound)
-from .partition import (HoleConfig, PartitionValue, SingularConfigurationError,
-                        SingularMatrixError, log_partition, theta,
+from .partition import (DegenerateConfigurationError, HoleConfig, PartitionValue,
+                        SingularConfigurationError, log_partition, theta,
                         theta_polarized, upsilon, upsilon_prediction)
-from .potentials import (DegenerateConfigurationError, EmergentField,
-                         asymptotic_prediction, correction_a, correction_v,
+from .potentials import (EmergentField, asymptotic_prediction, correction_a, correction_v,
                          emergent_field_derivative, emergent_field_integral,
                          emergent_fields)
 from .quadrature import QuadratureGrid, cartesian_grid
@@ -16,7 +15,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "LogComplex",
-    "SingularMatrixError",
     "QuadratureGrid", "cartesian_grid",
     "KernelSpec", "DerivOrder", "kernel_eval", "kernel_infty",
     "kernel_tail_bound",

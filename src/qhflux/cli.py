@@ -3,7 +3,7 @@
 Complex numbers on the command line use the literal form a+bi (decimal
 components); lists are comma-separated.  Exit codes: 0 success / all rows
 passed, 1 verification failure, 2 usage error, 3 numerical failure (a
-degenerate configuration, a singular matrix or a precision loss).  All
+degenerate configuration or a precision loss).  All
 numeric output is deterministic given --seed; CSV floats carry 17
 significant digits.
 """
@@ -26,10 +26,9 @@ from .kernel import (KernelSpec, kernel_diff_log, kernel_eval, kernel_infty,
                      kernel_tail_bound)
 from .oracle.charpoly import PrecisionError, charpoly_moment_mc
 from .oracle.plasma import PlasmaConfig, dump_samples, plasma_mcmc, radial_density_l1
-from .partition import (HoleConfig, SingularConfigurationError, SingularMatrixError,
+from .partition import (DegenerateConfigurationError, HoleConfig, SingularConfigurationError,
                         log_partition, upsilon, upsilon_prediction)
-from .potentials import (DegenerateConfigurationError, asymptotic_prediction,
-                         emergent_field_derivative, emergent_field_stack)
+from .potentials import asymptotic_prediction, emergent_field_derivative, emergent_field_stack
 
 # each suite with the verify flags it takes besides --seed; a flag left
 # unset is not passed, so the suite's own default applies
@@ -143,10 +142,10 @@ def cmd_potentials(args) -> int:
     print(f"V = {fmt(field.V)}")
     print(f"regime = {regime}")
     if regime.has_prediction:
-        pred = asymptotic_prediction(cfg, j, pair=regime.pair)
-        dev_a = float(np.linalg.norm(field.A - pred.A))
-        print(f"predicted A = ({fmt(pred.A[0])}, {fmt(pred.A[1])})   |A - pred| = {fmt(dev_a)}")
-        print(f"predicted V = {fmt(pred.V)}   |V - pred| = {fmt(abs(field.V - pred.V))}")
+        a_pred, v_pred = (p[j] for p in asymptotic_prediction(cfg, pair=regime.pair))
+        dev_a = float(np.linalg.norm(field.A - a_pred))
+        print(f"predicted A = ({fmt(a_pred[0])}, {fmt(a_pred[1])})   |A - pred| = {fmt(dev_a)}")
+        print(f"predicted V = {fmt(v_pred)}   |V - pred| = {fmt(abs(field.V - v_pred))}")
     return 0
 
 
@@ -186,8 +185,7 @@ def cmd_field_map(args) -> int:
             regime = classifier.classify(cfg)
             pa, pv = np.array([math.nan, math.nan]), math.nan
             if regime.has_prediction:
-                pred = asymptotic_prediction(cfg, j, pair=regime.pair)
-                pa, pv = pred.A, pred.V
+                pa, pv = (p[j] for p in asymptotic_prediction(cfg, pair=regime.pair))
             rows.append([fmt(x), fmt(y), fmt(a_col[k, j, 0]), fmt(a_col[k, j, 1]), fmt(v_col[k, j]),
                          csv_field(str(regime)), fmt(pa[0]), fmt(pa[1]), fmt(pv)])
     if args.format == "json":
@@ -268,6 +266,13 @@ def run_suites(names, args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.suite != "all":
+        # checked before --config fills in flags, so a stored `all` config replays
+        taken = SUITES[args.suite][1]
+        unused = dict.fromkeys("--" + k.replace("_", "-") for _, flags in SUITES.values()
+                               for k in flags if k not in taken and getattr(args, k) is not None)
+        if unused:
+            raise UsageError(f"suite {args.suite} does not take {', '.join(unused)}")
     if args.config:
         # a stored value fills only flags left unset on the command line
         for key, value in load_config(args.config).items():
@@ -405,7 +410,7 @@ def main(argv=None) -> int:
     except (UsageError, SingularConfigurationError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (DegenerateConfigurationError, SingularMatrixError, PrecisionError) as err:
+    except (DegenerateConfigurationError, PrecisionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
 

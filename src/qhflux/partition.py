@@ -36,11 +36,6 @@ class SingularConfigurationError(Exception):
     """Operation requires pairwise distinct hole positions."""
 
 
-class SingularMatrixError(Exception):
-    """The kernel matrix is numerically singular: its determinant, scaled to
-    unit diagonal, is below UPSILON_FLOOR n (see resolved_rows)."""
-
-
 @dataclass(frozen=True)
 class HoleConfig:
     """Quasi-hole positions w in C^n with bath size N and field strength b."""
@@ -114,6 +109,11 @@ def resolved_rows(kernel: np.ndarray, ups: np.ndarray) -> tuple[np.ndarray, np.n
     # where prod Q underflows to 0, so does Upsilon: the ratio counts as 0
     corr = np.divide(ups, q, out=np.zeros_like(ups), where=q > 0.0)
     return corr, corr >= UPSILON_FLOOR * kernel.shape[1]
+
+
+class DegenerateConfigurationError(Exception):
+    """Holes too close or too far out for double precision: Upsilon is
+    rounding noise (resolved_rows), or a field route loses its accuracy."""
 
 
 class _Factors:
@@ -235,17 +235,19 @@ def upsilon(cfg: HoleConfig) -> float:
 
 def _resolved_upsilon(cfg: HoleConfig) -> _Factors:
     """The factorisation of one configuration, a stack of one row, or
-    SingularMatrixError where its Upsilon is rounding noise."""
+    DegenerateConfigurationError where its Upsilon is rounding noise."""
     cfg.require_distinct()
     f = _kernel_stack(cfg.b, cfg.spec.M, cfg.points()[None, :])
-    if not f.refusal[1][0]:
-        raise SingularMatrixError(f"Upsilon = {f.ups[0]:.3e} is rounding noise: below "
-                                  "PIVOT_FLOOR, or below UPSILON_FLOOR n times prod Q")
+    corr, resolved = f.refusal
+    if not resolved[0]:
+        raise DegenerateConfigurationError(
+            f"Upsilon / prod Q = {corr[0]} below {UPSILON_FLOOR * cfg.n}")
     return f
 
 
 def log_upsilon(cfg: HoleConfig) -> float:
-    """log Upsilon, refused (SingularMatrixError) where Upsilon is rounding noise."""
+    """log Upsilon, refused (DegenerateConfigurationError) where Upsilon is
+    rounding noise."""
     return 0.0 if cfg.n == 0 else math.log(_resolved_upsilon(cfg).ups[0])
 
 
@@ -303,7 +305,7 @@ def log_partition(cfg: HoleConfig) -> PartitionValue:
 
 def theta(cfg: HoleConfig, z: complex) -> float:
     """Schur-complement density nu*(z) M^{-1} nu(z), in [0, K_{N+n}(z,z)];
-    refused (SingularMatrixError) where Upsilon(w) is rounding noise, and
+    refused (DegenerateConfigurationError) where Upsilon(w) is rounding noise, and
     (ValueError) at a non-finite z."""
     return theta_polarized(cfg, z, z).real
 

@@ -18,20 +18,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import poisson_mean, weighted_orbitals
-from .partition import (UPSILON_FLOOR, HoleConfig, SingularConfigurationError, _check_bath_size,
-                        _check_tracer, coincident_rows, log_upsilon_derivative_stack)
+from .partition import (UPSILON_FLOOR, DegenerateConfigurationError, HoleConfig,
+                        SingularConfigurationError, _check_bath_size, _check_tracer,
+                        coincident_rows, log_upsilon_derivative_stack)
 
-# emergent_field_stack estimates the rounding error of V as V_ERROR_SCALE
-# (1 + b|w_j|^2) |dlog|^2 / (Upsilon / prod_i (pi/b) K_M(w_i, w_i)) and
-# refuses rows where it exceeds FIELD_ERROR_BUDGET N.  Against mpmath (N = 64
-# to 1024, n <= 4, separations 1e-6 to 1e-1, |w| up to 1.4) the estimate
-# was 0.5 to 300 times the actual error wherever that exceeded 1e-9 N.
+# emergent_field_stack estimates the rounding error of V_j, per tracer, as
+# V_ERROR_SCALE (1 + b|w_j|^2) |dlog_j|^2 / (Upsilon / prod_i (pi/b) K_M(w_i, w_i))
+# and refuses entries where it exceeds FIELD_ERROR_BUDGET N.  Against a
+# 60-digit mpmath stencil (N = 64 to 1024, n <= 4, a pair 1e-6 to 1e-1 apart,
+# every hole in |w| <= 1) it was 0.77 to 48 times the actual error of each
+# pair tracer wherever that exceeded 1e-9 N.  Outside the droplet it is no
+# bound: pairs at |w| 1.03 to 1.37 gave errors up to 1,100 times the estimate,
+# and the pair of ROADMAP item 4 (N = 1024, |w| 1.3) 1,400 times.
 V_ERROR_SCALE = 2 * np.finfo(float).eps
 FIELD_ERROR_BUDGET = 1e-6
-
-
-class DegenerateConfigurationError(Exception):
-    """Merging too deep for double-precision log-derivative assembly."""
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,6 @@ class EmergentField:
     A: np.ndarray          # vector potential, shape (2,)
     V: float               # scalar potential
     j: int                 # tracer index
-
-
-def to_vec(z: complex) -> np.ndarray:
-    return np.array([z.real, z.imag])
 
 
 def perp(v: np.ndarray) -> np.ndarray:
@@ -56,13 +52,6 @@ def _ab_rows(w: np.ndarray) -> np.ndarray:
     # y / |y|^2 as 1 / conj(y), y = w_j - w_l: |y|^2 underflows once |y| < ~1.5e-154
     others = ~np.eye(w.shape[1], dtype=bool)
     return 1j * np.sum(np.divide(1.0, d, out=np.zeros_like(d), where=others), axis=2)
-
-
-def ab_sum(cfg: HoleConfig, j: int) -> np.ndarray:
-    """Aharonov-Bohm sum over the other tracers, (y_j-y_l)^perp/|y_j-y_l|^2."""
-    _check_tracer(j, cfg.n)
-    cfg.require_distinct()
-    return to_vec(_ab_rows(cfg.points()[None, :])[0, j])
 
 
 def emergent_field_stack(N: int, holes) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -259,19 +248,22 @@ def correction_v(y: np.ndarray) -> float:
     return _v_of_t(float(y @ y))
 
 
-def asymptotic_prediction(cfg: HoleConfig, j: int, *,
-                          pair: tuple[int, int] | None = None) -> EmergentField:
-    """Leading-order fields: droplet term minus AB sum, plus the microscopic
-    a/v corrections when j belongs to the single merging pair (pair None:
+def asymptotic_prediction(cfg: HoleConfig, *, pair: tuple[int, int] | None = None
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Leading-order A (n, 2) and V (n,) of every tracer, the per-configuration
+    shape of emergent_fields: droplet term minus AB sum, plus the microscopic
+    a/v corrections on the two tracers of the single merging pair (pair None:
     no merging)."""
-    _check_tracer(j, cfg.n)
-    N = cfg.N
-    a_vec = N * perp(to_vec(cfg.w[j])) - ab_sum(cfg, j)
-    v_val = 2.0 * N
-    if pair is not None and j in pair:
-        other = pair[1] if j == pair[0] else pair[0]
-        d = to_vec(cfg.w[j] - cfg.w[other])
+    cfg.require_distinct()
+    N, w = cfg.N, cfg.points()
+    # N y^perp minus the AB sums, each read from x + iy as (x, y)
+    a_vec = N * np.column_stack([-w.imag, w.real]) - _ab_rows(w[None])[0].view(float).reshape(-1, 2)
+    v_val = np.full(cfg.n, 2.0 * N)
+    if pair is not None:
         rt = math.sqrt(N)
-        a_vec = a_vec + rt * correction_a(rt * d)
-        v_val = N * (2.0 - correction_v(rt * d))
-    return EmergentField(A=a_vec, V=float(v_val), j=j)
+        for j, other in (pair, pair[::-1]):
+            d = w[j] - w[other]
+            y = rt * np.array([d.real, d.imag])
+            a_vec[j] += rt * correction_a(y)
+            v_val[j] = N * (2.0 - correction_v(y))
+    return a_vec, v_val

@@ -18,9 +18,9 @@ from qhflux import cli
 from qhflux.cli import (UsageError, load_config, main, parse_complex,
                         parse_complex_list, parse_grid)
 from qhflux.harness.report import fmt
-from qhflux.harness.suites import run_potential_suite, run_upsilon_suite
-from qhflux.partition import HoleConfig
-from qhflux.potentials import DegenerateConfigurationError, emergent_field_derivative
+from qhflux.harness.suites import run_kernel_suite, run_potential_suite, run_upsilon_suite
+from qhflux.partition import DegenerateConfigurationError, HoleConfig
+from qhflux.potentials import emergent_field_derivative
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -265,6 +265,36 @@ def test_verify_config_fills_only_unset_flags(tmp_path):
 def test_verify_defaults_are_suite_defaults(tmp_path, suite, run):
     assert main(["verify", "--suite", suite, "--out", str(tmp_path)]) == 0
     assert (tmp_path / f"{suite}.csv").read_text() == run(seed=0).to_csv()
+
+
+@pytest.mark.parametrize("suite, flags, named", [
+    ("kernel", ["--N-list", "16", "--samples", "5", "--configs", "99", "--count", "3",
+                "--merging-N", "7"], ["--configs", "--count", "--merging-N"]),
+    ("kernel", ["--gamma", "1"], ["--gamma"]),
+    ("oracle", ["--kappa", "2"], ["--kappa"]),
+    ("global", ["--N-list", "64", "--samples", "5"], ["--N-list", "--samples"]),
+    ("upsilon", ["--merging-N", "64"], ["--merging-N"]),
+], ids=["kernel-three", "kernel-gamma", "oracle-kappa", "global-sizes", "upsilon-merging-N"])
+def test_verify_refuses_a_flag_its_suite_does_not_take(tmp_path, capsys, suite, flags, named):
+    # an ignored flag would run the suite without it and echo it into config.json
+    assert main(["verify", "--suite", suite, *flags, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: suite {suite} does not take ")
+    assert all(flag in err for flag in named)
+    assert not any(tmp_path.iterdir())
+
+
+def test_verify_replays_an_all_config_for_one_suite(tmp_path):
+    # a stored `all` config holds every suite's flags; a named suite takes its own
+    stored = tmp_path / "all.json"
+    stored.write_text(json.dumps({
+        "suite": "all", "seed": 1, "N_list": [64], "samples": 5, "configs": 2,
+        "sweep_points": 3, "merging_N": 64, "N": 16, "n": 2, "count": 4,
+        "kappa": None, "gamma": None, "config": None, "out": None}))
+    out = tmp_path / "K"
+    assert main(["verify", "--suite", "kernel", "--config", str(stored), "--out", str(out)]) == 0
+    expected = run_kernel_suite(N_list=(64,), samples=5, seed=1).to_csv()
+    assert (out / "kernel.csv").read_text() == expected
 
 
 def test_mcmc_subcommand_with_dump(tmp_path, capsys):

@@ -28,27 +28,51 @@ ROOT = Path(__file__).resolve().parents[1]
 KEPT_WITHOUT_CALLER = {
     "load_samples": "the reader of the documented `mcmc --dump` format",
     "vanishing_subspace": "ROADMAP item 13's exact sampler of the conditioned bath needs it",
+    "theta": "the paper's Schur-complement density Theta(z|w), documented in the README "
+             "and the subject of the Schur-identity tests",
 }
+
+
+def _uses(tree: ast.Module, strings: bool) -> tuple[set, set]:
+    """(names a module uses from any module, bare names it references
+    outside their own top-level definition): imports and attribute reads,
+    and string constants where `strings` is set, count for any module; a
+    bare name counts only for its own."""
+    outer, local = set(), set()
+    for stmt in tree.body:
+        name = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.ImportFrom):
+                outer.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                outer.add(node.attr)
+            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                outer.add(node.value)
+            elif isinstance(node, ast.Name) and node.id != name:
+                local.add(node.id)
+    return outer, local
 
 
 def test_every_public_definition_has_a_caller():
     # a top-level def or class that only the tests name belongs in
-    # tests/helpers.py; a name counts as used when a line of src/qhflux,
-    # demos/ or bench/*.py other than its definition and the __init__
-    # re-exports names it (bench/tracing.py names vanishing_subspace as a
-    # string today)
+    # tests/helpers.py; a name counts as used when src/qhflux, demos/ or
+    # bench/*.py imports it or reads it as an attribute, or its own module
+    # names it outside its definition, but not through the __init__
+    # re-exports or a local variable of the same name elsewhere; bench names
+    # the functions its tracer wraps as strings (bench/tracing.py), which count
     library = sorted((ROOT / "src" / "qhflux").rglob("*.py"))
-    lines = [(path, number, line)
-             for path in library + sorted((ROOT / "demos").glob("*.py"))
-             + sorted((ROOT / "bench").glob("*.py")) if path.name != "__init__.py"
-             for number, line in enumerate(path.read_text().splitlines(), 1)]
+    bench = sorted((ROOT / "bench").glob("*.py"))
+    used = set()
+    for path in library + sorted((ROOT / "demos").glob("*.py")) + bench:
+        if path.name != "__init__.py":
+            used |= _uses(ast.parse(path.read_text()), path in bench)[0]
     uncalled = set()
     for path in library:
-        for node in ast.parse(path.read_text()).body:
+        tree = ast.parse(path.read_text())
+        local = _uses(tree, False)[1]
+        for node in tree.body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")
-                    and not any(re.search(rf"\b{node.name}\b", line)
-                                for where, number, line in lines
-                                if (where, number) != (path, node.lineno))):
+                    and node.name not in used | local):
                 uncalled.add(node.name)
     assert sorted(uncalled - set(KEPT_WITHOUT_CALLER)) == []

@@ -14,7 +14,7 @@ from qhflux.kernel import (_T_NEAR, KernelSpec, LogComplex, UnsupportedOrderErro
                            kernel_diff_log, kernel_eval, kernel_infty,
                            kernel_log_orders, kernel_tail_bound,
                            kernel_tail_bound_log, phi_rate, weighted_orbitals)
-from qhflux.partition import HoleConfig, SingularMatrixError, log_upsilon, upsilon
+from qhflux.partition import DegenerateConfigurationError, HoleConfig, log_upsilon, upsilon
 from qhflux.quadrature import cartesian_grid
 
 
@@ -403,7 +403,7 @@ def test_orbitals_far_outside_droplet_are_zero():
     assert np.all(u == 0.0)
     cfg = HoleConfig(w=(0.1, 1e8), N=8)
     assert upsilon(cfg) == 0.0
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(DegenerateConfigurationError):
         log_upsilon(cfg)
 
 

@@ -12,10 +12,10 @@ from scipy.linalg import null_space
 from helpers import double_integral_direct, integrate_radial, polar_grid
 from qhflux.kernel import weighted_orbitals
 from qhflux.partition import HoleConfig, SingularConfigurationError
-from qhflux.potentials import (DegenerateConfigurationError, _divided, _row_space, ab_sum,
+from qhflux.potentials import (DegenerateConfigurationError, _ab_rows, _divided, _row_space,
                                asymptotic_prediction, correction_a, correction_v,
                                emergent_field_derivative, emergent_field_integral,
-                               emergent_field_stack, emergent_fields, perp, to_vec,
+                               emergent_field_stack, emergent_fields, perp,
                                vanishing_subspace)
 
 
@@ -24,29 +24,30 @@ def test_perp_convention():
 
 
 def test_ab_sum_rejects_coincident_holes():
-    # coincident_rows is the one coincidence rule; a separation of 1e-13 is
-    # distinct and gives the finite 1/s Aharonov-Bohm term
+    # coincident_rows is the one coincidence rule of the prediction; a
+    # separation of 1e-13 is distinct and gives the finite 1/s Aharonov-Bohm term
     with pytest.raises(SingularConfigurationError):
-        ab_sum(HoleConfig(w=(0.1, 0.1), N=8), 0)
+        asymptotic_prediction(HoleConfig(w=(0.1, 0.1), N=8))
     cfg = HoleConfig(w=(0.1, 0.1 + 1e-13), N=8)
+    assert np.all(np.isfinite(asymptotic_prediction(cfg)[0]))
     s = (cfg.w[1] - cfg.w[0]).real
-    assert ab_sum(cfg, 0) == pytest.approx([0.0, -1.0 / s], rel=1e-15)
+    got = _ab_rows(cfg.points()[None])[0, 0]
+    assert [got.real, got.imag] == pytest.approx([0.0, -1.0 / s], rel=1e-15)
 
 
 def test_ab_sum_below_the_square_root_of_the_smallest_double():
     # |d|^2 underflows to 0 at |d| = 1e-170; the sum d / |d|^2 does not
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = ab_sum(HoleConfig(w=(0.1, 0.1 + 1e-170j), N=8), 0)
-    assert np.all(np.isfinite(got))
-    assert got == pytest.approx([1e170, 0.0], rel=1e-15)
+        got = _ab_rows(np.array([[0.1, 0.1 + 1e-170j]]))[0, 0]
+    assert np.isfinite(got)
+    assert [got.real, got.imag] == pytest.approx([1e170, 0.0], rel=1e-15)
 
 
 def test_ab_sum_agrees_with_the_squared_modulus_form():
     # perp(d) / hypot(d)^2 term by term, on ordinary separations; with three
     # or more holes the terms can cancel, so the error is taken against the
     # term mass sum_l 1/|d_l|; _ab_rows gives each vector as x + iy
-    from qhflux.potentials import _ab_rows
     rng = np.random.default_rng(5)
     for n in (2, 3, 4):
         w = rng.uniform(-1, 1, (500, n)) + 1j * rng.uniform(-1, 1, (500, n))
@@ -65,7 +66,7 @@ def test_ab_curl_reproduces_point_fluxes():
     def ab_at(y):
         out = np.zeros(2)
         for w in holes:
-            d = y - to_vec(w)
+            d = y - np.array([w.real, w.imag])
             out += perp(d) / float(d @ d)
         return out
 
@@ -85,8 +86,7 @@ def test_every_field_function_refuses_a_bad_tracer_index(j):
     # one rule: a non-bool int in 0..n-1; -1 would silently name the last
     # hole and a bool would index numpy arrays as a mask
     cfg = HoleConfig((0.3, -0.2j), 16)
-    calls = [lambda: emergent_field_integral(cfg, j), lambda: emergent_field_derivative(cfg, j),
-             lambda: asymptotic_prediction(cfg, j), lambda: ab_sum(cfg, j)]
+    calls = [lambda: emergent_field_integral(cfg, j), lambda: emergent_field_derivative(cfg, j)]
     for call in calls:
         with pytest.raises(ValueError, match="tracer index"):
             call()
@@ -120,7 +120,6 @@ def test_a_numpy_integer_is_a_tracer_index():
     cfg = HoleConfig((0.3, -0.2j), 16)
     for j in (np.int64(1), np.int32(1)):
         assert emergent_field_derivative(cfg, j).V == emergent_field_derivative(cfg, 1).V
-        assert np.array_equal(ab_sum(cfg, j), ab_sum(cfg, 1))
 
 
 def test_single_hole_at_origin_fields():
@@ -154,32 +153,39 @@ def test_scalar_potential_nonnegative():
 
 def test_no_merging_fields_match_prediction():
     cfg = HoleConfig(w=(0.3 + 0j, -0.3 + 0j), N=256)
+    a_pred, v_pred = asymptotic_prediction(cfg)
+    assert a_pred.shape == (2, 2) and np.array_equal(v_pred, [2 * 256.0] * 2)
     for j in (0, 1):
         field = emergent_field_derivative(cfg, j)
-        pred = asymptotic_prediction(cfg, j)
-        assert np.linalg.norm(field.A - pred.A) < 1e-5 * 256
+        assert np.linalg.norm(field.A - a_pred[j]) < 1e-5 * 256
         assert abs(field.V - 2 * 256) < 1e-5 * 256
 
 
 def test_prediction_arithmetic_example():
-    # n = 2, y = ((0.3,0), (-0.3,0)), j = 1, N = 100:
+    # n = 2, y = ((0.3,0), (-0.3,0)), j = 0, N = 100:
     # A = (0, 30) - (0.6, 0)^perp / 0.36 = (0, 28.3333...)
     cfg = HoleConfig(w=(0.3, -0.3), N=100)
-    pred = asymptotic_prediction(cfg, 0)
-    assert np.allclose(pred.A, [0.0, 30.0 - 0.6 / 0.36], atol=1e-12)
-    assert pred.V == 200.0
+    a_pred, v_pred = asymptotic_prediction(cfg)
+    assert np.allclose(a_pred[0], [0.0, 30.0 - 0.6 / 0.36], atol=1e-12)
+    assert v_pred[0] == 200.0
 
 
 def test_merging_prediction_spectator_and_decay():
     cfg = HoleConfig(w=(0.2, 0.2 + 1.0 / 16.0, -0.4), N=256)
-    spect = asymptotic_prediction(cfg, 2, pair=(0, 1))
-    assert spect.V == 2 * 256.0
+    a_pair, v_pair = asymptotic_prediction(cfg, pair=(0, 1))
+    a_none = asymptotic_prediction(cfg)[0]
+    assert v_pair[2] == 2 * 256.0 and np.array_equal(a_pair[2], a_none[2])
+    # both pair tracers take the corrections, at y = sqrt(N) (w_j - w_other) = +-(1, 0)
+    y = np.array([1.0, 0.0])
+    for j, sign in ((0, -1.0), (1, 1.0)):
+        assert v_pair[j] == pytest.approx(256 * (2.0 - correction_v(y)), rel=1e-12)
+        assert np.allclose(a_pair[j] - a_none[j], 16 * correction_a(sign * y), rtol=1e-12)
     # wide separation: merging prediction collapses onto the no-merging one
     far = HoleConfig(w=(0.5, -0.5), N=256)
-    a = asymptotic_prediction(far, 0, pair=(0, 1))
-    b = asymptotic_prediction(far, 0)
-    assert np.allclose(a.A, b.A, atol=1e-30)
-    assert a.V == pytest.approx(b.V, abs=1e-20)
+    a, va = asymptotic_prediction(far, pair=(0, 1))
+    b, vb = asymptotic_prediction(far)
+    assert np.allclose(a, b, atol=1e-30)
+    assert va == pytest.approx(vb, abs=1e-20)
 
 
 def test_correction_v_values():
@@ -599,7 +605,7 @@ def test_hole_outside_droplet_is_not_degenerate():
                 v_ref = float(2 * N + (fx1 + fx0 + fy1 + fy0 - 4 * f0) / (2 * h ** 2))
                 grad = np.array([float((fx1 - fx0) / (2 * h)), float((fy1 - fy0) / (2 * h))])
             # A_j = N y_j^perp - AB_j + grad^perp log Upsilon / 2
-            a_ref = N * perp(to_vec(ws[j])) - ab_sum(cfg, j) + 0.5 * perp(grad)
+            a_ref = asymptotic_prediction(cfg)[0][j] + 0.5 * perp(grad)
             field = emergent_field_derivative(cfg, j)
             assert np.all(np.isfinite(field.A)) and math.isfinite(field.V)
             assert field.V == pytest.approx(v_ref, rel=1e-9)
