@@ -266,21 +266,18 @@ def run_suites(names, args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.suite != "all":
-        # checked before --config fills in flags, so a stored `all` config replays
-        taken = SUITES[args.suite][1]
-        unused = dict.fromkeys("--" + k.replace("_", "-") for _, flags in SUITES.values()
-                               for k in flags if k not in taken and getattr(args, k) is not None)
-        if unused:
-            raise UsageError(f"suite {args.suite} does not take {', '.join(unused)}")
-    if args.config:
-        # a stored value fills only flags left unset on the command line
-        for key, value in load_config(args.config).items():
-            if key in ("suite", "out", "config") or not hasattr(args, key):
-                continue
-            if getattr(args, key) is None:
-                setattr(args, key, tuple(value) if key == "N_list" and value else value)
     names = list(SUITES) if args.suite == "all" else [args.suite]
+    taken = {"seed"} | {k for name in names for k in SUITES[name][1]}
+    # checked before --config fills in flags, so a stored `all` config replays
+    unused = dict.fromkeys("--" + k.replace("_", "-") for _, flags in SUITES.values()
+                           for k in flags if k not in taken and getattr(args, k) is not None)
+    if unused:
+        raise UsageError(f"suite {args.suite} does not take {', '.join(unused)}")
+    if args.config:
+        # a stored value fills only flags the run takes and the command line left unset
+        for key, value in load_config(args.config).items():
+            if key in taken and getattr(args, key) is None:
+                setattr(args, key, tuple(value) if key == "N_list" and value else value)
     return run_suites(names, args)
 
 

@@ -2,11 +2,14 @@
 log-derivatives, the closed-form normalization, and Schur-complement densities.
 
 A memo keeps the most recent hole stack's factorisation: its orbital table,
-kernel matrices and determinants, and, once asked for, the refusal rule, the
-stacked inverse and one Jacobi pass for every tracer.  Its key is (b, M,
-holes.shape, holes.tobytes()) of the complex holes; its one entry goes before
-the next stack is built.  All results on one stack share it, bit-identical to
-building them per call; its arrays are read-only; the oracles never read it.
+kernel matrices and determinants, and, once asked for, the coincidence test,
+the refusal rule, the stacked inverse, one Jacobi pass for every tracer and
+the derivative-route fields of every tracer (A, V and the refusals with the
+V rounding guard, which potentials.emergent_field_stack hands out).  Its key
+is (b, M, holes.shape, holes.tobytes()) of the complex holes; its one entry
+goes before the next stack is built.  All results on one stack share it,
+bit-identical to building them per call; its arrays are read-only; the
+oracles never read it.
 
 The pass needs no orbital-derivative table: phi_k(w) = phi_{k-1}(w) w sqrt(b/k)
 turns d phi_k = sqrt(b k) phi_{k-1} - (b/2) zbar phi_k into
@@ -23,13 +26,23 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernel import KernelSpec, weighted_orbitals
+from .kernel import KernelSpec, poisson_mean, weighted_orbitals
 
 PIVOT_FLOOR = 1e-300
 # per hole: the determinant of the kernel matrix scaled to unit diagonal,
 # Upsilon / prod_i Q(M, b|w_i|^2), computed within this of zero is rounding
 # noise whatever its sign (measured up to ~15 eps at n = 4)
 UPSILON_FLOOR = 64 * np.finfo(float).eps
+# _Factors.fields estimates the rounding error of V_j, per tracer, as
+# V_ERROR_SCALE (1 + b|w_j|^2) |dlog_j|^2 / (Upsilon / prod_i (pi/b) K_M(w_i, w_i))
+# and refuses entries where it exceeds FIELD_ERROR_BUDGET N.  Against a
+# 60-digit mpmath stencil (N = 64 to 1024, n <= 4, a pair 1e-6 to 1e-1 apart,
+# every hole in |w| <= 1) it was 0.77 to 48 times the actual error of each
+# pair tracer wherever that exceeded 1e-9 N.  Outside the droplet it is no
+# bound: pairs at |w| 1.03 to 1.37 gave errors up to 1,100 times the estimate,
+# and the pair of ROADMAP item 4 (N = 1024, |w| 1.3) 1,400 times.
+V_ERROR_SCALE = 2 * np.finfo(float).eps
+FIELD_ERROR_BUDGET = 1e-6
 
 
 class SingularConfigurationError(Exception):
@@ -121,8 +134,9 @@ class _Factors:
     weighted_orbitals, shape (B, n, M), kernel matrices phi phi^H =
     (pi/b) [K_M(w_a, w_c)] and determinants Upsilon, all read-only.  A row
     whose determinant is below PIVOT_FLOOR, or not finite as numpy's det can
-    be for denormal kernel entries, is singular: Upsilon 0.  The refusal rule,
-    inverse and Jacobi pass come on first use: Upsilon alone inverts nothing."""
+    be for denormal kernel entries, is singular: Upsilon 0.  The coincidence
+    test, refusal rule, inverse, Jacobi pass and fields come on first use:
+    Upsilon alone inverts nothing."""
 
     def __init__(self, b: float, M: int, w: np.ndarray):
         phi = math.sqrt(math.pi / b) * weighted_orbitals(b, M, w.ravel()).reshape(*w.shape, M)
@@ -173,11 +187,62 @@ class _Factors:
         dlog[~resolved] = ddlog[~resolved] = np.nan
         return _read_only(dlog, ddlog)
 
+    @cached_property
+    def coincident(self) -> np.ndarray:
+        """coincident_rows of the holes, (B,)."""
+        return _read_only(coincident_rows(self.w))[0]
+
+    @cached_property
+    def fields(self) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """A (B, n, 2), V (B, n) and the refusals of emergent_field_stack at
+        N = b, M = N + n: ((row, j), error type, message) of each refused
+        entry in its order.  The errors themselves are built per call, as
+        one raised twice would keep each raise's traceback, and its frames,
+        in the memo."""
+        N, w, coincident, (dlog, ddlog) = self.b, self.w, self.coincident, self.jacobi
+        corr, n = self.refusal[0], w.shape[1]
+        # np.hypot is correctly rounded where np.abs of a complex array often is not
+        dlog_sq = np.hypot(dlog.real, dlog.imag) ** 2
+        # ddlog is a difference of two traces of size |dlog|^2.  Their rounding
+        # grows with b|w_j|^2 and with the conditioning of the kernel matrix, corr
+        v_error = V_ERROR_SCALE * (1.0 + poisson_mean(N, w)) * dlog_sq / corr[:, None]
+        noise = np.isnan(dlog)    # exactly the rows resolved_rows refuses
+        ok = ~(coincident[:, None] | noise | (v_error > FIELD_ERROR_BUDGET * N))
+        refusals = []
+        for row, j in sorted(np.argwhere(~ok).tolist(), key=lambda e: not coincident[e[0]]):
+            if coincident[row]:
+                error, why = SingularConfigurationError, "hole positions must be pairwise distinct"
+            elif noise[row, j]:
+                error, why = (DegenerateConfigurationError,
+                              f"Upsilon / prod Q = {corr[row]} below {UPSILON_FLOOR * n}")
+            else:
+                error, why = (DegenerateConfigurationError,
+                              f"V rounding error ~{v_error[row, j]:.2e} exceeds "
+                              f"{FIELD_ERROR_BUDGET:g} N (merging too deep)")
+            refusals.append(((row, j), error, f"row {row}: {why}"))
+
+        # A as A_x + i A_y: y^perp is i y and (Im d, Re d) is i conj(d); the AB
+        # sums only on rows with an accepted tracer, as a coincident row divides by 0
+        live = ok.any(axis=1)
+        a_vec = np.full(w.shape, complex(np.nan, np.nan))
+        a_vec[ok] = 1j * (N * w[ok]) - _ab_rows(w[live])[ok[live]] + 1j * dlog[ok].conj()
+        v_val = np.where(ok, 2.0 * N + 2.0 * ddlog, np.nan)
+        _read_only(a_vec, v_val)
+        return a_vec.view(float).reshape(*w.shape, 2), v_val, tuple(refusals)
+
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.flags.writeable = False
     return arrays
+
+
+def _ab_rows(w: np.ndarray) -> np.ndarray:
+    """Aharonov-Bohm sum of every tracer of each row of a (B, n) hole stack, as x + iy."""
+    d = (w[:, :, None] - w[:, None, :]).conj()
+    # y / |y|^2 as 1 / conj(y), y = w_j - w_l: |y|^2 underflows once |y| < ~1.5e-154
+    others = ~np.eye(w.shape[1], dtype=bool)
+    return 1j * np.sum(np.divide(1.0, d, out=np.zeros_like(d), where=others), axis=2)
 
 
 def _check_bath_size(N):
@@ -227,10 +292,8 @@ def upsilon_stack(b: float, M: int, holes) -> np.ndarray:
 
 def upsilon(cfg: HoleConfig) -> float:
     """det[(pi/b) K_{N+n}(w_i, w_j)], in [0, 1]; 0 for coincident points."""
-    holes = cfg.points()[None, :]
-    if coincident_rows(holes)[0]:
-        return 0.0
-    return float(upsilon_stack(cfg.b, cfg.spec.M, holes)[0])
+    f = _kernel_stack(cfg.b, cfg.spec.M, cfg.points()[None, :])
+    return 0.0 if f.coincident[0] else float(f.ups[0])
 
 
 def _resolved_upsilon(cfg: HoleConfig) -> _Factors:

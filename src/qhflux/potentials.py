@@ -2,7 +2,9 @@
 
 Two independent routes compute the same fields: the derivative route
 takes the log-derivatives of the Upsilon determinant from partition and uses
-them as they are (production path), and
+them as they are (production path); its A, V and refusals are assembled once
+per hole stack in partition's memo entry, which every tracer's call reads,
+and
 the integral route evaluates the conditional-density integral formulas
 (cross-validation path) in closed form: every conditioned function vanishes
 at the tracer, so its quotient by z - w_j is a finite orbital combination
@@ -18,20 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import poisson_mean, weighted_orbitals
-from .partition import (UPSILON_FLOOR, DegenerateConfigurationError, HoleConfig,
-                        SingularConfigurationError, _check_bath_size, _check_tracer,
-                        coincident_rows, log_upsilon_derivative_stack)
-
-# emergent_field_stack estimates the rounding error of V_j, per tracer, as
-# V_ERROR_SCALE (1 + b|w_j|^2) |dlog_j|^2 / (Upsilon / prod_i (pi/b) K_M(w_i, w_i))
-# and refuses entries where it exceeds FIELD_ERROR_BUDGET N.  Against a
-# 60-digit mpmath stencil (N = 64 to 1024, n <= 4, a pair 1e-6 to 1e-1 apart,
-# every hole in |w| <= 1) it was 0.77 to 48 times the actual error of each
-# pair tracer wherever that exceeded 1e-9 N.  Outside the droplet it is no
-# bound: pairs at |w| 1.03 to 1.37 gave errors up to 1,100 times the estimate,
-# and the pair of ROADMAP item 4 (N = 1024, |w| 1.3) 1,400 times.
-V_ERROR_SCALE = 2 * np.finfo(float).eps
-FIELD_ERROR_BUDGET = 1e-6
+from .partition import (DegenerateConfigurationError, HoleConfig, SingularConfigurationError,
+                        _ab_rows, _check_bath_size, _check_tracer, _kernel_stack)
+# the derivative route's V rounding guard, which partition._Factors.fields applies
+from .partition import FIELD_ERROR_BUDGET, V_ERROR_SCALE  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -46,57 +38,26 @@ def perp(v: np.ndarray) -> np.ndarray:
     return np.array([-v[1], v[0]])
 
 
-def _ab_rows(w: np.ndarray) -> np.ndarray:
-    """Aharonov-Bohm sum of every tracer of each row of a (B, n) hole stack, as x + iy."""
-    d = (w[:, :, None] - w[:, None, :]).conj()
-    # y / |y|^2 as 1 / conj(y), y = w_j - w_l: |y|^2 underflows once |y| < ~1.5e-154
-    others = ~np.eye(w.shape[1], dtype=bool)
-    return 1j * np.sum(np.divide(1.0, d, out=np.zeros_like(d), where=others), axis=2)
-
-
 def emergent_field_stack(N: int, holes) -> tuple[np.ndarray, np.ndarray, dict]:
     """A_j, V_j of every tracer j and the refused entries of a stack of hole
     configurations, b = N.
 
     holes has shape (B, n) and N is an int >= 1; returns A (B, n, 2) and
-    V (B, n) from the log-derivatives of one log_upsilon_derivative_stack
-    call, used as they come, and a dict from each refused (row, j) to its
-    error: entries of rows with coincident holes first
-    (SingularConfigurationError), then in row-major order those with Upsilon
-    rounding noise (resolved_rows) or a V rounding error above
-    FIELD_ERROR_BUDGET N (DegenerateConfigurationError): a deep pair refuses
-    its own tracers, not a far one.  A refused entry is NaN, with no numpy warning."""
+    V (B, n) from the log-derivatives of the Jacobi pass, used as they come,
+    and a dict from each refused (row, j) to its error: entries of rows with
+    coincident holes first (SingularConfigurationError), then in row-major
+    order those with Upsilon rounding noise (resolved_rows) or a V rounding
+    error above FIELD_ERROR_BUDGET N (DegenerateConfigurationError): a deep
+    pair refuses its own tracers, not a far one.  A refused entry is NaN, with
+    no numpy warning.  A and V are the partition memo's read-only arrays
+    (partition._Factors.fields), assembled once per hole stack; the dict and
+    its errors are new on every call."""
     _check_bath_size(N)
     w = np.asarray(holes, dtype=complex)
     if w.ndim != 2:
         raise ValueError("holes must have shape (B, n)")
-    n = w.shape[1]
-
-    coincident = coincident_rows(w)
-    _, dlog, ddlog, corr = log_upsilon_derivative_stack(float(N), N + n, w)
-    # np.hypot is correctly rounded where np.abs of a complex array often is not
-    dlog_sq = np.hypot(dlog.real, dlog.imag) ** 2
-    # ddlog is a difference of two traces of size |dlog|^2.  Their rounding
-    # grows with b|w_j|^2 and with the conditioning of the kernel matrix, corr
-    v_error = V_ERROR_SCALE * (1.0 + poisson_mean(N, w)) * dlog_sq / corr[:, None]
-    noise = np.isnan(dlog)    # exactly the rows resolved_rows refuses
-    ok = ~(coincident[:, None] | noise | (v_error > FIELD_ERROR_BUDGET * N))
-    refusals = {}
-    for row, j in sorted(np.argwhere(~ok).tolist(), key=lambda e: not coincident[e[0]]):
-        refusals[row, j] = (
-            SingularConfigurationError(f"row {row}: hole positions must be pairwise distinct")
-            if coincident[row] else DegenerateConfigurationError(f"row {row}: " + (
-                f"Upsilon / prod Q = {corr[row]} below {UPSILON_FLOOR * n}" if noise[row, j] else
-                f"V rounding error ~{v_error[row, j]:.2e} exceeds {FIELD_ERROR_BUDGET:g} N "
-                "(merging too deep)")))
-
-    # A as A_x + i A_y: y^perp is i y and (Im d, Re d) is i conj(d); the AB
-    # sums only on rows with an accepted tracer, as a coincident row divides by 0
-    live = ok.any(axis=1)
-    a_vec = np.full(w.shape, complex(np.nan, np.nan))
-    a_vec[ok] = 1j * (N * w[ok]) - _ab_rows(w[live])[ok[live]] + 1j * dlog[ok].conj()
-    v_val = np.where(ok, 2.0 * N + 2.0 * ddlog, np.nan)
-    return a_vec.view(float).reshape(*w.shape, 2), v_val, refusals
+    a_vec, v_val, refusals = _kernel_stack(float(N), N + w.shape[1], w).fields
+    return a_vec, v_val, {key: error(message) for key, error, message in refusals}
 
 
 def emergent_fields(N: int, holes) -> tuple[np.ndarray, np.ndarray]:

@@ -2,13 +2,15 @@
 grid with its 1D radial rule, the direct O(grid^2) double integral of the
 conditioned-kernel square, the reproducing residual of K_M, Ginibre
 eigenvalues, one Metropolis sweep on a fresh sweep state, the orbital
-derivative table and the one-tracer Jacobi derivatives built from it."""
+derivative table and the one-tracer Jacobi derivatives built from it, and a
+counter of the runs of a cached property's body."""
 
 from __future__ import annotations
 
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -154,3 +156,17 @@ def log_upsilon_derivative_one_tracer(b: float, M: int, holes, j: int
     mass = np.trace(g @ a_dk, axis1=1, axis2=2)
     mass2 = np.trace(g @ a_ddk + g @ a_dk.swapaxes(1, 2) @ g @ a_dk, axis1=1, axis2=2)
     return dlog, ddlog, mass, mass2
+
+
+def count_cached_property(monkeypatch, cls, name: str, calls: list):
+    """Replace cached property `name` of cls, for the test, by one that
+    appends name to calls each time its body runs."""
+    body = cls.__dict__[name].func
+
+    def counted(self):
+        calls.append(name)
+        return body(self)
+
+    prop = cached_property(counted)
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)

@@ -295,6 +295,24 @@ def test_verify_replays_an_all_config_for_one_suite(tmp_path):
     assert main(["verify", "--suite", "kernel", "--config", str(stored), "--out", str(out)]) == 0
     expected = run_kernel_suite(N_list=(64,), samples=5, seed=1).to_csv()
     assert (out / "kernel.csv").read_text() == expected
+    cfg = load_config(out / "config.json")
+    assert (cfg["seed"], cfg["N_list"], cfg["samples"]) == (1, [64], 5)
+    assert [k for k in ("configs", "sweep_points", "merging_N", "N", "n", "count")
+            if cfg[k] is not None] == []
+
+
+def test_verify_config_echoes_only_the_flags_its_suite_takes(tmp_path):
+    # a stored kernel run's --samples is no flag of the upsilon suite, so the
+    # upsilon run neither takes nor echoes it; its shared and own flags replay
+    stored, out = tmp_path / "K", tmp_path / "U"
+    assert main(["verify", "--suite", "kernel", "--seed", "4", "--N-list", "128",
+                 "--samples", "5", "--out", str(stored)]) == 0
+    assert load_config(stored / "config.json")["samples"] == 5
+    assert main(["verify", "--suite", "upsilon", "--config", str(stored / "config.json"),
+                 "--out", str(out)]) == 0
+    cfg = load_config(out / "config.json")
+    assert (cfg["suite"], cfg["seed"], cfg["N_list"], cfg["samples"]) == ("upsilon", 4, [128], None)
+    assert (out / "upsilon.csv").read_text() == run_upsilon_suite(N_list=(128,), seed=4).to_csv()
 
 
 def test_mcmc_subcommand_with_dump(tmp_path, capsys):

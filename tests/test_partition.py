@@ -363,11 +363,14 @@ def _memo_ops(entry):
     ops = [("ups", lambda: upsilon_stack(b, M, holes)),
            ("dlog", lambda: log_upsilon_derivative_stack(b, M, holes))]
     if b == N and M == N + n:
-        ops += [("fields", lambda: emergent_field_stack(N, holes))]
-        cfg = HoleConfig(w=tuple(holes[0]), N=N)
-        ops += [("upsilon", lambda: upsilon(cfg))]
-        ops += [(f"field{j}", lambda j=j: emergent_field_derivative(cfg, j))
-                for j in range(n)]
+        ops += [("fields", lambda: emergent_field_stack(N, holes)),
+                ("first-refusal", lambda: emergent_fields(N, holes))]
+        # one-row stacks of the first four rows, refused tracers included
+        for r, row in enumerate(holes[:4]):
+            cfg = HoleConfig(w=tuple(row), N=N)
+            ops += [(f"upsilon{r}", lambda cfg=cfg: upsilon(cfg))]
+            ops += [(f"field{r},{j}", lambda cfg=cfg, j=j: emergent_field_derivative(cfg, j))
+                    for j in range(n)]
     return ops
 
 
@@ -474,12 +477,39 @@ def test_memo_arrays_are_read_only():
     holes = np.array([[0.3, -0.2 + 0.4j, 0.1j]])
     ups, dlog, ddlog, corr = log_upsilon_derivative_stack(64.0, 67, holes)
     factors = _kernel_stack(64.0, 67, holes)
-    # every tracer's log-derivatives are the memo's own arrays, not copies
+    # every tracer's log-derivatives and fields are the memo's own arrays, not copies
     assert dlog is factors.jacobi[0] and ddlog is factors.jacobi[1]
+    a_vec, v_val, _ = emergent_field_stack(64, holes)
+    assert a_vec is factors.fields[0] and v_val is factors.fields[1]
+    field = emergent_field_derivative(HoleConfig(w=tuple(holes[0]), N=64), 1)
     for cached in (ups, dlog, ddlog, corr, upsilon_stack(64.0, 67, holes), factors.w,
-                   factors.phi, factors.kernel, factors.ups, factors.inverse):
+                   factors.phi, factors.kernel, factors.ups, factors.inverse,
+                   factors.coincident, a_vec, a_vec.base, v_val, field.A):
         with pytest.raises(ValueError, match="read-only"):
             cached[0] = 0.0
+
+
+def test_memo_refusals_are_new_errors_on_every_call():
+    # the memo keeps each refusal's type and message, never an error
+    # object: a raised one would carry its traceback, and the frames in it,
+    # in the memo and into the next raise
+    holes = np.array([[0.3, 0.3, 0.1j], [0.1, 0.1 + 1e-12, 0.5j], [0.2, 0.2 + 1e-4j, -0.5]])
+    first, second = emergent_field_stack(64, holes)[2], emergent_field_stack(64, holes)[2]
+    assert first is not second and list(first) == list(second)
+    assert [(type(e), str(e)) for e in first.values()] == \
+        [(type(e), str(e)) for e in second.values()]
+    assert all(first[k] is not second[k] and first[k].__traceback__ is None for k in first)
+    assert {type(e) for e in first.values()} == {SingularConfigurationError,
+                                                 DegenerateConfigurationError}
+    raised = []
+    for _ in range(2):
+        for call in (lambda: emergent_fields(64, holes),
+                     lambda: emergent_field_derivative(HoleConfig(w=tuple(holes[2]), N=64), 0)):
+            with pytest.raises((SingularConfigurationError, DegenerateConfigurationError)) as err:
+                call()
+            raised.append(err.value)
+    assert len({id(e) for e in raised}) == 4
+    assert [str(e) for e in raised[:2]] == [str(e) for e in raised[2:]]
 
 
 def test_memo_keeps_only_the_latest_stack(monkeypatch):
@@ -525,13 +555,15 @@ def test_memo_under_threads_returns_each_callers_own_stack(monkeypatch):
     # factorisation of their own holes, never another thread's entry
     monkeypatch.setattr(partition, "_memo", None)
     stacks = [np.array([[0.3, 0.1j + 0.05 * k]]) for k in range(4)]
-    want = [upsilon_stack(64.0, 66, h).tobytes() for h in stacks]
+    want = [(upsilon_stack(64.0, 66, h).tobytes(), emergent_field_stack(64, h)[0].tobytes())
+            for h in stacks]
     wrong = []
 
     def work(k):
         for _ in range(150):
-            got = log_upsilon_derivative_stack(64.0, 66, stacks[k])[0]
-            if got.tobytes() != want[k]:
+            got = (log_upsilon_derivative_stack(64.0, 66, stacks[k])[0].tobytes(),
+                   emergent_field_stack(64, stacks[k])[0].tobytes())
+            if got != want[k]:
                 wrong.append(k)
 
     interval = sys.getswitchinterval()
@@ -554,9 +586,10 @@ def test_memo_is_read_once_per_call(monkeypatch):
     # _memo anywhere in the call would hand back another stack's entry
     monkeypatch.setattr(partition, "_memo", None)
     stacks = [np.array([[0.3, 0.1j + 0.05 * k]]) for k in range(3)]
-    want, entries = [], []
+    want, fields, entries = [], [], []
     for h in stacks:
         want.append(upsilon_stack(64.0, 66, h).tobytes())
+        fields.append(emergent_field_stack(64, h)[0].tobytes())
         entries.append(partition._memo)
     code = partition._kernel_stack.__code__
 
@@ -575,10 +608,11 @@ def test_memo_is_read_once_per_call(monkeypatch):
         for k, h in enumerate(stacks):
             other = entries[(k + 1) % len(stacks)]
             got.append((upsilon_stack(64.0, 66, h).tobytes(),
-                        log_upsilon_derivative_stack(64.0, 66, h)[0].tobytes()))
+                        log_upsilon_derivative_stack(64.0, 66, h)[0].tobytes(),
+                        emergent_field_stack(64, h)[0].tobytes()))
     finally:
         sys.settrace(previous)
-    assert got == [(w, w) for w in want]
+    assert got == [(w, w, a) for w, a in zip(want, fields)]
 
 
 def mp_upsilon(ws, N):

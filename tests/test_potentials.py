@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 
-from helpers import double_integral_direct, integrate_radial, polar_grid
+from helpers import count_cached_property, double_integral_direct, integrate_radial, polar_grid
 from qhflux.kernel import weighted_orbitals
 from qhflux.partition import HoleConfig, SingularConfigurationError
 from qhflux.potentials import (DegenerateConfigurationError, _ab_rows, _divided, _row_space,
@@ -385,7 +385,8 @@ def test_integral_route_matches_derivative_route(N, data):
 
 def test_integral_route_never_calls_the_derivative_route(monkeypatch):
     # the route never reads the partition memo, the derivative route's
-    # log-derivatives, its all-tracer Jacobi pass or its derivative rows
+    # log-derivatives, its all-tracer Jacobi pass, its derivative rows or
+    # its assembled fields
     from qhflux import partition, potentials
     cfg = HoleConfig(w=(0.3 + 0.1j, -0.25 + 0.2j), N=16)
     d = emergent_field_derivative(cfg, 1)
@@ -394,11 +395,12 @@ def test_integral_route_never_calls_the_derivative_route(monkeypatch):
         raise AssertionError("the integral route called into the derivative route")
 
     for module, name in ((partition, "_kernel_stack"),
+                         (potentials, "_kernel_stack"),
                          (partition, "log_upsilon_derivative_stack"),
-                         (potentials, "log_upsilon_derivative_stack"),
                          (partition, "_derivative_rows")):
         monkeypatch.setattr(module, name, refused)
-    monkeypatch.setattr(partition._Factors, "jacobi", property(refused))
+    for name in ("jacobi", "fields"):
+        monkeypatch.setattr(partition._Factors, name, property(refused))
     i = emergent_field_integral(cfg, 1)
     assert np.linalg.norm(d.A - i.A) <= 1e-13 * cfg.N
     assert abs(d.V - i.V) <= 1e-13 * cfg.N
@@ -512,12 +514,14 @@ def test_integral_route_answers_a_resolved_triple(N):
 
 def test_field_call_factors_once(monkeypatch):
     # Upsilon and every tracer's fields on one configuration share one
-    # orbital table (its n points), one determinant, one inverse and one
-    # all-tracer Jacobi pass through the partition memo; no tracer builds a
-    # derivative table, the pass takes its rows from the (B, n, n) kernel
-    # matrices.  A stacked call on new holes builds its own factorisation.
+    # orbital table (its n points), one determinant, one inverse, one
+    # all-tracer Jacobi pass and one assembly of A, V and the refusals
+    # through the partition memo; no tracer builds a derivative table, the
+    # pass takes its rows from the (B, n, n) kernel matrices.  A stacked
+    # call on new holes builds its own factorisation and fields.
     from qhflux import kernel, partition
     calls = []
+    count_cached_property(monkeypatch, partition._Factors, "fields", calls)
 
     def counting(name, fn, arg=0):
         def wrapper(*args, **kwargs):
@@ -537,12 +541,13 @@ def test_field_call_factors_once(monkeypatch):
     partition.upsilon(cfg)
     for j in range(cfg.n):
         emergent_field_derivative(cfg, j)
-    assert calls == [("orbitals", (3,)), ("det", (1, 3, 3)), ("inv", (1, 3, 3)),
+    assert calls == [("orbitals", (3,)), ("det", (1, 3, 3)), "fields", ("inv", (1, 3, 3)),
                      ("rows", (1, 3, 3))]
     holes = np.array(cfg.w) + np.linspace(0.0, 0.2, 50)[:, None]
     calls.clear()
     emergent_fields(64, holes)
-    assert calls == [("orbitals", (150,)), ("det", (50, 3, 3)), ("inv", (50, 3, 3)),
+    emergent_field_stack(64, holes)
+    assert calls == [("orbitals", (150,)), ("det", (50, 3, 3)), "fields", ("inv", (50, 3, 3)),
                      ("rows", (50, 3, 3))]
 
 
