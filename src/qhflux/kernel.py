@@ -13,13 +13,16 @@ is the only stable way once they fall many orders below the kernel scale.
 `kernel_log_orders` evaluates the truncated, tail or infinite series for B
 pairs (z_r, w_r) and a list of derivative orders at once as
 (log-magnitude, phase) arrays, so b up to ~1024 and M up to ~1100 stay
-representable.  Every order is a short combination of the range-shifted
-series S^(k)(z wbar), k <= 4: each S^(k) that some order needs is summed
-once, and each order is combined relative to top, the largest of its own
-series only, so it equals a one-order call bit for bit.  `kernel_eval`,
-`kernel_infty` and `kernel_diff_log` are its one-pair, one-order case, and a
-single value comes back as the record `LogComplex` (log-magnitude, phase in
-[-pi, pi]).
+representable.  Every order is a short combination of the series
+S^(k)(z wbar), k <= 4, the k-th x-derivative of the coefficient series.  By
+range shift S^(k) is b^k times the same series with its cut moved down by k
+terms, so one summation per call gives every S^(k): the tail S^(k) is the
+tail from j = M plus its k heads j = M - 1 .. M - k, and the truncated
+S^(k) is the running sum at the cut j = M - k.  Each order is combined
+relative to top, the largest of its own series only, so it equals a
+one-order call bit for bit.  `kernel_eval`, `kernel_infty` and
+`kernel_diff_log` are its one-pair, one-order case, and a single value comes
+back as the record `LogComplex` (log-magnitude, phase in [-pi, pi]).
 
 The series runs in chunks of terms: within a chunk the term magnitudes are a
 running product of the ratios b|x|/(j+1) and the partial sums a running sum
@@ -29,7 +32,8 @@ pass 1e250, and its own stop rule.  A sum is cancellation noise, reported as zer
 below the rounding floor of its terms: 8 eps (2 + (j - j0) + j |arg x|)
 times their mass for terms j0..j, since term j carries the rounding of a
 running product over j - j0 steps and of its phase j arg x, besides that of
-the additions.
+the additions.  A shifted S^(k) takes its own first term as j0 (M - k,
+clipped at 0, for a tail; 0 for a truncated sum) and its heads into its mass.
 No row's value depends on the other rows.
 
 Kernel matrices on point sets take the other route: the weighted-orbital
@@ -76,24 +80,54 @@ class KernelSpec:
             raise ValueError(f"truncation order M must be an integer of at least 1, got {self.M!r}")
 
 
-def _series_stack(b: float, x: np.ndarray, j0: int, j1: float):
-    """sum_{j0 <= j < j1} (b^{j+1}/(pi j!)) x^j for each entry of x, as
-    (log-magnitude, phase) arrays; -inf marks a zero sum.
+def _floor_log(scale, total: np.ndarray, mass: np.ndarray, first: int, last: np.ndarray,
+               theta: np.ndarray):
+    """(log-magnitude, phase) of exp(scale) total, a sum of the series terms
+    first..last of magnitude sum exp(scale) mass; -inf below the rounding
+    floor of those terms, where the sum is cancellation noise."""
+    size = np.abs(total)
+    # term last carries ~(last - first) eps from the running product from
+    # first and ~last |arg x| eps from its phase, besides the additions
+    ok = size > _NOISE * (2.0 + (last - first) + last * np.abs(theta)) * mass
+    return (np.where(ok, scale + np.log(np.where(ok, size, 1.0)), -np.inf),
+            np.where(ok, np.angle(total), 0.0))
 
-    j1 may be math.inf; a row stops once its remaining terms, bounded by a
-    geometric series, fall below 1e-20 of its sum.
+
+def _series_stack(b: float, x: np.ndarray, M: int, ks, tail: bool) -> dict:
+    """{k: S^(k)} for each k in ks, from one summation.  S^(k) is the k-th
+    x-derivative of the truncated series sum_{j<M} c_j x^j (tail=False) or
+    of the tail sum_{j>=M} c_j x^j (tail=True), c_j = b^{j+1}/(pi j!), at
+    each entry of x, as (log-magnitude, phase) arrays; -inf marks a zero sum.
+
+    By range shift S^(k) is b^k times the same series cut at M - k, clipped
+    at 0.  The tail sums j >= M, a row stopping once its remaining terms,
+    bounded by a geometric series, fall below 1e-20 of its sum, and S^(k)
+    adds to it the k heads j = M - 1 down to M - k in that order (smallest
+    first where the terms fall from j = M), each derived from the first tail
+    term by the exact ratios (j + 1)/(b x), multiplied as logarithms so
+    that no head overflows.  The truncated series sums j < M under the same
+    stop rule, and S^(k) is its running sum, compensation and mass at the
+    cut j = M - k (a row that stops before its cut reads its last state).
+    S^(0) is summed exactly as it would be alone.
     """
-    log_mag, phase = np.full(x.shape, -np.inf), np.zeros(x.shape)
-    if j1 <= j0:
-        return log_mag, phase
-    rows = np.arange(x.size)
+    j0, j1 = (M, math.inf) if tail else (0, M)
     r, theta = np.abs(x), np.angle(x)
-    br = b * r
     # a row's next term j is exp(scale) t; acc, comp and mass share its
     # scale, which is -inf where x = 0 and j0 > 0
     with np.errstate(divide="ignore"):
-        scale = ((j0 + 1) * math.log(b) + (j0 * np.log(r) if j0 else np.zeros(x.size))
-                 - math.log(math.pi) - math.lgamma(j0 + 1))
+        first_scale = ((j0 + 1) * math.log(b) + (j0 * np.log(r) if j0 else np.zeros(x.size))
+                       - math.log(math.pi) - math.lgamma(j0 + 1))
+    # each row's (scale, sum, mass, last term) where it stopped (key 0)
+    # and, in the truncated series, at each cut M - k > 0 (key k)
+    cuts = {} if tail else {k: M - k for k in ks if 0 < k < M}
+    state = {key: (np.zeros(x.size), np.zeros(x.size, dtype=complex), np.zeros(x.size),
+                   np.zeros(x.size)) for key in (0, *cuts)}
+
+    def record(key, at, *values):
+        for into, value in zip(state[key], values):
+            into[at] = value
+
+    rows, scale, br, th = np.arange(x.size), first_scale, b * r, theta
     j = np.full(x.size, float(j0))
     ratio = br / (j0 + 1.0)                    # from term j to term j + 1
     t, mass = np.ones(x.size), np.zeros(x.size)
@@ -120,12 +154,22 @@ def _series_stack(b: float, x: np.ndarray, j0: int, j1: float):
         if np.count_nonzero(n < width):
             step[i[1:] >= n[:, None]] = 0.0
         mags = np.concatenate([t[:, None], step], axis=1).cumprod(axis=1)
-        terms = mags * np.exp(1j * (pos * theta[:, None]))
+        terms = mags * np.exp(1j * (pos * th[:, None]))
         # running sums, and the exact rounding error of each addition (TwoSum)
         partial = np.concatenate([acc[:, None], terms], axis=1).cumsum(axis=1)
         before, after = partial[:, :-1], partial[:, 1:]
         back = after - before
-        comp = comp + ((before - (after - back)) + (terms - back)).sum(axis=1)
+        errs = (before - (after - back)) + (terms - back)
+        for k, cut in cuts.items():
+            hit = np.flatnonzero((j < cut) & (cut <= j + n))
+            if hit.size:
+                m = cut - j[hit]                  # terms of this chunk below the cut
+                below = i < m[:, None]
+                record(k, rows[hit], scale[hit],
+                       partial[hit, m.astype(int)]
+                       + (comp[hit] + np.where(below, errs[hit], 0.0).sum(axis=1)),
+                       mass[hit] + np.where(below, mags[hit], 0.0).sum(axis=1), cut - 1.0)
+        comp = comp + errs.sum(axis=1)
         mass = mass + mags.sum(axis=1)
         acc = partial[:, -1].copy()
         j = j + n
@@ -137,33 +181,70 @@ def _series_stack(b: float, x: np.ndarray, j0: int, j1: float):
             done |= j >= j1
         finished = np.count_nonzero(done)
         if finished:
-            total = acc[done] + comp[done]
-            size = np.abs(total)
-            # a sum below the rounding floor of its own terms is cancellation
-            # noise; the last term, j - 1, carries ~(j - j0) eps from the
-            # running product from j0 and ~j |arg x| eps from its phase,
-            # besides the additions
-            last = j[done] - 1.0
-            ok = size > _NOISE * (2.0 + (last - j0) + last * np.abs(theta[done])) * mass[done]
-            log_mag[rows[done]] = np.where(
-                ok, scale[done] + np.log(np.where(ok, size, 1.0)), -np.inf)
-            phase[rows[done]] = np.where(ok, np.angle(total), 0.0)
+            end = (scale[done], acc[done] + comp[done], mass[done], j[done] - 1.0)
+            record(0, rows[done], *end)
+            for k, cut in cuts.items():
+                # stopped before the cut: the terms up to it are negligible
+                short = j[done] < cut
+                record(k, rows[done][short], *(a[short] for a in end))
             if finished == rows.size:
                 break
             keep = ~done
-            rows, br, theta, scale, j, ratio, t, acc, comp, mass = (
-                a[keep] for a in (rows, br, theta, scale, j, ratio, t, acc, comp, mass))
+            rows, br, th, scale, j, ratio, t, acc, comp, mass = (
+                a[keep] for a in (rows, br, th, scale, j, ratio, t, acc, comp, mass))
         width = min(2 * width, _CHUNK_MAX)
-    return log_mag, phase
+
+    shifted = _shifted_tails(b, M, [k for k in ks if k], x, first_scale, state[0],
+                             theta) if tail else {}
+    out = {}
+    for k in ks:
+        if k in shifted:
+            log_mag, phase = shifted[k]
+        elif k in state:
+            sc, total, mass_k, last = state[k]
+            log_mag, phase = _floor_log(sc, total, mass_k, j0, last, theta)
+        else:                                    # cut at or below 0: an empty sum
+            log_mag, phase = np.full(x.size, -np.inf), np.zeros(x.size)
+        out[k] = (k * math.log(b) + log_mag, phase)
+    return out
 
 
-def _series_deriv_stack(spec: KernelSpec, x: np.ndarray, k: int, which: str):
-    """k-th x-derivative of the truncated or tail coefficient series, by
-    range shift."""
-    b, cut = spec.b, max(spec.M - k, 0)
-    log_mag, phase = _series_stack(b, x, *((0, cut) if which == "truncated"
-                                           else (cut, math.inf)))
-    return k * math.log(b) + log_mag, phase
+def _shifted_tails(b: float, M: int, ks: list, x: np.ndarray, first_scale: np.ndarray,
+                   end: tuple, theta: np.ndarray) -> dict:
+    """{k: S^(k)/b^k} for each k >= 1 in ks, sum_{j >= M - k} c_j x^j, from
+    the tail's end state: its heads j = M - 1 down to max(M - k, 0) in the
+    log scale of its first term, and the rounding floor of the terms from
+    max(M - k, 0) with the heads' mass.  Where x = 0 only the term j = 0
+    survives."""
+    out = {k: (np.full(x.size, (math.log(b) - math.log(math.pi)) if k >= M else -np.inf),
+               np.zeros(x.size)) for k in ks}
+    live = np.flatnonzero(x != 0)
+    if not (ks and live.size):
+        return out
+    base, th = first_scale[live], theta[live]
+    end_scale, end_total, end_mass, last = (a[live] for a in end)
+    # log |c_j x^j| - base for the heads, from the ratios (j + 1)/(b x)
+    log_bx = math.log(b) + np.log(np.abs(x[live]))
+    heads, rel = [], np.zeros(live.size)
+    for h in range(M - 1, max(M - max(ks), 0) - 1, -1):
+        rel = rel + (math.log(h + 1) - log_bx)
+        heads.append((rel, np.exp(1j * (h * th))))
+    # the tail's rescalings since its first term
+    shift = end_scale - base
+    log_tail = shift + np.log(end_mass)
+    for k in ks:
+        lo = max(M - k, 0)
+        own = heads[:M - lo]
+        top = np.maximum.reduce([log_tail] + [rel for rel, _ in own])
+        f = np.exp(shift - top)
+        total, mass = end_total * f, end_mass * f
+        for rel, unit in own:
+            mag = np.exp(rel - top)
+            total = total + mag * unit
+            mass = mass + mag
+        log_mag, phase = out[k]
+        log_mag[live], phase[live] = _floor_log(base + top, total, mass, lo, last, th)
+    return out
 
 
 # Symbolic expansion of mixed derivatives: each entry maps
@@ -244,9 +325,9 @@ def kernel_log_orders(spec: KernelSpec, zs, ws, orders: list[DerivOrder],
     below 8 eps of their mass, has log-magnitude -inf and phase 0.  A pair
     with b(|z|^2 + |w|^2) not finite, or a tail of over 2^20 terms, raises
     ValueError, and a bad order anywhere in the list UnsupportedOrderError,
-    before any series is summed.  Each series S^(k) that some order needs
-    is summed once; every order is combined as if alone, so each result
-    equals a call with that order alone bit for bit.
+    before any series is summed.  One summation gives every series S^(k)
+    that some order needs; every order is combined as if alone, so each
+    result equals a call with that order alone bit for bit.
     """
     orders = [_check_order(order) for order in orders]
     if which not in ("truncated", "infinite", "tail"):
@@ -265,13 +346,18 @@ def kernel_log_orders(spec: KernelSpec, zs, ws, orders: list[DerivOrder],
         d = np.abs(z - w)
         gauss = math.log(spec.b / math.pi) - 0.5 * spec.b * d * d
     else:
-        series = {k: _series_deriv_stack(spec, x, k, which) for k in ks}
+        series = _series_stack(spec.b, x, spec.M, ks, which == "tail")
         gauss = -0.5 * spec.b * (np.abs(z) ** 2 + np.abs(w) ** 2)
-    return [_combine(spec, z, w, terms, series, gauss) for terms in order_terms]
+    # every power some term takes of b and of z, zbar, w, wbar (slots 0-3), formed once
+    bases = (z, z.conj(), w, w.conj())
+    keys = [key for terms in order_terms for key, _ in terms]
+    b_powers = {key[5]: spec.b ** key[5] for key in keys}
+    powers = {(slot, e): bases[slot] ** e for key in keys for slot, e in enumerate(key[:4]) if e}
+    return [_combine(terms, series, gauss, b_powers, powers) for terms in order_terms]
 
 
-def _combine(spec: KernelSpec, z: np.ndarray, w: np.ndarray, terms: tuple,
-             series: dict, gauss: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _combine(terms: tuple, series: dict, gauss: np.ndarray, b_powers: dict,
+             powers: dict) -> tuple[np.ndarray, np.ndarray]:
     """Sum c b^p z^pz zbar^pzb w^pw wbar^pwb S^(k) row by row, each S^(k)
     relative to the largest of this order's own series."""
     own = {key[4] for key, _ in terms}
@@ -279,13 +365,13 @@ def _combine(spec: KernelSpec, z: np.ndarray, w: np.ndarray, terms: tuple,
     live = top > -np.inf
     top = np.where(live, top, 0.0)
     unit = {k: np.exp((series[k][0] - top) + 1j * series[k][1]) for k in own}
-    acc = np.zeros(z.shape, dtype=complex)
-    mass = np.zeros(z.shape)
-    for (pz, pzb, pw, pwb, k, p), c in terms:
-        term = c * spec.b ** p * unit[k]
-        for base, power in ((z, pz), (z.conj(), pzb), (w, pw), (w.conj(), pwb)):
-            if power:
-                term = term * base ** power
+    acc = np.zeros(top.shape, dtype=complex)
+    mass = np.zeros(top.shape)
+    for key, c in terms:
+        term = c * b_powers[key[5]] * unit[key[4]]
+        for slot, e in enumerate(key[:4]):
+            if e:
+                term = term * powers[slot, e]
         acc += term
         mass += np.abs(term)
     size = np.abs(acc)

@@ -299,8 +299,9 @@ def upsilon(cfg: HoleConfig) -> float:
 def _resolved_upsilon(cfg: HoleConfig) -> _Factors:
     """The factorisation of one configuration, a stack of one row, or
     DegenerateConfigurationError where its Upsilon is rounding noise."""
-    cfg.require_distinct()
     f = _kernel_stack(cfg.b, cfg.spec.M, cfg.points()[None, :])
+    if f.coincident[0]:
+        raise SingularConfigurationError("hole positions must be pairwise distinct")
     corr, resolved = f.refusal
     if not resolved[0]:
         raise DegenerateConfigurationError(

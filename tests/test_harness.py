@@ -96,26 +96,26 @@ def test_reports_reproducible_bit_for_bit():
 
 
 def test_kernel_suite_makes_one_stacked_call_per_n_and_order(monkeypatch):
-    # one call per N covers every order, and each tail series S^(k) is summed
-    # once per N: k = 0, 1, 2 for the orders up to 2
+    # one call per N covers every order, and one summation per N gives every
+    # tail series S^(k), k = 0, 1, 2, that the orders up to 2 need
     from qhflux import kernel
     from qhflux.harness import suites
     stacked, series, single = [], [], []
-    real_orders, real_series = suites.kernel_log_orders, kernel._series_deriv_stack
+    real_orders, real_series = suites.kernel_log_orders, kernel._series_stack
     real_single = suites.kernel_diff_log
     monkeypatch.setattr(suites, "kernel_log_orders", lambda spec, zs, ws, orders, which: (
         stacked.append((spec.b, [tuple(o) for o in orders], len(zs), which))
         or real_orders(spec, zs, ws, orders, which)))
-    monkeypatch.setattr(kernel, "_series_deriv_stack", lambda spec, x, k, which: (
-        series.append((spec.b, k, which)) or real_series(spec, x, k, which)))
+    monkeypatch.setattr(kernel, "_series_stack", lambda b, x, M, ks, tail: (
+        series.append((b, list(ks), tail)) or real_series(b, x, M, ks, tail)))
     monkeypatch.setattr(suites, "kernel_diff_log", lambda *args: (
         single.append(args) or real_single(*args)))
     run_kernel_suite(N_list=(16, 32), samples=20, seed=3)
     orders = [o for group in suites._ORDER_GROUPS.values() for o in group]
     assert stacked == [(b, orders, 20, "tail") for b in (16.0, 32.0)]
     # the N = 8 tail-versus-subtraction row sums the last tail series
-    assert [s for s in series if s[2] == "tail"] == [
-        (b, k, "tail") for b in (16.0, 32.0) for k in range(3)] + [(8.0, 0, "tail")]
+    assert [s for s in series if s[2]] == [
+        (b, [0, 1, 2], True) for b in (16.0, 32.0)] + [(8.0, [0], True)]
     assert len(single) == 1
 
 

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 import warnings
@@ -472,13 +473,30 @@ def test_cancelling_edge_row_is_zero():
 def test_bad_order_anywhere_is_refused_before_any_series(monkeypatch, bad, at):
     from qhflux import kernel
     summed = []
-    monkeypatch.setattr(kernel, "_series_deriv_stack", lambda *args: summed.append(args))
+    monkeypatch.setattr(kernel, "_series_stack", lambda *args: summed.append(args))
     orders = [(0, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0)]
     orders.insert(at, bad)
     for which in ("truncated", "infinite", "tail"):
         with pytest.raises(UnsupportedOrderError):
             kernel_log_orders(KernelSpec(b=8.0, M=10), [0.1], [0.2], orders, which)
     assert summed == []
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(orders=st.lists(st.sampled_from(ORDERS_UP_TO_4), min_size=1, max_size=8),
+       M=st.integers(1, 6))
+def test_one_summation_per_call(orders, M):
+    # every S^(k) of a call comes from one summation; the infinite kernel
+    # needs none
+    from qhflux import kernel
+    summed = []
+    real = kernel._series_stack
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel, "_series_stack", lambda *args: summed.append(args) or real(*args))
+        for which, calls in (("truncated", 1), ("tail", 1), ("infinite", 0)):
+            summed.clear()
+            kernel_log_orders(KernelSpec(b=8.0, M=M), [0.1, 0j], [0.2j, 0.3], orders, which)
+            assert len(summed) == calls, which
 
 
 def test_refused_points_raise_as_one_order_calls_do():
@@ -528,6 +546,105 @@ def test_tail_matches_mpmath_term_sum(N, dM, d_z, p, q):
     dphase = abs((got.phase - float(mpmath.arg(exact)) + math.pi) % (2 * math.pi) - math.pi)
     tol = 1e-12 * max(1.0, abs(log_mag))
     assert abs(got.log_mag - log_mag) <= tol and dphase <= tol, (got, log_mag)
+
+
+def _falling(a, m):
+    """Integer coefficients, lowest power first, of the polynomial
+    (j + a)(j + a - 1)...(j + a - m + 1) in j."""
+    poly = [1]
+    for i in range(m):
+        poly = [s + (a - i) * p for s, p in zip([0] + poly, poly + [0])]
+    return poly
+
+
+def _mp_kernel_orders(N, M, z, w, orders, which):
+    """d^order of K_M ("truncated") or K_inf - K_M ("tail") for each order,
+    as 50-digit sums over j of the derivatives of each term
+    c_j z^j wbar^j e^{-b(|z|^2 + |w|^2)/2}, c_j = b^{j+1}/(pi j!), b = N:
+    no range shift and no symbolic expansion of the kernel code."""
+    with mpmath.workdps(50):
+        b, z, wb = mpmath.mpf(N), mpmath.mpc(z), mpmath.conj(mpmath.mpc(w))
+        x = z * wb
+
+        # d_u^c d_ubar^a (u^j e^{-b u ubar/2}) is e^{-b u ubar/2} times the
+        # sum over m <= c of coef (j + a)!/(j + a - m)! u^(j+a-m), coef =
+        # C(c, m) (-b/2)^a (-b ubar/2)^(c-m); w's side is wbar^j
+        # e^{-b w wbar/2}, where d_w is d_ubar for u = wbar
+        def side(u, a, c):
+            return [(math.comb(c, m) * (-b / 2) ** a * (-b * mpmath.conj(u) / 2) ** (c - m),
+                     a - m, _falling(a, m)) for m in range(c + 1)]
+
+        def at(poly, j):
+            return sum(p * j ** n for n, p in enumerate(poly))
+
+        sides = [(side(z, a_zbar, a_z), side(wb, a_w, a_wbar))
+                 for a_zbar, a_z, a_wbar, a_w in orders]
+        start, stop = (0, M) if which == "truncated" else (M, math.inf)
+        gauss = mpmath.exp(-b * (abs(z) ** 2 + abs(wb) ** 2) / 2)
+        if x == 0:
+            # u^(j + a - m) vanishes for j > 4 on the zero side
+            out = []
+            for zs, ws in sides:
+                total = mpmath.mpc(0)
+                for j in range(start, min(stop, 9)):
+                    total += b ** (j + 1) / (mpmath.pi * mpmath.factorial(j)) * (
+                        sum(k * at(f, j) * z ** (j + p) for k, p, f in zs if j + p >= 0)
+                        * sum(k * at(f, j) * wb ** (j + p) for k, p, f in ws if j + p >= 0))
+                out.append(total * gauss)
+            return out
+        # a term is c_j x^j times a polynomial of degree <= 4 in j: sum the
+        # moments sum_j c_j x^j j^n once for every order
+        moments = [mpmath.mpc(0)] * 5
+        j, t = start, b ** (start + 1) / (mpmath.pi * mpmath.factorial(start)) * x ** start
+        while j < stop:
+            for n in range(5):
+                moments[n] += t * j ** n
+            if (stop == math.inf and b * abs(x) / (j + 1) < 0.9
+                    and abs(t) * (j + 4) ** 4 < 1e-40 * abs(moments[0])):
+                break
+            j, t = j + 1, t * b * x / (j + 1)
+        out = []
+        for zs, ws in sides:
+            total = mpmath.mpc(0)
+            for kz, pz, fz in zs:
+                for kw, pw, fw in ws:
+                    poly = [sum(fz[i] * fw[n - i] for i in range(len(fz)) if 0 <= n - i < len(fw))
+                            for n in range(len(fz) + len(fw) - 1)]
+                    total += kz * kw * z ** pz * wb ** pw * sum(
+                        p * moments[n] for n, p in enumerate(poly))
+            out.append(total * gauss)
+        return out
+
+
+# orders whose expansion reaches S^(4), S^(2) and S^(3)
+_SHIFT_ORDERS = [(0, 2, 2, 0), (1, 1, 1, 1), (0, 0, 3, 0)]
+
+
+@pytest.mark.parametrize("N", [1, 8, 64, 1024])
+def test_shifted_series_match_mpmath_term_sum(N):
+    # x = 0 rows; an aligned pair, x > 0, whose series cancels nowhere and,
+    # at N = 1024, rescales mid-sum; a short series; and, for tails with
+    # M >= N, a pair at an angle, whose tail terms fall from j = M
+    rows = [(0j, 0.3 + 0.2j), (0.25 - 0.1j, 0j), (0.9 * cmath.exp(0.7j), 0.8 * cmath.exp(0.7j)),
+            (0.05 + 0.03j, 0.04 + 0.01j)]
+    for M in sorted({1, 2, 3, 4, N, N + 2}):
+        for which in ("tail", "truncated"):
+            pairs = rows + [(0.8 * cmath.exp(0.7j), 0.9 * cmath.exp(-1.1j))] * (
+                which == "tail" and M >= N)
+            got = kernel_log_orders(KernelSpec(b=float(N), M=M), *zip(*pairs),
+                                    _SHIFT_ORDERS, which)
+            for r, (z, w) in enumerate(pairs):
+                exact = _mp_kernel_orders(N, M, z, w, _SHIFT_ORDERS, which)
+                for order, (log_mag, phase), value in zip(_SHIFT_ORDERS, got, exact):
+                    case = (M, which, order, z, w)
+                    if value == 0:
+                        assert log_mag[r] == -np.inf, case
+                        continue
+                    want = float(mpmath.log(abs(value)))
+                    dphase = abs((phase[r] - float(mpmath.arg(value)) + math.pi)
+                                 % (2 * math.pi) - math.pi)
+                    tol = 1e-12 * max(1.0, abs(want))
+                    assert abs(log_mag[r] - want) <= tol and dphase <= tol, (case, log_mag[r], want)
 
 
 def test_stirling_table_is_the_gammaln_expression():

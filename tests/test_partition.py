@@ -303,11 +303,18 @@ def test_upsilon_prediction():
     assert upsilon_prediction(far, pair=(0, 1)) == pytest.approx(1.0)
 
 
-def test_coincident_rejections():
+def test_coincident_rejections(monkeypatch):
+    # the memo entry's coincidence test refuses, with no sort of the holes
+    # per call by HoleConfig.require_distinct
+    sorts = []
+    monkeypatch.setattr(HoleConfig, "require_distinct", lambda self: sorts.append(self))
     cfg = HoleConfig(w=(0.1, 0.1), N=4)
-    for fn in (log_partition, lambda c: theta(c, 0.3)):
-        with pytest.raises(SingularConfigurationError):
+    for fn in (log_upsilon, log_partition, lambda c: theta(c, 0.3)):
+        with pytest.raises(SingularConfigurationError,
+                           match="^hole positions must be pairwise distinct$"):
             fn(cfg)
+    log_partition(HoleConfig(w=(0.1, 0.3j), N=4))
+    assert sorts == []
 
 
 @pytest.mark.parametrize("kwargs", [dict(N=4.5), dict(N=0), dict(N=4, b=math.nan),
