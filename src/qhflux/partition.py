@@ -1,15 +1,16 @@
 """Quasi-hole partition functions: Upsilon determinants, their exact
 log-derivatives, the closed-form normalization, and Schur-complement densities.
 
-A memo keeps the most recent hole stack's factorisation: its orbital table,
-kernel matrices and determinants, and, once asked for, the coincidence test,
-the refusal rule, the stacked inverse, one Jacobi pass for every tracer and
-the derivative-route fields of every tracer (A, V and the refusals with the
-V rounding guard, which potentials.emergent_field_stack hands out).  Its key
-is (b, M, holes.shape, holes.tobytes()) of the complex holes; its one entry
-goes before the next stack is built.  All results on one stack share it,
-bit-identical to building them per call; its arrays are read-only; the
-oracles never read it.
+One factorisation per hole stack serves every result on it: its orbital
+table, kernel matrices and determinants, and, once asked for, the
+coincidence test, the refusal rule, the stacked inverse, one Jacobi pass for
+every tracer and the derivative-route fields of every tracer (A, V and the
+refusals with the V rounding guard, which potentials.emergent_field_stack
+hands out).  A stacked call builds its own and keeps nothing once it returns;
+the per-configuration calls (upsilon, log_upsilon, log_partition, theta and
+emergent_field_derivative) share one entry for the latest HoleConfig, equal
+configs alike (_config_stack).  Its arrays are read-only; the oracles never
+read it.
 
 The pass needs no orbital-derivative table: phi_k(w) = phi_{k-1}(w) w sqrt(b/k)
 turns d phi_k = sqrt(b k) phi_{k-1} - (b/2) zbar phi_k into
@@ -22,7 +23,7 @@ import cmath
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -198,7 +199,7 @@ class _Factors:
         N = b, M = N + n: ((row, j), error type, message) of each refused
         entry in its order.  The errors themselves are built per call, as
         one raised twice would keep each raise's traceback, and its frames,
-        in the memo."""
+        in the factorisation."""
         N, w, coincident, (dlog, ddlog) = self.b, self.w, self.coincident, self.jacobi
         corr, n = self.refusal[0], w.shape[1]
         # np.hypot is correctly rounded where np.abs of a complex array often is not
@@ -258,30 +259,25 @@ def _check_tracer(j, n: int):
         raise ValueError(f"tracer index {j} outside 0..{n - 1}")
 
 
-# (key, _Factors) of the most recent hole stack
-_memo: tuple | None = None
-
-
 def _kernel_stack(b: float, M: int, holes) -> _Factors:
-    """The factorisation of a (B, n) hole stack, from the memo when the last
-    call had the same b, M and holes.  b and M follow KernelSpec's rules and
-    the holes are finite (ValueError otherwise), both checked before the
-    memo is read."""
-    global _memo
+    """The factorisation of a (B, n) hole stack, built on every call.  b and
+    M follow KernelSpec's rules and the holes are finite (ValueError
+    otherwise), both checked before any table is built."""
     KernelSpec(b, M)
     w = np.asarray(holes, dtype=complex)
     if w.ndim != 2:
         raise ValueError("holes must have shape (B, n)")
     if not np.isfinite(w).all():
         raise ValueError("hole positions must be finite")
-    key = (b, M, w.shape, w.tobytes())
-    # read _memo once, so a concurrent call that replaces it cannot hand
-    # this call another stack's entry
-    entry = _memo
-    if entry is None or entry[0] != key:
-        entry = _memo = None    # release the old entry before building the new one
-        entry = _memo = key, _Factors(b, M, w)
-    return entry[1]
+    return _Factors(b, M, w)
+
+
+@lru_cache(maxsize=1)
+def _config_stack(cfg: HoleConfig) -> _Factors:
+    """The factorisation of one configuration, a stack of one row, shared by
+    the per-configuration calls on equal configs; HoleConfig has checked N,
+    b and the holes."""
+    return _Factors(cfg.b, cfg.N + cfg.n, cfg.points()[None, :])
 
 
 def upsilon_stack(b: float, M: int, holes) -> np.ndarray:
@@ -292,14 +288,14 @@ def upsilon_stack(b: float, M: int, holes) -> np.ndarray:
 
 def upsilon(cfg: HoleConfig) -> float:
     """det[(pi/b) K_{N+n}(w_i, w_j)], in [0, 1]; 0 for coincident points."""
-    f = _kernel_stack(cfg.b, cfg.spec.M, cfg.points()[None, :])
+    f = _config_stack(cfg)
     return 0.0 if f.coincident[0] else float(f.ups[0])
 
 
 def _resolved_upsilon(cfg: HoleConfig) -> _Factors:
     """The factorisation of one configuration, a stack of one row, or
     DegenerateConfigurationError where its Upsilon is rounding noise."""
-    f = _kernel_stack(cfg.b, cfg.spec.M, cfg.points()[None, :])
+    f = _config_stack(cfg)
     if f.coincident[0]:
         raise SingularConfigurationError("hole positions must be pairwise distinct")
     corr, resolved = f.refusal
@@ -326,7 +322,8 @@ def log_upsilon_derivative_stack(b: float, M: int, holes
                                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Upsilon (B,), d_j log Upsilon and d_j dbar_j log Upsilon (B, n) of every
     tracer j and the correlation ratio of resolved_rows (B,) for a (B, n) hole
-    stack, field strength b and M orbitals: the memo's read-only arrays.
+    stack, field strength b and M orbitals: read-only arrays of the call's own
+    factorisation.
 
     Only row and column j of the kernel matrix K depend on w_j.  Row j of
     d_j K is r_c = b wbar_c (K_jc - phi_{j,M-1} conj phi_{c,M-1})

@@ -2,13 +2,12 @@
 
 Two independent routes compute the same fields: the derivative route
 takes the log-derivatives of the Upsilon determinant from partition and uses
-them as they are (production path); its A, V and refusals are assembled once
-per hole stack in partition's memo entry, which every tracer's call reads,
-and
-the integral route evaluates the conditional-density integral formulas
-(cross-validation path) in closed form: every conditioned function vanishes
-at the tracer, so its quotient by z - w_j is a finite orbital combination
-(polynomial division by recurrence), and each integral is an inner product.
+them as they are (production path), with A, V and the refusals of every
+tracer assembled once per hole stack in partition; the integral route
+evaluates the conditional-density integral formulas (cross-validation
+path) in closed form: every conditioned function vanishes at the tracer, so
+its quotient by z - w_j is a finite orbital combination (polynomial division
+by recurrence), and each integral is an inner product.
 Correction fields a, v and the asymptotic field prediction live here too.
 """
 
@@ -21,9 +20,8 @@ import numpy as np
 
 from .kernel import poisson_mean, weighted_orbitals
 from .partition import (DegenerateConfigurationError, HoleConfig, SingularConfigurationError,
-                        _ab_rows, _check_bath_size, _check_tracer, _kernel_stack)
-# the derivative route's V rounding guard, which partition._Factors.fields applies
-from .partition import FIELD_ERROR_BUDGET, V_ERROR_SCALE  # noqa: F401
+                        _ab_rows, _check_bath_size, _check_tracer, _config_stack,
+                        _kernel_stack)
 
 
 @dataclass(frozen=True)
@@ -49,9 +47,9 @@ def emergent_field_stack(N: int, holes) -> tuple[np.ndarray, np.ndarray, dict]:
     order those with Upsilon rounding noise (resolved_rows) or a V rounding
     error above FIELD_ERROR_BUDGET N (DegenerateConfigurationError): a deep
     pair refuses its own tracers, not a far one.  A refused entry is NaN, with
-    no numpy warning.  A and V are the partition memo's read-only arrays
-    (partition._Factors.fields), assembled once per hole stack; the dict and
-    its errors are new on every call."""
+    no numpy warning.  A and V are read-only arrays of the call's own
+    factorisation (partition._Factors.fields); the dict and its errors are
+    new on every call."""
     _check_bath_size(N)
     w = np.asarray(holes, dtype=complex)
     if w.ndim != 2:
@@ -72,13 +70,16 @@ def emergent_fields(N: int, holes) -> tuple[np.ndarray, np.ndarray]:
 
 def emergent_field_derivative(cfg: HoleConfig, j: int) -> EmergentField:
     """A_j, V_j from exact Upsilon log-derivatives (b = N regime): entry
-    (0, j) of emergent_field_stack on one row, refused by that entry's error."""
+    (0, j) of emergent_field_stack on one row, refused by that entry's error.
+    Every tracer of equal configs reads one factorisation's fields
+    (partition._config_stack); A is read-only."""
     if cfg.b != cfg.N:
         raise ValueError("derivative-route fields are defined in the b = N regime")
     _check_tracer(j, cfg.n)
-    a_vec, v_val, refusals = emergent_field_stack(cfg.N, [cfg.w])
-    if (0, j) in refusals:
-        raise refusals[0, j]
+    a_vec, v_val, refusals = _config_stack(cfg).fields
+    for key, error, message in refusals:
+        if key == (0, j):
+            raise error(message)
     return EmergentField(A=a_vec[0, j], V=float(v_val[0, j]), j=j)
 
 

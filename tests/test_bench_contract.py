@@ -38,7 +38,7 @@ def test_a_fields_round_assembles_once_per_hole_stack(monkeypatch):
     # 37 configurations and 106 tracer calls: each configuration's upsilon
     # builds one factorisation, its first tracer call one Jacobi pass and
     # one assembly of every tracer's A and V, and the other 69 tracer calls
-    # read the memo entry
+    # read the cached entry of their configuration
     from qhflux import partition, potentials
     wl = workloads.Fields()
     inputs = wl.make_round(1, 0)
@@ -53,7 +53,7 @@ def test_a_fields_round_assembles_once_per_hole_stack(monkeypatch):
         calls.append("tracer")
         return field(*args)
 
-    monkeypatch.setattr(partition, "_memo", None)
+    partition._config_stack.cache_clear()
     monkeypatch.setattr(partition._Factors, "__init__", counted_build)
     monkeypatch.setattr(potentials, "emergent_field_derivative", counted_field)
     for name in ("jacobi", "fields"):

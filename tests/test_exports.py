@@ -76,3 +76,14 @@ def test_every_public_definition_has_a_caller():
                     and node.name not in used | local):
                 uncalled.add(node.name)
     assert sorted(uncalled - set(KEPT_WITHOUT_CALLER)) == []
+
+
+def test_library_has_no_global_statement():
+    # the library's module-level caches are functools.lru_caches
+    # (quadrature.gauss_legendre, kernel._deriv_terms, partition._config_stack),
+    # never state that a function rebinds
+    rebinding = [f"{path.name}:{node.lineno}"
+                 for path in sorted((ROOT / "src" / "qhflux").rglob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Global)]
+    assert rebinding == []

@@ -304,7 +304,7 @@ def test_upsilon_prediction():
 
 
 def test_coincident_rejections(monkeypatch):
-    # the memo entry's coincidence test refuses, with no sort of the holes
+    # the cached factorisation's coincidence test refuses, with no sort of the holes
     # per call by HoleConfig.require_distinct
     sorts = []
     monkeypatch.setattr(HoleConfig, "require_distinct", lambda self: sorts.append(self))
@@ -332,8 +332,7 @@ def test_hole_config_needs_integer_bath_and_finite_positive_b(kwargs):
                                      (64.0, 66, True)])
 def test_engine_refuses_bad_input_before_any_table(monkeypatch, b, M, j):
     # b and M follow KernelSpec, and the tracer of a per-tracer field is one
-    # of 0..n-1: a ValueError before the memo is read or an orbital table
-    # built
+    # of 0..n-1: a ValueError before an orbital table is built
     def no_table(*args):
         raise AssertionError("orbital table built for a bad input")
 
@@ -364,7 +363,7 @@ def _memo_pool():
 
 
 def _memo_ops(entry):
-    """Every result the memo feeds for one pool entry, as (label, thunk)."""
+    """Every result a factorisation feeds for one pool entry, as (label, thunk)."""
     N, b, M, holes = entry
     n = holes.shape[1]
     ops = [("ups", lambda: upsilon_stack(b, M, holes)),
@@ -407,9 +406,10 @@ _COLD = {}
 
 
 def _cold(e, k):
-    """Result k of pool entry e, computed with the memo emptied first."""
+    """Result k of pool entry e, computed with the per-configuration cache
+    emptied first."""
     if (e, k) not in _COLD:
-        partition._memo = None
+        partition._config_stack.cache_clear()
         _COLD[e, k] = _run(_OPS[e][k][1])
     return _COLD[e, k]
 
@@ -419,10 +419,10 @@ def _cold(e, k):
                 min_size=1, max_size=25))
 def test_memo_results_equal_cold_results_bit_for_bit(calls):
     # Upsilon, dlog, ddlog, corr, A, V and the refusal dicts, in any
-    # interleaving of b, M and holes, match a call on an empty memo
+    # interleaving of b, M and holes, match a call on an empty cache
     calls = [(e, k % len(_OPS[e])) for e, k in calls]
     expected = [_cold(e, k) for e, k in calls]
-    partition._memo = None
+    partition._config_stack.cache_clear()
     for (e, k), want in zip(calls, expected):
         assert _run(_OPS[e][k][1]) == want, _OPS[e][k][0]
 
@@ -481,25 +481,51 @@ def test_every_tracer_in_one_pass_matches_the_one_tracer_formula(N, holes, moves
 
 
 def test_memo_arrays_are_read_only():
+    # the per-configuration results, EmergentField.A included, are the
+    # shared entry's own arrays, not copies; a stacked call's arrays are its
+    # own factorisation's.  All of them are read-only
     holes = np.array([[0.3, -0.2 + 0.4j, 0.1j]])
+    cfg = HoleConfig(w=tuple(holes[0]), N=64)
+    field = emergent_field_derivative(cfg, 1)
+    entry = partition._config_stack(cfg)
+    assert np.shares_memory(field.A, entry.fields[0])
     ups, dlog, ddlog, corr = log_upsilon_derivative_stack(64.0, 67, holes)
-    factors = _kernel_stack(64.0, 67, holes)
-    # every tracer's log-derivatives and fields are the memo's own arrays, not copies
-    assert dlog is factors.jacobi[0] and ddlog is factors.jacobi[1]
     a_vec, v_val, _ = emergent_field_stack(64, holes)
-    assert a_vec is factors.fields[0] and v_val is factors.fields[1]
-    field = emergent_field_derivative(HoleConfig(w=tuple(holes[0]), N=64), 1)
-    for cached in (ups, dlog, ddlog, corr, upsilon_stack(64.0, 67, holes), factors.w,
-                   factors.phi, factors.kernel, factors.ups, factors.inverse,
-                   factors.coincident, a_vec, a_vec.base, v_val, field.A):
+    for cached in (ups, dlog, ddlog, corr, upsilon_stack(64.0, 67, holes), a_vec, a_vec.base,
+                   v_val, field.A, entry.w, entry.phi, entry.kernel, entry.ups, entry.inverse,
+                   entry.coincident, *entry.jacobi, entry.fields[1]):
         with pytest.raises(ValueError, match="read-only"):
             cached[0] = 0.0
 
 
+@pytest.mark.parametrize("call", [lambda h: emergent_fields(64, h),
+                                  lambda h: upsilon_stack(64.0, 66, h),
+                                  lambda h: log_upsilon_derivative_stack(64.0, 66, h)])
+def test_stacked_calls_keep_nothing_alive(monkeypatch, call):
+    # every stacked call builds its own factorisation, which is gone once
+    # the caller drops the result; two calls on the same holes build twice,
+    # agree bit for bit and leave the per-configuration cache alone
+    built, init = [], partition._Factors.__init__
+
+    def tracked(self, *args):
+        init(self, *args)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(partition._Factors, "__init__", tracked)
+    holes = np.array([[0.3, 0.1j], [-0.2 + 0.4j, 0.25]])
+    cached = partition._config_stack.cache_info()
+    first = call(holes)
+    second = call(holes)
+    assert len(built) == 2 and _as_bytes(first) == _as_bytes(second)
+    assert partition._config_stack.cache_info() == cached
+    del first, second
+    assert [ref() for ref in built] == [None, None]
+
+
 def test_memo_refusals_are_new_errors_on_every_call():
-    # the memo keeps each refusal's type and message, never an error
-    # object: a raised one would carry its traceback, and the frames in it,
-    # in the memo and into the next raise
+    # a factorisation keeps each refusal's type and message, never an
+    # error object: a raised one would carry its traceback, and the frames
+    # in it, in the cached entry and into the next raise
     holes = np.array([[0.3, 0.3, 0.1j], [0.1, 0.1 + 1e-12, 0.5j], [0.2, 0.2 + 1e-4j, -0.5]])
     first, second = emergent_field_stack(64, holes)[2], emergent_field_stack(64, holes)[2]
     assert first is not second and list(first) == list(second)
@@ -519,33 +545,14 @@ def test_memo_refusals_are_new_errors_on_every_call():
     assert [str(e) for e in raised[:2]] == [str(e) for e in raised[2:]]
 
 
-def test_memo_keeps_only_the_latest_stack(monkeypatch):
-    monkeypatch.setattr(partition, "_memo", None)
-    first, second = np.array([[0.3, 0.1j]]), np.array([[0.3, 0.2j]])
-    upsilon_stack(64.0, 66, first)
-    old = weakref.ref(partition._memo[1])
-    released = []
-    build = partition.weighted_orbitals
-
-    def building(*args):
-        released.append(old() is None)
-        return build(*args)
-
-    monkeypatch.setattr(partition, "weighted_orbitals", building)
-    log_upsilon_derivative_stack(64.0, 66, second)
-    assert released == [True]     # the old entry went before the new table
-    key, _ = partition._memo
-    assert key == (64.0, 66, second.shape, second.tobytes())
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.2, -math.inf)])
 @pytest.mark.parametrize("tracer", [None, 0])
 def test_stack_engine_refuses_non_finite_holes(monkeypatch, bad, tracer):
-    # refused before the memo is read, with no numpy warning; the memo keeps
-    # its entry
-    monkeypatch.setattr(partition, "_memo", None)
-    upsilon_stack(64.0, 66, np.array([[0.3, 0.1j]]))
-    before = partition._memo
+    # refused before an orbital table is built, with no numpy warning
+    def no_table(*args):
+        raise AssertionError("orbital table built for non-finite holes")
+
+    monkeypatch.setattr(partition, "weighted_orbitals", no_table)
     holes = np.array([[bad, 0.1]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -554,29 +561,30 @@ def test_stack_engine_refuses_non_finite_holes(monkeypatch, bad, tracer):
                 upsilon_stack(64.0, 66, holes)
             else:
                 log_upsilon_derivative_stack(64.0, 66, holes)[1][:, tracer]
-    assert partition._memo is before
 
 
-def test_memo_under_threads_returns_each_callers_own_stack(monkeypatch):
-    # threads that share the memo on different holes each get the
-    # factorisation of their own holes, never another thread's entry
-    monkeypatch.setattr(partition, "_memo", None)
-    stacks = [np.array([[0.3, 0.1j + 0.05 * k]]) for k in range(4)]
-    want = [(upsilon_stack(64.0, 66, h).tobytes(), emergent_field_stack(64, h)[0].tobytes())
-            for h in stacks]
+def test_memo_under_threads_returns_each_callers_own_stack():
+    # threads that share the per-configuration cache on different holes
+    # each get the Upsilon and fields of their own configuration, never
+    # another thread's entry
+    partition._config_stack.cache_clear()
+    cfgs = [HoleConfig(w=(0.3, 0.1j + 0.05 * k), N=64) for k in range(4)]
+
+    def results(cfg):
+        return upsilon(cfg), _as_bytes(emergent_field_derivative(cfg, 1))
+
+    want = [results(cfg) for cfg in cfgs]
     wrong = []
 
     def work(k):
         for _ in range(150):
-            got = (log_upsilon_derivative_stack(64.0, 66, stacks[k])[0].tobytes(),
-                   emergent_field_stack(64, stacks[k])[0].tobytes())
-            if got != want[k]:
+            if results(cfgs[k]) != want[k]:
                 wrong.append(k)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(stacks))]
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(cfgs))]
         for t in threads:
             t.start()
         for t in threads:
@@ -585,41 +593,6 @@ def test_memo_under_threads_returns_each_callers_own_stack(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-
-
-def test_memo_is_read_once_per_call(monkeypatch):
-    # a concurrent call may replace _memo between any two lines of
-    # _kernel_stack; a trace hook does so at every line, so a second read of
-    # _memo anywhere in the call would hand back another stack's entry
-    monkeypatch.setattr(partition, "_memo", None)
-    stacks = [np.array([[0.3, 0.1j + 0.05 * k]]) for k in range(3)]
-    want, fields, entries = [], [], []
-    for h in stacks:
-        want.append(upsilon_stack(64.0, 66, h).tobytes())
-        fields.append(emergent_field_stack(64, h)[0].tobytes())
-        entries.append(partition._memo)
-    code = partition._kernel_stack.__code__
-
-    def swap(frame, event, arg):
-        if event == "line":
-            partition._memo = other
-        return swap
-
-    def hook(frame, event, arg):
-        return swap if frame.f_code is code else None
-
-    got = []
-    previous = sys.gettrace()
-    sys.settrace(hook)
-    try:
-        for k, h in enumerate(stacks):
-            other = entries[(k + 1) % len(stacks)]
-            got.append((upsilon_stack(64.0, 66, h).tobytes(),
-                        log_upsilon_derivative_stack(64.0, 66, h)[0].tobytes(),
-                        emergent_field_stack(64, h)[0].tobytes()))
-    finally:
-        sys.settrace(previous)
-    assert got == [(w, w, a) for w, a in zip(want, fields)]
 
 
 def mp_upsilon(ws, N):

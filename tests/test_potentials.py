@@ -384,9 +384,9 @@ def test_integral_route_matches_derivative_route(N, data):
 
 
 def test_integral_route_never_calls_the_derivative_route(monkeypatch):
-    # the route never reads the partition memo, the derivative route's
-    # log-derivatives, its all-tracer Jacobi pass, its derivative rows or
-    # its assembled fields
+    # the route never builds or reads a factorisation of the derivative
+    # route, stacked or per configuration, nor its log-derivatives, its
+    # all-tracer Jacobi pass, its derivative rows or its assembled fields
     from qhflux import partition, potentials
     cfg = HoleConfig(w=(0.3 + 0.1j, -0.25 + 0.2j), N=16)
     d = emergent_field_derivative(cfg, 1)
@@ -396,6 +396,8 @@ def test_integral_route_never_calls_the_derivative_route(monkeypatch):
 
     for module, name in ((partition, "_kernel_stack"),
                          (potentials, "_kernel_stack"),
+                         (partition, "_config_stack"),
+                         (potentials, "_config_stack"),
                          (partition, "log_upsilon_derivative_stack"),
                          (partition, "_derivative_rows")):
         monkeypatch.setattr(module, name, refused)
@@ -516,9 +518,10 @@ def test_field_call_factors_once(monkeypatch):
     # Upsilon and every tracer's fields on one configuration share one
     # orbital table (its n points), one determinant, one inverse, one
     # all-tracer Jacobi pass and one assembly of A, V and the refusals
-    # through the partition memo; no tracer builds a derivative table, the
-    # pass takes its rows from the (B, n, n) kernel matrices.  A stacked
-    # call on new holes builds its own factorisation and fields.
+    # through the per-configuration cache, and so does an equal config; no
+    # tracer builds a derivative table, the pass takes its rows from the
+    # (B, n, n) kernel matrices.  A different config rebuilds, and every
+    # stacked call builds its own factorisation and fields.
     from qhflux import kernel, partition
     calls = []
     count_cached_property(monkeypatch, partition._Factors, "fields", calls)
@@ -530,7 +533,7 @@ def test_field_call_factors_once(monkeypatch):
         return wrapper
 
     assert not hasattr(kernel, "orbital_derivative")
-    monkeypatch.setattr(partition, "_memo", None)
+    partition._config_stack.cache_clear()
     monkeypatch.setattr(partition, "weighted_orbitals",
                         counting("orbitals", partition.weighted_orbitals, arg=2))
     monkeypatch.setattr(partition, "_derivative_rows",
@@ -541,14 +544,22 @@ def test_field_call_factors_once(monkeypatch):
     partition.upsilon(cfg)
     for j in range(cfg.n):
         emergent_field_derivative(cfg, j)
-    assert calls == [("orbitals", (3,)), ("det", (1, 3, 3)), "fields", ("inv", (1, 3, 3)),
-                     ("rows", (1, 3, 3))]
+    once = [("orbitals", (3,)), ("det", (1, 3, 3)), "fields", ("inv", (1, 3, 3)),
+            ("rows", (1, 3, 3))]
+    assert calls == once
+    for j in range(cfg.n):
+        emergent_field_derivative(HoleConfig(w=cfg.w, N=64, b=64.0), j)
+    assert calls == once
+    other = HoleConfig(w=cfg.w[:2] + (0.2j,), N=64)
+    partition.upsilon(other)
+    emergent_field_derivative(other, 2)
+    assert calls == once + once
     holes = np.array(cfg.w) + np.linspace(0.0, 0.2, 50)[:, None]
     calls.clear()
     emergent_fields(64, holes)
     emergent_field_stack(64, holes)
-    assert calls == [("orbitals", (150,)), ("det", (50, 3, 3)), "fields", ("inv", (50, 3, 3)),
-                     ("rows", (50, 3, 3))]
+    assert calls == 2 * [("orbitals", (150,)), ("det", (50, 3, 3)), "fields",
+                         ("inv", (50, 3, 3)), ("rows", (50, 3, 3))]
 
 
 def test_noise_level_upsilon_is_degenerate():
