@@ -461,22 +461,34 @@ _STIRLERR = np.array([
 ])
 
 
-def _log_poisson(j: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """log(t^j e^{-t} / j!) for j >= 0, t > 0, in Loader's saddle-point form.
+@lru_cache(maxsize=16)
+def _stirling_terms(M: int) -> tuple[np.ndarray, np.ndarray]:
+    """stirlerr(j) and log(2 pi j)/2 for j = 0, ..., M - 1 (j = 0 read as 1),
+    read-only: the j-dependent terms of _log_poisson."""
+    jj = np.maximum(np.arange(M, dtype=float), 1.0)
+    inv2 = 1.0 / jj ** 2
+    series = (1 / 12 - inv2 * (1 / 360 - inv2 * (1 / 1260 - inv2 * (1 / 1680 - inv2 / 1188)))) / jj
+    stirlerr = np.where(jj > 15, series, _STIRLERR[np.minimum(jj, 15).astype(int) - 1])
+    half_log = 0.5 * np.log(2 * math.pi * jj)
+    stirlerr.flags.writeable = half_log.flags.writeable = False
+    return stirlerr, half_log
+
+
+def _log_poisson(j: np.ndarray, t: np.ndarray, M: int) -> np.ndarray:
+    """log(t^j e^{-t} / j!) for integers 0 <= j < M, t > 0, in Loader's
+    saddle-point form.
 
     -stirlerr(j) - t bd0(j/t) - log(2 pi j)/2 keeps the error near eps |j - t|,
     where j log t - t - log j! would scale every term by e^{j delta} from the
-    rounding delta of log t and let sum_j come out above 1.
+    rounding delta of log t and let sum_j come out above 1.  The j terms come
+    from the table of _stirling_terms(M); only bd0 is computed per point.
     """
+    stirlerr, half_log = (terms[j.astype(int)] for terms in _stirling_terms(M))
     with np.errstate(divide="ignore", invalid="ignore"):
-        jj = np.maximum(j, 1.0)
-        inv2 = 1.0 / jj ** 2
-        series = (1 / 12 - inv2 * (1 / 360 - inv2 * (1 / 1260 - inv2 * (1 / 1680 - inv2 / 1188)))) / jj
-        stirlerr = np.where(jj > 15, series, _STIRLERR[np.minimum(jj, 15).astype(int) - 1])
         d = (j - t) / t
         # j/t below eps rounds d to -1, where (1 + d) log1p(d) takes its limit 0
         bd0 = t * (np.where(d > -1.0, (1.0 + d) * np.log1p(d), 0.0) - d)
-        return np.where(j == 0, -t, -stirlerr - bd0 - 0.5 * np.log(2 * math.pi * jj))
+        return np.where(j == 0, -t, -stirlerr - bd0 - half_log)
 
 
 # a row recurs from phi_0 while e^{-t/2} is a normal double
@@ -515,7 +527,7 @@ def weighted_orbitals(b: float, M: int, pts: np.ndarray) -> np.ndarray:
     pts = np.asarray(pts, dtype=complex).ravel()
     t = poisson_mean(b, pts)
     mode = np.fmin(np.floor(t), M - 1)      # a NaN point gives a NaN row
-    anchor = (math.sqrt(b / math.pi) * np.exp(0.5 * _log_poisson(mode, t))
+    anchor = (math.sqrt(b / math.pi) * np.exp(0.5 * _log_poisson(mode, t, M))
               * np.exp(1j * mode * np.angle(pts)))
     near = t <= _T_NEAR
     # a far row runs through the shared product as (1, 0, ..., 0) and is set

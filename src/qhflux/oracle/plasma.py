@@ -9,7 +9,9 @@ of a running correction vector, which an accepted move updates with one
 column.  plasma_mcmc keeps one _Sweep (point buffer, index tables) per
 chain, and log_density recomputes the kept samples from scratch in one
 stacked numpy call, independently of the sweep.  Chains are bit-reproducible
-from the seed.
+from the seed: after the initial positions, _draws takes the proposals and
+uniforms _DRAW_BLOCK sweeps at a time, in full blocks, so a chain's first
+sweeps do not depend on how many it runs.
 """
 
 from __future__ import annotations
@@ -76,6 +78,9 @@ class ChainDiagnostics:
     tau_int: float = math.nan   # of the thinned log-density series, in samples
 
 
+# sweeps of proposals and uniforms that _draws takes per generator call; a
+# block holds _DRAW_BLOCK * N * 24 bytes
+_DRAW_BLOCK = 64
 # Sokal's window: the smallest W with W >= SOKAL_WINDOW * tau_int(W)
 SOKAL_WINDOW = 5.0
 # radial_density_l1 compares the |z| histogram over this many bins
@@ -192,18 +197,34 @@ def initial_positions(cfg: PlasmaConfig, rng: np.random.Generator) -> np.ndarray
     return radius * np.sqrt(u) * np.exp(1j * phi)
 
 
+def _draws(cfg: PlasmaConfig, rng: np.random.Generator):
+    """Endless (steps, logu) pairs, one per sweep, each of shape (N,).
+
+    Each block of _DRAW_BLOCK sweeps is one normal(0, proposal_scale) draw
+    of shape (_DRAW_BLOCK, N, 2), viewed as complex (complex(x, y) per
+    row-major pair), then one log(uniform) draw of shape (_DRAW_BLOCK, N).
+    Blocks are always drawn whole, so sweep k reads the same numbers
+    whatever the chain's length.
+    """
+    shape = (_DRAW_BLOCK, cfg.N)
+    while True:
+        steps = rng.normal(0.0, cfg.proposal_scale, size=shape + (2,)).view(complex)[..., 0]
+        logu = np.log(rng.uniform(size=shape))
+        yield from zip(steps, logu)
+
+
 def plasma_mcmc(cfg: PlasmaConfig) -> tuple[list[PlasmaSample], ChainDiagnostics]:
-    """Thinned post-burn-in samples of one chain, and its diagnostics."""
+    """Thinned post-burn-in samples of one chain, and its diagnostics.
+
+    The generator PCG64(seed) gives the initial positions, then every
+    sweep's proposals and uniforms through _draws."""
     rng = np.random.default_rng(np.random.PCG64(cfg.seed))
     z = initial_positions(cfg, rng)
     diag = ChainDiagnostics()
     sweep_once = _Sweep(cfg)
     kept = []
     with np.errstate(divide="ignore", invalid="ignore"):
-        for sweep in range(cfg.sweeps):
-            # an (N, 2) row-major draw viewed as complex is complex(x, y) per row
-            steps = rng.normal(0.0, cfg.proposal_scale, size=(cfg.N, 2)).view(complex)[:, 0]
-            logu = np.log(rng.uniform(size=cfg.N))
+        for sweep, (steps, logu) in zip(range(cfg.sweeps), _draws(cfg, rng)):
             z, accepted, _ = sweep_once(z, steps, logu)
             diag.accepted += sum(accepted)
             if sweep >= cfg.burn_in and (sweep - cfg.burn_in) % cfg.thin == 0:

@@ -1,8 +1,8 @@
 """Smoke test: each demo script runs to completion.
 
-01-06 take about 7 s together on a 2-vCPU box; 05_plasma_and_charpoly.py,
-the slowest, takes about 3 s (its two Metropolis chains run about 400k
-moves).
+01-06 take about 2-2.5 s together on a 2-vCPU box; 05_plasma_and_charpoly.py,
+the slowest, takes about 1.0-1.4 s (its two Metropolis chains run about
+400k moves, with the random draws taken 64 sweeps at a time).
 """
 
 import os

@@ -80,7 +80,8 @@ def test_every_public_definition_has_a_caller():
 
 def test_library_has_no_global_statement():
     # the library's module-level caches are functools.lru_caches
-    # (quadrature.gauss_legendre, kernel._deriv_terms, partition._config_stack),
+    # (quadrature.gauss_legendre, kernel._deriv_terms, kernel._stirling_terms,
+    # partition._config_stack),
     # never state that a function rebinds
     rebinding = [f"{path.name}:{node.lineno}"
                  for path in sorted((ROOT / "src" / "qhflux").rglob("*.py"))

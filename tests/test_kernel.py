@@ -657,6 +657,27 @@ def test_stirling_table_is_the_gammaln_expression():
     assert _STIRLERR.tobytes() == expr.tobytes()
 
 
+@pytest.mark.parametrize("M", [1, 2, 16, 17, 68, 1100])
+def test_log_poisson_table_gives_the_pointwise_expression(M):
+    # the per-M table of stirlerr(j) and log(2 pi j)/2 holds the doubles the
+    # per-point expression gives, so the saddle-point values are unchanged
+    from qhflux.kernel import _STIRLERR, _log_poisson, _stirling_terms
+    rng = np.random.default_rng(M)
+    t = np.concatenate([[0.0, 5e-324, 1e-300, 0.5, M - 1.0, 1e300],
+                        rng.uniform(0.0, 2.0 * M, 200)])
+    j = np.fmin(np.floor(t), M - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        jj = np.maximum(j, 1.0)
+        inv2 = 1.0 / jj ** 2
+        series = (1 / 12 - inv2 * (1 / 360 - inv2 * (1 / 1260 - inv2 * (1 / 1680 - inv2 / 1188)))) / jj
+        stirlerr = np.where(jj > 15, series, _STIRLERR[np.minimum(jj, 15).astype(int) - 1])
+        d = (j - t) / t
+        bd0 = t * (np.where(d > -1.0, (1.0 + d) * np.log1p(d), 0.0) - d)
+        want = np.where(j == 0, -t, -stirlerr - bd0 - 0.5 * np.log(2 * math.pi * jj))
+    assert _log_poisson(j, t, M).tobytes() == want.tobytes()
+    assert all(not terms.flags.writeable for terms in _stirling_terms(M))
+
+
 _EPS = np.finfo(float).eps
 
 

@@ -197,15 +197,46 @@ def test_chain_is_a_loop_of_public_sweeps():
     rng = np.random.default_rng(np.random.PCG64(cfg.seed))
     z = initial_positions(cfg, rng)
     kept, accepted = [], 0
-    for sweep in range(cfg.sweeps):
-        steps = rng.normal(0.0, cfg.proposal_scale, size=(cfg.N, 2)).view(complex)[:, 0]
-        z, flags, _ = metropolis_sweep(cfg, z, steps, np.log(rng.uniform(size=cfg.N)))
+    for sweep, (steps, logu) in zip(range(cfg.sweeps), plasma._draws(cfg, rng)):
+        z, flags, _ = metropolis_sweep(cfg, z, steps, logu)
         accepted += sum(flags)
         if sweep >= cfg.burn_in and (sweep - cfg.burn_in) % cfg.thin == 0:
             kept.append(z)
     assert diag.accepted == accepted and len(samples) == len(kept)
     for s, k in zip(samples, kept):
         assert np.array_equal(s.positions, k)
+
+
+@pytest.mark.parametrize("N", [1, 3])
+def test_draws_are_whole_generator_blocks(N):
+    # block i is one normal((B, N, 2)) viewed as complex, then one
+    # log(uniform((B, N))), straight from the chain's generator
+    cfg = PlasmaConfig(N=N, b=2.0, sweeps=2, burn_in=1, proposal_scale=0.3, seed=31)
+    draws = plasma._draws(cfg, np.random.default_rng(np.random.PCG64(cfg.seed)))
+    ref = np.random.default_rng(np.random.PCG64(cfg.seed))
+    B = plasma._DRAW_BLOCK
+    for _ in range(2):
+        xy = ref.normal(0.0, 0.3, size=(B, N, 2))
+        logu = np.log(ref.uniform(size=(B, N)))
+        for i in range(B):
+            steps, lu = next(draws)
+            assert steps.shape == lu.shape == (N,)
+            assert np.array_equal(steps.real, xy[i, :, 0])
+            assert np.array_equal(steps.imag, xy[i, :, 1])
+            assert np.array_equal(lu, logu[i])
+
+
+def test_chain_prefix_does_not_depend_on_its_length():
+    # 130 sweeps end inside a draw block; the longer chain's first 130
+    # sweeps read the same numbers
+    short, long = (PlasmaConfig(N=4, b=4.0, holes=(0.1j,), sweeps=sweeps, burn_in=20,
+                                thin=3, seed=6) for sweeps in (130, 300))
+    assert short.sweeps % plasma._DRAW_BLOCK
+    a, _ = plasma_mcmc(short)
+    b, _ = plasma_mcmc(long)
+    assert 0 < len(a) < len(b)
+    for sa, sb in zip(a, b):
+        assert np.array_equal(sa.positions, sb.positions)
 
 
 def test_positions_are_not_views_of_the_sweep_buffer():
@@ -224,14 +255,12 @@ def test_positions_are_not_views_of_the_sweep_buffer():
 
 
 def reference_chain(cfg):
-    """Plain per-move Metropolis on log_density differences, drawing the
-    same random numbers as plasma_mcmc."""
+    """Plain per-move Metropolis on log_density differences, reading the
+    same random numbers as plasma_mcmc (initial positions, then _draws)."""
     rng = np.random.default_rng(np.random.PCG64(cfg.seed))
     z = initial_positions(cfg, rng)
     kept, accepted = [], 0
-    for sweep in range(cfg.sweeps):
-        steps = rng.normal(0.0, cfg.proposal_scale, size=(cfg.N, 2)).view(complex)[:, 0]
-        logu = np.log(rng.uniform(size=cfg.N))
+    for sweep, (steps, logu) in zip(range(cfg.sweeps), plasma._draws(cfg, rng)):
         for k in range(cfg.N):
             moved = z.copy()
             moved[k] = z[k] + steps[k]
